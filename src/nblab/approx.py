@@ -86,6 +86,7 @@ class SweepRecord:
     theta_log_sum: float
     gap: float
     gram_condition: float
+    certified_error: float
     dilations: tuple[float, ...] = field(default=())
     h_star: tuple[float, ...] = field(default=())
 
@@ -169,8 +170,10 @@ def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationRe
 
     ``target_error`` caps the certified error of the squared distance; Gram
     entries are requested at target_error / (8 N), tightened once if the
-    certification comes out above target.  A single dilation degenerates to
-    the zero function with distance exactly 1.
+    certification comes out above target.  The entry target only governs
+    incommensurate pairs: commensurate entries are closed-form and carry a
+    roundoff bound alone.  A single dilation degenerates to the zero
+    function with distance exactly 1.
     """
     if not target_error > 0.0:
         raise DomainError("target_error must be positive")
@@ -263,6 +266,7 @@ def sweep(
                 theta_log_sum=res.theta_log_sum,
                 gap=necessary_condition_gap(res),
                 gram_condition=res.gram_condition,
+                certified_error=res.certified_error,
                 dilations=res.dilations,
                 h_star=tuple(res.h_star.tolist()) if keep_coefficients else (),
             )

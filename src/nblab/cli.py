@@ -135,7 +135,9 @@ def build_parser() -> _Parser:
 
     p = add("gram", help="Gram matrix, moment vector, constraint vector")
     p.add_argument("--dilations", required=True, help="comma-separated ascending list")
-    p.add_argument("--target", type=float, default=1e-9)
+    p.add_argument("--target", type=float, default=1e-9,
+                   help="entry error target for incommensurate pairs; commensurate "
+                        "entries are closed-form and exact to roundoff")
 
     p = add("approx", help="best constrained approximation of 1")
     p.add_argument("--dilations", required=True)
@@ -211,6 +213,7 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
                 {"N": r.N, "dilation_family": r.dilation_family,
                  "distance": r.distance, "theta_log_sum": r.theta_log_sum,
                  "gap": r.gap, "gram_condition": r.gram_condition,
+                 "certified_error": r.certified_error,
                  "h_star": list(r.h_star), "dilations": list(r.dilations)}
                 for r in records
             ]

@@ -97,6 +97,14 @@ def test_sweep_csv_monotone():
         assert float(row[3]) <= float(row[1]) + 1e-12  # gap <= distance
 
 
+def test_sweep_records_carry_certified_error():
+    payload = invoke_json(["sweep", "--n", "2,5", "--target", "1e-6"])
+    records = payload["result"]["records"]
+    assert [r["N"] for r in records] == [2, 5]
+    for rec in records:
+        assert 0.0 <= rec["certified_error"] <= 1e-6
+
+
 def test_deterministic_output():
     argv = ["approx", "--dilations", "1,2,3,4", "--seed", "7"]
     _, first, _ = invoke(argv)

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import fixed_quad
@@ -12,6 +14,10 @@ from nblab import (
     moment_constant,
     pair_product_integral,
 )
+from nblab.gram import _segment_head
+
+#: pairs checked against both the mpmath closed form and the lattice walk
+WALK_PAIRS = [(1.0, 1.0), (1.0, 2.0), (7.0, 11.0), (3.0, 49.0), (49.0, 50.0), (12.0, 18.0)]
 
 
 def quad_pair_oracle(a: float, b: float, T: float = 20000.0) -> tuple[float, float]:
@@ -40,6 +46,60 @@ def quad_pair_oracle(a: float, b: float, T: float = 20000.0) -> tuple[float, flo
     return total + 0.25 / T, 1.0 / (12.0 * T) + (a + b) / T**2
 
 
+def product_mean(a: float, b: float, period: float) -> float:
+    """Mean over one period of (frac(t/a) - 1/2)(frac(t/b) - 1/2), exact."""
+    pts = np.union1d(
+        np.arange(0.0, period * (1.0 + 1e-12), a),
+        np.arange(0.0, period * (1.0 + 1e-12), b),
+    )
+    if pts[-1] < period * (1.0 - 1e-12):
+        pts = np.concatenate((pts, [period]))
+    t1 = pts[:-1]
+    u = np.diff(pts)
+    mid = t1 + 0.5 * u
+    a1 = (mid / a - np.floor(mid / a)) - u / (2.0 * a) - 0.5
+    b1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b) - 0.5
+    seg = a1 * b1 * u + (a1 / b + b1 / a) * (u * u) / 2.0 + u**3 / (3.0 * a * b)
+    return float(np.sum(seg)) / period
+
+
+def period_walk_oracle(a: float, b: float, tol: float) -> tuple[float, float]:
+    """Independent route for a commensurate pair: the lattice walk over
+    (1, T] plus the tail (1/4 + mu)/T, where mu is the exact mean of the
+    centered product over one common period P.  The tail is within
+    ((a + b)/4 + 2P/3)/T^2 (by parts, with 2x slack), and T is chosen so
+    that this is tol/2."""
+    lo, hi = min(a, b), max(a, b)
+    period = lo * Fraction(lo / hi).limit_denominator(10_000).denominator
+    mu = product_mean(a, b, period)
+    assert abs(mu) <= 1.0 / 12.0 + 1e-9  # Cauchy-Schwarz
+    quad_const = (a + b) / 4.0 + 2.0 * period / 3.0
+    T = math.sqrt(quad_const / (0.5 * tol))
+    head, n_seg = _segment_head(a, b, T)
+    return head + (0.25 + mu) / T, quad_const / T**2 + 4e-16 * math.sqrt(n_seg) + 1e-14
+
+
+def mp_closed_form(a: float, b: float) -> mpmath.mpf:
+    """Vasyunin's formula at 30 digits on the exact rationals of a and b."""
+    lo, hi = sorted((Fraction(a), Fraction(b)))
+    ratio = lo / hi
+    h, k = ratio.numerator, ratio.denominator
+    mpq = lambda f: mpmath.mpf(f.numerator) / f.denominator
+    with mpmath.workdps(30):
+
+        def cot_sum(h, k):
+            return mpmath.fsum(
+                mpmath.mpf(m * h % k) / k * mpmath.cot(mpmath.pi * m / k) for m in range(1, k)
+            )
+
+        j = (
+            (mpmath.log(2 * mpmath.pi) - mpmath.euler) / 2 * (mpmath.mpf(1) / h + mpmath.mpf(1) / k)
+            + mpmath.mpf(k - h) / (2 * h * k) * mpmath.log(mpmath.mpf(h) / k)
+            - mpmath.pi / (2 * h * k) * (cot_sum(h, k) + cot_sum(k, h))
+        )
+        return j / mpq(lo / h) - 1 / mpq(lo * hi)
+
+
 def test_entry_1_1_against_adaptive_oracle():
     value, err = pair_product_integral(1.0, 1.0, 1e-9)
     oracle, oracle_err = quad_pair_oracle(1.0, 1.0)
@@ -48,7 +108,9 @@ def test_entry_1_1_against_adaptive_oracle():
     assert abs(value - 0.26066140150781262) < 1e-9
 
 
-@pytest.mark.parametrize("pair", [(1.0, 2.0), (2.0, 3.0), (1.5, 2.5)])
+@pytest.mark.parametrize(
+    "pair", [(1.0, 2.0), (2.0, 3.0), (1.5, 2.5), (1.1, 3.3), (2.2, 3.3), (1.0, 7.59375)]
+)
 def test_entries_against_oracle(pair):
     a, b = pair
     value, err = pair_product_integral(a, b, 1e-9)
@@ -61,6 +123,31 @@ def test_entry_self_convergence_certification():
         coarse, err_c = pair_product_integral(*pair, 1e-7)
         fine, err_f = pair_product_integral(*pair, 1e-10)
         assert abs(coarse - fine) <= err_c + err_f
+
+
+@pytest.mark.parametrize(
+    "pair",
+    WALK_PAIRS
+    + [(1.0, 1.5**k) for k in range(1, 8)]
+    + [(1.0, 2.0**k) for k in range(1, 12)]
+    + [(1.0, 2999.0), (1000.0, 2999.0), (37.0, 8191.0), (4096.0, 9999.0)],
+)
+def test_closed_form_roundoff_bound(pair):
+    value, err = pair_product_integral(*pair, 1e-6)
+    assert 0.0 < err < 1e-13
+    assert abs(mpmath.mpf(value) - mp_closed_form(*pair)) <= err
+
+
+@pytest.mark.parametrize("pair", WALK_PAIRS)
+def test_closed_form_against_lattice_walk(pair):
+    value, err = pair_product_integral(*pair, 1e-9)
+    walk, walk_err = period_walk_oracle(*pair, 1e-9)
+    assert abs(value - walk) <= err + walk_err
+
+
+def test_commensurate_bounds_are_roundoff_only():
+    system = gram_system([float(k) for k in range(1, 51)], 1e-9)
+    assert float(np.max(system.entry_error_bounds)) <= 1e-11
 
 
 def test_incommensurate_pair():
