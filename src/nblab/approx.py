@@ -78,7 +78,8 @@ class ApproximationResult:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One row of a distance sweep over a nested dilation family."""
+    """One row of a distance sweep over a nested dilation family; its fields
+    are the keys of a ``sweep`` JSON record."""
 
     N: int
     dilation_family: str
@@ -165,6 +166,12 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
     )
 
 
+def _entry_tolerance(target_error: float, n: int) -> float:
+    """Gram entry target for a distance target over n dilations: target/(8 n),
+    clamped to [1e-12, 1e-6]."""
+    return min(1e-6, max(1e-12, target_error / (8.0 * n)))
+
+
 def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationResult:
     """Distance from 1 to the constrained span of {t/l_k} over the given set.
 
@@ -180,7 +187,7 @@ def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationRe
     dils = [float(l) for l in dilations]
     if not dils:
         raise DomainError("at least one dilation is required")
-    entry_tol = min(1e-6, max(1e-12, target_error / (8.0 * len(dils))))
+    entry_tol = _entry_tolerance(target_error, len(dils))
     result = best_approximation_from_gram(gram_system(dils, entry_tol))
     if result.certified_error > target_error:
         result = best_approximation_from_gram(gram_system(dils, entry_tol / 16.0))
@@ -251,10 +258,7 @@ def sweep(
     ns = sorted(set(int(n) for n in N_values))
     if not ns or ns[0] < 1:
         raise DomainError("N values must be positive integers")
-    full = gram_system(
-        family.generate(ns[-1]),
-        min(1e-6, max(1e-12, target_error / (8.0 * ns[-1]))),
-    )
+    full = gram_system(family.generate(ns[-1]), _entry_tolerance(target_error, ns[-1]))
     records = []
     for n in ns:
         res = best_approximation_from_gram(full.head(n))

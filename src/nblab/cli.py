@@ -2,7 +2,7 @@
 machine-readable output.
 
 Output contract: JSON runs print a single object {"config": ..., "result": ...}
-with sorted keys, so identical argv (and seed) produce byte-identical bytes.
+with sorted keys, so identical argv produce byte-identical bytes.
 CSV runs print one comment line ``# config: <compact json>`` followed by a
 header row and data rows.  Exit codes: 0 success, 1 domain error,
 2 precision failure, 64 usage error.
@@ -91,9 +91,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed echoed into the config header; reserved for "
-                             "randomized suites")
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
@@ -153,12 +150,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items())}
-    config["format"] = args.format
-    return config
-
-
 def _run_subcommand(args: argparse.Namespace) -> dict:
     if args.subcommand == "zeta":
         rep = zeta(complex(args.re, args.im), args.target)
@@ -208,16 +199,8 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
         else:
             family = _approx.DilationFamily(kind="integers")
         records = _approx.sweep(family, _parse_ints(args.n), args.target)
-        return {
-            "records": [
-                {"N": r.N, "dilation_family": r.dilation_family,
-                 "distance": r.distance, "theta_log_sum": r.theta_log_sum,
-                 "gap": r.gap, "gram_condition": r.gram_condition,
-                 "certified_error": r.certified_error,
-                 "h_star": list(r.h_star), "dilations": list(r.dilations)}
-                for r in records
-            ]
-        }
+        # vars, not dataclasses.asdict, which deep-copies every float (about 50x slower)
+        return {"records": [vars(r) for r in records]}
     raise DomainError(f"unknown subcommand {args.subcommand!r}")
 
 
@@ -259,7 +242,7 @@ def run(argv=None, out=None, err=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE
-    config = _config_dict(args)
+    config = vars(args)
     try:
         result = _run_subcommand(args)
     except PrecisionUnreachable as exc:

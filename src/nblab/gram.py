@@ -41,7 +41,10 @@ Incommensurate pairs.  Between consecutive points of the union lattice
 {m a} U {n b} the integrand is a quadratic over t^2 and integrates in
 closed form; writing the two linear factors through their values at the
 segment midpoint keeps every per-segment term cancellation-free, so the
-head integral over (1, T] is exact to roundoff.  Above T, with
+head integral over (1, T] is exact to roundoff.  The lattice and the
+per-segment integrals come from the windowed kernel in ``moments``, which
+the weighted norms share; a walk holds one window of about
+``moments._WINDOW`` segments in memory at a time.  Above T, with
 {x} = 1/2 + psi(x),
 
     int_T^inf {t/a}{t/b} dt/t^2 = 1/(4T) + mu/T + E,
@@ -61,7 +64,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
-from .moments import moment_constant
+from .moments import _lattice_windows, _segment_integrals, moment_constant
 
 __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
 
@@ -70,8 +73,6 @@ RATIO_DENOMINATOR_CAP = 10_000
 
 #: hard cap on lattice segments per entry
 SEGMENT_CAP = 100_000_000
-
-_WINDOW = 4_000_000
 
 #: ln(2 pi) - gamma, correctly rounded
 _LN_2PI_MINUS_GAMMA = 1.2606614015078126
@@ -120,32 +121,13 @@ def _segment_head(a: float, b: float, T: float) -> tuple[float, int]:
     """Exact integral of {t/a}{t/b}/t^2 over (1, T], windowed lattice walk."""
     total = 0.0
     n_seg = 0
-    t_lo = 1.0
-    while t_lo < T:
-        t_hi = min(T, t_lo + _WINDOW / (1.0 / a + 1.0 / b))
-        ka = np.arange(math.floor(t_lo / a) + 1, math.floor(t_hi / a) + 1, dtype=np.float64) * a
-        kb = np.arange(math.floor(t_lo / b) + 1, math.floor(t_hi / b) + 1, dtype=np.float64) * b
-        pts = np.sort(np.concatenate((np.array([t_lo, t_hi]), ka, kb)))
-        pts = pts[(pts >= t_lo) & (pts <= t_hi)]
-        keep = np.concatenate(([True], np.diff(pts) > 1e-12 * pts[1:]))
-        pts = pts[keep]
-        t1 = pts[:-1]
-        u = np.diff(pts)
-        mask = u > 0
-        t1, u = t1[mask], u[mask]
+    for t1, u in _lattice_windows((a, b), 1.0, T):
         mid = t1 + 0.5 * u
         alpha1 = (mid / a - np.floor(mid / a)) - u / (2.0 * a)
         beta1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b)
-        w = u / t1
-        small = w < 1e-3
-        l1p = np.log1p(w)
-        wow = w / (1.0 + w)
-        i0 = wow / t1
-        i1 = np.where(small, w * w / 2 - 2 * w**3 / 3 + 3 * w**4 / 4, l1p - wow)
-        i2 = t1 * np.where(small, w**3 / 3 - w**4 / 2 + 3 * w**5 / 5, w - 2 * l1p + wow)
+        i0, i1, i2 = _segment_integrals(t1, u)
         total += float(np.sum(alpha1 * beta1 * i0 + (alpha1 / b + beta1 / a) * i1 + i2 / (a * b)))
         n_seg += t1.size
-        t_lo = t_hi
     return total, n_seg
 
 

@@ -20,6 +20,13 @@ cross-check of the closed form.
 For a constrained combination the moment collapses to
 sum_k (h_k / l_k) ln l_k because the lam-part telescopes against the
 constraint; ``moment_report`` returns both routes side by side.
+
+The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
+of the dilations in windows of about ``_WINDOW`` segments, which bounds a
+walk's memory however far it reaches, and ``_segment_integrals`` integrates
+1, t - t1 and (t - t1)^2 against dt/t^2 exactly over each segment.  The
+incommensurate Gram entries (``gram._segment_head``) and the weighted norms
+below are both built on these two functions.
 """
 
 from __future__ import annotations
@@ -56,6 +63,9 @@ __all__ = [
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
 _EM_TAIL_CONST = 5.0 / 66.0 / 10.0
 _CHUNK = 1 << 22
+
+#: segments per window of the lattice walk
+_WINDOW = 500_000
 
 
 def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
@@ -143,17 +153,16 @@ def theta_log_sum(coeffs: np.ndarray, dilations: np.ndarray) -> float:
 class MomentReport:
     """Both routes to int_1^inf phi dt/t^2 for a constrained sum.
 
-    ``closed_form`` and ``theta_log_sum`` both hold sum Theta_k ln l_k with
-    Theta_k = h_k / l_k (they are the same number; the duplication keeps the
-    quantity available under the name used by the sweep tables), while
-    ``integral_value`` comes from the independent per-term quadrature.
+    ``closed_form`` holds sum Theta_k ln l_k with Theta_k = h_k / l_k (its
+    dict also carries it under ``theta_log_sum``, the name used by the sweep
+    tables), while ``integral_value`` comes from the independent per-term
+    quadrature.
     """
 
     integral_value: float
     closed_form: float
     lambda_used: float
     constraint_sum: float
-    theta_log_sum: float
     quad_error_bound: float
 
     def to_dict(self) -> dict:
@@ -162,7 +171,7 @@ class MomentReport:
             "closed_form": self.closed_form,
             "lambda_used": self.lambda_used,
             "constraint_sum": self.constraint_sum,
-            "theta_log_sum": self.theta_log_sum,
+            "theta_log_sum": self.closed_form,
             "quad_error_bound": self.quad_error_bound,
         }
 
@@ -190,7 +199,6 @@ def moment_report(phi: DilatedFracSum, periods: int = 100_000) -> MomentReport:
         closed_form=closed,
         lambda_used=moment_constant(),
         constraint_sum=total,
-        theta_log_sum=closed,
         quad_error_bound=err,
     )
 
@@ -251,9 +259,43 @@ class NormReport:
     truncation: float
 
 
-def _gauss_nodes(order: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _lattice_windows(dilations, t_lo: float, t_hi: float):
+    """Yield (t1, u), the left ends and widths of the segments of the union
+    lattice {m l : l in dilations} on [t_lo, t_hi], one window of about
+    ``_WINDOW`` segments at a time.  Points within relative 1e-12 of their
+    predecessor are merged and zero-width segments dropped."""
+    width = _WINDOW / sum(1.0 / l for l in dilations)
+    while t_lo < t_hi:
+        w_hi = min(t_hi, t_lo + width)
+        pts = [
+            np.arange(math.floor(t_lo / l) + 1, math.floor(w_hi / l) + 1, dtype=np.float64) * l
+            for l in dilations
+        ]
+        pts = np.sort(np.concatenate([np.array([t_lo, w_hi])] + pts))
+        pts = pts[(pts >= t_lo) & (pts <= w_hi)]
+        keep = np.concatenate(([True], np.diff(pts) > 1e-12 * pts[1:]))
+        pts = pts[keep]
+        t1 = pts[:-1]
+        u = np.diff(pts)
+        mask = u > 0
+        yield t1[mask], u[mask]
+        t_lo = w_hi
+
+
+def _segment_integrals(t1: np.ndarray, u: np.ndarray):
+    """(i0, i1, i2): int (t - t1)^j dt/t^2 over [t1, t1 + u] for j = 0, 1, 2.
+
+    With w = u/t1 these are w/(1+w)/t1, ln(1+w) - w/(1+w) and
+    t1 (w - 2 ln(1+w) + w/(1+w)); below w = 1e-3 the last two switch to
+    their Taylor series, which avoids the cancellation."""
+    w = u / t1
+    small = w < 1e-3
+    l1p = np.log1p(w)
+    wow = w / (1.0 + w)
+    i0 = wow / t1
+    i1 = np.where(small, w * w / 2 - 2 * w**3 / 3 + 3 * w**4 / 4, l1p - wow)
+    i2 = t1 * np.where(small, w**3 / 3 - w**4 / 2 + 3 * w**5 / 5, w - 2 * l1p + wow)
+    return i0, i1, i2
 
 
 def weighted_norm_report(
@@ -265,8 +307,9 @@ def weighted_norm_report(
     lattice points (piecewise constant when constrained).  Flat pieces and
     p = 2 integrate in closed form; sloped pieces with p < 2 use 16-point
     Gauss-Legendre per piece, split at any interior sign change.  The
-    integral is truncated at T (set by ``max_segments``) and the tail is
-    bounded by (sum |h_k|)^p / T, which enters the error bound.
+    pieces come from the windowed lattice kernel.  The integral is
+    truncated at T (set by ``max_segments``) and the tail is bounded by
+    (sum |h_k|)^p / T, which enters the error bound.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -279,19 +322,11 @@ def weighted_norm_report(
     T = max(100.0, max_segments / density)
     if max_segments > 50_000_000:
         raise PrecisionUnreachable("segment budget above the supported cap")
-    pts = [np.arange(1, math.floor(T / l) + 1, dtype=np.float64) * l for l in dils]
-    grid = np.sort(np.concatenate([np.array([1.0, T])] + pts))
-    grid = grid[(grid >= 1.0) & (grid <= T)]
-    keep = np.concatenate(([True], np.diff(grid) > 1e-12 * grid[1:]))
-    grid = grid[keep]
-    t1 = grid[:-1]
-    u = np.diff(grid)
-    mask = u > 0
-    t1, u = t1[mask], u[mask]
-    mid = t1 + 0.5 * u
-    v_mid = phi(mid)
     slope = float(np.sum(coeffs / dils))
-    head = _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
+    head = 0.0
+    for t1, u in _lattice_windows(dils, 1.0, T):
+        v_mid = phi(t1 + 0.5 * u)
+        head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
     tail_bound = phi.abs_coeff_sum**p / T
     lo = max(head, 0.0)
     hi = head + tail_bound
@@ -306,15 +341,9 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
         return float(np.sum(np.abs(v_mid) ** p * (u / (t1 * (t1 + u)))))
     if p == 2.0:
         a = v_mid - 0.5 * slope * u  # value at the left endpoint
-        w = u / t1
-        small = w < 1e-3
-        l1p = np.log1p(w)
-        wow = w / (1.0 + w)
-        i0 = wow / t1
-        i1 = np.where(small, w * w / 2 - 2 * w**3 / 3 + 3 * w**4 / 4, l1p - wow)
-        i2 = t1 * np.where(small, w**3 / 3 - w**4 / 2 + 3 * w**5 / 5, w - 2 * l1p + wow)
+        i0, i1, i2 = _segment_integrals(t1, u)
         return float(np.sum(a * a * i0 + 2.0 * a * slope * i1 + slope * slope * i2))
-    nodes, weights = _gauss_nodes()
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     total = 0.0
     a_left = v_mid - 0.5 * slope * u
     t2 = t1 + u

@@ -106,16 +106,15 @@ def test_sweep_records_carry_certified_error():
 
 
 def test_deterministic_output():
-    argv = ["approx", "--dilations", "1,2,3,4", "--seed", "7"]
+    argv = ["approx", "--dilations", "1,2,3,4"]
     _, first, _ = invoke(argv)
     _, second, _ = invoke(argv)
     assert first == second
 
 
 def test_config_echoed():
-    payload = invoke_json(["zeta", "--re", "3", "--seed", "42"])
+    payload = invoke_json(["zeta", "--re", "3"])
     config = payload["config"]
-    assert config["seed"] == 42
     assert config["re"] == 3.0
     assert config["format"] == "json"
     assert config["target"] == 1e-12  # defaults resolved into the echo

@@ -17,6 +17,7 @@ from nblab import (
     gram_system,
     moment_constant,
     moment_report,
+    pair_product_integral,
     partial_moment_constant,
     weighted_measure,
     weighted_norm,
@@ -121,7 +122,7 @@ def test_moment_report_log2_example():
     phi = DilatedFracSum(terms=((-1.0, 1.0), (2.0, 2.0)), constrained=True)
     rep = moment_report(phi)
     assert rep.closed_form == pytest.approx(math.log(2), abs=1e-14)
-    assert rep.theta_log_sum == rep.closed_form
+    assert rep.to_dict()["theta_log_sum"] == rep.closed_form
     assert abs(rep.integral_value - rep.closed_form) < 1e-8
     # the moment of a constrained combination need not vanish
     assert abs(rep.closed_form) > 0.69
@@ -222,3 +223,26 @@ def test_norm_unconstrained_sloped_segments():
     )
     oracle += (1.0 / 3.0) / 400.0  # mean of frac^2 corrects the truncated tail
     assert abs(rep.value**2 - oracle) < 5e-3
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        DilatedFracSum(terms=((-1.0, 1.0), (math.sqrt(2.0), math.sqrt(2.0))), constrained=True),
+        DilatedFracSum(terms=((1.0, 1.0), (0.5, math.sqrt(2.0)))),
+    ],
+    ids=["constrained", "sloped"],
+)
+def test_lattice_walk_across_many_windows(monkeypatch, phi):
+    # the Gram entry and the norms walk the same windowed lattice; cutting it
+    # into windows of 1000 segments must not move any of them
+
+    def walk():
+        entry = pair_product_integral(1.0, math.sqrt(2.0), 1e-5)[0]
+        norms = [weighted_norm_report(phi, p, max_segments=200_000).value for p in (2.0, 1.5)]
+        return [entry, *norms]
+
+    one_window = walk()
+    monkeypatch.setattr("nblab.moments._WINDOW", 1000)
+    many_windows = walk()
+    assert many_windows == pytest.approx(one_window, rel=0.0, abs=1e-13)
