@@ -16,6 +16,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, PoleAtNonPositiveInteger, PrecisionUnreachable
 
 __all__ = ["ComplexEvalReport", "gamma", "loggamma_right", "POLE_TOL", "REL_ERROR_CLAIM"]
@@ -63,18 +65,20 @@ def _require_finite(s: complex) -> complex:
     return s
 
 
-def loggamma_right(s: complex) -> complex:
+def loggamma_right(s: complex | np.ndarray) -> complex | np.ndarray:
     """log Gamma(s) for Re s >= 0.5, correct up to an integer multiple of 2*pi*i.
 
     Only ever exponentiated or differenced against another branch-insensitive
     quantity, so the branch ambiguity of the imaginary part is harmless.
+    Accepts a complex array as well, elementwise.
     """
+    log = np.log if isinstance(s, np.ndarray) else cmath.log
     z = s - 1.0
     acc = _LANCZOS_COEF[0]
     for i in range(1, 9):
         acc += _LANCZOS_COEF[i] / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (z + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    return _LOG_SQRT_2PI + (z + 0.5) * log(t) - t + log(acc)
 
 
 def _nearest_pole_distance(s: complex) -> float:

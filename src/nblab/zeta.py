@@ -29,8 +29,17 @@ xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) is assembled from
 rearrangements that cancel every removable singularity analytically; see
 the xi docstring for the right and left half-plane forms.
 
-The zero search scans Re xi(1/2 + it) (real up to rounding) on a grid of
-step 0.05 and bisects each sign change.
+The zero search evaluates Re xi(1/2 + it) (real up to rounding) on whole
+arrays of t with the arithmetic of ``xi``: each point keeps the term count
+``xi`` would pick, and the eta sums of a group of equal term counts are one
+matrix product in the single kernel ``_eta_sum``.  On the uniform grid
+(step 0.05, windows of up to 1024 points) the phases come from angle
+addition, e^{-i(t0 + jh) ln k} = e^{-i t0 ln k} e^{-i jh ln k}, so no
+points x terms table of sines and cosines is built.  A bracket is a pair of
+neighbours of opposite sign; signs are compared rather than multiplied,
+because |xi(1/2 + it)| falls like e^{-pi t / 4} and the product of two
+neighbours underflows to 0 past t ~ 472.  All brackets are bisected in
+lockstep, up to 1024 midpoints per evaluation.
 """
 
 from __future__ import annotations
@@ -60,6 +69,12 @@ _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
 _N_MAX = 320
 _POLE_TOL = 1e-12
+#: a little below ln(largest double): exp of anything larger overflows
+_LOG_MAX = 709.0
+#: most points per kernel call in the zero scan (grid window, bisection batch)
+_BATCH = 1024
+#: grid points per row of the scan's angle-addition layout
+_ROW = 32
 
 #: grid step of the sign-change scan before bisection (smallest gap between
 #: the first zeros exceeds ten times this)
@@ -70,8 +85,9 @@ ZERO_VALUE_THRESHOLD = 1e-8
 
 
 @lru_cache(maxsize=64)
-def _borwein_coeffs(n: int) -> np.ndarray:
-    """(-1)^k (d_k - d_n) / d_n for k < n, from exact integer d_k."""
+def _borwein_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n weights (-1)^k (d_k - d_n) / d_n (k < n, from exact integer
+    d_k) of the bases k + 1 = 1..n, those bases, and their logarithms."""
     fac = math.factorial
     # cumulative sum keeps the cost linear in n
     term_sum = 0
@@ -80,13 +96,22 @@ def _borwein_coeffs(n: int) -> np.ndarray:
         term_sum += fac(n + k - 1) * 4**k // (fac(n - k) * fac(2 * k))
         d.append(n * term_sum)
     dn = d[n]
-    return np.array([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=np.float64)
+    ks = np.arange(1.0, n + 1.0)
+    coeffs = np.array([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=np.float64)
+    return coeffs, ks, np.log(ks)
+
+
+def _cexp(w: complex) -> complex:
+    """cmath.exp, raising PrecisionUnreachable where the value overflows."""
+    if w.real > _LOG_MAX:
+        raise PrecisionUnreachable(f"exp({w!r}) overflows double precision")
+    return cmath.exp(w)
 
 
 def _cexpm1(w: complex) -> complex:
     if abs(w) < 1e-4:
         return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
-    return cmath.exp(w) - 1.0
+    return _cexp(w) - 1.0
 
 
 def _eta_denominator(s: complex) -> complex:
@@ -94,40 +119,75 @@ def _eta_denominator(s: complex) -> complex:
     return -_cexpm1((1.0 - s) * _LN2)
 
 
+def _log_bound_constant(s, denom_abs):
+    """ln of the analytic remainder bound before its rho^{-n} factor:
+    ln(3 (1 + 2|t|) e^{pi |t| / 2} / |1 - 2^{1-s}|), plus ln(4 * 100^{1/2 - sigma})
+    for sigma < 1/2.  Elementwise on arrays."""
+    log = np.log if isinstance(s, np.ndarray) else math.log
+    t = abs(s.imag)
+    log_c = log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 - log(denom_abs)
+    return log_c + (s.real < 0.5) * (math.log(4.0) + (0.5 - s.real) * math.log(100.0))
+
+
 def _analytic_bound(s: complex, n: int, denom_abs: float) -> float:
-    t = abs(s.imag)
-    sigma = s.real
-    base = 3.0 * (1.0 + 2.0 * t) * math.exp(min(t * math.pi / 2.0, 700.0)) / denom_abs
-    if sigma < 0.5:
-        base *= 4.0 * 100.0 ** (0.5 - sigma)
-    return base * _RHO ** (-float(n))
+    log_bound = _log_bound_constant(s, denom_abs) - n * _LOG_RHO
+    if log_bound > _LOG_MAX:
+        raise PrecisionUnreachable(f"eta-series remainder bound at s = {s!r} overflows")
+    return math.exp(log_bound)
 
 
-def _pick_n(s: complex, target: float, denom_abs: float) -> int:
-    t = abs(s.imag)
-    sigma = s.real
-    log_c = math.log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 - math.log(denom_abs)
-    if sigma < 0.5:
-        log_c += math.log(4.0) + (0.5 - sigma) * math.log(100.0)
-    n = int(math.ceil((log_c - math.log(0.5 * target)) / _LOG_RHO))
-    n = max(n, 16)
-    return -(-n // 8) * 8  # round up to a multiple of 8 for cache reuse
+def _pick_n(s, target: float, denom_abs):
+    """Borwein term count for a remainder below target/2: a multiple of 8 in
+    [16, _N_MAX].  Elementwise on arrays (then an int array)."""
+    n = np.ceil((_log_bound_constant(s, denom_abs) - math.log(0.5 * target)) / _LOG_RHO)
+    n = -(-np.minimum(np.maximum(n, 16), _N_MAX) // 8) * 8  # a multiple of 8 for cache reuse
+    return n.astype(int) if isinstance(s, np.ndarray) else int(n)
 
 
-def _eta_sum(s: complex, n: int) -> tuple[complex, float]:
-    """Accelerated partial sum approximating eta(s) = (1 - 2^{1-s}) zeta(s),
-    together with its floating-point error claim.
+def _cis_conj(phase: np.ndarray) -> np.ndarray:
+    """cos(phase) - i sin(phase), written in place into one complex array
+    (faster than np.exp(-1j * phase) on these sizes)."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    np.negative(out.imag, out=out.imag)
+    return out
 
-    Each term (k+1)^{-s} carries a phase-rounding error of order
-    eps * |Im s| * ln(k+1) on top of the usual few ulps, so the claim scales
-    the summed term magnitudes by (16 + |Im s| ln(n+1)) eps.
+
+def _eta_sum(s: np.ndarray, n: int, offsets: np.ndarray | None = None):
+    """Accelerated partial sums approximating eta(s) = (1 - 2^{1-s}) zeta(s)
+    at an array of points s that share one real part sigma and the term
+    count n, together with their floating-point error claims.
+
+    The sum of c_k k^{-s} over k = 1..n is the trig matrix
+    e^{-i t ln k} = cos(t ln k) - i sin(t ln k), one row per point, times the
+    amplitude vector c_k k^{-sigma}.  Given ``offsets`` d_r, each point s_q
+    instead stands for the row of points s_q + i d_r: by angle addition,
+    e^{-i (t + d) ln k} = e^{-i t ln k} e^{-i d ln k}, their sums are one
+    (points x n) @ (n x offsets) product, and the results have that shape.
+
+    Each term carries a phase-rounding error of order eps * |Im s| * ln k on
+    top of the usual few ulps, so the claim scales the summed term
+    magnitudes by (16 + |Im s| ln(n+1)) eps.
     """
-    coeffs = _borwein_coeffs(n)
-    ks = np.arange(1.0, n + 1.0)
-    terms = coeffs * ks ** (-complex(s))
-    mag = float(np.sum(np.abs(terms)))
-    fp_err = _EPS * mag * (16.0 + abs(s.imag) * math.log(n + 1.0))
-    return -complex(np.sum(terms)), fp_err
+    coeffs, ks, ln_k = _borwein_terms(n)
+    amp = coeffs * ks ** -s.real[0]
+    t = s.imag
+    phase = np.multiply.outer(t, ln_k)
+    if offsets is None:
+        sums = np.cos(phase) @ amp - 1j * (np.sin(phase) @ amp)
+    else:
+        sums = _cis_conj(phase) @ (amp * _cis_conj(np.multiply.outer(offsets, ln_k))).T
+        t = np.add.outer(t, offsets)
+    mag = np.abs(amp).sum()
+    fp_err = _EPS * mag * (16.0 + np.abs(t) * math.log(n + 1.0))
+    return -sums, fp_err
+
+
+def _eta_sum_at(s: complex, n: int) -> tuple[complex, float]:
+    """``_eta_sum`` at the single point s."""
+    (value,), (fp_err,) = _eta_sum(np.array([s]), n)
+    return complex(value), float(fp_err)
 
 
 def _zeta_right(s: complex, target: float | None) -> tuple[complex, float, int]:
@@ -135,8 +195,8 @@ def _zeta_right(s: complex, target: float | None) -> tuple[complex, float, int]:
     denom = _eta_denominator(s)
     denom_abs = abs(denom)
     target_eff = 1e-15 if target is None else target
-    n = min(_pick_n(s, target_eff, denom_abs), _N_MAX)
-    numerator, fp_err = _eta_sum(s, n)
+    n = _pick_n(s, target_eff, denom_abs)
+    numerator, fp_err = _eta_sum_at(s, n)
     value = numerator / denom
     err = _analytic_bound(s, n, denom_abs) + (fp_err + 4.0 * _EPS * n) / denom_abs
     return value, err, n
@@ -153,16 +213,20 @@ def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
     and keeps Gamma evaluated on its accurate half-plane.
     """
     w = 0.5 * math.pi * s
-    cosh_im = math.cosh(min(abs(w.imag), 700.0))
+    # |sin w| and |cos w| are at most cosh(Im w), which bounds both factors
+    # and their errors; past e^709 none of them is representable
+    if abs(w.imag) > _LOG_MAX:
+        raise PrecisionUnreachable(f"reflection factor at s = {s!r} overflows double precision")
+    cosh_im = math.cosh(w.imag)
     if s.real <= 0.5:
         log_part = s * _LN2 + (s - 1.0) * _LN_PI + loggamma_right(1.0 - s)
-        a = cmath.exp(log_part)
+        a = _cexp(log_part)
         rel_a = 1e-12 + 4.0 * _EPS * (1.0 + abs(log_part))
         trig = cmath.sin(w)
         trig_abs_err = 4.0 * _EPS * (1.0 + abs(w)) * cosh_im
         return a, rel_a, trig, trig_abs_err
     log_part = s * (_LN2 + _LN_PI) - loggamma_right(s)
-    a = cmath.exp(log_part)
+    a = _cexp(log_part)
     rel_a = 1e-12 + 4.0 * _EPS * (1.0 + abs(log_part))
     cos_w = cmath.cos(w)
     trig = 1.0 / (2.0 * cos_w)
@@ -174,8 +238,8 @@ def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int
     """zeta on Re s <= 0 via the functional equation."""
     if abs(s) < 0.25:
         # explicitly cancelled form: the sin zero against the reflected pole
-        n = min(_pick_n(1.0 - s, 1e-15 if target is None else target, 1.0), _N_MAX)
-        eta_val, eta_fp = _eta_sum(1.0 - s, n)
+        n = _pick_n(1.0 - s, 1e-15 if target is None else target, 1.0)
+        eta_val, eta_fp = _eta_sum_at(1.0 - s, n)
         eta_err = _analytic_bound(1.0 - s, n, 1.0) + eta_fp + 2.0 * _EPS * n
         # S(s) = sin(pi s / 2) / s and D(s) = (1 - 2^s)/s, both regular at 0
         if abs(s) < 1e-4:
@@ -186,7 +250,7 @@ def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int
         else:
             s_ratio = cmath.sin(0.5 * math.pi * s) / s
             d_ratio = -_cexpm1(s * _LN2) / s
-        prefactor = cmath.exp(s * _LN2 + (s - 1.0) * _LN_PI + loggamma_right(1.0 - s))
+        prefactor = _cexp(s * _LN2 + (s - 1.0) * _LN_PI + loggamma_right(1.0 - s))
         value = prefactor * eta_val * (s_ratio / d_ratio)
         rel = 1e-12 + 8.0 * _EPS + (eta_err / max(abs(eta_val), 1e-300))
         return value, abs(value) * rel, n
@@ -231,8 +295,8 @@ def _weighted_pole_product(s: complex) -> tuple[complex, float, int]:
     """(s - 1) zeta(s) with the pole cancelled explicitly near s = 1."""
     s = complex(s)
     if abs(s - 1.0) < 0.25 and s.real > 0.0:
-        n = min(_pick_n(s, 1e-15, 1.0), _N_MAX)
-        eta_val, eta_fp = _eta_sum(s, n)
+        n = _pick_n(s, 1e-15, 1.0)
+        eta_val, eta_fp = _eta_sum_at(s, n)
         eta_err = _analytic_bound(s, n, 1.0) + eta_fp + 2.0 * _EPS * n
         # (s-1)/(1 - 2^{1-s}) = (1/ln 2) * w/(e^w - 1) with w = (1-s) ln 2
         w = (1.0 - s) * _LN2
@@ -270,7 +334,7 @@ def xi(s: complex) -> ComplexEvalReport:
             + loggamma_right(1.0 - s)
             - loggamma_right(1.0 - 0.5 * s)
         )
-        value = 0.5 * s * (s - 1.0) * cmath.exp(log_part) * z2
+        value = 0.5 * s * (s - 1.0) * _cexp(log_part) * z2
         rel = (
             2e-12
             + 6.0 * _EPS * (1.0 + abs(log_part))
@@ -308,8 +372,53 @@ def functional_equation_residual(s: complex) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def _xi_critical_real(t: float) -> float:
-    return xi(complex(0.5, t)).value.real
+def _xi_critical_line(t: np.ndarray, step: float | None = None) -> np.ndarray:
+    """xi(1/2 + it) on an array t, with the arithmetic of ``xi`` point by point.
+
+    Each point keeps the term count n that ``xi`` picks for it, and the
+    eta sums are taken per group of equal n.  Given ``step``, t must be the
+    uniform grid t[0] + j step: it is then laid out in rows of _ROW points
+    whose sums come from one angle-addition product per group.
+    """
+    s = 0.5 + 1j * t
+    denom = -np.expm1((1.0 - s) * _LN2)  # 1 - 2^{1-s}
+    n = _pick_n(s, 1e-15, np.abs(denom))
+    # s Gamma(s/2) = 2 Gamma(s/2 + 1) and (s - 1) zeta(s) = (s - 1) eta(s) / denom
+    prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI) * (s - 1.0) / denom
+    if np.any(prefactor == 0.0):
+        raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[prefactor == 0.0][0]:g}")
+    eta = np.empty(len(t), dtype=complex)
+    # bincount, not np.unique, whose first call imports numpy.ma (about 40 ms)
+    for nk in np.flatnonzero(np.bincount(n)).tolist():
+        group = np.flatnonzero(n == nk)
+        if step is None:
+            eta[group], _ = _eta_sum(s[group], nk)
+            continue
+        row = group // _ROW
+        rows = np.flatnonzero(np.bincount(row))
+        sums, _ = _eta_sum(s[rows * _ROW], nk, step * np.arange(_ROW))
+        eta[group] = sums.ravel()[np.searchsorted(rows, row) * _ROW + group % _ROW]
+    return prefactor * eta
+
+
+def _bisected_zeros(a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) -> list[float]:
+    """Bisect the sign-change brackets [a, b] of Re xi(1/2 + it) in lockstep
+    until each is at most ``tol`` wide, and return the bracket midpoints at
+    which |xi| < ZERO_VALUE_THRESHOLD.  A midpoint where Re xi is exactly 0.0
+    closes its bracket there."""
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        mid = 0.5 * (a[live] + b[live])
+        fm = _xi_critical_line(mid).real
+        hit = fm == 0.0
+        left = np.sign(fa[live]) * np.sign(fm) < 0.0
+        right = ~(hit | left)
+        a[live[hit]] = b[live[hit]] = mid[hit]
+        b[live[left]] = mid[left]
+        a[live[right]], fa[live[right]] = mid[right], fm[right]
+        live = live[(b[live] - a[live]) > tol]
+    roots = 0.5 * (a + b)
+    return roots[np.abs(_xi_critical_line(roots)) < ZERO_VALUE_THRESHOLD].tolist()
 
 
 def find_critical_zeros(
@@ -317,39 +426,43 @@ def find_critical_zeros(
 ) -> list[float]:
     """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
 
-    Scans a grid of step ``grid_step`` and bisects each bracket down to width
-    ``tol``; every reported ordinate additionally satisfies
-    |xi(1/2 + it)| < ZERO_VALUE_THRESHOLD.
+    Re xi(1/2 + it) is evaluated on the grid t_j = j * grid_step, j >= 1,
+    in windows of up to 1024 points.  A grid value of exactly 0.0 is
+    reported as it stands; neighbours of opposite sign (signs compared, not
+    multiplied) form a bracket.  Brackets are bisected in lockstep, up to
+    1024 at a time, down to width ``tol``, and each midpoint is reported if
+    |xi(1/2 + it)| < ZERO_VALUE_THRESHOLD there.  The result equals that of
+    a scan calling ``xi`` point by point with the same rules.
     """
-    if not t_max > 0.0:
-        raise DomainError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError("t_max must be positive and finite")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
+    if not 0.0 < grid_step < math.inf:
+        raise DomainError("grid_step must be positive and finite")
     if tol < 64.0 * _EPS * max(1.0, t_max):
         raise PrecisionUnreachable(f"bisection cannot resolve brackets of width {tol:g}")
+    last = int(math.floor((t_max - grid_step) / grid_step + 1e-9)) + 1
     zeros: list[float] = []
-    t_prev = grid_step
-    f_prev = _xi_critical_real(t_prev)
-    steps = int(math.floor((t_max - grid_step) / grid_step + 1e-9))
-    for k in range(1, steps + 1):
-        t_next = grid_step * (k + 1)
-        f_next = _xi_critical_real(t_next)
-        if f_prev == 0.0:
-            zeros.append(t_prev)
-        elif f_prev * f_next < 0.0:
-            a, b, fa = t_prev, t_next, f_prev
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = _xi_critical_real(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if abs(xi(complex(0.5, root)).value) < ZERO_VALUE_THRESHOLD:
-                zeros.append(root)
-        t_prev, f_prev = t_next, f_next
-    return zeros
+    brackets: list[tuple[float, float, float]] = []  # (a, b, Re xi(a)) awaiting bisection
+
+    def bisect(count: int) -> None:
+        a, b, fa = map(np.array, zip(*brackets[:count]))
+        zeros.extend(_bisected_zeros(a, b, fa, tol))
+        del brackets[:count]
+
+    t_prev = f_prev = np.empty(0)
+    for j0 in range(1, last + 1, _BATCH):
+        t_new = grid_step * np.arange(j0, min(j0 + _BATCH, last + 1))
+        t = np.concatenate([t_prev, t_new])
+        f = np.concatenate([f_prev, _xi_critical_line(t_new, grid_step).real])
+        # the neighbours (t[i], t[i + 1]); the last point pairs with the next window
+        zeros.extend(t[:-1][f[:-1] == 0.0].tolist())
+        i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
+        brackets.extend(zip(t[i].tolist(), t[i + 1].tolist(), f[i].tolist()))
+        while len(brackets) >= _BATCH:
+            bisect(_BATCH)
+        t_prev, f_prev = t[-1:], f[-1:]
+    if brackets:
+        bisect(len(brackets))
+    return sorted(zeros)

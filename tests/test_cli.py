@@ -141,6 +141,34 @@ def test_precision_error_exit_code():
     assert "precision failure" in err
 
 
+def test_zeros_to_500_counts_every_zero():
+    # mpmath.nzeros(500) is 269; the scan used to stop finding zeros past t ~ 472
+    payload = invoke_json(["zeros", "--t-max", "500", "--tol", "1e-6"])
+    assert payload["result"]["count"] == 269
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--re", "-1", "--im", "500", "--target", "1"],
+        ["fe-check", "--re", "-1", "--im", "500"],
+        ["zeta", "--re", "-300", "--target", "1"],
+    ],
+)
+def test_reflection_overflow_is_precision_failure(argv):
+    code, out, err = invoke(argv)
+    assert code == EXIT_PRECISION
+    assert "precision failure" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+def test_zeros_grid_step_validated(step):
+    code, out, err = invoke(["zeros", "--t-max", "10", "--grid-step", step])
+    assert code == EXIT_DOMAIN
+    assert "domain error" in err
+
+
 def test_stdin_input(monkeypatch):
     import sys
 

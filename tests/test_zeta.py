@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,14 @@ from nblab import (
     functional_equation_residual,
     xi,
     zeta,
+)
+from nblab.zeta import (
+    ZERO_GRID_STEP,
+    ZERO_VALUE_THRESHOLD,
+    _analytic_bound,
+    _eta_sum,
+    _pick_n,
+    _xi_critical_line,
 )
 
 # oracle outputs of the sign-change scan + bisection, frozen at high precision
@@ -155,3 +164,109 @@ def test_find_critical_zeros_validation():
         find_critical_zeros(10.0, 0.0)
     with pytest.raises(PrecisionUnreachable):
         find_critical_zeros(10.0, 1e-18)
+    with pytest.raises(DomainError):
+        find_critical_zeros(math.inf, 1e-6)
+    for step in (0.0, -0.05, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            find_critical_zeros(10.0, 1e-6, grid_step=step)
+
+
+def scalar_scan_oracle(
+    t_max: float, tol: float, grid_step: float = ZERO_GRID_STEP
+) -> list[float]:
+    """Independent route for the zero scan: one scalar ``xi`` call per grid
+    point and per bisection midpoint, with the same grid, bracket signs,
+    exact-zero rule, bisection and value filter as ``find_critical_zeros``."""
+
+    def f(t: float) -> float:
+        return xi(complex(0.5, t)).value.real
+
+    def opposite(a: float, b: float) -> bool:
+        # signs, not the product, which underflows to 0 past t ~ 470
+        return np.sign(a) * np.sign(b) < 0.0
+
+    zeros = []
+    t_prev = grid_step
+    f_prev = f(t_prev)
+    steps = int(math.floor((t_max - grid_step) / grid_step + 1e-9))
+    for k in range(1, steps + 1):
+        t_next = grid_step * (k + 1)
+        f_next = f(t_next)
+        if f_prev == 0.0:
+            zeros.append(t_prev)
+        elif opposite(f_prev, f_next):
+            a, b, fa = t_prev, t_next, f_prev
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = f(mid)
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if opposite(fa, fm):
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            root = 0.5 * (a + b)
+            if abs(xi(complex(0.5, root)).value) < ZERO_VALUE_THRESHOLD:
+                zeros.append(root)
+        t_prev, f_prev = t_next, f_next
+    return zeros
+
+
+@pytest.mark.parametrize(
+    "t_max, tol, grid_step", [(100.0, 1e-6, ZERO_GRID_STEP), (60.0, 1e-9, 0.1)]
+)
+def test_scan_equals_scalar_oracle(t_max, tol, grid_step):
+    assert find_critical_zeros(t_max, tol, grid_step) == scalar_scan_oracle(
+        t_max, tol, grid_step
+    )
+
+
+def test_find_critical_zeros_count_at_500():
+    # the product of two neighbouring values underflows past t ~ 472, where
+    # Re xi(1/2 + it) is below 1e-155; the scan compares signs instead
+    tol = 1e-6
+    zeros = find_critical_zeros(500.0, tol)
+    assert len(zeros) == int(mpmath.nzeros(500))
+    for t in zeros:
+        if t > 450.0:
+            assert mpmath.siegelz(t - tol) * mpmath.siegelz(t + tol) < 0
+
+
+def test_array_kernel_matches_scalar_xi():
+    # both routes use the same term count and error model at each point, so
+    # each carries the scalar certified error
+    ts = np.linspace(0.05, 500.0, 50)
+    values = _xi_critical_line(ts)
+    for t, value in zip(ts, values):
+        rep = xi(complex(0.5, t))
+        assert abs(value - rep.value) <= 2.0 * rep.abs_error_estimate
+
+
+def test_angle_addition_matches_direct_sums():
+    step = 0.05
+    s = 0.5 + 1j * (step * np.arange(6000, 6064))
+    n = 200
+    direct, direct_fp = _eta_sum(s, n)
+    rows, rows_fp = _eta_sum(s[::32], n, step * np.arange(32))
+    assert rows.shape == (2, 32)
+    assert np.all(np.abs(rows.ravel() - direct) <= rows_fp.ravel() + direct_fp)
+
+
+def test_pick_n_on_arrays_matches_scalar():
+    s = 0.5 + 1j * np.linspace(0.05, 600.0, 97)
+    denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
+    picked = _pick_n(s, 1e-15, denom_abs)
+    assert picked.tolist() == [_pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs)]
+    assert picked.max() == 320 and np.all(picked % 8 == 0)
+
+
+def test_analytic_bound_nondecreasing_past_the_old_clamp():
+    ts = np.arange(400.0, 600.0, 0.5)
+    bounds = [_analytic_bound(complex(0.5, t), 320, 1.0) for t in ts]
+    assert all(b >= a for a, b in zip(bounds, bounds[1:]))
+    # the bound keeps its e^{pi t / 2} growth beyond t = 445.6 (e^700)
+    assert bounds[-1] / bounds[0] >= math.exp(math.pi / 2.0 * (ts[-1] - ts[0]))
+    # past t ~ 810 the bound itself overflows: no value is claimed there
+    with pytest.raises(PrecisionUnreachable):
+        xi(complex(0.5, 1000.0))
