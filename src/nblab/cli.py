@@ -133,8 +133,8 @@ def build_parser() -> _Parser:
     p = add("gram", help="Gram matrix, moment vector, constraint vector")
     p.add_argument("--dilations", required=True, help="comma-separated ascending list")
     p.add_argument("--target", type=float, default=1e-9,
-                   help="entry error target for incommensurate pairs; commensurate "
-                        "entries are closed-form and exact to roundoff")
+                   help="entry error target for pairs whose exact ratio has a denominator "
+                        "above 2^20; the others are exact to roundoff")
 
     p = add("approx", help="best constrained approximation of 1")
     p.add_argument("--dilations", required=True)

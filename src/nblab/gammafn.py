@@ -43,6 +43,9 @@ REL_ERROR_CLAIM = 1e-12
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+#: a little below ln(largest double): exp of anything larger overflows
+_LOG_MAX = 709.0
+
 
 @dataclass(frozen=True)
 class ComplexEvalReport:
@@ -81,6 +84,13 @@ def loggamma_right(s: complex | np.ndarray) -> complex | np.ndarray:
     return _LOG_SQRT_2PI + (z + 0.5) * log(t) - t + log(acc)
 
 
+def _cexp(w: complex) -> complex:
+    """cmath.exp, raising PrecisionUnreachable where the value overflows."""
+    if w.real > _LOG_MAX:
+        raise PrecisionUnreachable(f"exp({w!r}) overflows double precision")
+    return cmath.exp(w)
+
+
 def _nearest_pole_distance(s: complex) -> float:
     if s.real > 0.5:
         return math.inf
@@ -100,11 +110,11 @@ def gamma(s: complex) -> ComplexEvalReport:
     if _nearest_pole_distance(s) <= POLE_TOL:
         raise PoleAtNonPositiveInteger(f"gamma pole at or near s = {s!r}")
     if s.real >= 0.5:
-        value = cmath.exp(loggamma_right(s))
+        value = _cexp(loggamma_right(s))
     else:
         # reflection; sin(pi s) is pole-free and nonzero off the integers
-        value = math.pi / (cmath.sin(math.pi * s) * cmath.exp(loggamma_right(1.0 - s)))
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        value = math.pi / (cmath.sin(math.pi * s) * _cexp(loggamma_right(1.0 - s)))
+    if not np.isfinite(value) or abs(value) < np.finfo(float).tiny:  # Gamma has no zeros
         raise PrecisionUnreachable(f"gamma({s!r}) not representable in double precision")
     return ComplexEvalReport(
         value=value,

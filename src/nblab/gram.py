@@ -2,11 +2,9 @@
 
 Each entry is I(a, b) = int_1^inf {t/a}{t/b} dt/t^2.
 
-Commensurate pairs.  When the float ratio a/b (a <= b) lies within relative
-1e-12 of a fraction h/k in lowest terms with k <= RATIO_DENOMINATOR_CAP, the
-pair is taken to be exactly (c h, c k) with c = a/h, and the entry comes
-from Vasyunin's cotangent-sum closed form (Vasyunin 1995; restated in
-Bettin-Conrey, Period functions and cotangent sums, 2013):
+The closed form.  For a pair (a, b) = (c h, c k) with h/k in lowest terms,
+Vasyunin's cotangent sum (Vasyunin 1995; restated in Bettin-Conrey, Period
+functions and cotangent sums, 2013) gives
 
     I(a, b) = J(h, k)/c - 1/(a b),
     J(h, k) = (ln 2pi - gamma)/2 (1/h + 1/k) + (k - h)/(2hk) ln(h/k)
@@ -35,24 +33,32 @@ is roundoff only.  With u = 2^-53, each step below is first order in u:
 
 So |error| <= 18u M with M = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|)
 + pi/(2hk)(M_V + M_V'))/c + 1/(a b), and 16 eps M = 32u M is certified
-(about 1.8x slack).  The requested tolerance does not enter.
+(about 1.8x slack).
 
-Incommensurate pairs.  Between consecutive points of the union lattice
-{m a} U {n b} the integrand is a quadratic over t^2 and integrates in
-closed form; writing the two linear factors through their values at the
-segment midpoint keeps every per-segment term cancellation-free, so the
-head integral over (1, T] is exact to roundoff.  The lattice and the
-per-segment integrals come from the windowed kernel in ``moments``, which
-the weighted norms share; a walk holds one window of about
-``moments._WINDOW`` segments in memory at a time.  Above T, with
-{x} = 1/2 + psi(x),
+Every entry is this closed form at (a, b) = (lo, hi), lo <= hi, c = lo/h.
+With x = lo/hi exactly, h/k = x when its denominator is at most
+``DENOMINATOR_CAP`` (the bound is then roundoff only, whatever the
+tolerance); otherwise h/k is the first convergent of x whose continuity
+bound is at most max(tol/2, 1e-13), the floor keeping near-exact pairs
+such as (1.1, 3.3) on 1/3.  Past the cap, PrecisionUnreachable is raised.
 
-    int_T^inf {t/a}{t/b} dt/t^2 = 1/(4T) + mu/T + E,
+The continuity bound.  At a convergent, c k = b' = lo k/h is not hi.  Let
+delta = |1/hi - 1/b'|, m0 = min(hi, b') and T = max(1, 1/(2 delta)).  As
+0 <= {t/lo} < 1, |I(lo, hi) - I(lo, b')| is at most the integral of
+|{t/hi} - {t/b'}| under dt/t^2.  On [1, T], t/hi and t/b' differ by
+t delta <= 1/2, so their floors differ only on the strips
+[m m0, m max(hi, b')), by one.  Off the strips the integrand is t delta,
+which gives <= delta ln T; on a strip it is <= 1, and strip m weighs
+delta/m, so the strips with m < T/m0 give <= delta (1 + ln+(T/m0)).  Past
+T the integrand is below 1, which gives 1/T.  So
 
-and mu, the asymptotic mean of psi(t/a) psi(t/b), vanishes because the pair
-equidistributes on the torus.  No elementary rate is available, so the
-Cauchy-Schwarz bound |mean tail| <= 1/(12 T) is claimed instead and T grows
-like 1/tolerance, with a hard segment cap.
+    C = delta (1 + ln T + ln+(T/m0)) + 1/T = O(delta ln(1/delta)),
+
+and the closed form moves by delta/lo more, since it subtracts 1/(lo hi)
+where I(lo, b') has 1/(lo b').  delta is computed in rationals and rounded
+up; C + delta/lo, evaluated in floats and inflated by 16 eps to cover that,
+is added to the roundoff bound.  Since delta = |x - h/k|/lo < 1/(lo k^2),
+a tolerance tol needs k of about (ln(1/tol)/(lo tol))^(1/2).
 """
 
 from __future__ import annotations
@@ -64,31 +70,18 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
-from .moments import _lattice_windows, _segment_integrals, moment_constant
+from .moments import moment_constant
 
 __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
 
-#: largest denominator tried when detecting a rational dilation ratio
-RATIO_DENOMINATOR_CAP = 10_000
-
-#: hard cap on lattice segments per entry
-SEGMENT_CAP = 100_000_000
+#: largest denominator h/k at which the closed form is evaluated
+DENOMINATOR_CAP = 2**20
 
 #: ln(2 pi) - gamma, correctly rounded
 _LN_2PI_MINUS_GAMMA = 1.2606614015078126
 
 #: certified roundoff of a closed-form entry, per unit of summed magnitude
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
-
-
-def _reduced_ratio(lo: float, hi: float) -> tuple[int, int] | None:
-    """(h, k) in lowest terms with lo/hi within relative 1e-12 of h/k, or None."""
-    ratio = lo / hi
-    frac = Fraction(ratio).limit_denominator(RATIO_DENOMINATOR_CAP)
-    h, k = frac.numerator, frac.denominator
-    if h == 0 or abs(ratio - h / k) > 1e-12 * ratio:
-        return None
-    return h, k
 
 
 def _cot_sum(h: int, k: int) -> tuple[float, float]:
@@ -117,46 +110,51 @@ def _closed_form_entry(lo: float, hi: float, h: int, k: int) -> tuple[float, flo
     return j / c - inv_ab, _CLOSED_FORM_ROUNDOFF * magnitude
 
 
-def _segment_head(a: float, b: float, T: float) -> tuple[float, int]:
-    """Exact integral of {t/a}{t/b}/t^2 over (1, T], windowed lattice walk."""
-    total = 0.0
-    n_seg = 0
-    for t1, u in _lattice_windows((a, b), 1.0, T):
-        mid = t1 + 0.5 * u
-        alpha1 = (mid / a - np.floor(mid / a)) - u / (2.0 * a)
-        beta1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b)
-        i0, i1, i2 = _segment_integrals(t1, u)
-        total += float(np.sum(alpha1 * beta1 * i0 + (alpha1 / b + beta1 / a) * i1 + i2 / (a * b)))
-        n_seg += t1.size
-    return total, n_seg
+def _convergents(x: Fraction):
+    """The convergents h/k of x in (0, 1] with h >= 1, by growing k."""
+    num, den = x.numerator, x.denominator
+    h0, k0, h1, k1 = 0, 1, 1, 0
+    while den:
+        q, num, den = num // den, den, num % den
+        h0, k0, h1, k1 = h1, k1, q * h1 + h0, q * k1 + k0
+        if h1:
+            yield h1, k1
+
+
+def _continuity_bound(lo: float, hi: float, h: int, k: int) -> float:
+    """C + delta/lo of the module docstring: the closed form at h/k off I(lo, hi)."""
+    b = Fraction(lo) * k / h
+    delta = math.nextafter(float(abs(1 / Fraction(hi) - 1 / b)), math.inf)  # rounded up
+    log_t = max(0.0, -math.log(2.0 * delta))
+    logs = 1.0 + log_t + max(0.0, log_t - math.log(min(hi, float(b))))
+    return (delta * logs + min(1.0, 2.0 * delta) + delta / lo) * (1.0 + _CLOSED_FORM_ROUNDOFF)
 
 
 def pair_product_integral(a: float, b: float, target_entry_error: float) -> tuple[float, float]:
     """(value, certified absolute error) of int_1^inf {t/a}{t/b} dt/t^2.
 
-    ``target_entry_error`` sets the truncation of incommensurate pairs only;
-    commensurate pairs are exact up to a roundoff bound far below it.
+    ``target_entry_error`` governs only pairs whose exact ratio has a
+    denominator above ``DENOMINATOR_CAP``; the rest carry roundoff only.
     """
     a, b = float(a), float(b)
-    if min(a, b) < 1.0 - 1e-12:
-        raise DomainError(f"dilations must lie in [1, inf); got ({a!r}, {b!r})")
+    if not (math.isfinite(a) and math.isfinite(b)) or min(a, b) < 1.0 - 1e-12:
+        raise DomainError(f"dilations must be finite and lie in [1, inf); got ({a!r}, {b!r})")
     if not target_entry_error > 0.0:
         raise DomainError("target_entry_error must be positive")
     lo, hi = (a, b) if a <= b else (b, a)
-    ratio = _reduced_ratio(lo, hi)
-    if ratio is not None:
-        return _closed_form_entry(lo, hi, *ratio)
-    tol = target_entry_error
-    T = max(1.0 / (6.0 * tol), math.sqrt(2.0 * (a + b) / tol))
-    n_est = T * (1.0 / a + 1.0 / b)
-    if n_est > SEGMENT_CAP:
-        raise PrecisionUnreachable(
-            f"entry ({a:g}, {b:g}) would need {n_est:.2g} segments for {tol:g}"
-        )
-    head, n_seg = _segment_head(a, b, T)
-    value = head + 0.25 / T
-    err = 1.0 / (12.0 * T) + (a + b) / (T * T) + 4e-16 * math.sqrt(float(n_seg)) + 1e-14
-    return value, err
+    x = Fraction(lo) / Fraction(hi)
+    if x.denominator <= DENOMINATOR_CAP:
+        return _closed_form_entry(lo, hi, x.numerator, x.denominator)
+    goal = max(0.5 * target_entry_error, 1e-13)
+    for h, k in _convergents(x):
+        if k > DENOMINATOR_CAP:
+            break
+        continuity = _continuity_bound(lo, hi, h, k)
+        if continuity <= goal:
+            value, roundoff = _closed_form_entry(lo, hi, h, k)
+            return value, roundoff + continuity
+    raise PrecisionUnreachable(f"entry ({a:g}, {b:g}) needs a denominator above "
+                               f"{DENOMINATOR_CAP} for {target_entry_error:g}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
 of the dilations in windows of about ``_WINDOW`` segments, which bounds a
 walk's memory however far it reaches, and ``_segment_integrals`` integrates
 1, t - t1 and (t - t1)^2 against dt/t^2 exactly over each segment.  The
-incommensurate Gram entries (``gram._segment_head``) and the weighted norms
-below are both built on these two functions.
+weighted norms below are built on these two functions; Gram entries come
+from a closed form and do not walk the lattice.
 """
 
 from __future__ import annotations

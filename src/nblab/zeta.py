@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, PrecisionUnreachable
-from .gammafn import ComplexEvalReport, gamma, loggamma_right
+from .gammafn import _LOG_MAX, ComplexEvalReport, _cexp, gamma, loggamma_right
 
 __all__ = [
     "zeta",
@@ -69,8 +69,6 @@ _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
 _N_MAX = 320
 _POLE_TOL = 1e-12
-#: a little below ln(largest double): exp of anything larger overflows
-_LOG_MAX = 709.0
 #: most points per kernel call in the zero scan (grid window, bisection batch)
 _BATCH = 1024
 #: grid points per row of the scan's angle-addition layout
@@ -99,13 +97,6 @@ def _borwein_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ks = np.arange(1.0, n + 1.0)
     coeffs = np.array([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=np.float64)
     return coeffs, ks, np.log(ks)
-
-
-def _cexp(w: complex) -> complex:
-    """cmath.exp, raising PrecisionUnreachable where the value overflows."""
-    if w.real > _LOG_MAX:
-        raise PrecisionUnreachable(f"exp({w!r}) overflows double precision")
-    return cmath.exp(w)
 
 
 def _cexpm1(w: complex) -> complex:

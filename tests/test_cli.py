@@ -153,6 +153,9 @@ def test_zeros_to_500_counts_every_zero():
         ["zeta", "--re", "-1", "--im", "500", "--target", "1"],
         ["fe-check", "--re", "-1", "--im", "500"],
         ["zeta", "--re", "-300", "--target", "1"],
+        # xi(400) needs Gamma(201), which overflows double precision
+        ["xi", "--re", "400"],
+        ["xi", "--re", "3000"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -160,6 +163,12 @@ def test_reflection_overflow_is_precision_failure(argv):
     assert code == EXIT_PRECISION
     assert "precision failure" in err
     assert out == ""
+
+
+def test_gram_near_irrational_ratio_meets_tight_target():
+    # 1/3.14159265 is not a small fraction; a convergent with k ~ 3e5 meets 1e-9
+    payload = invoke_json(["gram", "--dilations", "1,3.14159265", "--target", "1e-9"])
+    assert max(max(row) for row in payload["result"]["entry_error_bounds"]) <= 1e-9
 
 
 @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])

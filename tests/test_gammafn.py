@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from nblab import PoleAtNonPositiveInteger, gamma
-from nblab.errors import DomainError
+from nblab.errors import DomainError, PrecisionUnreachable
 
 SQRT_PI = 1.7724538509055160273
 
@@ -92,3 +92,11 @@ def test_nonfinite_rejected():
 def test_conjugation_symmetry():
     s = complex(3.3, 7.7)
     assert gamma(s.conjugate()).value == gamma(s).value.conjugate()
+
+
+@pytest.mark.parametrize("s", [172.0, -200.5, 0.5 + 1000j], ids=["overflow", "reflected", "underflow"])
+def test_unrepresentable_value_is_precision_failure(s):
+    # Gamma(172) ~ 1.2e309 overflows, Gamma(-200.5) ~ 1e-377 and
+    # |Gamma(0.5 + 1000i)| ~ 1e-682 underflow
+    with pytest.raises(PrecisionUnreachable):
+        gamma(s)

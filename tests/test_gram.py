@@ -14,7 +14,8 @@ from nblab import (
     moment_constant,
     pair_product_integral,
 )
-from nblab.gram import _segment_head
+from nblab.gram import _closed_form_entry, _continuity_bound, _convergents
+from nblab.moments import _lattice_windows, _segment_integrals
 
 #: pairs checked against both the mpmath closed form and the lattice walk
 WALK_PAIRS = [(1.0, 1.0), (1.0, 2.0), (7.0, 11.0), (3.0, 49.0), (49.0, 50.0), (12.0, 18.0)]
@@ -63,6 +64,35 @@ def product_mean(a: float, b: float, period: float) -> float:
     return float(np.sum(seg)) / period
 
 
+def segment_head(a: float, b: float, T: float) -> tuple[float, int]:
+    """Exact integral of {t/a}{t/b}/t^2 over (1, T] by a windowed walk over
+    the union lattice {m a} U {n b}: on each segment the integrand is a
+    quadratic over t^2, written through its values at the segment midpoint
+    so that every per-segment term is cancellation-free."""
+    total = 0.0
+    n_seg = 0
+    for t1, u in _lattice_windows((a, b), 1.0, T):
+        mid = t1 + 0.5 * u
+        alpha1 = (mid / a - np.floor(mid / a)) - u / (2.0 * a)
+        beta1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b)
+        i0, i1, i2 = _segment_integrals(t1, u)
+        total += float(np.sum(alpha1 * beta1 * i0 + (alpha1 / b + beta1 / a) * i1 + i2 / (a * b)))
+        n_seg += t1.size
+    return total, n_seg
+
+
+def lattice_walk_oracle(a: float, b: float, tol: float) -> tuple[float, float]:
+    """Independent route for any pair: the walk over (1, T] plus the tail
+    (1/4 + mu)/T with mu = 0, the asymptotic mean of the centred product of
+    an incommensurate pair.  Its bound takes the Cauchy-Schwarz
+    |mean tail| <= 1/(12 T), a (a + b)/T^2 cushion and the summation
+    roundoff, with T of about 1/(6 tol), so its cost grows as 1/tol."""
+    T = max(1.0 / (6.0 * tol), math.sqrt(2.0 * (a + b) / tol))
+    head, n_seg = segment_head(a, b, T)
+    err = 1.0 / (12.0 * T) + (a + b) / (T * T) + 4e-16 * math.sqrt(float(n_seg)) + 1e-14
+    return head + 0.25 / T, err
+
+
 def period_walk_oracle(a: float, b: float, tol: float) -> tuple[float, float]:
     """Independent route for a commensurate pair: the lattice walk over
     (1, T] plus the tail (1/4 + mu)/T, where mu is the exact mean of the
@@ -75,7 +105,7 @@ def period_walk_oracle(a: float, b: float, tol: float) -> tuple[float, float]:
     assert abs(mu) <= 1.0 / 12.0 + 1e-9  # Cauchy-Schwarz
     quad_const = (a + b) / 4.0 + 2.0 * period / 3.0
     T = math.sqrt(quad_const / (0.5 * tol))
-    head, n_seg = _segment_head(a, b, T)
+    head, n_seg = segment_head(a, b, T)
     return head + (0.25 + mu) / T, quad_const / T**2 + 4e-16 * math.sqrt(n_seg) + 1e-14
 
 
@@ -145,6 +175,33 @@ def test_closed_form_against_lattice_walk(pair):
     assert abs(value - walk) <= err + walk_err
 
 
+@pytest.mark.parametrize("pair", [(1000.0, 2999.0), (37.0, 8191.0), (4096.0, 9999.0)])
+def test_continuity_bound_at_coarser_convergents(pair):
+    # every convergent before the exact ratio misses it; the closed form
+    # there, plus its roundoff and continuity bounds, must still hold the
+    # exact entry
+    lo, hi = pair
+    exact = mp_closed_form(lo, hi)
+    coarse = [(h, k) for h, k in _convergents(Fraction(lo) / Fraction(hi)) if h * hi != k * lo]
+    assert len(coarse) >= 2
+    for h, k in coarse:
+        value, roundoff = _closed_form_entry(lo, hi, h, k)
+        assert abs(mpmath.mpf(value) - exact) <= roundoff + _continuity_bound(lo, hi, h, k)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-7])
+@pytest.mark.parametrize(
+    "pair", [(1.0, math.sqrt(2.0)), (1.0, (1.0 + math.sqrt(5.0)) / 2.0), (math.e, math.pi),
+             (1.0, math.pi)],
+    ids=["sqrt2", "phi", "e-pi", "pi"],
+)
+def test_convergent_entry_against_lattice_walk(pair, tol):
+    value, err = pair_product_integral(*pair, tol)
+    walk, walk_err = lattice_walk_oracle(*pair, tol)
+    assert err <= tol
+    assert abs(value - walk) <= err + walk_err
+
+
 def test_commensurate_bounds_are_roundoff_only():
     system = gram_system([float(k) for k in range(1, 51)], 1e-9)
     assert float(np.max(system.entry_error_bounds)) <= 1e-11
@@ -167,6 +224,10 @@ def test_pair_validation():
         pair_product_integral(0.5, 2.0, 1e-6)
     with pytest.raises(DomainError):
         pair_product_integral(1.0, 2.0, 0.0)
+    with pytest.raises(DomainError):
+        pair_product_integral(math.nan, 2.0, 1e-6)
+    with pytest.raises(DomainError):
+        pair_product_integral(1.0, math.inf, 1e-6)
 
 
 def test_gram_moment_vector_closed_form():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_constrained_sum
+from test_gram import lattice_walk_oracle
 from nblab import (
     ConstraintViolated,
     DilatedFracSum,
@@ -17,7 +18,6 @@ from nblab import (
     gram_system,
     moment_constant,
     moment_report,
-    pair_product_integral,
     partial_moment_constant,
     weighted_measure,
     weighted_norm,
@@ -234,11 +234,11 @@ def test_norm_unconstrained_sloped_segments():
     ids=["constrained", "sloped"],
 )
 def test_lattice_walk_across_many_windows(monkeypatch, phi):
-    # the Gram entry and the norms walk the same windowed lattice; cutting it
-    # into windows of 1000 segments must not move any of them
+    # the Gram-entry walk oracle and the norms walk the same windowed lattice;
+    # cutting it into windows of 1000 segments must not move any of them
 
     def walk():
-        entry = pair_product_integral(1.0, math.sqrt(2.0), 1e-5)[0]
+        entry = lattice_walk_oracle(1.0, math.sqrt(2.0), 1e-5)[0]
         norms = [weighted_norm_report(phi, p, max_segments=200_000).value for p in (2.0, 1.5)]
         return [entry, *norms]
 
