@@ -20,14 +20,7 @@ from .errors import (
     PrecisionUnreachable,
     SingularSystem,
 )
-from .fracsum import (
-    DilatedFracSum,
-    StepProfile,
-    UnitFracSum,
-    dilated_to_unit,
-    step_profile,
-    unit_to_dilated,
-)
+from .fracsum import DilatedFracSum, StepProfile, step_profile
 from .gammafn import ComplexEvalReport, gamma
 from .gram import GramSystem, gram_system, pair_product_integral
 from .moments import (
@@ -41,8 +34,6 @@ from .moments import (
     moment_constant,
     moment_report,
     partial_moment_constant,
-    weighted_measure,
-    weighted_norm,
     weighted_norm_report,
 )
 from .zeta import find_critical_zeros, functional_equation_residual, xi, zeta
@@ -66,13 +57,11 @@ __all__ = [
     "SingularSystem",
     "StepProfile",
     "SweepRecord",
-    "UnitFracSum",
     "best_approximation",
     "best_approximation_from_gram",
     "constants_report",
     "dilated_frac_moment",
     "dilated_frac_moment_quad",
-    "dilated_to_unit",
     "euler_gamma",
     "find_critical_zeros",
     "functional_equation_residual",
@@ -85,9 +74,6 @@ __all__ = [
     "partial_moment_constant",
     "step_profile",
     "sweep",
-    "unit_to_dilated",
-    "weighted_measure",
-    "weighted_norm",
     "weighted_norm_report",
     "xi",
     "zeta",

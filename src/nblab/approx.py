@@ -22,7 +22,7 @@ unit mass of the weight), |sum Theta_k ln l_k - 1| <= d_N always.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class ApproximationResult:
             "h_star": self.h_star.tolist(),
             "distance": self.distance,
             "theta_log_sum": self.theta_log_sum,
-            "gap": abs(self.theta_log_sum - 1.0),
+            "gap": necessary_condition_gap(self),
             "constraint_residual": self.constraint_residual,
             "gram_condition": self.gram_condition,
             "certified_error": self.certified_error,
@@ -88,8 +88,8 @@ class SweepRecord:
     gap: float
     gram_condition: float
     certified_error: float
-    dilations: tuple[float, ...] = field(default=())
-    h_star: tuple[float, ...] = field(default=())
+    dilations: tuple[float, ...]
+    h_star: tuple[float, ...]
 
 
 def _nullspace_basis(c: np.ndarray) -> np.ndarray:
@@ -242,12 +242,7 @@ class DilationFamily:
         return f"explicit(n={len(self.dilations)})"
 
 
-def sweep(
-    family: DilationFamily,
-    N_values,
-    target_error: float = 1e-6,
-    keep_coefficients: bool = True,
-) -> list[SweepRecord]:
+def sweep(family: DilationFamily, N_values, target_error: float = 1e-6) -> list[SweepRecord]:
     """Distances and moment sums over a nested family, one record per N.
 
     The Gram system is assembled once at the largest N and sliced, so all
@@ -272,7 +267,7 @@ def sweep(
                 gram_condition=res.gram_condition,
                 certified_error=res.certified_error,
                 dilations=res.dilations,
-                h_star=tuple(res.h_star.tolist()) if keep_coefficients else (),
+                h_star=tuple(res.h_star.tolist()),
             )
         )
     return records

@@ -32,20 +32,6 @@ EXIT_DOMAIN = 1
 EXIT_PRECISION = 2
 EXIT_USAGE = 64
 
-SUBCOMMANDS = (
-    "zeta",
-    "xi",
-    "fe-check",
-    "zeros",
-    "constants",
-    "lemma1",
-    "moment",
-    "norm",
-    "gram",
-    "approx",
-    "sweep",
-)
-
 
 class _UsageError(Exception):
     pass

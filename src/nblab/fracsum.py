@@ -1,17 +1,12 @@
 """Finite combinations of dilated fractional parts and their step structure.
 
-Two mirror-image families are represented:
-
-* ``DilatedFracSum``: phi(t) = sum_k h_k {t / l_k} on (1, inf), dilations
-  l_k in [1, inf).  With the linear constraint sum_k h_k / l_k = 0 these are
-  right-continuous step functions, constant between the lattice points
-  m * l_k and jumping by -h_k at each of them (coincident points add their
-  jumps).
-* ``UnitFracSum``: phi(t) = sum_k c_k {theta_k / t} on (0, 1), dilations
-  theta_k in (0, 1], constraint sum_k c_k theta_k = 0.
-
-The change of variables t -> 1/t maps one family onto the other with
-h_k = c_k and l_k = 1/theta_k; both directions are provided.
+``DilatedFracSum`` represents phi(t) = sum_k h_k {t / l_k} on (1, inf),
+dilations l_k in [1, inf).  With the linear constraint sum_k h_k / l_k = 0
+these are right-continuous step functions, constant between the lattice
+points m * l_k and jumping by -h_k at each of them (coincident points add
+their jumps).  The substitution t -> 1/t carries them onto the paper's form
+sum_k c_k {theta_k / t} on (0, 1), with c_k = h_k, theta_k = 1/l_k and the
+constraint sum_k c_k theta_k = 0.
 
 {x} denotes x - floor(x), so {m} = 0 at integers and every sum here is
 right-continuous.  The ``constrained`` flag is explicit rather than inferred
@@ -27,14 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, DomainError
 
-__all__ = [
-    "DilatedFracSum",
-    "UnitFracSum",
-    "StepProfile",
-    "unit_to_dilated",
-    "dilated_to_unit",
-    "step_profile",
-]
+__all__ = ["DilatedFracSum", "StepProfile", "step_profile"]
 
 #: relative tolerance for treating two dilations or breakpoints as coincident
 COINCIDENCE_RTOL = 1e-12
@@ -43,15 +31,15 @@ COINCIDENCE_RTOL = 1e-12
 CONSTRAINT_TOL = 1e-12
 
 
-def _merge_terms(terms, lower: float, upper: float, what: str):
+def _merge_terms(terms):
     cleaned: list[tuple[float, float]] = []
     for coeff, dil in terms:
         coeff = float(coeff)
         dil = float(dil)
         if not (math.isfinite(coeff) and math.isfinite(dil)):
             raise DomainError(f"non-finite term ({coeff!r}, {dil!r})")
-        if dil < lower * (1.0 - COINCIDENCE_RTOL) or dil > upper:
-            raise DomainError(f"{what} {dil!r} outside [{lower}, {upper}]")
+        if dil < 1.0 - COINCIDENCE_RTOL:
+            raise DomainError(f"dilation {dil!r} outside [1.0, inf]")
         cleaned.append((coeff, dil))
     if not cleaned:
         raise DomainError("at least one term is required")
@@ -78,7 +66,7 @@ class DilatedFracSum:
     constrained: bool = False
 
     def __post_init__(self):
-        merged = _merge_terms(self.terms, 1.0, math.inf, "dilation")
+        merged = _merge_terms(self.terms)
         object.__setattr__(self, "terms", merged)
         if self.constrained:
             total = self.constraint_sum
@@ -129,61 +117,6 @@ class DilatedFracSum:
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed dilated-sum payload: {exc}") from exc
         return cls(terms=terms, constrained=constrained)
-
-
-@dataclass(frozen=True)
-class UnitFracSum:
-    """sum_k c_k {theta_k / t} on (0, 1), theta_k in (0, 1]."""
-
-    terms: tuple[tuple[float, float], ...]
-    constrained: bool = False
-
-    def __post_init__(self):
-        merged = _merge_terms(self.terms, 0.0, 1.0, "unit dilation")
-        if merged[0][1] <= 0.0:
-            raise DomainError("unit dilations must be positive")
-        object.__setattr__(self, "terms", merged)
-        if self.constrained:
-            total = self.constraint_sum
-            scale = max(1.0, sum(abs(c) * th for c, th in merged))
-            if abs(total) > CONSTRAINT_TOL * scale:
-                raise ConstraintViolated(
-                    f"sum c*theta = {total!r} violates the constraint within {CONSTRAINT_TOL}"
-                )
-
-    @property
-    def constraint_sum(self) -> float:
-        return float(sum(c * th for c, th in self.terms))
-
-    def __call__(self, t):
-        arr = np.asarray(t, dtype=np.float64)
-        if np.any((arr <= 0.0) | (arr >= 1.0)):
-            raise DomainError("unit sums are defined on (0, 1)")
-        out = np.zeros_like(arr)
-        for c, th in self.terms:
-            x = th / arr
-            out = out + c * (x - np.floor(x))
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
-
-
-def unit_to_dilated(phi: UnitFracSum) -> DilatedFracSum:
-    """Change of variables t -> 1/t: (c, theta) becomes (h = c, l = 1/theta).
-
-    The image psi satisfies psi(t) = phi(1/t) for t > 1 and the constraint
-    sum c theta = 0 maps onto sum h / l = 0, so the flag carries over.
-    """
-    return DilatedFracSum(
-        terms=tuple((c, 1.0 / th) for c, th in phi.terms),
-        constrained=phi.constrained,
-    )
-
-
-def dilated_to_unit(psi: DilatedFracSum) -> UnitFracSum:
-    """Inverse change of variables: (h, l) becomes (c = h, theta = 1/l)."""
-    return UnitFracSum(
-        terms=tuple((h, 1.0 / l) for h, l in psi.terms),
-        constrained=psi.constrained,
-    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ so the module claims a relative error bound of 1e-12 there.
 
 For Re s < 1/2 values come from the reflection formula
 Gamma(s) Gamma(1-s) = pi / sin(pi s), which has simple poles exactly at the
-non-positive integers.
+non-positive integers.  sin(pi s) is taken at the exact remainder of s
+modulo the nearest integer, and in log form for large |Im s|, so neither
+the poles nor large heights cost accuracy or overflow.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ POLE_TOL = 1e-12
 REL_ERROR_CLAIM = 1e-12
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LOG_PI = math.log(math.pi)
 
 #: a little below ln(largest double): exp of anything larger overflows
 _LOG_MAX = 709.0
@@ -91,6 +94,17 @@ def _cexp(w: complex) -> complex:
     return cmath.exp(w)
 
 
+def _log_sin(w: complex) -> complex:
+    """ln sin w up to a multiple of 2 pi i.  For |Im w| >= 20 sin w itself
+    may overflow, so ln sin w = -iw + ln((e^{2iw} - 1) / (2i)) is used above
+    the real axis, where |e^{2iw}| < 1, and its conjugate below."""
+    if abs(w.imag) < 20.0:
+        return cmath.log(cmath.sin(w))
+    if w.imag < 0.0:
+        return _log_sin(w.conjugate()).conjugate()
+    return -1j * w + cmath.log((cmath.exp(2j * w) - 1.0) / 2j)
+
+
 def _nearest_pole_distance(s: complex) -> float:
     if s.real > 0.5:
         return math.inf
@@ -112,8 +126,15 @@ def gamma(s: complex) -> ComplexEvalReport:
     if s.real >= 0.5:
         value = _cexp(loggamma_right(s))
     else:
-        # reflection; sin(pi s) is pole-free and nonzero off the integers
-        value = math.pi / (cmath.sin(math.pi * s) * _cexp(loggamma_right(1.0 - s)))
+        # reflection; sin(pi s) = (-1)^k sin(pi r) with r = s - k exact
+        # (Sterbenz), so pi r keeps full relative accuracy next to a pole,
+        # and sin(-w) = -sin(w) folds Re w onto [0, pi/2], where sin w > 0
+        # for real s, so a real s keeps a real value
+        k = round(s.real)
+        w, sign = math.pi * (s - k), (-1) ** k
+        if w.real < 0.0:
+            w, sign = -w, -sign
+        value = sign * _cexp(_LOG_PI - _log_sin(w) - loggamma_right(1.0 - s))
     if not np.isfinite(value) or abs(value) < np.finfo(float).tiny:  # Gamma has no zeros
         raise PrecisionUnreachable(f"gamma({s!r}) not representable in double precision")
     return ComplexEvalReport(

@@ -51,10 +51,8 @@ __all__ = [
     "theta_log_sum",
     "ConstantsReport",
     "constants_report",
-    "weighted_measure",
     "NormReport",
     "weighted_norm_report",
-    "weighted_norm",
 ]
 
 # Bernoulli-number coefficients B_{2k} / (2k) for k = 1..4 of the
@@ -66,6 +64,9 @@ _CHUNK = 1 << 22
 
 #: segments per window of the lattice walk
 _WINDOW = 500_000
+
+#: truncation orders n of the lambda_n trace in ``constants_report``
+_TRACE_NS = (16, 256, 4096, 65536, 1048576)
 
 
 def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
@@ -219,35 +220,10 @@ class ConstantsReport:
         }
 
 
-def constants_report(
-    target_abs_error: float = 1e-12,
-    trace_ns: tuple[int, ...] = (16, 256, 4096, 65536, 1048576),
-) -> ConstantsReport:
+def constants_report(target_abs_error: float = 1e-12) -> ConstantsReport:
     g = euler_gamma(target_abs_error)
-    trace = tuple((n, partial_moment_constant(n)) for n in trace_ns)
+    trace = tuple((n, partial_moment_constant(n)) for n in _TRACE_NS)
     return ConstantsReport(gamma=g, lam=1.0 - g, lambda_n_trace=trace)
-
-
-def weighted_measure(intervals) -> float:
-    """Measure int_E dt/t^2 of a finite disjoint union of intervals in (1, inf).
-
-    Each interval contributes 1/a - 1/b (with 1/inf = 0); intervals reaching
-    into (0, 1) are rejected, as are overlapping pairs.
-    """
-    spans = []
-    for a, b in intervals:
-        a = float(a)
-        b = float(b)
-        if a < 1.0 - 1e-12:
-            raise DomainError(f"interval [{a!r}, {b!r}] leaves (1, inf)")
-        if not b > a:
-            raise DomainError(f"empty or reversed interval [{a!r}, {b!r}]")
-        spans.append((a, b))
-    spans.sort()
-    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-        if a2 < b1 * (1.0 - 1e-12):
-            raise DomainError("intervals must be pairwise disjoint")
-    return sum(1.0 / a - (0.0 if math.isinf(b) else 1.0 / b) for a, b in spans)
 
 
 @dataclass(frozen=True)
@@ -359,11 +335,3 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
             vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
             total += float(np.dot(vals @ weights, half))
     return total
-
-
-def weighted_norm(phi, p: float, max_segments: int = 1_000_000) -> float:
-    """p-norm under the weight; the constant function 1 may be passed as the
-    literal ``1`` (its norm is 1 for every p since the weight has mass 1)."""
-    if isinstance(phi, (int, float)) and phi == 1:
-        return 1.0
-    return weighted_norm_report(phi, p, max_segments).value

@@ -39,7 +39,8 @@ points x terms table of sines and cosines is built.  A bracket is a pair of
 neighbours of opposite sign; signs are compared rather than multiplied,
 because |xi(1/2 + it)| falls like e^{-pi t / 4} and the product of two
 neighbours underflows to 0 past t ~ 472.  All brackets are bisected in
-lockstep, up to 1024 midpoints per evaluation.
+lockstep, up to 1024 midpoints per evaluation, and every bracket's final
+midpoint is reported.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ __all__ = [
     "functional_equation_residual",
     "find_critical_zeros",
     "ZERO_GRID_STEP",
-    "ZERO_VALUE_THRESHOLD",
 ]
 
 _LN2 = math.log(2.0)
@@ -77,9 +77,6 @@ _ROW = 32
 #: grid step of the sign-change scan before bisection (smallest gap between
 #: the first zeros exceeds ten times this)
 ZERO_GRID_STEP = 0.05
-
-#: |xi(1/2 + i t)| must fall below this at every reported ordinate
-ZERO_VALUE_THRESHOLD = 1e-8
 
 
 @lru_cache(maxsize=64)
@@ -394,9 +391,8 @@ def _xi_critical_line(t: np.ndarray, step: float | None = None) -> np.ndarray:
 
 def _bisected_zeros(a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) -> list[float]:
     """Bisect the sign-change brackets [a, b] of Re xi(1/2 + it) in lockstep
-    until each is at most ``tol`` wide, and return the bracket midpoints at
-    which |xi| < ZERO_VALUE_THRESHOLD.  A midpoint where Re xi is exactly 0.0
-    closes its bracket there."""
+    until each is at most ``tol`` wide, and return the bracket midpoints.
+    A midpoint where Re xi is exactly 0.0 closes its bracket there."""
     live = np.flatnonzero(b - a > tol)
     while live.size:
         mid = 0.5 * (a[live] + b[live])
@@ -408,8 +404,7 @@ def _bisected_zeros(a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) ->
         b[live[left]] = mid[left]
         a[live[right]], fa[live[right]] = mid[right], fm[right]
         live = live[(b[live] - a[live]) > tol]
-    roots = 0.5 * (a + b)
-    return roots[np.abs(_xi_critical_line(roots)) < ZERO_VALUE_THRESHOLD].tolist()
+    return (0.5 * (a + b)).tolist()
 
 
 def find_critical_zeros(
@@ -421,9 +416,10 @@ def find_critical_zeros(
     in windows of up to 1024 points.  A grid value of exactly 0.0 is
     reported as it stands; neighbours of opposite sign (signs compared, not
     multiplied) form a bracket.  Brackets are bisected in lockstep, up to
-    1024 at a time, down to width ``tol``, and each midpoint is reported if
-    |xi(1/2 + it)| < ZERO_VALUE_THRESHOLD there.  The result equals that of
-    a scan calling ``xi`` point by point with the same rules.
+    1024 at a time, down to width ``tol``, and each midpoint is reported:
+    Re xi(1/2 + it) is continuous, so a sign change brackets a zero.  The
+    result equals that of a scan calling ``xi`` point by point with the
+    same rules.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")

@@ -41,6 +41,11 @@ def test_zeros_subcommand():
     assert ts == sorted(ts)
 
 
+def test_zeros_coarse_tol_reports_every_zero():
+    payload = invoke_json(["zeros", "--t-max", "60", "--tol", "1e-3"])
+    assert payload["result"]["count"] == 13
+
+
 def test_constants_subcommand():
     payload = invoke_json(["constants", "--target", "1e-12"])
     assert abs(payload["result"]["gamma"] - 0.577215664901533) < 1e-12

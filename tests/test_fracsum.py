@@ -6,15 +6,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import random_constrained_sum
-from nblab import (
-    ConstraintViolated,
-    DilatedFracSum,
-    DomainError,
-    UnitFracSum,
-    dilated_to_unit,
-    step_profile,
-    unit_to_dilated,
-)
+from nblab import ConstraintViolated, DilatedFracSum, DomainError, step_profile
 
 PHI_EXAMPLE = DilatedFracSum(terms=((-1.0, 1.0), (2.0, 2.0)), constrained=True)
 
@@ -82,35 +74,25 @@ def test_json_round_trip():
     assert DilatedFracSum.from_dict(data) == PHI_EXAMPLE
 
 
+def unit_sum(terms, t: float) -> float:
+    """Oracle for the paper's form sum_k c_k {theta_k / t} on (0, 1), from
+    (c_k, theta_k) pairs, evaluated term by term."""
+    return sum(c * (th / t - math.floor(th / t)) for c, th in terms)
+
+
 def test_unit_sum_eval():
-    phi = UnitFracSum(terms=((1.0, 1.0),))
-    assert phi(0.4) == 0.5  # frac(2.5)
-    assert UnitFracSum(terms=((1.0, 0.5),))(0.5) == 0.0  # frac(1) = 0
-    combo = UnitFracSum(terms=((2.0, 0.5), (-1.0, 1.0)), constrained=True)
-    assert combo(0.3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_unit_sum_domain():
-    phi = UnitFracSum(terms=((1.0, 0.5),))
-    for bad in (0.0, 1.0, -0.2, 1.7):
-        with pytest.raises(DomainError):
-            phi(bad)
-    with pytest.raises(DomainError):
-        UnitFracSum(terms=((1.0, 1.5),))
+    assert unit_sum(((1.0, 1.0),), 0.4) == 0.5  # frac(2.5)
+    assert unit_sum(((1.0, 0.5),), 0.5) == 0.0  # frac(1) = 0
+    assert unit_sum(((2.0, 0.5), (-1.0, 1.0)), 0.3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transform_examples():
-    psi = unit_to_dilated(UnitFracSum(terms=((1.0, 0.5),)))
-    assert psi.terms == ((1.0, 2.0),)
-    assert psi(4.0) == 0.0  # frac(2) = 0 = phi(1/4)
-    combo = unit_to_dilated(UnitFracSum(terms=((2.0, 0.5), (-1.0, 1.0)), constrained=True))
+    # t -> 1/t maps (c, theta) onto (h = c, l = 1/theta), constraint included
+    psi = DilatedFracSum(terms=((1.0, 1.0 / 0.5),))
+    assert psi(4.0) == 0.0 == unit_sum(((1.0, 0.5),), 0.25)  # frac(2) = 0
+    combo = DilatedFracSum(terms=((2.0, 1.0 / 0.5), (-1.0, 1.0 / 1.0)), constrained=True)
     assert combo.terms == ((-1.0, 1.0), (2.0, 2.0))
-    assert combo.constrained
-
-
-def test_transform_round_trip_exact():
-    phi = UnitFracSum(terms=((2.0, 0.5), (-1.0, 1.0)), constrained=True)
-    assert dilated_to_unit(unit_to_dilated(phi)) == phi
+    assert combo(1.0 / 0.3) == pytest.approx(unit_sum(((2.0, 0.5), (-1.0, 1.0)), 0.3), abs=1e-12)
 
 
 @given(
@@ -126,13 +108,12 @@ def test_transform_round_trip_exact():
 )
 @example(terms=[(1.0, 1.0)], t=99.0)
 def test_transform_consistency(terms, t):
-    phi = UnitFracSum(terms=tuple(terms))
-    psi = unit_to_dilated(phi)
+    psi = DilatedFracSum(terms=tuple((c, 1.0 / th) for c, th in terms))
     # next to a jump, t and 1/(1/t) may round to opposite sides of it
     for _, l in psi.terms:
         x = t / l
         assume(abs(x - round(x)) >= 1e-9 * x)
-    assert abs(psi(t) - phi(1.0 / t)) <= 1e-12 * (1.0 + abs(psi(t)))
+    assert abs(psi(t) - unit_sum(terms, 1.0 / t)) <= 1e-12 * (1.0 + abs(psi(t)))
 
 
 @given(

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -100,3 +101,17 @@ def test_unrepresentable_value_is_precision_failure(s):
     # |Gamma(0.5 + 1000i)| ~ 1e-682 underflow
     with pytest.raises(PrecisionUnreachable):
         gamma(s)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [-0.5 + 230j, -0.5 + 300j, -0.5 - 300j, -2.0 - 1e-9, -29.0 + 1e-11, -1.999999,
+     -3.3 + 100j, -150.5],
+)
+def test_reflection_against_mpmath(s):
+    # sin(pi s) overflowed past |Im s| ~ 226, and the rounded product pi s
+    # cost up to 5e-5 relative next to a pole
+    with mpmath.workdps(30):
+        ref = complex(mpmath.gamma(mpmath.mpc(s)))
+    rep = gamma(s)
+    assert abs(rep.value - ref) <= rep.abs_error_estimate

@@ -19,12 +19,33 @@ from nblab import (
     moment_constant,
     moment_report,
     partial_moment_constant,
-    weighted_measure,
-    weighted_norm,
+    step_profile,
     weighted_norm_report,
 )
 
 EULER_GAMMA_REF = 0.5772156649015329  # reference digits of the constant
+
+
+def weighted_measure(intervals) -> float:
+    """Measure int_E dt/t^2 of a finite disjoint union of intervals in (1, inf).
+
+    Each interval contributes 1/a - 1/b (with 1/inf = 0); intervals reaching
+    into (0, 1) are rejected, as are overlapping pairs.
+    """
+    spans = []
+    for a, b in intervals:
+        a = float(a)
+        b = float(b)
+        if a < 1.0 - 1e-12:
+            raise DomainError(f"interval [{a!r}, {b!r}] leaves (1, inf)")
+        if not b > a:
+            raise DomainError(f"empty or reversed interval [{a!r}, {b!r}]")
+        spans.append((a, b))
+    spans.sort()
+    for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+        if a2 < b1 * (1.0 - 1e-12):
+            raise DomainError("intervals must be pairwise disjoint")
+    return sum(1.0 / a - (0.0 if math.isinf(b) else 1.0 / b) for a, b in spans)
 
 
 def scipy_frac_moment(l: float, T: float = 2000.0) -> tuple[float, float]:
@@ -179,18 +200,37 @@ def test_weighted_measure_validation():
         weighted_measure([(2.0, 5.0), (4.0, 6.0)])
 
 
-def test_norm_zero_function_and_unit():
+def test_norm_zero_function():
     phi = DilatedFracSum(terms=((-1.0, 1.0), (1.0, 1.0)), constrained=True)
-    assert weighted_norm(phi, 2.0) == 0.0
-    assert weighted_norm(1, 2.0) == 1.0
-    assert weighted_norm(1, 1.5) == 1.0
+    assert weighted_norm_report(phi, 2.0).value == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_flat_norm_against_step_profile_measure(rng, p):
+    # a constrained sum is constant between breakpoints, so int_1^T |phi|^p
+    # is sum |v_i|^p times the measure of each interval of its step profile;
+    # with the tail bound (sum |h|)^p / T this brackets the norm
+    for _ in range(4):
+        phi = random_constrained_sum(rng)
+        rep = weighted_norm_report(phi, p, max_segments=20_000)
+        T = rep.truncation
+        prof = step_profile(phi, T)
+        edges = [1.0, *prof.breakpoints, T]
+        head = sum(
+            abs(v) ** p * weighted_measure([(a, b)])
+            for v, a, b in zip(prof.values, edges[:-1], edges[1:])
+            if b > a
+        )
+        tail = phi.abs_coeff_sum**p / T
+        assert head ** (1.0 / p) - rep.abs_error_bound <= rep.value
+        assert rep.value <= (head + tail) ** (1.0 / p) + rep.abs_error_bound
 
 
 def test_norm_validation():
     phi = DilatedFracSum(terms=((1.0, 2.0),))
     for bad in (1.0, 2.5, 0.5):
         with pytest.raises(DomainError):
-            weighted_norm(phi, bad)
+            weighted_norm_report(phi, bad)
 
 
 def test_norm_squared_matches_gram_quadratic_form():
@@ -207,8 +247,8 @@ def test_norm_squared_matches_gram_quadratic_form():
 def test_norm_p_between_one_and_two_against_p2_monotonicity():
     # |phi| <= 1 here, so the p-norm is nondecreasing in p on a probability space
     phi = DilatedFracSum(terms=((0.5, 1.0), (0.25, 2.0)))
-    n15 = weighted_norm(phi, 1.5, max_segments=40_000)
-    n20 = weighted_norm(phi, 2.0, max_segments=40_000)
+    n15 = weighted_norm_report(phi, 1.5, max_segments=40_000).value
+    n20 = weighted_norm_report(phi, 2.0, max_segments=40_000).value
     assert n15 <= n20 + 1e-6
 
 

@@ -16,7 +16,6 @@ from nblab import (
 )
 from nblab.zeta import (
     ZERO_GRID_STEP,
-    ZERO_VALUE_THRESHOLD,
     _analytic_bound,
     _eta_sum,
     _pick_n,
@@ -153,6 +152,14 @@ def test_find_critical_zeros_three():
         assert abs(found - expected) < 2e-6
 
 
+def test_find_critical_zeros_coarse_tol_keeps_every_zero():
+    # |xi(1/2 + it)| is about 7e-7 at 5e-4 from the first zero, so a filter on
+    # |xi| < 1e-8 at the bracket midpoint dropped it; mpmath.nzeros(60) is 13
+    zeros = find_critical_zeros(60.0, 1e-3)
+    assert len(zeros) == 13
+    assert abs(zeros[0] - FIRST_ORDINATES[0]) < 1e-3
+
+
 def test_find_critical_zeros_empty_below_first():
     assert find_critical_zeros(1.0, 1e-6) == []
 
@@ -176,7 +183,7 @@ def scalar_scan_oracle(
 ) -> list[float]:
     """Independent route for the zero scan: one scalar ``xi`` call per grid
     point and per bisection midpoint, with the same grid, bracket signs,
-    exact-zero rule, bisection and value filter as ``find_critical_zeros``."""
+    exact-zero rule and bisection as ``find_critical_zeros``."""
 
     def f(t: float) -> float:
         return xi(complex(0.5, t)).value.real
@@ -206,9 +213,7 @@ def scalar_scan_oracle(
                     b = mid
                 else:
                     a, fa = mid, fm
-            root = 0.5 * (a + b)
-            if abs(xi(complex(0.5, root)).value) < ZERO_VALUE_THRESHOLD:
-                zeros.append(root)
+            zeros.append(0.5 * (a + b))
         t_prev, f_prev = t_next, f_next
     return zeros
 
