@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSystem
+from .errors import DomainError, PrecisionUnreachable, SingularSystem
 from .gram import GramSystem, gram_system
 from .moments import theta_log_sum
 
@@ -177,7 +177,8 @@ def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationRe
 
     ``target_error`` caps the certified error of the squared distance; Gram
     entries are requested at target_error / (8 N), tightened once if the
-    certification comes out above target.  The entry target only governs
+    certification comes out above target, and PrecisionUnreachable is raised
+    if it is still above target after that.  The entry target only governs
     incommensurate pairs: commensurate entries are closed-form and carry a
     roundoff bound alone.  A single dilation degenerates to the zero
     function with distance exactly 1.
@@ -191,7 +192,17 @@ def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationRe
     result = best_approximation_from_gram(gram_system(dils, entry_tol))
     if result.certified_error > target_error:
         result = best_approximation_from_gram(gram_system(dils, entry_tol / 16.0))
+    _check_target(result, target_error)
     return result
+
+
+def _check_target(result: ApproximationResult, target_error: float) -> None:
+    """PrecisionUnreachable when the certified error is above the target."""
+    if result.certified_error > target_error:
+        raise PrecisionUnreachable(
+            f"certified error {result.certified_error:.3e} exceeds target {target_error:.3e} "
+            f"at N = {len(result.dilations)}"
+        )
 
 
 def necessary_condition_gap(result: ApproximationResult) -> float:
@@ -248,7 +259,8 @@ def sweep(family: DilationFamily, N_values, target_error: float = 1e-6) -> list[
     The Gram system is assembled once at the largest N and sliced, so all
     records share identical entries for common pairs and the distances are
     nonincreasing in N up to solver roundoff.  Records are returned sorted
-    by N.
+    by N.  PrecisionUnreachable is raised when a record's certified error
+    exceeds ``target_error``.
     """
     ns = sorted(set(int(n) for n in N_values))
     if not ns or ns[0] < 1:
@@ -257,6 +269,7 @@ def sweep(family: DilationFamily, N_values, target_error: float = 1e-6) -> list[
     records = []
     for n in ns:
         res = best_approximation_from_gram(full.head(n))
+        _check_target(res, target_error)
         records.append(
             SweepRecord(
                 N=n,

@@ -34,8 +34,10 @@ CONSTRAINT_TOL = 1e-12
 def _merge_terms(terms):
     cleaned: list[tuple[float, float]] = []
     for coeff, dil in terms:
-        coeff = float(coeff)
-        dil = float(dil)
+        try:
+            coeff, dil = float(coeff), float(dil)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"non-numeric term ({coeff!r}, {dil!r})") from exc
         if not (math.isfinite(coeff) and math.isfinite(dil)):
             raise DomainError(f"non-finite term ({coeff!r}, {dil!r})")
         if dil < 1.0 - COINCIDENCE_RTOL:
@@ -113,9 +115,11 @@ class DilatedFracSum:
     def from_dict(cls, data: dict) -> "DilatedFracSum":
         try:
             terms = tuple((item["h"], item["l"]) for item in data["terms"])
-            constrained = bool(data.get("constrained", False))
+            constrained = data.get("constrained", False)
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed dilated-sum payload: {exc}") from exc
+        if not isinstance(constrained, bool):
+            raise DomainError(f"constrained must be a JSON boolean, got {constrained!r}")
         return cls(terms=terms, constrained=constrained)
 
 

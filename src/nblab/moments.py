@@ -280,12 +280,13 @@ def weighted_norm_report(
     """{ int_1^inf |phi|^p dt/t^2 }^{1/p} for p in (1, 2].
 
     phi is piecewise linear with the single slope sum h_k / l_k between
-    lattice points (piecewise constant when constrained).  Flat pieces and
-    p = 2 integrate in closed form; sloped pieces with p < 2 use 16-point
-    Gauss-Legendre per piece, split at any interior sign change.  The
-    pieces come from the windowed lattice kernel.  The integral is
-    truncated at T (set by ``max_segments``) and the tail is bounded by
-    (sum |h_k|)^p / T, which enters the error bound.
+    lattice points (piecewise constant when constrained).  On [1, l_min]
+    phi(t) = slope t, which integrates in closed form, and so do the later
+    flat pieces and p = 2; sloped pieces with p < 2 use 16-point
+    Gauss-Legendre on each side of the piece's zero, with the nodes
+    clustered at it.  The pieces come from the windowed lattice kernel.
+    The integral is truncated at T (set by ``max_segments``) and the tail is
+    bounded by (sum |h_k|)^p / T, which enters the error bound.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -299,8 +300,11 @@ def weighted_norm_report(
     if max_segments > 50_000_000:
         raise PrecisionUnreachable("segment budget above the supported cap")
     slope = float(np.sum(coeffs / dils))
-    head = 0.0
-    for t1, u in _lattice_windows(dils, 1.0, T):
+    # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
+    # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
+    start = min(float(dils.min()), T)
+    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
+    for t1, u in _lattice_windows(dils, start, T):
         v_mid = phi(t1 + 0.5 * u)
         head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
     tail_bound = phi.abs_coeff_sum**p / T
@@ -320,6 +324,10 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
         i0, i1, i2 = _segment_integrals(t1, u)
         return float(np.sum(a * a * i0 + 2.0 * a * slope * i1 + slope * slope * i2))
     nodes, weights = np.polynomial.legendre.leggauss(16)
+    # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of the
+    # piece, where |phi|^p has its kink; dt = 2 d y dy
+    y = 0.5 * (nodes + 1.0)
+    y_sq, y_weights = y * y, weights * y
     total = 0.0
     a_left = v_mid - 0.5 * slope * u
     t2 = t1 + u
@@ -329,9 +337,9 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
         sl = slice(lo_idx, min(lo_idx + chunk, t1.size))
         left = a_left[sl][:, None]
         t1c = t1[sl][:, None]
-        for a, b in ((t1[sl], split[sl]), (split[sl], t2[sl])):
-            half = 0.5 * (b - a)
-            ts = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        z = split[sl]
+        for d, sign in ((z - t1[sl], -1.0), (t2[sl] - z, 1.0)):
+            ts = z[:, None] + sign * d[:, None] * y_sq
             vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
-            total += float(np.dot(vals @ weights, half))
+            total += float(np.dot(vals @ y_weights, d))
     return total

@@ -30,17 +30,17 @@ rearrangements that cancel every removable singularity analytically; see
 the xi docstring for the right and left half-plane forms.
 
 The zero search evaluates Re xi(1/2 + it) (real up to rounding) on whole
-arrays of t with the arithmetic of ``xi``: each point keeps the term count
-``xi`` would pick, and the eta sums of a group of equal term counts are one
-matrix product in the single kernel ``_eta_sum``.  On the uniform grid
-(step 0.05, windows of up to 1024 points) the phases come from angle
-addition, e^{-i(t0 + jh) ln k} = e^{-i t0 ln k} e^{-i jh ln k}, so no
-points x terms table of sines and cosines is built.  A bracket is a pair of
-neighbours of opposite sign; signs are compared rather than multiplied,
-because |xi(1/2 + it)| falls like e^{-pi t / 4} and the product of two
-neighbours underflows to 0 past t ~ 472.  All brackets are bisected in
-lockstep, up to 1024 midpoints per evaluation, and every bracket's final
-midpoint is reported.
+arrays of t through the single kernel ``_eta_sum``.  Each call (a grid
+window of up to 1024 points, or a bisection round of its brackets) uses one
+term count: ``xi``'s pick at the call's largest t with |1 - 2^{1-s}| at its
+floor sqrt(2) - 1, which is at least ``xi``'s pick at each point.  On the
+grid the phases come from angle addition, e^{-i(t0 + jh) ln k} =
+e^{-i t0 ln k} e^{-i jh ln k}, so no points x terms table of sines and
+cosines is built.  A bracket is a pair of neighbours of opposite sign;
+signs are compared rather than multiplied, because |xi(1/2 + it)| falls
+like e^{-pi t / 4} and the product of two neighbours underflows to 0 past
+t ~ 472.  Each window's brackets are bisected in lockstep, and every
+bracket's final midpoint is reported.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
 _N_MAX = 320
 _POLE_TOL = 1e-12
-#: most points per kernel call in the zero scan (grid window, bisection batch)
+#: most points per kernel call in the zero scan (grid window, bisection round)
 _BATCH = 1024
 #: grid points per row of the scan's angle-addition layout
 _ROW = 32
@@ -107,13 +107,12 @@ def _eta_denominator(s: complex) -> complex:
     return -_cexpm1((1.0 - s) * _LN2)
 
 
-def _log_bound_constant(s, denom_abs):
+def _log_bound_constant(s: complex, denom_abs: float) -> float:
     """ln of the analytic remainder bound before its rho^{-n} factor:
     ln(3 (1 + 2|t|) e^{pi |t| / 2} / |1 - 2^{1-s}|), plus ln(4 * 100^{1/2 - sigma})
-    for sigma < 1/2.  Elementwise on arrays."""
-    log = np.log if isinstance(s, np.ndarray) else math.log
+    for sigma < 1/2."""
     t = abs(s.imag)
-    log_c = log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 - log(denom_abs)
+    log_c = math.log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 - math.log(denom_abs)
     return log_c + (s.real < 0.5) * (math.log(4.0) + (0.5 - s.real) * math.log(100.0))
 
 
@@ -124,12 +123,11 @@ def _analytic_bound(s: complex, n: int, denom_abs: float) -> float:
     return math.exp(log_bound)
 
 
-def _pick_n(s, target: float, denom_abs):
+def _pick_n(s: complex, target: float, denom_abs: float) -> int:
     """Borwein term count for a remainder below target/2: a multiple of 8 in
-    [16, _N_MAX].  Elementwise on arrays (then an int array)."""
-    n = np.ceil((_log_bound_constant(s, denom_abs) - math.log(0.5 * target)) / _LOG_RHO)
-    n = -(-np.minimum(np.maximum(n, 16), _N_MAX) // 8) * 8  # a multiple of 8 for cache reuse
-    return n.astype(int) if isinstance(s, np.ndarray) else int(n)
+    [16, _N_MAX]."""
+    n = (_log_bound_constant(s, denom_abs) - math.log(0.5 * target)) / _LOG_RHO
+    return -(-math.ceil(min(max(n, 16.0), _N_MAX)) // 8) * 8  # a multiple of 8 for cache reuse
 
 
 def _cis_conj(phase: np.ndarray) -> np.ndarray:
@@ -361,31 +359,22 @@ def functional_equation_residual(s: complex) -> float:
 
 
 def _xi_critical_line(t: np.ndarray, step: float | None = None) -> np.ndarray:
-    """xi(1/2 + it) on an array t, with the arithmetic of ``xi`` point by point.
-
-    Each point keeps the term count n that ``xi`` picks for it, and the
-    eta sums are taken per group of equal n.  Given ``step``, t must be the
-    uniform grid t[0] + j step: it is then laid out in rows of _ROW points
-    whose sums come from one angle-addition product per group.
-    """
+    """xi(1/2 + it) on a nonempty array t with one term count, ``xi``'s pick
+    at max(t) with |1 - 2^{1-s}| at its floor: no point gets fewer terms than
+    ``xi`` gives it.  Given ``step``, t must be the uniform grid t[0] + j step,
+    laid out in rows of _ROW points summed by one angle-addition product."""
     s = 0.5 + 1j * t
     denom = -np.expm1((1.0 - s) * _LN2)  # 1 - 2^{1-s}
-    n = _pick_n(s, 1e-15, np.abs(denom))
+    n = _pick_n(complex(0.5, t.max()), 1e-15, math.sqrt(2.0) - 1.0)  # |1 - 2^{1-s}| >= that
     # s Gamma(s/2) = 2 Gamma(s/2 + 1) and (s - 1) zeta(s) = (s - 1) eta(s) / denom
     prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI) * (s - 1.0) / denom
     if np.any(prefactor == 0.0):
         raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[prefactor == 0.0][0]:g}")
-    eta = np.empty(len(t), dtype=complex)
-    # bincount, not np.unique, whose first call imports numpy.ma (about 40 ms)
-    for nk in np.flatnonzero(np.bincount(n)).tolist():
-        group = np.flatnonzero(n == nk)
-        if step is None:
-            eta[group], _ = _eta_sum(s[group], nk)
-            continue
-        row = group // _ROW
-        rows = np.flatnonzero(np.bincount(row))
-        sums, _ = _eta_sum(s[rows * _ROW], nk, step * np.arange(_ROW))
-        eta[group] = sums.ravel()[np.searchsorted(rows, row) * _ROW + group % _ROW]
+    if step is None:
+        eta, _ = _eta_sum(s, n)
+    else:
+        sums, _ = _eta_sum(s[::_ROW], n, step * np.arange(_ROW))
+        eta = sums.ravel()[: len(t)]
     return prefactor * eta
 
 
@@ -415,11 +404,10 @@ def find_critical_zeros(
     Re xi(1/2 + it) is evaluated on the grid t_j = j * grid_step, j >= 1,
     in windows of up to 1024 points.  A grid value of exactly 0.0 is
     reported as it stands; neighbours of opposite sign (signs compared, not
-    multiplied) form a bracket.  Brackets are bisected in lockstep, up to
-    1024 at a time, down to width ``tol``, and each midpoint is reported:
-    Re xi(1/2 + it) is continuous, so a sign change brackets a zero.  The
-    result equals that of a scan calling ``xi`` point by point with the
-    same rules.
+    multiplied) form a bracket.  The at most 1024 brackets of a window are
+    bisected in lockstep down to width ``tol``, and each midpoint is
+    reported: Re xi(1/2 + it) is continuous, so a sign change brackets a
+    zero.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -431,13 +419,6 @@ def find_critical_zeros(
         raise PrecisionUnreachable(f"bisection cannot resolve brackets of width {tol:g}")
     last = int(math.floor((t_max - grid_step) / grid_step + 1e-9)) + 1
     zeros: list[float] = []
-    brackets: list[tuple[float, float, float]] = []  # (a, b, Re xi(a)) awaiting bisection
-
-    def bisect(count: int) -> None:
-        a, b, fa = map(np.array, zip(*brackets[:count]))
-        zeros.extend(_bisected_zeros(a, b, fa, tol))
-        del brackets[:count]
-
     t_prev = f_prev = np.empty(0)
     for j0 in range(1, last + 1, _BATCH):
         t_new = grid_step * np.arange(j0, min(j0 + _BATCH, last + 1))
@@ -446,10 +427,6 @@ def find_critical_zeros(
         # the neighbours (t[i], t[i + 1]); the last point pairs with the next window
         zeros.extend(t[:-1][f[:-1] == 0.0].tolist())
         i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
-        brackets.extend(zip(t[i].tolist(), t[i + 1].tolist(), f[i].tolist()))
-        while len(brackets) >= _BATCH:
-            bisect(_BATCH)
+        zeros.extend(_bisected_zeros(t[i], t[i + 1], f[i], tol))
         t_prev, f_prev = t[-1:], f[-1:]
-    if brackets:
-        bisect(len(brackets))
     return sorted(zeros)

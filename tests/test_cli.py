@@ -110,6 +110,21 @@ def test_sweep_records_carry_certified_error():
         assert 0.0 <= rec["certified_error"] <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # certified errors 5.6e-13, and 4.5e-13 / 5.6e-13 at N = 2 / 5
+        ["approx", "--dilations", "1,2,3,4,5", "--target", "1e-13"],
+        ["sweep", "--n", "2,5", "--target", "1e-13"],
+    ],
+)
+def test_certified_error_above_target_is_precision_failure(argv):
+    code, out, err = invoke(argv)
+    assert code == EXIT_PRECISION
+    assert "exceeds target" in err
+    assert out == ""
+
+
 def test_deterministic_output():
     argv = ["approx", "--dilations", "1,2,3,4"]
     _, first, _ = invoke(argv)
@@ -190,3 +205,23 @@ def test_stdin_input(monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
     result = invoke_json(["moment", "--input", "-"])
     assert abs(result["result"]["closed_form"] - math.log(2)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"terms": [{"h": "x", "l": 2.0}]},
+        {"terms": [{"h": [1], "l": 2.0}]},
+        {"terms": [{"h": None, "l": 2.0}]},
+        {"terms": [{"h": -1.0, "l": 1.0}, {"h": 2.0, "l": 2.0}], "constrained": "false"},
+    ],
+)
+@pytest.mark.parametrize("subcommand", ["moment", "norm"])
+def test_malformed_sum_payload_is_domain_error(monkeypatch, subcommand, payload):
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = invoke([subcommand, "--input", "-"])
+    assert code == EXIT_DOMAIN
+    assert err.startswith("domain error: ")
+    assert out == ""

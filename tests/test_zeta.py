@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import mpmath
@@ -21,6 +22,9 @@ from nblab.zeta import (
     _pick_n,
     _xi_critical_line,
 )
+
+# the module itself: ``nblab.zeta`` as an attribute is the function
+zeta_module = importlib.import_module("nblab.zeta")
 
 # oracle outputs of the sign-change scan + bisection, frozen at high precision
 FIRST_ORDINATES = (14.134725141734694, 21.022039638771555, 25.010857580145689)
@@ -219,7 +223,8 @@ def scalar_scan_oracle(
 
 
 @pytest.mark.parametrize(
-    "t_max, tol, grid_step", [(100.0, 1e-6, ZERO_GRID_STEP), (60.0, 1e-9, 0.1)]
+    "t_max, tol, grid_step",
+    [(100.0, 1e-6, ZERO_GRID_STEP), (60.0, 1e-9, 0.1), (400.0, 1e-6, ZERO_GRID_STEP)],
 )
 def test_scan_equals_scalar_oracle(t_max, tol, grid_step):
     assert find_critical_zeros(t_max, tol, grid_step) == scalar_scan_oracle(
@@ -239,8 +244,8 @@ def test_find_critical_zeros_count_at_500():
 
 
 def test_array_kernel_matches_scalar_xi():
-    # both routes use the same term count and error model at each point, so
-    # each carries the scalar certified error
+    # the array kernel gives each point at least the term count xi picks
+    # there, so it lies within the scalar certified error of xi's value
     ts = np.linspace(0.05, 500.0, 50)
     values = _xi_critical_line(ts)
     for t, value in zip(ts, values):
@@ -258,12 +263,29 @@ def test_angle_addition_matches_direct_sums():
     assert np.all(np.abs(rows.ravel() - direct) <= rows_fp.ravel() + direct_fp)
 
 
-def test_pick_n_on_arrays_matches_scalar():
-    s = 0.5 + 1j * np.linspace(0.05, 600.0, 97)
-    denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
-    picked = _pick_n(s, 1e-15, denom_abs)
-    assert picked.tolist() == [_pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs)]
-    assert picked.max() == 320 and np.all(picked % 8 == 0)
+def test_scan_term_count_covers_each_point(monkeypatch):
+    # each kernel call of the scan (grid window or bisection round) uses one
+    # term count; it must be at least the count xi picks at each of its points
+    calls, counts = [], []
+    kernel, eta_sum = zeta_module._xi_critical_line, zeta_module._eta_sum
+
+    def spy_kernel(t, step=None):
+        calls.append(t.copy())
+        return kernel(t, step)
+
+    def spy_eta_sum(s, n, offsets=None):
+        counts.append(n)
+        return eta_sum(s, n, offsets)
+
+    monkeypatch.setattr(zeta_module, "_xi_critical_line", spy_kernel)
+    monkeypatch.setattr(zeta_module, "_eta_sum", spy_eta_sum)
+    find_critical_zeros(600.0, 1e-6)
+    assert len(calls) == len(counts) and len(calls) > 12
+    for t, n in zip(calls, counts):
+        s = 0.5 + 1j * t
+        denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
+        assert all(n >= _pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs))
+    assert max(counts) == 320 and all(n % 8 == 0 for n in counts)
 
 
 def test_analytic_bound_nondecreasing_past_the_old_clamp():
