@@ -120,6 +120,10 @@ class DilatedFracSum:
             raise DomainError(f"malformed dilated-sum payload: {exc}") from exc
         if not isinstance(constrained, bool):
             raise DomainError(f"constrained must be a JSON boolean, got {constrained!r}")
+        for term in terms:
+            # float() would take "2" and True; JSON terms must be numbers
+            if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in term):
+                raise DomainError(f"term (h, l) = {term!r} must be JSON numbers")
         return cls(terms=terms, constrained=constrained)
 
 

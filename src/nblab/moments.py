@@ -133,9 +133,12 @@ def dilated_frac_moment_quad(l: float, periods: int = 100_000) -> tuple[float, f
         raise DomainError(f"dilation {l!r} outside [1, inf)")
     if periods < 2:
         raise DomainError("periods must be >= 2")
-    m = np.arange(1, periods, dtype=np.float64)
-    # int over [m l, (m+1) l] of (t/l - m)/t^2 = (1/l)(log(1 + 1/m) - 1/(m+1))
-    body = float(np.sum(np.log1p(1.0 / m) - 1.0 / (m + 1.0))) / l
+    body = 0.0
+    for start in range(1, periods, _CHUNK):  # _CHUNK periods at a time bounds the memory
+        m = np.arange(start, min(start + _CHUNK, periods), dtype=np.float64)
+        # int over [m l, (m+1) l] of (t/l - m)/t^2 = (1/l)(log(1 + 1/m) - 1/(m+1))
+        body += float(np.sum(np.log1p(1.0 / m) - 1.0 / (m + 1.0)))
+    body /= l
     head = math.log(l) / l  # int over (1, l) where the integrand is (t/l)/t^2
     T = periods * l
     value = head + body + 0.5 / T
@@ -286,7 +289,9 @@ def weighted_norm_report(
     Gauss-Legendre on each side of the piece's zero, with the nodes
     clustered at it.  The pieces come from the windowed lattice kernel.
     The integral is truncated at T (set by ``max_segments``) and the tail is
-    bounded by (sum |h_k|)^p / T, which enters the error bound.
+    bounded by (sum |h_k|)^p / T.  The norm then lies in
+    [head^{1/p}, (head + tail)^{1/p}]; the value is that interval's midpoint
+    and half its width enters the error bound.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -308,10 +313,10 @@ def weighted_norm_report(
         v_mid = phi(t1 + 0.5 * u)
         head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
     tail_bound = phi.abs_coeff_sum**p / T
-    lo = max(head, 0.0)
-    hi = head + tail_bound
-    value = (0.5 * (lo + hi)) ** (1.0 / p)
-    err = 0.5 * (hi ** (1.0 / p) - lo ** (1.0 / p)) + 1e-12 * (1.0 + value)
+    lo = max(head, 0.0) ** (1.0 / p)
+    hi = (head + tail_bound) ** (1.0 / p)
+    value = 0.5 * (lo + hi)
+    err = 0.5 * (hi - lo) + 1e-12 * (1.0 + value)
     return NormReport(value=value, abs_error_bound=err, truncation=T)
 
 

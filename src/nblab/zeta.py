@@ -21,13 +21,12 @@ eps * |Im s| * ln k phase-rounding of each power, is always added; the
 model was tuned against a 35-digit reference over thousands of points.
 
 For Re s <= 0 the value is produced by the reflection formula
-zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s); near s = 0 the
-sin factor and the reflected pole are combined into the explicitly
-cancelled ratio sin(pi s / 2) / (1 - 2^s) so the evaluation stays regular.
+zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s); for |s| < 1/4
+zeta(1-s) enters as -W(1-s)/s, where W(s) = (s-1) zeta(s) is the one
+product that cancels the pole at s = 1, and the sin zero is divided by s.
 
-xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) is assembled from
-rearrangements that cancel every removable singularity analytically; see
-the xi docstring for the right and left half-plane forms.
+xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
+pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s < 0 through xi(s) = xi(1-s).
 
 The zero search evaluates Re xi(1/2 + it) (real up to rounding) on whole
 arrays of t through the single kernel ``_eta_sum``.  Each call (a grid
@@ -52,7 +51,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, PrecisionUnreachable
-from .gammafn import _LOG_MAX, ComplexEvalReport, _cexp, gamma, loggamma_right
+from .gammafn import _LOG_MAX, REL_ERROR_CLAIM, ComplexEvalReport, _cexp, loggamma_right
+from .gammafn import gamma  # noqa: F401 -- not called here; bench/tracing.py wraps this name
 
 __all__ = [
     "zeta",
@@ -222,26 +222,19 @@ def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
 
 def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int]:
     """zeta on Re s <= 0 via the functional equation."""
+    a, rel_a, sin_w, sin_err = _chi_factors(s)
     if abs(s) < 0.25:
-        # explicitly cancelled form: the sin zero against the reflected pole
-        n = _pick_n(1.0 - s, 1e-15 if target is None else target, 1.0)
-        eta_val, eta_fp = _eta_sum_at(1.0 - s, n)
-        eta_err = _analytic_bound(1.0 - s, n, 1.0) + eta_fp + 2.0 * _EPS * n
-        # S(s) = sin(pi s / 2) / s and D(s) = (1 - 2^s)/s, both regular at 0
+        # the sin zero against the reflected pole: with W(s) = (s - 1) zeta(s),
+        # zeta(s) = -2^s pi^{s-1} Gamma(1-s) (sin(pi s / 2) / s) W(1 - s)
+        w_val, w_err, n = _weighted_pole_product(1.0 - s, target)
         if abs(s) < 1e-4:
             u = 0.5 * math.pi * s
             s_ratio = 0.5 * math.pi * (1.0 - u * u / 6.0 * (1.0 - u * u / 20.0))
-            v = s * _LN2
-            d_ratio = -_LN2 * (1.0 + v * (0.5 + v / 6.0))
         else:
-            s_ratio = cmath.sin(0.5 * math.pi * s) / s
-            d_ratio = -_cexpm1(s * _LN2) / s
-        prefactor = _cexp(s * _LN2 + (s - 1.0) * _LN_PI + loggamma_right(1.0 - s))
-        value = prefactor * eta_val * (s_ratio / d_ratio)
-        rel = 1e-12 + 8.0 * _EPS + (eta_err / max(abs(eta_val), 1e-300))
-        return value, abs(value) * rel, n
-    a, rel_a, sin_w, sin_err = _chi_factors(s)
-    z2, z2_err, n = _zeta_right(1.0 - s, None if target is None else target)
+            s_ratio = sin_w / s
+        value = -a * s_ratio * w_val
+        return value, abs(value) * (rel_a + 8.0 * _EPS + w_err / max(abs(w_val), 1e-300)), n
+    z2, z2_err, n = _zeta_right(1.0 - s, target)
     value = a * sin_w * z2
     z2_abs = abs(z2)
     rel = rel_a + (z2_err / max(z2_abs, 1e-300)) + 6.0 * _EPS
@@ -277,11 +270,11 @@ def zeta(s: complex, target_abs_error: float) -> ComplexEvalReport:
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
 
 
-def _weighted_pole_product(s: complex) -> tuple[complex, float, int]:
-    """(s - 1) zeta(s) with the pole cancelled explicitly near s = 1."""
-    s = complex(s)
+def _weighted_pole_product(s: complex, target: float | None) -> tuple[complex, float, int]:
+    """W(s) = (s - 1) zeta(s) with the pole cancelled explicitly near s = 1;
+    ``target`` sets the term count as in ``zeta``."""
     if abs(s - 1.0) < 0.25 and s.real > 0.0:
-        n = _pick_n(s, 1e-15, 1.0)
+        n = _pick_n(s, 1e-15 if target is None else target, 1.0)
         eta_val, eta_fp = _eta_sum_at(s, n)
         eta_err = _analytic_bound(s, n, 1.0) + eta_fp + 2.0 * _EPS * n
         # (s-1)/(1 - 2^{1-s}) = (1/ln 2) * w/(e^w - 1) with w = (1-s) ln 2
@@ -292,51 +285,32 @@ def _weighted_pole_product(s: complex) -> tuple[complex, float, int]:
             ratio = w / (_LN2 * _cexpm1(w))
         value = eta_val * ratio
         return value, abs(value) * (eta_err / max(abs(eta_val), 1e-300) + 8.0 * _EPS), n
-    value, err, n = _zeta_core(s, None)
+    value, err, n = _zeta_core(s, target)
     return (s - 1.0) * value, abs(s - 1.0) * err + _EPS * abs((s - 1.0) * value), n
 
 
 def xi(s: complex) -> ComplexEvalReport:
     """The completed, entire, symmetric form 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s).
 
-    Regular everywhere.  For Re s >= 0 the zeta pole at s = 1 and the Gamma
-    pole at s = 0 are removed by the rearrangements s Gamma(s/2) =
-    2 Gamma(s/2 + 1) and (s-1) zeta(s) = eta(s) (s-1)/(1 - 2^{1-s}).  For
-    Re s < 0 the Gamma poles at the negative even integers (where zeta's
-    trivial zeros would have to cancel them) are removed analytically:
-    combining the zeta reflection with Gamma(s/2) sin(pi s/2) =
-    pi / Gamma(1 - s/2) gives the everywhere-regular product
-
-        xi(s) = 1/2 (2 pi)^s pi^{-s/2} s (s-1) Gamma(1-s) / Gamma(1-s/2) zeta(1-s).
+    For Re s < 0, xi(s) = xi(1 - s) moves s into Re s > 1.  There
+    s Gamma(s/2) = 2 Gamma(s/2 + 1) and W(s) = (s-1) zeta(s) remove the
+    poles at s = 0 and s = 1, so xi(s) = pi^{-s/2} Gamma(s/2 + 1) W(s), with
+    the Gamma factor formed in log space: it overflows only where |xi| does.
+    Rounding 1 - s moves xi by at most |xi'| eps |1 - Re s|, which lies
+    inside the 6 eps (1 + |log part|) term of the claim away from the pole
+    that W cancels.
     """
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite argument {s!r}")
     if s.real < 0.0:
-        z2, z2_err, n = _zeta_right(1.0 - s, None)
-        log_part = (
-            s * _LN2
-            + 0.5 * s * _LN_PI
-            + loggamma_right(1.0 - s)
-            - loggamma_right(1.0 - 0.5 * s)
-        )
-        value = 0.5 * s * (s - 1.0) * _cexp(log_part) * z2
-        rel = (
-            2e-12
-            + 6.0 * _EPS * (1.0 + abs(log_part))
-            + z2_err / max(abs(z2), 1e-300)
-        )
-    else:
-        w_val, w_err, n = _weighted_pole_product(s)
-        g = gamma(s / 2.0 + 1.0)  # s Gamma(s/2) = 2 Gamma(s/2 + 1), pole-free at 0
-        value = cmath.exp(-0.5 * s * _LN_PI) * g.value * w_val
-        rel = (
-            g.abs_error_estimate / max(abs(g.value), 1e-300)
-            + w_err / max(abs(w_val), 1e-300)
-            + 6.0 * _EPS * (1.0 + 0.5 * abs(s))
-        )
+        s = 1.0 - s
+    w_val, w_err, n = _weighted_pole_product(s, None)
+    log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI
+    value = _cexp(log_part) * w_val
+    rel = REL_ERROR_CLAIM + 6.0 * _EPS * (1.0 + abs(log_part)) + w_err / max(abs(w_val), 1e-300)
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionUnreachable(f"xi({s!r}) overflows double precision")
+        raise PrecisionUnreachable(f"xi at {s!r} overflows double precision")
     return ComplexEvalReport(value=value, abs_error_estimate=abs(value) * rel, terms_used=n)
 
 

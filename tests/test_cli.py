@@ -173,8 +173,9 @@ def test_zeros_to_500_counts_every_zero():
         ["zeta", "--re", "-1", "--im", "500", "--target", "1"],
         ["fe-check", "--re", "-1", "--im", "500"],
         ["zeta", "--re", "-300", "--target", "1"],
-        # xi(400) needs Gamma(201), which overflows double precision
-        ["xi", "--re", "400"],
+        # |xi(450)| = |xi(-449)| is about 8e323, above the largest double
+        ["xi", "--re", "450"],
+        ["xi", "--re=-449"],
         ["xi", "--re", "3000"],
     ],
 )
@@ -214,6 +215,10 @@ def test_stdin_input(monkeypatch):
         {"terms": [{"h": [1], "l": 2.0}]},
         {"terms": [{"h": None, "l": 2.0}]},
         {"terms": [{"h": -1.0, "l": 1.0}, {"h": 2.0, "l": 2.0}], "constrained": "false"},
+        # strings and booleans are not JSON numbers, although float() takes them
+        {"terms": [{"h": True, "l": "2"}, {"h": "-2", "l": 4}], "constrained": True},
+        {"terms": [{"h": "-1", "l": 1}, {"h": 2, "l": "2"}], "constrained": True},
+        {"terms": [{"h": -1, "l": True}, {"h": 2, "l": 2}], "constrained": True},
     ],
 )
 @pytest.mark.parametrize("subcommand", ["moment", "norm"])

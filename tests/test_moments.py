@@ -123,6 +123,16 @@ def test_first_moment_closed_form_vs_quadrature(l):
     assert abs(closed - value) <= bound + 1e-12
 
 
+@pytest.mark.parametrize("l", [1.0, math.pi])
+def test_first_moment_quadrature_in_chunks(monkeypatch, l):
+    # the body is summed _CHUNK periods at a time; cutting it finer must not move it
+    one_chunk = dilated_frac_moment_quad(l, periods=100_000)
+    monkeypatch.setattr("nblab.moments._CHUNK", 1000)
+    many_chunks = dilated_frac_moment_quad(l, periods=100_000)
+    assert many_chunks[1] == one_chunk[1]
+    assert abs(many_chunks[0] - one_chunk[0]) <= 1e-14
+
+
 @pytest.mark.parametrize("l", [1.0, 2.0, math.pi])
 def test_first_moment_against_scipy_oracle(l):
     closed = dilated_frac_moment(l)
@@ -320,6 +330,20 @@ def test_sloped_norm_against_reference(terms, p, max_segments):
     head = sloped_abs_power_reference(phi, p, T)
     reference = (head + 0.5 * phi.abs_coeff_sum**p / T) ** (1.0 / p)
     assert abs(rep.value - reference) <= 1e-2 * rep.abs_error_bound
+
+
+def test_norm_interval_holds_the_sloped_reference():
+    # the norm lies in [ref^{1/p}, (ref + tail)^{1/p}], and value +- bound must
+    # hold all of it; x^{1/p} is concave, so the p-th root of the midpoint of
+    # [ref, ref + tail] lies 3e-11 above that interval's midpoint here, well
+    # beyond the 1e-12 (1 + value) slack of the bound
+    phi = DilatedFracSum(terms=((1.0, 3.0), (-1.0, 2.0)))
+    p = 1.5
+    rep = weighted_norm_report(phi, p, max_segments=200_000)
+    ref = sloped_abs_power_reference(phi, p, rep.truncation)
+    tail = phi.abs_coeff_sum**p / rep.truncation
+    assert rep.value - rep.abs_error_bound <= ref ** (1.0 / p)
+    assert (ref + tail) ** (1.0 / p) <= rep.value + rep.abs_error_bound
 
 
 @pytest.mark.parametrize(

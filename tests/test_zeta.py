@@ -142,6 +142,53 @@ def test_xi_entire_near_special_points():
             assert abs(probe - base) < 1e-4
 
 
+def mpmath_xi(s: complex) -> mpmath.mpc:
+    """xi at the exact double s, from mpmath's zeta and gamma at 40 digits."""
+    with mpmath.workdps(40):
+        z = mpmath.mpc(s.real, s.imag)
+        if z in (0, 1):
+            return mpmath.mpc(0.5)
+        return z * (z - 1) / 2 * mpmath.pi ** (-z / 2) * mpmath.gamma(z / 2) * mpmath.zeta(z)
+
+
+def assert_within_claim(rep, oracle: mpmath.mpc) -> None:
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpc(rep.value) - oracle))
+    assert err <= rep.abs_error_estimate, f"error {err:.3e} above claim {rep.abs_error_estimate:.3e}"
+
+
+@pytest.mark.parametrize(
+    "s", [*(-(10.0**-k) for k in range(2, 13)), 400.0, -399.0, 430.0, complex(-20.5, 30.0)]
+)
+def test_xi_against_mpmath(s):
+    # just left of 0 the rounded 1 - s sits next to the pole of zeta, which
+    # only a cancelled (s - 1) zeta(s) survives; Gamma(201) alone overflows,
+    # so xi(400) and xi(-399) need pi^{-s/2} Gamma(s/2 + 1) in log space
+    s = complex(s)
+    assert_within_claim(xi(s), mpmath_xi(s))
+
+
+def test_xi_left_half_plane_against_mpmath():
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        s = complex(rng.uniform(-30.0, 0.0), rng.uniform(-60.0, 60.0))
+        assert_within_claim(xi(s), mpmath_xi(s))
+
+
+@pytest.mark.parametrize("target, terms", [(1e-12, 24), (1e-6, 16)])
+def test_zeta_near_zero_against_mpmath(target, terms):
+    # on |s| < 1/4 the reflected pole is cancelled through (s - 1) zeta(s) at
+    # 1 - s, whose eta sum takes its term count from zeta's target
+    rng = np.random.default_rng(3)
+    points = [0.0, 1e-9, -1e-9, 1e-5j, *(complex(*rng.uniform(-0.17, 0.17, 2)) for _ in range(20))]
+    for s in map(complex, points):
+        with mpmath.workdps(40):
+            oracle = mpmath.zeta(mpmath.mpc(s.real, s.imag))
+        rep = zeta(s, target)
+        assert_within_claim(rep, oracle)
+        assert rep.terms_used == terms
+
+
 def test_find_critical_zeros_first():
     zeros = find_critical_zeros(15.0, 1e-6)
     assert len(zeros) == 1
