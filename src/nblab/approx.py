@@ -10,7 +10,8 @@ with G, g, c from the Gram system (the weight has total mass 1, so
 the hyperplane c-perp (a fixed Householder reflector, so the solve order is
 deterministic and results are reproducible bit for bit); the reduced normal
 equations are solved by eigendecomposition, with a spectral cutoff
-pseudo-inverse taking over when the reduced condition number exceeds 1e12.
+pseudo-inverse that drops the eigenvalues at or below 1e-12 times the
+largest, so it takes over when the reduced condition number exceeds 1e12.
 
 A sweep solves the same problem over a nested family and records, per N,
 the distance and the moment sum Theta.log(l) of the optimum, whose gap to 1
@@ -39,9 +40,6 @@ __all__ = [
     "necessary_condition_gap",
     "sweep",
 ]
-
-#: reduced-system condition number beyond which the spectral cutoff engages
-CONDITION_LIMIT = 1e12
 
 #: cutoff factor (times the largest eigenvalue) for the pseudo-inverse
 CUTOFF_FACTOR = 1e-12
@@ -133,12 +131,9 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
         raise SingularSystem("reduced Gram has no positive spectrum")
     w_min = float(eigvals[0])
     condition = math.inf if w_min <= 0.0 else w_max / w_min
-    cutoff = None
-    if condition > CONDITION_LIMIT:
-        cutoff = CUTOFF_FACTOR * w_max
-        inv = np.where(eigvals > cutoff, 1.0 / np.where(eigvals > cutoff, eigvals, 1.0), 0.0)
-    else:
-        inv = 1.0 / eigvals
+    cutoff = CUTOFF_FACTOR * w_max
+    kept = eigvals > cutoff
+    inv = np.where(kept, 1.0 / np.where(kept, eigvals, 1.0), 0.0)
     y = eigvecs @ (inv * (eigvecs.T @ rhs))
     if not np.all(np.isfinite(y)):
         raise SingularSystem("regularized solve produced non-finite coefficients")
@@ -162,7 +157,7 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
         gram_condition=condition,
         certified_error=certified,
         kkt_residual=kkt_residual,
-        regularization_cutoff=cutoff,
+        regularization_cutoff=None if kept.all() else cutoff,
     )
 
 

@@ -129,7 +129,7 @@ def dilated_frac_moment_quad(l: float, periods: int = 100_000) -> tuple[float, f
     (value, certified_error) with error <= l/(4 T^2) plus roundoff.
     """
     l = float(l)
-    if l < 1.0 - 1e-12:
+    if not math.isfinite(l) or l < 1.0 - 1e-12:
         raise DomainError(f"dilation {l!r} outside [1, inf)")
     if periods < 2:
         raise DomainError("periods must be >= 2")
@@ -298,10 +298,10 @@ def weighted_norm_report(
         raise DomainError("p must lie in (1, 2]")
     coeffs = phi.coeffs
     dils = phi.dilations
-    if np.all(coeffs == 0.0):
-        return NormReport(value=0.0, abs_error_bound=0.0, truncation=math.inf)
     density = float(np.sum(1.0 / dils))
     T = max(100.0, max_segments / density)
+    if np.all(coeffs == 0.0):
+        return NormReport(value=0.0, abs_error_bound=0.0, truncation=T)
     if max_segments > 50_000_000:
         raise PrecisionUnreachable("segment budget above the supported cap")
     slope = float(np.sum(coeffs / dils))

@@ -28,18 +28,17 @@ product that cancels the pole at s = 1, and the sin zero is divided by s.
 xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
 pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s < 0 through xi(s) = xi(1-s).
 
-The zero search evaluates Re xi(1/2 + it) (real up to rounding) on whole
-arrays of t through the single kernel ``_eta_sum``.  Each call (a grid
-window of up to 1024 points, or a bisection round of its brackets) uses one
-term count: ``xi``'s pick at the call's largest t with |1 - 2^{1-s}| at its
-floor sqrt(2) - 1, which is at least ``xi``'s pick at each point.  On the
-grid the phases come from angle addition, e^{-i(t0 + jh) ln k} =
-e^{-i t0 ln k} e^{-i jh ln k}, so no points x terms table of sines and
-cosines is built.  A bracket is a pair of neighbours of opposite sign;
-signs are compared rather than multiplied, because |xi(1/2 + it)| falls
-like e^{-pi t / 4} and the product of two neighbours underflows to 0 past
-t ~ 472.  Each window's brackets are bisected in lockstep, and every
-bracket's final midpoint is reported.
+The zero search evaluates Re xi(1/2 + it) on rows of equally spaced points
+t = a_r + j h through the single kernel ``_eta_sum``: by angle addition,
+e^{-i(a_r + jh) ln k} = e^{-i a_r ln k} e^{-i jh ln k}, so each call's sums
+are one matrix product and no points x terms table of sines and cosines is
+built.  Each call (a grid window of up to 1024 points, or one refinement
+level of that window's brackets) uses one term count: ``xi``'s pick at the
+call's largest t with |1 - 2^{1-s}| at its floor sqrt(2) - 1, which is at
+least ``xi``'s pick at each point.  A bracket is a pair of neighbours of
+opposite sign.  Each level cuts every bracket into at most 32 equal parts
+by one such row, keeps every sign change among them, and stops once the
+parts are at most ``tol`` wide; each final bracket's midpoint is reported.
 """
 
 from __future__ import annotations
@@ -69,12 +68,13 @@ _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
 _N_MAX = 320
 _POLE_TOL = 1e-12
-#: most points per kernel call in the zero scan (grid window, bisection round)
+#: grid points per window of the zero scan
 _BATCH = 1024
-#: grid points per row of the scan's angle-addition layout
+#: points per row of the scan's angle-addition layout, and most parts per
+#: refinement of a bracket
 _ROW = 32
 
-#: grid step of the sign-change scan before bisection (smallest gap between
+#: grid step of the sign-change scan before refinement (smallest gap between
 #: the first zeros exceeds ten times this)
 ZERO_GRID_STEP = 0.05
 
@@ -130,16 +130,6 @@ def _pick_n(s: complex, target: float, denom_abs: float) -> int:
     return -(-math.ceil(min(max(n, 16.0), _N_MAX)) // 8) * 8  # a multiple of 8 for cache reuse
 
 
-def _cis_conj(phase: np.ndarray) -> np.ndarray:
-    """cos(phase) - i sin(phase), written in place into one complex array
-    (faster than np.exp(-1j * phase) on these sizes)."""
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    np.negative(out.imag, out=out.imag)
-    return out
-
-
 def _eta_sum(s: np.ndarray, n: int, offsets: np.ndarray | None = None):
     """Accelerated partial sums approximating eta(s) = (1 - 2^{1-s}) zeta(s)
     at an array of points s that share one real part sigma and the term
@@ -163,7 +153,7 @@ def _eta_sum(s: np.ndarray, n: int, offsets: np.ndarray | None = None):
     if offsets is None:
         sums = np.cos(phase) @ amp - 1j * (np.sin(phase) @ amp)
     else:
-        sums = _cis_conj(phase) @ (amp * _cis_conj(np.multiply.outer(offsets, ln_k))).T
+        sums = np.exp(-1j * phase) @ (amp * np.exp(-1j * np.multiply.outer(offsets, ln_k))).T
         t = np.add.outer(t, offsets)
     mag = np.abs(amp).sum()
     fp_err = _EPS * mag * (16.0 + np.abs(t) * math.log(n + 1.0))
@@ -309,9 +299,10 @@ def xi(s: complex) -> ComplexEvalReport:
     log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI
     value = _cexp(log_part) * w_val
     rel = REL_ERROR_CLAIM + 6.0 * _EPS * (1.0 + abs(log_part)) + w_err / max(abs(w_val), 1e-300)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise PrecisionUnreachable(f"xi at {s!r} overflows double precision")
-    return ComplexEvalReport(value=value, abs_error_estimate=abs(value) * rel, terms_used=n)
+    err = abs(value) * rel
+    if not math.isfinite(err):  # also where the value itself overflows
+        raise PrecisionUnreachable(f"xi at {s!r} or its error claim overflows double precision")
+    return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
 
 
 def functional_equation_residual(s: complex) -> float:
@@ -332,11 +323,13 @@ def functional_equation_residual(s: complex) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
-def _xi_critical_line(t: np.ndarray, step: float | None = None) -> np.ndarray:
-    """xi(1/2 + it) on a nonempty array t with one term count, ``xi``'s pick
-    at max(t) with |1 - 2^{1-s}| at its floor: no point gets fewer terms than
-    ``xi`` gives it.  Given ``step``, t must be the uniform grid t[0] + j step,
-    laid out in rows of _ROW points summed by one angle-addition product."""
+def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, one row per start a_r, and
+    Re xi(1/2 + it) there, with each row's eta sums by angle addition.  The
+    one term count, ``xi``'s pick at max(t) with |1 - 2^{1-s}| at its floor,
+    gives no point fewer terms than ``xi`` does."""
+    offsets = h * np.arange(m)
+    t = np.add.outer(a, offsets)
     s = 0.5 + 1j * t
     denom = -np.expm1((1.0 - s) * _LN2)  # 1 - 2^{1-s}
     n = _pick_n(complex(0.5, t.max()), 1e-15, math.sqrt(2.0) - 1.0)  # |1 - 2^{1-s}| >= that
@@ -344,30 +337,36 @@ def _xi_critical_line(t: np.ndarray, step: float | None = None) -> np.ndarray:
     prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI) * (s - 1.0) / denom
     if np.any(prefactor == 0.0):
         raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[prefactor == 0.0][0]:g}")
-    if step is None:
-        eta, _ = _eta_sum(s, n)
-    else:
-        sums, _ = _eta_sum(s[::_ROW], n, step * np.arange(_ROW))
-        eta = sums.ravel()[: len(t)]
-    return prefactor * eta
+    eta, _ = _eta_sum(0.5 + 1j * a, n, offsets)
+    return t, (prefactor * eta).real
 
 
-def _bisected_zeros(a: np.ndarray, b: np.ndarray, fa: np.ndarray, tol: float) -> list[float]:
-    """Bisect the sign-change brackets [a, b] of Re xi(1/2 + it) in lockstep
-    until each is at most ``tol`` wide, and return the bracket midpoints.
-    A midpoint where Re xi is exactly 0.0 closes its bracket there."""
-    live = np.flatnonzero(b - a > tol)
-    while live.size:
-        mid = 0.5 * (a[live] + b[live])
-        fm = _xi_critical_line(mid).real
-        hit = fm == 0.0
-        left = np.sign(fa[live]) * np.sign(fm) < 0.0
-        right = ~(hit | left)
-        a[live[hit]] = b[live[hit]] = mid[hit]
-        b[live[left]] = mid[left]
-        a[live[right]], fa[live[right]] = mid[right], fm[right]
-        live = live[(b[live] - a[live]) > tol]
-    return (0.5 * (a + b)).tolist()
+def _sign_changes(f: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Indices along the last axis of f's exact zeros, its last point
+    excepted, and of its brackets' left ends: neighbours of opposite sign
+    (signs compared, as the product of two underflows past t ~ 472)."""
+    head = f[..., :-1]
+    return np.nonzero(head == 0.0), np.nonzero(np.sign(head) * np.sign(f[..., 1:]) < 0.0)
+
+
+def _refined_zeros(
+    a: np.ndarray, fa: np.ndarray, fb: np.ndarray, h: float, tol: float
+) -> list[float]:
+    """Zeros in the brackets [a, a + h] with end values fa, fb.  Each level
+    cuts every bracket into the fewest equal parts narrower than ``tol``, at
+    most _ROW, evaluates one row per bracket and applies the grid's rule;
+    once h <= tol (then h > tol/2) the midpoints are reported."""
+    zeros: list[float] = []
+    while h > tol and a.size:
+        m = min(_ROW, math.floor(h / tol) + 1)
+        h /= m
+        t, f = _xi_rows(a + h, h, m - 1)
+        t = np.column_stack([a, t])
+        f = np.column_stack([fa, f, fb])
+        hits, (r, c) = _sign_changes(f)
+        zeros.extend(t[hits].tolist())
+        a, fa, fb = t[r, c], f[r, c], f[r, c + 1]
+    return zeros + (a + 0.5 * h).tolist()
 
 
 def find_critical_zeros(
@@ -377,11 +376,10 @@ def find_critical_zeros(
 
     Re xi(1/2 + it) is evaluated on the grid t_j = j * grid_step, j >= 1,
     in windows of up to 1024 points.  A grid value of exactly 0.0 is
-    reported as it stands; neighbours of opposite sign (signs compared, not
-    multiplied) form a bracket.  The at most 1024 brackets of a window are
-    bisected in lockstep down to width ``tol``, and each midpoint is
-    reported: Re xi(1/2 + it) is continuous, so a sign change brackets a
-    zero.
+    reported as it stands; neighbours of opposite sign form a bracket, which
+    is refined down to width ``tol`` and reported by its midpoint
+    (``_refined_zeros``): Re xi(1/2 + it) is continuous, so a sign change
+    brackets a zero.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -390,17 +388,18 @@ def find_critical_zeros(
     if not 0.0 < grid_step < math.inf:
         raise DomainError("grid_step must be positive and finite")
     if tol < 64.0 * _EPS * max(1.0, t_max):
-        raise PrecisionUnreachable(f"bisection cannot resolve brackets of width {tol:g}")
+        raise PrecisionUnreachable(f"sub-grids cannot resolve brackets of width {tol:g}")
     last = int(math.floor((t_max - grid_step) / grid_step + 1e-9)) + 1
     zeros: list[float] = []
     t_prev = f_prev = np.empty(0)
     for j0 in range(1, last + 1, _BATCH):
-        t_new = grid_step * np.arange(j0, min(j0 + _BATCH, last + 1))
-        t = np.concatenate([t_prev, t_new])
-        f = np.concatenate([f_prev, _xi_critical_line(t_new, grid_step).real])
+        size = min(_BATCH, last + 1 - j0)  # the last row may run past t_max; cut it
+        t_new, f_new = _xi_rows(grid_step * np.arange(j0, j0 + size, _ROW), grid_step, _ROW)
+        t = np.concatenate([t_prev, t_new.ravel()[:size]])
+        f = np.concatenate([f_prev, f_new.ravel()[:size]])
         # the neighbours (t[i], t[i + 1]); the last point pairs with the next window
-        zeros.extend(t[:-1][f[:-1] == 0.0].tolist())
-        i = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0.0)
-        zeros.extend(_bisected_zeros(t[i], t[i + 1], f[i], tol))
+        (hits,), (i,) = _sign_changes(f)
+        zeros.extend(t[hits].tolist())
+        zeros.extend(_refined_zeros(t[i], f[i], f[i + 1], grid_step, tol))
         t_prev, f_prev = t[-1:], f[-1:]
     return sorted(zeros)

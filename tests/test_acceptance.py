@@ -152,7 +152,7 @@ def test_criterion_5_analytic_suite():
     zeros = find_critical_zeros(30.0, 1e-6)
     assert len(zeros) == 3
     for found, expected in zip(zeros, ORDINATE_ORACLE):
-        assert abs(found - expected) < 1e-6 + 5e-7  # bisection bracket width slack
+        assert abs(found - expected) < 1e-6 + 5e-7  # final bracket width slack
     report(
         5,
         True,

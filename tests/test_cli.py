@@ -13,10 +13,14 @@ def invoke(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def invoke_json(argv):
     code, out, err = invoke(argv)
     assert code == EXIT_OK, err
-    return json.loads(out)
+    return json.loads(out, parse_constant=reject_constant)
 
 
 def test_zeta_subcommand():
@@ -177,6 +181,9 @@ def test_zeros_to_500_counts_every_zero():
         ["xi", "--re", "450"],
         ["xi", "--re=-449"],
         ["xi", "--re", "3000"],
+        # xi(1/2 + 805i) is finite, but its error claim overflows: printed,
+        # it would read Infinity, which is not valid JSON
+        ["xi", "--re", "0.5", "--im", "805"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -184,6 +191,16 @@ def test_reflection_overflow_is_precision_failure(argv):
     assert code == EXIT_PRECISION
     assert "precision failure" in err
     assert out == ""
+
+
+def test_zero_function_norm_reports_its_truncation(monkeypatch):
+    import sys
+
+    payload = json.dumps({"terms": [{"h": 0, "l": 2}], "constrained": True})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    result = invoke_json(["norm", "--input", "-"])["result"]
+    assert result["norm"] == 0.0 and result["abs_error_bound"] == 0.0
+    assert result["truncation"] == 2_000_000.0  # max_segments / sum 1/l
 
 
 def test_gram_near_irrational_ratio_meets_tight_target():

@@ -123,6 +123,12 @@ def test_first_moment_closed_form_vs_quadrature(l):
     assert abs(closed - value) <= bound + 1e-12
 
 
+@pytest.mark.parametrize("l", [0.9, math.nan, math.inf])
+def test_first_moment_quadrature_rejects_dilations_outside_range(l):
+    with pytest.raises(DomainError):
+        dilated_frac_moment_quad(l)
+
+
 @pytest.mark.parametrize("l", [1.0, math.pi])
 def test_first_moment_quadrature_in_chunks(monkeypatch, l):
     # the body is summed _CHUNK periods at a time; cutting it finer must not move it

@@ -20,13 +20,13 @@ from nblab.zeta import (
     _analytic_bound,
     _eta_sum,
     _pick_n,
-    _xi_critical_line,
+    _xi_rows,
 )
 
 # the module itself: ``nblab.zeta`` as an attribute is the function
 zeta_module = importlib.import_module("nblab.zeta")
 
-# oracle outputs of the sign-change scan + bisection, frozen at high precision
+# oracle outputs of the sign-change scan + refinement, frozen at high precision
 FIRST_ORDINATES = (14.134725141734694, 21.022039638771555, 25.010857580145689)
 
 
@@ -175,6 +175,13 @@ def test_xi_left_half_plane_against_mpmath():
         assert_within_claim(xi(s), mpmath_xi(s))
 
 
+@pytest.mark.parametrize("s", [complex(0.5, 805.0), complex(2.0, 805.0), complex(-1.0, 805.0)])
+def test_xi_with_overflowing_error_claim_raises(s):
+    # the value is finite there, but the eta remainder bound times |s - 1| is not
+    with pytest.raises(PrecisionUnreachable):
+        xi(s)
+
+
 @pytest.mark.parametrize("target, terms", [(1e-12, 24), (1e-6, 16)])
 def test_zeta_near_zero_against_mpmath(target, terms):
     # on |s| < 1/4 the reflected pole is cancelled through (s - 1) zeta(s) at
@@ -211,6 +218,18 @@ def test_find_critical_zeros_coarse_tol_keeps_every_zero():
     assert abs(zeros[0] - FIRST_ORDINATES[0]) < 1e-3
 
 
+def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
+    # with grid step 9.5 the cell [19, 28.5] holds two zeros and no sign
+    # change at its ends, so it is missed; [28.5, 38] holds three (zeros 4,
+    # 5 and 6), and refining it on sub-grids keeps all of them
+    tol = 1e-6
+    zeros = find_critical_zeros(38.0, tol, grid_step=9.5)
+    expected = [float(mpmath.zetazero(k).imag) for k in (1, 4, 5, 6)]
+    assert len(zeros) == len(expected)
+    for found, true in zip(zeros, expected):
+        assert abs(found - true) <= tol / 2
+
+
 def test_find_critical_zeros_empty_below_first():
     assert find_critical_zeros(1.0, 1e-6) == []
 
@@ -233,8 +252,9 @@ def scalar_scan_oracle(
     t_max: float, tol: float, grid_step: float = ZERO_GRID_STEP
 ) -> list[float]:
     """Independent route for the zero scan: one scalar ``xi`` call per grid
-    point and per bisection midpoint, with the same grid, bracket signs,
-    exact-zero rule and bisection as ``find_critical_zeros``."""
+    point and per sub-grid point, with the same points, bracket signs,
+    exact-zero rule and sub-grid refinement as ``find_critical_zeros``."""
+    row = 32
 
     def f(t: float) -> float:
         return xi(complex(0.5, t)).value.real
@@ -243,30 +263,33 @@ def scalar_scan_oracle(
         # signs, not the product, which underflows to 0 past t ~ 470
         return np.sign(a) * np.sign(b) < 0.0
 
-    zeros = []
-    t_prev = grid_step
-    f_prev = f(t_prev)
-    steps = int(math.floor((t_max - grid_step) / grid_step + 1e-9))
-    for k in range(1, steps + 1):
-        t_next = grid_step * (k + 1)
-        f_next = f(t_next)
-        if f_prev == 0.0:
-            zeros.append(t_prev)
-        elif opposite(f_prev, f_next):
-            a, b, fa = t_prev, t_next, f_prev
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = f(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if opposite(fa, fm):
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            zeros.append(0.5 * (a + b))
-        t_prev, f_prev = t_next, f_next
-    return zeros
+    def scan(ts, fs, h):
+        """Exact zeros among the points ts and brackets [ts[c], ts[c] + h]
+        between neighbouring values fs[c], fs[c + 1], refined."""
+        zeros = []
+        for c in range(len(fs) - 1):
+            if fs[c] == 0.0:
+                zeros.append(ts[c])
+            elif opposite(fs[c], fs[c + 1]):
+                zeros.extend(refine(ts[c], fs[c], fs[c + 1], h))
+        return zeros
+
+    def refine(a, fa, fb, h):
+        if h <= tol:
+            return [a + 0.5 * h]
+        m = min(row, math.floor(h / tol) + 1)
+        h /= m
+        ts = [a] + [(a + h) + h * j for j in range(m - 1)]
+        return scan(ts, [fa] + [f(t) for t in ts[1:]] + [fb], h)
+
+    # the grid points j = 1..last in rows of 32, as the row start a_r plus
+    # i grid_step: t = grid_step (j - i) + grid_step i with i = (j - 1) % 32
+    last = int(math.floor((t_max - grid_step) / grid_step + 1e-9)) + 1
+    grid = []
+    for j in range(1, last + 1):
+        i = (j - 1) % row
+        grid.append(grid_step * (j - i) + grid_step * i)
+    return sorted(scan(grid, [f(t) for t in grid], grid_step))
 
 
 @pytest.mark.parametrize(
@@ -293,9 +316,8 @@ def test_find_critical_zeros_count_at_500():
 def test_array_kernel_matches_scalar_xi():
     # the array kernel gives each point at least the term count xi picks
     # there, so it lies within the scalar certified error of xi's value
-    ts = np.linspace(0.05, 500.0, 50)
-    values = _xi_critical_line(ts)
-    for t, value in zip(ts, values):
+    ts, values = _xi_rows(np.array([0.05, 250.0]), 10.0, 25)
+    for t, value in zip(ts.ravel(), values.ravel()):
         rep = xi(complex(0.5, t))
         assert abs(value - rep.value) <= 2.0 * rep.abs_error_estimate
 
@@ -311,20 +333,21 @@ def test_angle_addition_matches_direct_sums():
 
 
 def test_scan_term_count_covers_each_point(monkeypatch):
-    # each kernel call of the scan (grid window or bisection round) uses one
+    # each kernel call of the scan (grid window or refinement level) uses one
     # term count; it must be at least the count xi picks at each of its points
     calls, counts = [], []
-    kernel, eta_sum = zeta_module._xi_critical_line, zeta_module._eta_sum
+    kernel, eta_sum = zeta_module._xi_rows, zeta_module._eta_sum
 
-    def spy_kernel(t, step=None):
-        calls.append(t.copy())
-        return kernel(t, step)
+    def spy_kernel(a, h, m):
+        t, values = kernel(a, h, m)
+        calls.append(t.ravel())
+        return t, values
 
     def spy_eta_sum(s, n, offsets=None):
         counts.append(n)
         return eta_sum(s, n, offsets)
 
-    monkeypatch.setattr(zeta_module, "_xi_critical_line", spy_kernel)
+    monkeypatch.setattr(zeta_module, "_xi_rows", spy_kernel)
     monkeypatch.setattr(zeta_module, "_eta_sum", spy_eta_sum)
     find_critical_zeros(600.0, 1e-6)
     assert len(calls) == len(counts) and len(calls) > 12
