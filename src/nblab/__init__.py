@@ -3,8 +3,6 @@ fractional parts, with supporting zeta/xi analytic machinery."""
 
 from .approx import (
     ApproximationResult,
-    DilationFamily,
-    SweepRecord,
     best_approximation,
     best_approximation_from_gram,
     necessary_condition_gap,
@@ -44,7 +42,6 @@ __all__ = [
     "ConstantsReport",
     "ConstraintViolated",
     "DilatedFracSum",
-    "DilationFamily",
     "DomainError",
     "DuplicateDilation",
     "GramSystem",
@@ -56,7 +53,6 @@ __all__ = [
     "PrecisionUnreachable",
     "SingularSystem",
     "StepProfile",
-    "SweepRecord",
     "best_approximation",
     "best_approximation_from_gram",
     "constants_report",

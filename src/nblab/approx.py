@@ -13,11 +13,14 @@ equations are solved by eigendecomposition, with a spectral cutoff
 pseudo-inverse that drops the eigenvalues at or below 1e-12 times the
 largest, so it takes over when the reduced condition number exceeds 1e12.
 
-A sweep solves the same problem over a nested family and records, per N,
-the distance and the moment sum Theta.log(l) of the optimum, whose gap to 1
-is the necessary-condition tracker: since the moment of 1 is 1 and the
-moment functional is bounded by the distance (Cauchy-Schwarz against the
-unit mass of the weight), |sum Theta_k ln l_k - 1| <= d_N always.
+``sweep`` is the one build-solve-check path: it builds the Gram system of
+an ascending dilation list once at the largest N, solves every requested
+prefix, and tightens the Gram entries once when a certified error comes out
+above target; ``best_approximation`` is its single-N case.  Each result
+carries the distance and the moment sum Theta.log(l) of the optimum, whose
+gap to 1 is the necessary-condition tracker: since the moment of 1 is 1 and
+the moment functional is bounded by the distance (Cauchy-Schwarz against
+the unit mass of the weight), |sum Theta_k ln l_k - 1| <= d_N always.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from .moments import theta_log_sum
 
 __all__ = [
     "ApproximationResult",
-    "SweepRecord",
-    "DilationFamily",
     "best_approximation",
     "best_approximation_from_gram",
     "necessary_condition_gap",
@@ -72,22 +73,6 @@ class ApproximationResult:
             "kkt_residual": self.kkt_residual,
             "regularization_cutoff": self.regularization_cutoff,
         }
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of a distance sweep over a nested dilation family; its fields
-    are the keys of a ``sweep`` JSON record."""
-
-    N: int
-    dilation_family: str
-    distance: float
-    theta_log_sum: float
-    gap: float
-    gram_condition: float
-    certified_error: float
-    dilations: tuple[float, ...]
-    h_star: tuple[float, ...]
 
 
 def _nullspace_basis(c: np.ndarray) -> np.ndarray:
@@ -143,7 +128,7 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
     # stationarity: the residual functional must be proportional to c,
     # i.e. (g - G h)_k l_k constant over k
     kkt = (g - G @ h) * larr
-    kkt_residual = float(np.max(np.abs(kkt - np.mean(kkt)))) if n > 1 else 0.0
+    kkt_residual = float(np.max(np.abs(kkt - np.mean(kkt))))
     abs_h = np.abs(h)
     certified = float(abs_h @ gram.entry_error_bounds @ abs_h) + 1e-13 * (
         1.0 + float(np.sum(abs_h))
@@ -167,115 +152,51 @@ def _entry_tolerance(target_error: float, n: int) -> float:
     return min(1e-6, max(1e-12, target_error / (8.0 * n)))
 
 
-def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationResult:
-    """Distance from 1 to the constrained span of {t/l_k} over the given set.
+def sweep(dilations, N_values, target_error: float = 1e-6) -> list[ApproximationResult]:
+    """Best approximations on the leading N of an ascending dilation list,
+    one result per N in ``N_values``, sorted by N.
 
-    ``target_error`` caps the certified error of the squared distance; Gram
-    entries are requested at target_error / (8 N), tightened once if the
-    certification comes out above target, and PrecisionUnreachable is raised
-    if it is still above target after that.  The entry target only governs
+    The Gram system is assembled once at the largest N and sliced, so all
+    results share identical entries for common pairs and the distances are
+    nonincreasing in N up to solver roundoff.  ``target_error`` caps each
+    certified error of the squared distance: Gram entries are requested at
+    target_error / (8 N_max), rebuilt once at a sixteenth of that if any
+    result comes out above target, and PrecisionUnreachable names the first
+    N still above target after that.  The entry target only governs
     incommensurate pairs: commensurate entries are closed-form and carry a
-    roundoff bound alone.  A single dilation degenerates to the zero
-    function with distance exactly 1.
+    roundoff bound alone.
     """
     if not target_error > 0.0:
         raise DomainError("target_error must be positive")
     dils = [float(l) for l in dilations]
     if not dils:
         raise DomainError("at least one dilation is required")
-    entry_tol = _entry_tolerance(target_error, len(dils))
-    result = best_approximation_from_gram(gram_system(dils, entry_tol))
-    if result.certified_error > target_error:
-        result = best_approximation_from_gram(gram_system(dils, entry_tol / 16.0))
-    _check_target(result, target_error)
-    return result
+    ns = sorted(set(int(n) for n in N_values))
+    if not ns or ns[0] < 1:
+        raise DomainError("N values must be positive integers")
+    if ns[-1] > len(dils):
+        raise DomainError(f"N = {ns[-1]} exceeds the {len(dils)} dilations given")
+    entry_tol = _entry_tolerance(target_error, ns[-1])
+    for tol in (entry_tol, entry_tol / 16.0):
+        full = gram_system(dils[: ns[-1]], tol)
+        results = [best_approximation_from_gram(full.head(n)) for n in ns]
+        above = [r for r in results if r.certified_error > target_error]
+        if not above:
+            return results
+    raise PrecisionUnreachable(
+        f"certified error {above[0].certified_error:.3e} exceeds target {target_error:.3e} "
+        f"at N = {len(above[0].dilations)}"
+    )
 
 
-def _check_target(result: ApproximationResult, target_error: float) -> None:
-    """PrecisionUnreachable when the certified error is above the target."""
-    if result.certified_error > target_error:
-        raise PrecisionUnreachable(
-            f"certified error {result.certified_error:.3e} exceeds target {target_error:.3e} "
-            f"at N = {len(result.dilations)}"
-        )
+def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationResult:
+    """Distance from 1 to the constrained span of {t/l_k} over the given set:
+    ``sweep`` at N = len(dilations), with its target and retry.  A single
+    dilation degenerates to the zero function with distance exactly 1."""
+    dils = list(dilations)
+    return sweep(dils, [len(dils)], target_error)[0]
 
 
 def necessary_condition_gap(result: ApproximationResult) -> float:
     """|sum Theta_k ln l_k - 1|; bounded by the distance (Cauchy-Schwarz)."""
     return abs(result.theta_log_sum - 1.0)
-
-
-@dataclass(frozen=True)
-class DilationFamily:
-    """Generator of nested dilation sets.
-
-    kinds: ``integers`` (1..N), ``geometric`` (ratio^0 .. ratio^{N-1}),
-    ``explicit`` (leading prefixes of a fixed ascending list).
-    """
-
-    kind: str
-    ratio: float = 2.0
-    dilations: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in ("integers", "geometric", "explicit"):
-            raise DomainError(f"unknown family kind {self.kind!r}")
-        if self.kind == "geometric" and not self.ratio > 1.0:
-            raise DomainError("geometric families need ratio > 1")
-        if self.kind == "explicit":
-            if not self.dilations:
-                raise DomainError("explicit families need a dilation list")
-            if any(y <= x for x, y in zip(self.dilations, self.dilations[1:])):
-                raise DomainError("explicit dilations must be strictly ascending")
-
-    def generate(self, n: int) -> list[float]:
-        if n < 1:
-            raise DomainError("family size must be >= 1")
-        if self.kind == "integers":
-            return [float(k) for k in range(1, n + 1)]
-        if self.kind == "geometric":
-            return [self.ratio**k for k in range(n)]
-        if n > len(self.dilations):
-            raise DomainError(f"explicit family holds only {len(self.dilations)} dilations")
-        return [float(l) for l in self.dilations[:n]]
-
-    @property
-    def label(self) -> str:
-        if self.kind == "integers":
-            return "integers"
-        if self.kind == "geometric":
-            return f"geometric(ratio={self.ratio!r})"
-        return f"explicit(n={len(self.dilations)})"
-
-
-def sweep(family: DilationFamily, N_values, target_error: float = 1e-6) -> list[SweepRecord]:
-    """Distances and moment sums over a nested family, one record per N.
-
-    The Gram system is assembled once at the largest N and sliced, so all
-    records share identical entries for common pairs and the distances are
-    nonincreasing in N up to solver roundoff.  Records are returned sorted
-    by N.  PrecisionUnreachable is raised when a record's certified error
-    exceeds ``target_error``.
-    """
-    ns = sorted(set(int(n) for n in N_values))
-    if not ns or ns[0] < 1:
-        raise DomainError("N values must be positive integers")
-    full = gram_system(family.generate(ns[-1]), _entry_tolerance(target_error, ns[-1]))
-    records = []
-    for n in ns:
-        res = best_approximation_from_gram(full.head(n))
-        _check_target(res, target_error)
-        records.append(
-            SweepRecord(
-                N=n,
-                dilation_family=family.label,
-                distance=res.distance,
-                theta_log_sum=res.theta_log_sum,
-                gap=necessary_condition_gap(res),
-                gram_condition=res.gram_condition,
-                certified_error=res.certified_error,
-                dilations=res.dilations,
-                h_star=tuple(res.h_star.tolist()),
-            )
-        )
-    return records

@@ -19,13 +19,7 @@ from . import fracsum as _fracsum
 from . import gram as _gram
 from . import moments as _moments
 from .errors import DomainError, NblabError, PrecisionUnreachable
-from .zeta import (
-    ZERO_GRID_STEP,
-    find_critical_zeros,
-    functional_equation_residual,
-    xi,
-    zeta,
-)
+from .zeta import find_critical_zeros, functional_equation_residual, xi, zeta
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -72,6 +66,31 @@ def _read_fracsum(path: str) -> _fracsum.DilatedFracSum:
     return _fracsum.DilatedFracSum.from_dict(data)
 
 
+#: the ``ApproximationResult.to_dict`` keys a sweep record carries
+_SWEEP_KEYS = ("distance", "theta_log_sum", "gap", "gram_condition", "certified_error",
+               "dilations", "h_star")
+
+
+def _sweep_family(args: argparse.Namespace, n_max: int) -> tuple[list[float], str]:
+    """The ascending dilation list ``--family`` names, long enough for N up
+    to n_max, and its label: 1..n_max, ratio^0..ratio^(n_max - 1), or the
+    whole ``--dilations`` list."""
+    if args.family == "integers":
+        return [float(k) for k in range(1, n_max + 1)], "integers"
+    if args.family == "geometric":
+        if not args.ratio > 1.0:
+            raise DomainError("geometric families need ratio > 1")
+        return [args.ratio**k for k in range(n_max)], f"geometric(ratio={args.ratio!r})"
+    dilations = _parse_floats(args.dilations)
+    if not dilations:
+        raise DomainError("explicit families need a dilation list")
+    if any(y <= x for x, y in zip(dilations, dilations[1:])):
+        raise DomainError("explicit dilations must be strictly ascending")
+    if n_max > len(dilations):
+        raise DomainError(f"explicit family holds only {len(dilations)} dilations")
+    return dilations, f"explicit(n={len(dilations)})"
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="nblab", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
@@ -99,7 +118,6 @@ def build_parser() -> _Parser:
     p = add("zeros", help="critical-line zero ordinates up to t-max")
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--grid-step", type=float, default=ZERO_GRID_STEP)
 
     p = add("constants", help="gamma, lambda = 1 - gamma, and a trace")
     p.add_argument("--target", type=float, default=1e-12)
@@ -150,7 +168,7 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
     if args.subcommand == "fe-check":
         return {"residual": functional_equation_residual(complex(args.re, args.im))}
     if args.subcommand == "zeros":
-        ts = find_critical_zeros(args.t_max, args.tol, args.grid_step)
+        ts = find_critical_zeros(args.t_max, args.tol)
         return {"ordinates": ts, "count": len(ts)}
     if args.subcommand == "constants":
         return _moments.constants_report(args.target).to_dict()
@@ -176,17 +194,14 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
         ).to_dict()
         return out
     if args.subcommand == "sweep":
-        if args.family == "explicit":
-            family = _approx.DilationFamily(
-                kind="explicit", dilations=tuple(_parse_floats(args.dilations))
-            )
-        elif args.family == "geometric":
-            family = _approx.DilationFamily(kind="geometric", ratio=args.ratio)
-        else:
-            family = _approx.DilationFamily(kind="integers")
-        records = _approx.sweep(family, _parse_ints(args.n), args.target)
-        # vars, not dataclasses.asdict, which deep-copies every float (about 50x slower)
-        return {"records": [vars(r) for r in records]}
+        ns = _parse_ints(args.n)
+        # at least one dilation, so that N values below 1 reach sweep's own check
+        dilations, label = _sweep_family(args, max([1, *ns]))
+        return {"records": [
+            {"N": len(res.dilations), "dilation_family": label,
+             **{key: value for key, value in res.to_dict().items() if key in _SWEEP_KEYS}}
+            for res in _approx.sweep(dilations, ns, args.target)
+        ]}
     raise DomainError(f"unknown subcommand {args.subcommand!r}")
 
 

@@ -71,12 +71,16 @@ class DilatedFracSum:
         merged = _merge_terms(self.terms)
         object.__setattr__(self, "terms", merged)
         if self.constrained:
-            total = self.constraint_sum
-            scale = max(1.0, sum(abs(h) / l for h, l in merged))
-            if abs(total) > CONSTRAINT_TOL * scale:
-                raise ConstraintViolated(
-                    f"sum h/l = {total!r} violates the constraint within {CONSTRAINT_TOL}"
-                )
+            self.check_constraint()
+
+    def check_constraint(self) -> None:
+        """ConstraintViolated unless |sum h/l| <= CONSTRAINT_TOL max(1, sum |h|/l)."""
+        total = self.constraint_sum
+        scale = max(1.0, sum(abs(h) / l for h, l in self.terms))
+        if abs(total) > CONSTRAINT_TOL * scale:
+            raise ConstraintViolated(
+                f"sum h/l = {total!r} violates the constraint within {CONSTRAINT_TOL}"
+            )
 
     @property
     def coeffs(self) -> np.ndarray:

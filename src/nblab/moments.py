@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolated, DomainError, PrecisionUnreachable
-from .fracsum import CONSTRAINT_TOL, DilatedFracSum
+from .errors import DomainError, PrecisionUnreachable
+from .fracsum import DilatedFracSum
 
 __all__ = [
     "euler_gamma",
@@ -187,10 +187,7 @@ def moment_report(phi: DilatedFracSum, periods: int = 100_000) -> MomentReport:
     3e-10 per unit coefficient); ConstraintViolated is raised when the
     coefficient combination is not constrained.
     """
-    total = phi.constraint_sum
-    scale = max(1.0, float(np.sum(np.abs(phi.coeffs) / phi.dilations)))
-    if abs(total) > CONSTRAINT_TOL * scale:
-        raise ConstraintViolated(f"sum h/l = {total!r} exceeds tolerance {CONSTRAINT_TOL}")
+    phi.check_constraint()
     closed = theta_log_sum(phi.coeffs, phi.dilations)
     integral = 0.0
     err = 0.0
@@ -202,7 +199,7 @@ def moment_report(phi: DilatedFracSum, periods: int = 100_000) -> MomentReport:
         integral_value=integral,
         closed_form=closed,
         lambda_used=moment_constant(),
-        constraint_sum=total,
+        constraint_sum=phi.constraint_sum,
         quad_error_bound=err,
     )
 

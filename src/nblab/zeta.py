@@ -58,7 +58,6 @@ __all__ = [
     "xi",
     "functional_equation_residual",
     "find_critical_zeros",
-    "ZERO_GRID_STEP",
 ]
 
 _LN2 = math.log(2.0)
@@ -76,7 +75,7 @@ _ROW = 32
 
 #: grid step of the sign-change scan before refinement (smallest gap between
 #: the first zeros exceeds ten times this)
-ZERO_GRID_STEP = 0.05
+_GRID_STEP = 0.05
 
 
 @lru_cache(maxsize=64)
@@ -369,13 +368,11 @@ def _refined_zeros(
     return zeros + (a + 0.5 * h).tolist()
 
 
-def find_critical_zeros(
-    t_max: float, tol: float, grid_step: float = ZERO_GRID_STEP
-) -> list[float]:
+def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
 
-    Re xi(1/2 + it) is evaluated on the grid t_j = j * grid_step, j >= 1,
-    in windows of up to 1024 points.  A grid value of exactly 0.0 is
+    Re xi(1/2 + it) is evaluated on the grid t_j = j * 0.05, j >= 1, up to
+    t_max, in windows of up to 1024 points.  A grid value of exactly 0.0 is
     reported as it stands; neighbours of opposite sign form a bracket, which
     is refined down to width ``tol`` and reported by its midpoint
     (``_refined_zeros``): Re xi(1/2 + it) is continuous, so a sign change
@@ -385,21 +382,28 @@ def find_critical_zeros(
         raise DomainError("t_max must be positive and finite")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
-    if not 0.0 < grid_step < math.inf:
-        raise DomainError("grid_step must be positive and finite")
     if tol < 64.0 * _EPS * max(1.0, t_max):
         raise PrecisionUnreachable(f"sub-grids cannot resolve brackets of width {tol:g}")
-    last = int(math.floor((t_max - grid_step) / grid_step + 1e-9)) + 1
+    h = _GRID_STEP
+    last = int(math.floor((t_max - h) / h + 1e-9)) + 1
     zeros: list[float] = []
     t_prev = f_prev = np.empty(0)
     for j0 in range(1, last + 1, _BATCH):
-        size = min(_BATCH, last + 1 - j0)  # the last row may run past t_max; cut it
-        t_new, f_new = _xi_rows(grid_step * np.arange(j0, j0 + size, _ROW), grid_step, _ROW)
-        t = np.concatenate([t_prev, t_new.ravel()[:size]])
-        f = np.concatenate([f_prev, f_new.ravel()[:size]])
+        size = min(_BATCH, last + 1 - j0)
+        # whole rows of _ROW points, then a last partial row of its own length,
+        # so that no point past t_max is evaluated
+        starts = h * np.arange(j0, j0 + size, _ROW)
+        rows = size // _ROW
+        ts, fs = [t_prev], [f_prev]
+        for a, m in ((starts[:rows], _ROW), (starts[rows:], size % _ROW)):
+            if a.size:
+                t_rows, f_rows = _xi_rows(a, h, m)
+                ts.append(t_rows.ravel())
+                fs.append(f_rows.ravel())
+        t, f = np.concatenate(ts), np.concatenate(fs)
         # the neighbours (t[i], t[i + 1]); the last point pairs with the next window
         (hits,), (i,) = _sign_changes(f)
         zeros.extend(t[hits].tolist())
-        zeros.extend(_refined_zeros(t[i], f[i], f[i + 1], grid_step, tol))
+        zeros.extend(_refined_zeros(t[i], f[i], f[i + 1], h, tol))
         t_prev, f_prev = t[-1:], f[-1:]
     return sorted(zeros)

@@ -13,7 +13,6 @@ import pytest
 from conftest import random_constrained_sum
 from nblab import (
     DilatedFracSum,
-    DilationFamily,
     best_approximation_from_gram,
     dilated_frac_moment,
     dilated_frac_moment_quad,
@@ -23,6 +22,7 @@ from nblab import (
     gram_system,
     moment_constant,
     moment_report,
+    necessary_condition_gap,
     partial_moment_constant,
     step_profile,
     sweep,
@@ -165,18 +165,18 @@ def test_criterion_5_analytic_suite():
 
 def test_criterion_6_approximation_engine():
     start = time.monotonic()
-    records = sweep(DilationFamily(kind="integers"), [2, 5, 10, 20, 50])
-    distances = [r.distance for r in records]
+    results = sweep([float(k) for k in range(1, 51)], [2, 5, 10, 20, 50])
+    distances = [r.distance for r in results]
     assert all(d > 0.0 for d in distances)
     for prev, cur in zip(distances, distances[1:]):
         assert cur <= prev + 1e-10
-    for rec in records:
-        assert rec.gap <= rec.distance + 1e-12
-    # KKT stationarity on each record, via the shared Gram arithmetic
+    for res in results:
+        assert necessary_condition_gap(res) <= res.distance + 1e-12
+    # KKT stationarity on each result, via the shared Gram arithmetic
     full = gram_system([float(k) for k in range(1, 51)], 1e-9)
     kkt_worst = 0.0
-    for rec in records:
-        res = best_approximation_from_gram(full.head(rec.N))
+    for n in (2, 5, 10, 20, 50):
+        res = best_approximation_from_gram(full.head(n))
         kkt_worst = max(kkt_worst, res.kkt_residual)
         assert res.kkt_residual < 1e-8
     # null-space grid search oracle at N = 2 and N = 3

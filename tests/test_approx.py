@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nblab import (
-    DilationFamily,
     DomainError,
     GramSystem,
     SingularSystem,
@@ -15,6 +14,7 @@ from nblab import (
     sweep,
 )
 from nblab.approx import _nullspace_basis
+from nblab.cli import _sweep_family, build_parser
 
 
 def null_space_grid_search(system, radius=3.0, step=1e-4):
@@ -101,6 +101,12 @@ def test_validation():
         best_approximation([])
     with pytest.raises(DomainError):
         best_approximation([1.0, 2.0], target_error=0.0)
+    with pytest.raises(DomainError, match="target_error must be positive"):
+        sweep([1.0, 2.0], [2], target_error=-1.0)
+    with pytest.raises(DomainError, match="exceeds the 2 dilations"):
+        sweep([1.0, 2.0], [1, 3])
+    with pytest.raises(DomainError, match="positive integers"):
+        sweep([1.0, 2.0], [0, 2])
 
 
 def test_reproducible_bit_for_bit():
@@ -143,39 +149,42 @@ def test_singular_system_raises():
 
 
 def test_sweep_integers():
-    records = sweep(DilationFamily(kind="integers"), [2, 5, 10])
-    assert [r.N for r in records] == [2, 5, 10]
-    for rec in records:
-        assert rec.distance > 0.0
-        assert rec.gap <= rec.distance + 1e-12
-        assert rec.dilation_family == "integers"
-    for prev, cur in zip(records, records[1:]):
+    results = sweep([float(k) for k in range(1, 11)], [10, 2, 5])
+    assert [len(r.dilations) for r in results] == [2, 5, 10]
+    for res in results:
+        assert res.distance > 0.0
+        assert necessary_condition_gap(res) <= res.distance + 1e-12
+    for prev, cur in zip(results, results[1:]):
         assert cur.distance <= prev.distance + 1e-10
     # the necessary-condition tracker tightens as the distance falls
-    assert records[-1].gap < records[0].gap
+    assert necessary_condition_gap(results[-1]) < necessary_condition_gap(results[0])
 
 
 def test_sweep_single_element_family():
-    records = sweep(DilationFamily(kind="explicit", dilations=(2.0,)), [1])
-    assert records[0].distance == 1.0
+    results = sweep([2.0], [1])
+    assert results[0].distance == 1.0
 
 
 def test_sweep_geometric_family():
-    records = sweep(DilationFamily(kind="geometric", ratio=2.0), [2, 4])
-    assert records[0].distance >= records[1].distance - 1e-10
-    assert all(r.gap <= r.distance + 1e-12 for r in records)
+    results = sweep([2.0**k for k in range(4)], [2, 4])
+    assert results[0].distance >= results[1].distance - 1e-10
+    assert all(necessary_condition_gap(r) <= r.distance + 1e-12 for r in results)
+
+
+def sweep_family(*argv, n_max):
+    return _sweep_family(build_parser().parse_args(["sweep", "--n", "1", *argv]), n_max)
 
 
 def test_family_generation():
-    fam = DilationFamily(kind="integers")
-    assert fam.generate(3) == [1.0, 2.0, 3.0]
-    geo = DilationFamily(kind="geometric", ratio=1.5)
-    assert geo.generate(3) == [1.0, 1.5, 2.25]
-    expl = DilationFamily(kind="explicit", dilations=(1.0, 4.0, 9.0))
-    assert expl.generate(2) == [1.0, 4.0]
-    with pytest.raises(DomainError):
-        expl.generate(5)
-    with pytest.raises(DomainError):
-        DilationFamily(kind="geometric", ratio=0.5)
-    with pytest.raises(DomainError):
-        DilationFamily(kind="plasma")
+    assert sweep_family(n_max=3) == ([1.0, 2.0, 3.0], "integers")
+    assert sweep_family("--family", "geometric", "--ratio", "1.5", n_max=3) == (
+        [1.0, 1.5, 2.25], "geometric(ratio=1.5)"
+    )
+    expl = ("--family", "explicit", "--dilations", "1,4,9")
+    assert sweep_family(*expl, n_max=2) == ([1.0, 4.0, 9.0], "explicit(n=3)")
+    with pytest.raises(DomainError, match="holds only 3 dilations"):
+        sweep_family(*expl, n_max=5)
+    with pytest.raises(DomainError, match="ratio > 1"):
+        sweep_family("--family", "geometric", "--ratio", "0.5", n_max=2)
+    with pytest.raises(DomainError, match="strictly ascending"):
+        sweep_family("--family", "explicit", "--dilations", "1,4,4", n_max=2)

@@ -209,11 +209,54 @@ def test_gram_near_irrational_ratio_meets_tight_target():
     assert max(max(row) for row in payload["result"]["entry_error_bounds"]) <= 1e-9
 
 
-@pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
-def test_zeros_grid_step_validated(step):
-    code, out, err = invoke(["zeros", "--t-max", "10", "--grid-step", step])
+def test_zeros_scan_stops_at_t_max():
+    # the grid ends at 955.4 < 955.45, the first height where the xi
+    # prefactor underflows; the scan used to evaluate whole rows past t_max
+    code, out, err = invoke(["zeros", "--t-max", "955.4"])
+    assert code == EXIT_OK, err
+    code, out, err = invoke(["zeros", "--t-max", "956"])
+    assert code == EXIT_PRECISION
+    assert "underflows at t = 955.45" in err
+
+
+@pytest.mark.parametrize("target", ["0", "-1"])
+def test_sweep_target_validated(target):
+    code, out, err = invoke(["sweep", "--n", "2", "--target", target])
     assert code == EXIT_DOMAIN
-    assert "domain error" in err
+    assert "target_error must be positive" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--family", "geometric", "--ratio", "0.5", "--n", "2"], "ratio > 1"),
+        (["--family", "explicit", "--n", "1"], "need a dilation list"),
+        (["--family", "explicit", "--dilations", "1,3,2", "--n", "2"], "strictly ascending"),
+        (["--family", "explicit", "--dilations", "1,2,3", "--n", "2,4"], "holds only 3"),
+    ],
+)
+def test_sweep_family_validated(argv, message):
+    code, out, err = invoke(["sweep", *argv])
+    assert code == EXIT_DOMAIN
+    assert message in err
+    assert out == ""
+
+
+def test_sweep_unknown_family_is_usage_error():
+    code, out, err = invoke(["sweep", "--family", "plasma", "--n", "2"])
+    assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("dilations", ["1,1.5,2,3,4.5", "1,1.4142135623730951,3.14159265"])
+def test_sweep_at_full_length_equals_approx(dilations):
+    n = str(len(dilations.split(",")))
+    (record,) = invoke_json(
+        ["sweep", "--family", "explicit", "--dilations", dilations, "--n", n]
+    )["result"]["records"]
+    single = invoke_json(["approx", "--dilations", dilations])["result"]
+    for key in ("distance", "h_star", "certified_error", "gram_condition"):
+        assert record[key] == single[key]
 
 
 def test_stdin_input(monkeypatch):
