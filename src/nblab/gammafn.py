@@ -108,10 +108,7 @@ def _log_sin(w: complex) -> complex:
 def _nearest_pole_distance(s: complex) -> float:
     if s.real > 0.5:
         return math.inf
-    k = round(s.real)
-    if k > 0:
-        return math.inf
-    return abs(s - k)
+    return abs(s - round(s.real))
 
 
 def gamma(s: complex) -> ComplexEvalReport:

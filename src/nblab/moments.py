@@ -60,10 +60,15 @@ __all__ = [
 # bounded by the first omitted term |B_10 / 10| n^{-10}.
 _EM_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
 _EM_TAIL_CONST = 5.0 / 66.0 / 10.0
-_CHUNK = 1 << 22
 
-#: segments per window of the lattice walk
-_WINDOW = 500_000
+#: elements per numpy pass, the one limit on every array in this module:
+#: lattice segments per window, periods per quadrature pass and terms per
+#: harmonic-sum pass.  The Gauss-Legendre pass holds 16 nodes per segment,
+#: about 60 MB at this size.  Measured on a 2-core Xeon with the sqrt(2)
+#: bstar of ``approx`` at 4M segments, a norm takes 0.15-0.18 s and 39 MB
+#: peak against 0.21-0.23 s and 69 MB at 500,000; a sloped p = 1.5 norm
+#: at 1M segments takes 0.74 s and 88 MB against 1.14 s and 314 MB.
+_WINDOW = 100_000
 
 #: truncation orders n of the lambda_n trace in ``constants_report``
 _TRACE_NS = (16, 256, 4096, 65536, 1048576)
@@ -92,9 +97,9 @@ def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
 
 
 @lru_cache(maxsize=1)
-def moment_constant(target_abs_error: float = 1e-14) -> float:
-    """lam = 1 - gamma, the constant of the first-moment closed form."""
-    return 1.0 - euler_gamma(target_abs_error)
+def moment_constant() -> float:
+    """lam = 1 - gamma, the constant of the first-moment closed form, to 1e-14."""
+    return 1.0 - euler_gamma(1e-14)
 
 
 def partial_moment_constant(n: int) -> float:
@@ -105,11 +110,9 @@ def partial_moment_constant(n: int) -> float:
     if n < 2:
         raise DomainError("defined for n >= 2")
     acc = 0.0
-    start = 2
-    while start <= n:
-        stop = min(n, start + _CHUNK - 1)
-        acc += float(np.sum(1.0 / np.arange(start, stop + 1, dtype=np.float64)))
-        start = stop + 1
+    for start in range(2, n + 1, _WINDOW):
+        stop = min(n + 1, start + _WINDOW)
+        acc += float(np.sum(1.0 / np.arange(start, stop, dtype=np.float64)))
     return math.log(n) - acc
 
 
@@ -134,8 +137,8 @@ def dilated_frac_moment_quad(l: float, periods: int = 100_000) -> tuple[float, f
     if periods < 2:
         raise DomainError("periods must be >= 2")
     body = 0.0
-    for start in range(1, periods, _CHUNK):  # _CHUNK periods at a time bounds the memory
-        m = np.arange(start, min(start + _CHUNK, periods), dtype=np.float64)
+    for start in range(1, periods, _WINDOW):
+        m = np.arange(start, min(start + _WINDOW, periods), dtype=np.float64)
         # int over [m l, (m+1) l] of (t/l - m)/t^2 = (1/l)(log(1 + 1/m) - 1/(m+1))
         body += float(np.sum(np.log1p(1.0 / m) - 1.0 / (m + 1.0)))
     body /= l
@@ -239,7 +242,8 @@ def _lattice_windows(dilations, t_lo: float, t_hi: float):
     """Yield (t1, u), the left ends and widths of the segments of the union
     lattice {m l : l in dilations} on [t_lo, t_hi], one window of about
     ``_WINDOW`` segments at a time.  Points within relative 1e-12 of their
-    predecessor are merged and zero-width segments dropped."""
+    predecessor are merged, so each kept point lies more than 1e-12 t past
+    the one before it and every segment has positive width."""
     width = _WINDOW / sum(1.0 / l for l in dilations)
     while t_lo < t_hi:
         w_hi = min(t_hi, t_lo + width)
@@ -251,10 +255,7 @@ def _lattice_windows(dilations, t_lo: float, t_hi: float):
         pts = pts[(pts >= t_lo) & (pts <= w_hi)]
         keep = np.concatenate(([True], np.diff(pts) > 1e-12 * pts[1:]))
         pts = pts[keep]
-        t1 = pts[:-1]
-        u = np.diff(pts)
-        mask = u > 0
-        yield t1[mask], u[mask]
+        yield pts[:-1], np.diff(pts)
         t_lo = w_hi
 
 
@@ -333,15 +334,11 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
     total = 0.0
     a_left = v_mid - 0.5 * slope * u
     t2 = t1 + u
-    split = np.clip(t1 - a_left / slope, t1, t2)  # interior sign change, if any
-    chunk = 100_000
-    for lo_idx in range(0, t1.size, chunk):
-        sl = slice(lo_idx, min(lo_idx + chunk, t1.size))
-        left = a_left[sl][:, None]
-        t1c = t1[sl][:, None]
-        z = split[sl]
-        for d, sign in ((z - t1[sl], -1.0), (t2[sl] - z, 1.0)):
-            ts = z[:, None] + sign * d[:, None] * y_sq
-            vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
-            total += float(np.dot(vals @ y_weights, d))
+    z = np.clip(t1 - a_left / slope, t1, t2)  # interior sign change, if any
+    left = a_left[:, None]
+    t1c = t1[:, None]
+    for d, sign in ((z - t1, -1.0), (t2 - z, 1.0)):
+        ts = z[:, None] + sign * d[:, None] * y_sq
+        vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
+        total += float(np.dot(vals @ y_weights, d))
     return total

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, PrecisionUnreachable
-from .gammafn import _LOG_MAX, REL_ERROR_CLAIM, ComplexEvalReport, _cexp, loggamma_right
+from .gammafn import _LOG_MAX, _LOG_PI, REL_ERROR_CLAIM, ComplexEvalReport, _cexp, loggamma_right
 from .gammafn import gamma  # noqa: F401 -- not called here; bench/tracing.py wraps this name
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_LN_PI = math.log(math.pi)
 _RHO = 3.0 + math.sqrt(8.0)
 _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
@@ -194,15 +193,15 @@ def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
         raise PrecisionUnreachable(f"reflection factor at s = {s!r} overflows double precision")
     cosh_im = math.cosh(w.imag)
     if s.real <= 0.5:
-        log_part = s * _LN2 + (s - 1.0) * _LN_PI + loggamma_right(1.0 - s)
+        log_part = s * _LN2 + (s - 1.0) * _LOG_PI + loggamma_right(1.0 - s)
         a = _cexp(log_part)
-        rel_a = 1e-12 + 4.0 * _EPS * (1.0 + abs(log_part))
+        rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
         trig = cmath.sin(w)
         trig_abs_err = 4.0 * _EPS * (1.0 + abs(w)) * cosh_im
         return a, rel_a, trig, trig_abs_err
-    log_part = s * (_LN2 + _LN_PI) - loggamma_right(s)
+    log_part = s * (_LN2 + _LOG_PI) - loggamma_right(s)
     a = _cexp(log_part)
-    rel_a = 1e-12 + 4.0 * _EPS * (1.0 + abs(log_part))
+    rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
     cos_w = cmath.cos(w)
     trig = 1.0 / (2.0 * cos_w)
     trig_abs_err = abs(trig) * 4.0 * _EPS * (1.0 + abs(w)) * cosh_im / max(abs(cos_w), 1e-300)
@@ -295,7 +294,7 @@ def xi(s: complex) -> ComplexEvalReport:
     if s.real < 0.0:
         s = 1.0 - s
     w_val, w_err, n = _weighted_pole_product(s, None)
-    log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI
+    log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LOG_PI
     value = _cexp(log_part) * w_val
     rel = REL_ERROR_CLAIM + 6.0 * _EPS * (1.0 + abs(log_part)) + w_err / max(abs(w_val), 1e-300)
     err = abs(value) * rel
@@ -333,7 +332,7 @@ def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     denom = -np.expm1((1.0 - s) * _LN2)  # 1 - 2^{1-s}
     n = _pick_n(complex(0.5, t.max()), 1e-15, math.sqrt(2.0) - 1.0)  # |1 - 2^{1-s}| >= that
     # s Gamma(s/2) = 2 Gamma(s/2 + 1) and (s - 1) zeta(s) = (s - 1) eta(s) / denom
-    prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LN_PI) * (s - 1.0) / denom
+    prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LOG_PI) * (s - 1.0) / denom
     if np.any(prefactor == 0.0):
         raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[prefactor == 0.0][0]:g}")
     eta, _ = _eta_sum(0.5 + 1j * a, n, offsets)

@@ -290,3 +290,71 @@ def test_malformed_sum_payload_is_domain_error(monkeypatch, subcommand, payload)
     assert code == EXIT_DOMAIN
     assert err.startswith("domain error: ")
     assert out == ""
+
+
+def test_key_value_csv():
+    code, out, err = invoke(["lemma1", "--l", "2", "--format", "csv"])
+    assert code == EXIT_OK, err
+    lines = out.splitlines()
+    assert lines[0].startswith("# config: ")
+    assert lines[1] == "key,value"
+    rows = [line.split(",", 1) for line in lines[2:]]
+    assert [key for key, _ in rows] == sorted(key for key, _ in rows)
+    payload = invoke_json(["lemma1", "--l", "2"])["result"]
+    assert {key: json.loads(value) for key, value in rows} == payload
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gram", "--dilations", "1,x"], "bad numeric list"),
+        (["sweep", "--n", "2,x"], "bad integer list"),
+        (["moment", "--input", "no-such-dir/sum.json"], "cannot read"),
+    ],
+)
+def test_bad_argument_values_are_domain_errors(tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = invoke(argv)
+    assert code == EXIT_DOMAIN
+    assert message in err
+    assert out == ""
+
+
+def test_non_json_stdin_is_domain_error(monkeypatch):
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{x"))
+    code, out, err = invoke(["moment", "--input", "-"])
+    assert code == EXIT_DOMAIN
+    assert "invalid JSON input" in err
+    assert out == ""
+
+
+def test_moment_periods_and_norm_budget_validated(tmp_path):
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps({"terms": [{"h": -1.0, "l": 1.0}, {"h": 2.0, "l": 2.0}]}))
+    code, out, err = invoke(["moment", "--input", str(path), "--periods", "1"])
+    assert code == EXIT_DOMAIN
+    assert "periods must be >= 2" in err
+    assert out == ""
+    code, out, err = invoke(["norm", "--input", str(path), "--max-segments", "60000000"])
+    assert code == EXIT_PRECISION
+    assert "segment budget above the supported cap" in err
+    assert out == ""
+
+
+def test_module_entry_point():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nblab
+
+    src = str(Path(nblab.__file__).resolve().parent.parent)
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "nblab", "lemma1", "--l", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["result"] == invoke_json(["lemma1", "--l", "2"])["result"]

@@ -131,9 +131,9 @@ def test_first_moment_quadrature_rejects_dilations_outside_range(l):
 
 @pytest.mark.parametrize("l", [1.0, math.pi])
 def test_first_moment_quadrature_in_chunks(monkeypatch, l):
-    # the body is summed _CHUNK periods at a time; cutting it finer must not move it
+    # the body is summed _WINDOW periods at a time; cutting it finer must not move it
     one_chunk = dilated_frac_moment_quad(l, periods=100_000)
-    monkeypatch.setattr("nblab.moments._CHUNK", 1000)
+    monkeypatch.setattr("nblab.moments._WINDOW", 1000)
     many_chunks = dilated_frac_moment_quad(l, periods=100_000)
     assert many_chunks[1] == one_chunk[1]
     assert abs(many_chunks[0] - one_chunk[0]) <= 1e-14
