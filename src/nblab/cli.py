@@ -127,7 +127,6 @@ def build_parser() -> _Parser:
 
     p = add("moment", help="moment report of a constrained sum (JSON input)")
     p.add_argument("--input", required=True, help="path to the sum JSON, or - for stdin")
-    p.add_argument("--periods", type=int, default=100_000)
 
     p = add("norm", help="weighted p-norm of a sum (JSON input)")
     p.add_argument("--input", required=True)
@@ -166,7 +165,8 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
                 "abs_error_estimate": rep.abs_error_estimate,
                 "terms_used": rep.terms_used}
     if args.subcommand == "fe-check":
-        return {"residual": functional_equation_residual(complex(args.re, args.im))}
+        residual, bound = functional_equation_residual(complex(args.re, args.im))
+        return {"residual": residual, "abs_error_bound": bound}
     if args.subcommand == "zeros":
         ts = find_critical_zeros(args.t_max, args.tol)
         return {"ordinates": ts, "count": len(ts)}
@@ -177,7 +177,7 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
                 "lambda_used": _moments.moment_constant()}
     if args.subcommand == "moment":
         phi = _read_fracsum(args.input)
-        return _moments.moment_report(phi, args.periods).to_dict()
+        return _moments.moment_report(phi).to_dict()
     if args.subcommand == "norm":
         phi = _read_fracsum(args.input)
         rep = _moments.weighted_norm_report(phi, args.p, args.max_segments)

@@ -6,16 +6,18 @@ moment of a single dilated fractional part has the closed form
     int_1^inf {t/l} dt/t^2 = (lam + ln l) / l,      lam = 1 - gamma,
 
 where gamma is the Euler-Mascheroni constant; ``dilated_frac_moment``
-implements the closed form and ``dilated_frac_moment_quad`` re-derives the
-value by summing the exact integral of each linear piece between
-consecutive lattice points and correcting the truncated tail with the mean
-value 1/2 of the fractional part:
+implements the closed form and ``dilated_frac_moment_quad`` re-derives it
+from the exact integral of each linear piece: ln(l)/l on (1, l) and
+(ln(1 + 1/m) - 1/(m+1))/l on [m l, (m+1) l].  Pieces 1..P-1 telescope to
+lam_P / l with lam_P = ln P - (1/2 + ... + 1/P) (``partial_moment_constant``),
+and the tail past T = P l is corrected with the mean value 1/2 of {t/l}:
 
     int_T^inf {t/l} dt/t^2 = 1/(2T) + R,   |R| <= l / (4 T^2),
 
 (the remainder bound follows by parts from |int_0^u ({v} - 1/2) dv| <= 1/8).
-The two routes share no constants, so their agreement is a genuine
-cross-check of the closed form.
+The two routes share no constant: lam_P is a harmonic partial sum, lam comes
+from the Euler-Maclaurin expansion in ``euler_gamma``, so their agreement
+is a genuine cross-check of the closed form.
 
 For a constrained combination the moment collapses to
 sum_k (h_k / l_k) ln l_k because the lam-part telescopes against the
@@ -62,13 +64,16 @@ _EM_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
 _EM_TAIL_CONST = 5.0 / 66.0 / 10.0
 
 #: elements per numpy pass, the one limit on every array in this module:
-#: lattice segments per window, periods per quadrature pass and terms per
-#: harmonic-sum pass.  The Gauss-Legendre pass holds 16 nodes per segment,
-#: about 60 MB at this size.  Measured on a 2-core Xeon with the sqrt(2)
-#: bstar of ``approx`` at 4M segments, a norm takes 0.15-0.18 s and 39 MB
-#: peak against 0.21-0.23 s and 69 MB at 500,000; a sloped p = 1.5 norm
-#: at 1M segments takes 0.74 s and 88 MB against 1.14 s and 314 MB.
+#: lattice segments per window and terms per harmonic-sum pass.  The
+#: Gauss-Legendre pass holds 16 nodes per segment, about 60 MB at this size.
+#: Measured on a 2-core Xeon with the sqrt(2) bstar of ``approx`` at 4M
+#: segments, a norm takes 0.15-0.18 s and 39 MB peak against 0.21-0.23 s and
+#: 69 MB at 500,000; a sloped p = 1.5 norm at 1M segments takes 0.74 s and
+#: 88 MB against 1.14 s and 314 MB.
 _WINDOW = 100_000
+
+#: periods P that ``dilated_frac_moment_quad`` integrates exactly, up to T = P l
+_PERIODS = 100_000
 
 #: truncation orders n of the lambda_n trace in ``constants_report``
 _TRACE_NS = (16, 256, 4096, 65536, 1048576)
@@ -116,37 +121,31 @@ def partial_moment_constant(n: int) -> float:
     return math.log(n) - acc
 
 
-def dilated_frac_moment(l: float) -> float:
-    """Closed form (lam + ln l) / l of int_1^inf {t/l} dt/t^2 for l >= 1."""
+def _checked_dilation(l: float) -> float:
     l = float(l)
     if not math.isfinite(l) or l < 1.0 - 1e-12:
         raise DomainError(f"dilation {l!r} outside [1, inf)")
+    return l
+
+
+def dilated_frac_moment(l: float) -> float:
+    """Closed form (lam + ln l) / l of int_1^inf {t/l} dt/t^2 for l >= 1."""
+    l = _checked_dilation(l)
     return (moment_constant() + math.log(l)) / l
 
 
-def dilated_frac_moment_quad(l: float, periods: int = 100_000) -> tuple[float, float]:
-    """Independent quadrature of int_1^inf {t/l} dt/t^2.
+def _moment_quad(l: float, lam_p: float) -> tuple[float, float]:
+    """(value, certified_error) of the quadrature at l, given lam_P."""
+    l = _checked_dilation(l)
+    T = _PERIODS * l
+    value = math.log(l) / l + lam_p / l + 0.5 / T
+    return value, l / (4.0 * T * T) + 1e-14
 
-    Sums the exact closed-form integral of each linear piece up to
-    T = periods * l and adds the mean-value tail 1/(2T); returns
-    (value, certified_error) with error <= l/(4 T^2) plus roundoff.
-    """
-    l = float(l)
-    if not math.isfinite(l) or l < 1.0 - 1e-12:
-        raise DomainError(f"dilation {l!r} outside [1, inf)")
-    if periods < 2:
-        raise DomainError("periods must be >= 2")
-    body = 0.0
-    for start in range(1, periods, _WINDOW):
-        m = np.arange(start, min(start + _WINDOW, periods), dtype=np.float64)
-        # int over [m l, (m+1) l] of (t/l - m)/t^2 = (1/l)(log(1 + 1/m) - 1/(m+1))
-        body += float(np.sum(np.log1p(1.0 / m) - 1.0 / (m + 1.0)))
-    body /= l
-    head = math.log(l) / l  # int over (1, l) where the integrand is (t/l)/t^2
-    T = periods * l
-    value = head + body + 0.5 / T
-    err = l / (4.0 * T * T) + 1e-14
-    return value, err
+
+def dilated_frac_moment_quad(l: float) -> tuple[float, float]:
+    """Independent quadrature (ln l + lam_P)/l + 1/(2T) of int_1^inf {t/l} dt/t^2,
+    returned as (value, certified_error) with error <= l/(4 T^2) plus roundoff."""
+    return _moment_quad(l, partial_moment_constant(_PERIODS))
 
 
 def theta_log_sum(coeffs: np.ndarray, dilations: np.ndarray) -> float:
@@ -183,19 +182,20 @@ class MomentReport:
         }
 
 
-def moment_report(phi: DilatedFracSum, periods: int = 100_000) -> MomentReport:
+def moment_report(phi: DilatedFracSum) -> MomentReport:
     """Moment of a constrained sum: closed form next to independent quadrature.
 
-    The two agree within ``quad_error_bound`` (default setup certifies about
-    3e-10 per unit coefficient); ConstraintViolated is raised when the
-    coefficient combination is not constrained.
+    The two agree within ``quad_error_bound`` (at most 2.6e-11 per unit
+    coefficient); lam_P is evaluated once for all terms.  ConstraintViolated
+    is raised when the coefficient combination is not constrained.
     """
     phi.check_constraint()
     closed = theta_log_sum(phi.coeffs, phi.dilations)
+    lam_p = partial_moment_constant(_PERIODS)
     integral = 0.0
     err = 0.0
     for h, l in phi.terms:
-        q, e = dilated_frac_moment_quad(l, periods)
+        q, e = _moment_quad(l, lam_p)
         integral += h * q
         err += abs(h) * e
     return MomentReport(

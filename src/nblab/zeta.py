@@ -94,15 +94,10 @@ def _borwein_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return coeffs, ks, np.log(ks)
 
 
-def _cexpm1(w: complex) -> complex:
-    if abs(w) < 1e-4:
-        return w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w / 24.0)))
-    return _cexp(w) - 1.0
-
-
 def _eta_denominator(s: complex) -> complex:
-    """1 - 2^{1-s}, stable near the zero at s = 1."""
-    return -_cexpm1((1.0 - s) * _LN2)
+    """1 - 2^{1-s}, stable near the zero at s = 1: numpy's complex expm1
+    forms expm1(x) cos y - 2 sin^2(y/2) + i e^x sin y without cancellation."""
+    return -complex(np.expm1((1.0 - s) * _LN2))
 
 
 def _log_bound_constant(s: complex, denom_abs: float) -> float:
@@ -215,12 +210,9 @@ def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int
         # the sin zero against the reflected pole: with W(s) = (s - 1) zeta(s),
         # zeta(s) = -2^s pi^{s-1} Gamma(1-s) (sin(pi s / 2) / s) W(1 - s)
         w_val, w_err, n = _weighted_pole_product(1.0 - s, target)
-        if abs(s) < 1e-4:
-            u = 0.5 * math.pi * s
-            s_ratio = 0.5 * math.pi * (1.0 - u * u / 6.0 * (1.0 - u * u / 20.0))
-        else:
-            s_ratio = sin_w / s
-        value = -a * s_ratio * w_val
+        # below |s| = 1e-8, sin(pi s / 2) / s is pi/2 to rounding, and sin_w / s
+        # would lose digits to subnormals
+        value = -a * (0.5 * math.pi if abs(s) < 1e-8 else sin_w / s) * w_val
         return value, abs(value) * (rel_a + 8.0 * _EPS + w_err / max(abs(w_val), 1e-300)), n
     z2, z2_err, n = _zeta_right(1.0 - s, target)
     value = a * sin_w * z2
@@ -267,10 +259,7 @@ def _weighted_pole_product(s: complex, target: float | None) -> tuple[complex, f
         eta_err = _analytic_bound(s, n, 1.0) + eta_fp + 2.0 * _EPS * n
         # (s-1)/(1 - 2^{1-s}) = (1/ln 2) * w/(e^w - 1) with w = (1-s) ln 2
         w = (1.0 - s) * _LN2
-        if abs(w) < 1e-4:
-            ratio = (1.0 - w * (0.5 - w * (1.0 / 12.0 - w * w / 720.0))) / _LN2
-        else:
-            ratio = w / (_LN2 * _cexpm1(w))
+        ratio = 1.0 / _LN2 if w == 0 else w / complex(np.expm1(w)) / _LN2
         value = eta_val * ratio
         return value, abs(value) * (eta_err / max(abs(eta_val), 1e-300) + 8.0 * _EPS), n
     value, err, n = _zeta_core(s, target)
@@ -303,22 +292,29 @@ def xi(s: complex) -> ComplexEvalReport:
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
 
 
-def functional_equation_residual(s: complex) -> float:
+def functional_equation_residual(s: complex) -> tuple[float, float]:
     """Relative residual |zeta(s) - RHS| / (1 + |zeta(s)|) of the reflection
-    formula zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s).
+    formula zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s), and
+    the bound on it that the error claims of both sides give (the exact
+    residual is 0).
 
     At positive even integers the literal right side is a 0 * pole product;
     the continued form used by ``_chi_factors`` on Re s > 1/2 is its limit,
     so those points need no special casing.  At odd integers >= 3 the
-    Gamma(1-s) pole is genuine (cancelled only by the zero of zeta(1-s)),
-    and the evaluator errors propagate as the contract states.
+    Gamma(1-s) pole is genuine (cancelled only by the zero of zeta(1-s)):
+    cos(pi s / 2) rounds to about 1e-16, and residual and bound are both large.
     """
     s = complex(s)
-    lhs, _, _ = _zeta_core(s, None)
-    a, _, sin_w, _ = _chi_factors(s)
-    z2, _, _ = _zeta_core(1.0 - s, None)
-    rhs = a * sin_w * z2
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    lhs, lhs_err, _ = _zeta_core(s, None)
+    a, rel_a, trig, trig_err = _chi_factors(s)
+    z2, z2_err, _ = _zeta_core(1.0 - s, None)
+    rhs = a * trig * z2
+    # the product of the three factors' error discs: |RHS - rhs| <= rhs_hi - |rhs|
+    # up to rounding
+    rhs_hi = abs(a) * (1.0 + rel_a) * (abs(trig) + trig_err) * (abs(z2) + z2_err)
+    scale = 1.0 + abs(lhs)
+    bound = (lhs_err + rhs_hi - abs(rhs) + 8.0 * _EPS * (abs(lhs) + rhs_hi)) / scale
+    return abs(lhs - rhs) / scale, bound
 
 
 def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -253,6 +253,9 @@ def test_gram_head_shares_entries():
     head = system.head(2)
     assert np.array_equal(head.matrix, system.matrix[:2, :2])
     assert head.dilations == system.dilations[:2]
+    for n in (0, 5):
+        with pytest.raises(DomainError):
+            system.head(n)
 
 
 def test_gram_validation():

@@ -131,10 +131,10 @@ def test_first_moment_quadrature_rejects_dilations_outside_range(l):
 
 @pytest.mark.parametrize("l", [1.0, math.pi])
 def test_first_moment_quadrature_in_chunks(monkeypatch, l):
-    # the body is summed _WINDOW periods at a time; cutting it finer must not move it
-    one_chunk = dilated_frac_moment_quad(l, periods=100_000)
+    # lam_P is summed _WINDOW terms at a time; cutting it finer must not move it
+    one_chunk = dilated_frac_moment_quad(l)
     monkeypatch.setattr("nblab.moments._WINDOW", 1000)
-    many_chunks = dilated_frac_moment_quad(l, periods=100_000)
+    many_chunks = dilated_frac_moment_quad(l)
     assert many_chunks[1] == one_chunk[1]
     assert abs(many_chunks[0] - one_chunk[0]) <= 1e-14
 
@@ -177,6 +177,21 @@ def test_moment_report_three_terms():
     rep = moment_report(phi)
     assert rep.closed_form == pytest.approx(3.0 * math.log(2), abs=1e-13)
     assert abs(rep.integral_value - rep.closed_form) < 1e-9
+
+
+def test_moment_report_sums_the_harmonic_series_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "nblab.moments.partial_moment_constant",
+        lambda n: calls.append(n) or partial_moment_constant(n),
+    )
+    terms = [(1.0, float(l)) for l in range(2, 9)]
+    head = (-sum(1.0 / l for _, l in terms), 1.0)
+    phi = DilatedFracSum(terms=(head, *terms), constrained=True)
+    assert len(phi.terms) == 8
+    rep = moment_report(phi)
+    assert len(calls) == 1
+    assert abs(rep.integral_value - rep.closed_form) <= rep.quad_error_bound
 
 
 def test_moment_report_requires_constraint():

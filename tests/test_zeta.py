@@ -1,3 +1,4 @@
+import cmath
 import importlib
 import math
 
@@ -15,7 +16,14 @@ from nblab import (
     xi,
     zeta,
 )
-from nblab.zeta import _analytic_bound, _eta_sum, _pick_n, _refined_zeros, _xi_rows
+from nblab.zeta import (
+    _analytic_bound,
+    _eta_sum,
+    _pick_n,
+    _refined_zeros,
+    _weighted_pole_product,
+    _xi_rows,
+)
 
 # the module itself: ``nblab.zeta`` as an attribute is the function
 zeta_module = importlib.import_module("nblab.zeta")
@@ -79,7 +87,18 @@ def test_near_pole_error_estimate_grows():
 
 @pytest.mark.parametrize("s", [complex(0.5, 3.0), 2.0, -1.5])
 def test_functional_equation_examples(s):
-    assert functional_equation_residual(s) < 1e-9
+    residual, bound = functional_equation_residual(s)
+    assert residual < 1e-9
+    assert residual <= bound <= 1e-9
+
+
+@pytest.mark.parametrize("s", [3.0, 5.0, 7.0, 9.0, 11.0, 13.0])
+def test_functional_equation_bound_covers_odd_integers(s):
+    # cos(pi s / 2) rounds to about 1e-16 against the zero of zeta(1 - s),
+    # so the residual is large (0.18 at 3, 0.87 at 13); its bound must say so
+    residual, bound = functional_equation_residual(s)
+    assert residual > 1e-3
+    assert residual <= bound
 
 
 def test_functional_equation_strip_sample():
@@ -91,7 +110,9 @@ def test_functional_equation_strip_sample():
             continue
         if abs(s.imag) < 0.2 and abs(s.real - round(s.real)) < 0.2:
             continue
-        assert functional_equation_residual(s) < 1e-8
+        residual, bound = functional_equation_residual(s)
+        assert residual < 1e-8
+        assert residual <= bound <= 1e-9
         checked += 1
 
 
@@ -188,6 +209,28 @@ def test_zeta_near_zero_against_mpmath(target, terms):
         rep = zeta(s, target)
         assert_within_claim(rep, oracle)
         assert rep.terms_used == terms
+
+
+def test_weighted_pole_product_near_one_against_mpmath():
+    # W(s) = (s - 1) zeta(s) divides by e^w - 1, w = (1 - s) ln 2; formed as
+    # e^w - 1 it cancelled to 25 times the claim on this grid
+    for r in np.geomspace(1e-6, 0.2, 25):
+        for k in range(5):
+            s = 1.0 + r * cmath.exp(2j * math.pi * (k + 0.125) / 5)
+            value, claim, _ = _weighted_pole_product(s, None)
+            with mpmath.workdps(40):
+                z = mpmath.mpc(s.real, s.imag)
+                err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
+            assert err <= claim, f"error {err:.3e} above claim {claim:.3e} at s = {s}"
+
+
+@pytest.mark.parametrize("s", [-5e-324, 5e-324j, complex(-1e-320, 1e-321)])
+def test_subnormal_distance_from_pole_cancellations(s):
+    # sin(pi s / 2) / s and w / (e^w - 1) must not lose their digits to subnormals
+    with mpmath.workdps(40):
+        oracle = mpmath.zeta(mpmath.mpc(s.real, s.imag))
+    assert_within_claim(zeta(s, 1e-10), oracle)
+    assert_within_claim(xi(1.0 - s), mpmath_xi(1.0 - s))
 
 
 def test_find_critical_zeros_first():
