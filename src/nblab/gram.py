@@ -153,7 +153,7 @@ def pair_product_integral(a: float, b: float, target_entry_error: float) -> tupl
         if continuity <= goal:
             value, roundoff = _closed_form_entry(lo, hi, h, k)
             return value, roundoff + continuity
-    raise PrecisionUnreachable(f"entry ({a:g}, {b:g}) needs a denominator above "
+    raise PrecisionUnreachable(f"entry ({a!r}, {b!r}) needs a denominator above "
                                f"{DENOMINATOR_CAP} for {target_entry_error:g}")
 
 

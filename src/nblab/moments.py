@@ -294,14 +294,16 @@ def weighted_norm_report(
     p = float(p)
     if not 1.0 < p <= 2.0:
         raise DomainError("p must lie in (1, 2]")
+    if not max_segments > 0:
+        raise DomainError("max_segments must be positive")
+    if max_segments > 50_000_000:
+        raise PrecisionUnreachable("segment budget above the supported cap")
     coeffs = phi.coeffs
     dils = phi.dilations
     density = float(np.sum(1.0 / dils))
     T = max(100.0, max_segments / density)
     if np.all(coeffs == 0.0):
         return NormReport(value=0.0, abs_error_bound=0.0, truncation=T)
-    if max_segments > 50_000_000:
-        raise PrecisionUnreachable("segment budget above the supported cap")
     slope = float(np.sum(coeffs / dils))
     # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
     # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)

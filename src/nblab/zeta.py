@@ -32,13 +32,14 @@ The zero search evaluates Re xi(1/2 + it) on rows of equally spaced points
 t = a_r + j h through the single kernel ``_eta_sum``: by angle addition,
 e^{-i(a_r + jh) ln k} = e^{-i a_r ln k} e^{-i jh ln k}, so each call's sums
 are one matrix product and no points x terms table of sines and cosines is
-built.  Each call (a grid window of up to 1024 points, or one refinement
-level of that window's brackets) uses one term count: ``xi``'s pick at the
-call's largest t with |1 - 2^{1-s}| at its floor sqrt(2) - 1, which is at
-least ``xi``'s pick at each point.  A bracket is a pair of neighbours of
-opposite sign.  Each level cuts every bracket into at most 32 equal parts
-by one such row, keeps every sign change among them, and stops once the
-parts are at most ``tol`` wide; each final bracket's midpoint is reported.
+built.  The scan is one pass of such calls: the grid's top row first, then
+its full rows, then one per refinement level of all brackets.  Each uses
+one term count, ``xi``'s pick at the call's largest t with |1 - 2^{1-s}|
+at its floor sqrt(2) - 1, which is at least ``xi``'s pick at each point.
+A bracket is a pair of neighbours of opposite sign.  Each level cuts every
+bracket into at most 32 equal parts by one such row, keeps every sign
+change among them, and stops once the parts are at most ``tol`` wide;
+each final bracket's midpoint is reported.
 """
 
 from __future__ import annotations
@@ -66,8 +67,6 @@ _LOG_RHO = math.log(_RHO)
 _EPS = 2.220446049250313e-16
 _N_MAX = 320
 _POLE_TOL = 1e-12
-#: grid points per window of the zero scan
-_BATCH = 1024
 #: points per row of the scan's angle-addition layout, and most parts per
 #: refinement of a bracket
 _ROW = 32
@@ -198,9 +197,13 @@ def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
     a = _cexp(log_part)
     rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
     cos_w = cmath.cos(w)
+    # cos w errs by at most 4 eps (1 + |w|) cosh(Im w), delta of itself, so
+    # 1/(2 cos w) by delta/(1 - delta) of itself: no claim at odd integers s
+    delta = 4.0 * _EPS * (1.0 + abs(w)) * cosh_im / abs(cos_w) if cos_w else math.inf
+    if delta >= 0.5:
+        raise PrecisionUnreachable(f"cos(pi s / 2) at s = {s!r} is lost to rounding")
     trig = 1.0 / (2.0 * cos_w)
-    trig_abs_err = abs(trig) * 4.0 * _EPS * (1.0 + abs(w)) * cosh_im / max(abs(cos_w), 1e-300)
-    return a, rel_a, trig, trig_abs_err
+    return a, rel_a, trig, abs(trig) * delta / (1.0 - delta)
 
 
 def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int]:
@@ -296,13 +299,16 @@ def functional_equation_residual(s: complex) -> tuple[float, float]:
     """Relative residual |zeta(s) - RHS| / (1 + |zeta(s)|) of the reflection
     formula zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s), and
     the bound on it that the error claims of both sides give (the exact
-    residual is 0).
+    residual is 0).  The sides take independent routes only on 0 < Re s < 1:
+    on Re s > 1 zeta(1-s) is itself reflected, so this checks
+    chi(s) chi(1-s) = 1, and on Re s <= 0 with |s| >= 1/4 both sides are the
+    same product, so the residual is exactly 0.
 
     At positive even integers the literal right side is a 0 * pole product;
     the continued form used by ``_chi_factors`` on Re s > 1/2 is its limit,
     so those points need no special casing.  At odd integers >= 3 the
     Gamma(1-s) pole is genuine (cancelled only by the zero of zeta(1-s)):
-    cos(pi s / 2) rounds to about 1e-16, and residual and bound are both large.
+    cos(pi s / 2) is only rounding error there, so PrecisionUnreachable is raised.
     """
     s = complex(s)
     lhs, lhs_err, _ = _zeta_core(s, None)
@@ -367,11 +373,12 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
 
     Re xi(1/2 + it) is evaluated on the grid t_j = j * 0.05, j >= 1, up to
-    t_max, in windows of up to 1024 points.  A grid value of exactly 0.0 is
-    reported as it stands; neighbours of opposite sign form a bracket, which
-    is refined down to width ``tol`` and reported by its midpoint
-    (``_refined_zeros``): Re xi(1/2 + it) is continuous, so a sign change
-    brackets a zero.
+    t_max: first the top row of 1 to 32 points that ends there, where xi
+    underflows first, then all full rows of 32 points.  A grid value of
+    exactly 0.0 is reported as it stands; neighbours of opposite sign form a
+    bracket, and all brackets are refined together down to width ``tol``
+    and reported by their midpoints (``_refined_zeros``): Re xi(1/2 + it)
+    is continuous, so a sign change brackets a zero.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -380,25 +387,14 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     if tol < 64.0 * _EPS * max(1.0, t_max):
         raise PrecisionUnreachable(f"sub-grids cannot resolve brackets of width {tol:g}")
     h = _GRID_STEP
-    last = int(math.floor((t_max - h) / h + 1e-9)) + 1
-    zeros: list[float] = []
-    t_prev = f_prev = np.empty(0)
-    for j0 in range(1, last + 1, _BATCH):
-        size = min(_BATCH, last + 1 - j0)
-        # whole rows of _ROW points, then a last partial row of its own length,
-        # so that no point past t_max is evaluated
-        starts = h * np.arange(j0, j0 + size, _ROW)
-        rows = size // _ROW
-        ts, fs = [t_prev], [f_prev]
-        for a, m in ((starts[:rows], _ROW), (starts[rows:], size % _ROW)):
-            if a.size:
-                t_rows, f_rows = _xi_rows(a, h, m)
-                ts.append(t_rows.ravel())
-                fs.append(f_rows.ravel())
-        t, f = np.concatenate(ts), np.concatenate(fs)
-        # the neighbours (t[i], t[i + 1]); the last point pairs with the next window
-        (hits,), (i,) = _sign_changes(f)
-        zeros.extend(t[hits].tolist())
-        zeros.extend(_refined_zeros(t[i], f[i], f[i + 1], h, tol))
-        t_prev, f_prev = t[-1:], f[-1:]
-    return sorted(zeros)
+    last = int(math.floor((t_max - h) / h + 1e-9)) + 1  # the grid is t_j = j h, j = 1..last
+    if last == 0:
+        return []
+    rows = (last - 1) // _ROW  # full rows from t = h; the top row holds the other points
+    t_top, f_top = _xi_rows(np.array([h * (1 + rows * _ROW)]), h, last - rows * _ROW)
+    t_rows = f_rows = np.empty(0)
+    if rows:
+        t_rows, f_rows = _xi_rows(h * np.arange(1, rows * _ROW, _ROW), h, _ROW)
+    t, f = np.append(t_rows, t_top), np.append(f_rows, f_top)
+    (hits,), (i,) = _sign_changes(f)
+    return sorted(t[hits].tolist() + _refined_zeros(t[i], f[i], f[i + 1], h, tol))

@@ -184,6 +184,8 @@ def test_zeros_to_500_counts_every_zero():
         # xi(1/2 + 805i) is finite, but its error claim overflows: printed,
         # it would read Infinity, which is not valid JSON
         ["xi", "--re", "0.5", "--im", "805"],
+        # cos(pi s / 2) at odd s is rounding error against a true 0
+        ["fe-check", "--re", "3"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -240,6 +242,15 @@ def test_sweep_family_validated(argv, message):
     code, out, err = invoke(["sweep", *argv])
     assert code == EXIT_DOMAIN
     assert message in err
+    assert out == ""
+
+
+def test_gram_precision_failure_names_the_dilations():
+    # entry (1, 1.0000001) needs a denominator above 2^20; ":g" printed it as (1, 1)
+    code, out, err = invoke(["sweep", "--family", "geometric", "--ratio", "1.0000001",
+                             "--n", "5"])
+    assert code == EXIT_PRECISION
+    assert "1.0000001" in err
     assert out == ""
 
 
@@ -338,10 +349,19 @@ def test_non_json_stdin_is_domain_error(monkeypatch):
 def test_norm_budget_validated(tmp_path):
     path = tmp_path / "sum.json"
     path.write_text(json.dumps({"terms": [{"h": -1.0, "l": 1.0}, {"h": 2.0, "l": 2.0}]}))
-    code, out, err = invoke(["norm", "--input", str(path), "--max-segments", "60000000"])
-    assert code == EXIT_PRECISION
-    assert "segment budget above the supported cap" in err
-    assert out == ""
+    # the cap holds for the zero sum too
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"terms": [{"h": 0.0, "l": 2.0}]}))
+    for sum_path in (path, zero):
+        code, out, err = invoke(["norm", "--input", str(sum_path), "--max-segments", "60000000"])
+        assert code == EXIT_PRECISION
+        assert "segment budget above the supported cap" in err
+        assert out == ""
+        for budget in ("0", "-5"):
+            code, out, err = invoke(["norm", "--input", str(sum_path), "--max-segments", budget])
+            assert code == EXIT_DOMAIN
+            assert "max_segments must be positive" in err
+            assert out == ""
 
 
 def test_module_entry_point():

@@ -94,11 +94,19 @@ def test_functional_equation_examples(s):
 
 @pytest.mark.parametrize("s", [3.0, 5.0, 7.0, 9.0, 11.0, 13.0])
 def test_functional_equation_bound_covers_odd_integers(s):
-    # cos(pi s / 2) rounds to about 1e-16 against the zero of zeta(1 - s),
-    # so the residual is large (0.18 at 3, 0.87 at 13); its bound must say so
+    # cos(pi s / 2) rounds to about 1e-16 against a true 0, so 1/(2 cos)
+    # has no error bound there: no residual is claimed
+    with pytest.raises(PrecisionUnreachable, match="lost to rounding"):
+        functional_equation_residual(s)
+
+
+@pytest.mark.parametrize("s", [3.0 - 1e-13, 3.0 + 1e-13, 13.0 + 1e-12])
+def test_functional_equation_bound_beside_odd_integers(s):
+    # cos(pi s / 2) is about 1e-13 to 1e-12 here, known to a few percent:
+    # the residual is large (1e-3 at 3 + 1e-13), and the bound covers it
     residual, bound = functional_equation_residual(s)
-    assert residual > 1e-3
-    assert residual <= bound
+    assert residual > 1e-4
+    assert residual <= bound < 0.1
 
 
 def test_functional_equation_strip_sample():
@@ -268,7 +276,9 @@ def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
 
 
 def test_find_critical_zeros_empty_below_first():
-    assert find_critical_zeros(1.0, 1e-6) == []
+    # no grid point, the top row alone, and one full row with a 1-point top row
+    for t_max in (0.01, 1.0, 1.6, 1.65):
+        assert find_critical_zeros(t_max, 1e-6) == []
 
 
 def test_find_critical_zeros_validation():
@@ -362,16 +372,15 @@ def test_angle_addition_matches_direct_sums():
     assert np.all(np.abs(rows.ravel() - direct) <= rows_fp.ravel() + direct_fp)
 
 
-def test_scan_term_count_covers_each_point(monkeypatch):
-    # each kernel call of the scan (grid window or refinement level) uses one
-    # term count; it must be at least the count xi picks at each of its points
+def spy_on_scan(monkeypatch):
+    """Lists that collect each ``_xi_rows`` call's points and each
+    ``_eta_sum`` call's term count."""
     calls, counts = [], []
     kernel, eta_sum = zeta_module._xi_rows, zeta_module._eta_sum
 
     def spy_kernel(a, h, m):
-        t, values = kernel(a, h, m)
-        calls.append(t.ravel())
-        return t, values
+        calls.append(np.add.outer(a, h * np.arange(m)).ravel())
+        return kernel(a, h, m)
 
     def spy_eta_sum(s, n, offsets=None):
         counts.append(n)
@@ -379,13 +388,32 @@ def test_scan_term_count_covers_each_point(monkeypatch):
 
     monkeypatch.setattr(zeta_module, "_xi_rows", spy_kernel)
     monkeypatch.setattr(zeta_module, "_eta_sum", spy_eta_sum)
-    find_critical_zeros(600.0, 1e-6)
-    assert len(calls) == len(counts) and len(calls) > 12
-    for t, n in zip(calls, counts):
-        s = 0.5 + 1j * t
-        denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
-        assert all(n >= _pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs))
-    assert max(counts) == 320 and all(n % 8 == 0 for n in counts)
+    return calls, counts
+
+
+def test_scan_term_count_covers_each_point(monkeypatch):
+    # each kernel call of the scan (top row, full rows, or refinement level)
+    # uses one term count; it must be at least the count xi picks at each of
+    # its points.  Below t ~ 556 that count is under the 320 cap.
+    for t_max, n_max in ((200.0, 208), (600.0, 320)):
+        calls, counts = spy_on_scan(monkeypatch)
+        find_critical_zeros(t_max, 1e-6)
+        # the two grid calls, then 4 levels: 0.05 / 32 / 32 / 32 / 2 < 1e-6
+        assert len(calls) == len(counts) == 2 + 4
+        for t, n in zip(calls, counts):
+            s = 0.5 + 1j * t
+            denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
+            assert all(n >= _pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs))
+        assert max(counts) == n_max and all(n % 8 == 0 for n in counts)
+
+
+@pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
+def test_scan_underflow_raises_before_the_grid_is_built(monkeypatch, t_max, tol):
+    # the top row is evaluated first, and xi(1/2 + it) underflows there
+    calls, _ = spy_on_scan(monkeypatch)
+    with pytest.raises(PrecisionUnreachable, match="underflows"):
+        find_critical_zeros(t_max, tol)
+    assert len(calls) == 1 and calls[0].size <= 32
 
 
 def test_analytic_bound_nondecreasing_past_the_old_clamp():
