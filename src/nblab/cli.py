@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 
 from . import approx as _approx
@@ -32,6 +34,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "-1e-3" is a value, not an option: no nblab option starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -245,6 +252,9 @@ def run(argv=None, out=None, err=None) -> int:
         return EXIT_USAGE
     config = vars(args)
     try:
+        for key, value in config.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"non-finite argument --{key.replace('_', '-')} {value!r}")
         result = _run_subcommand(args)
     except PrecisionUnreachable as exc:
         print(f"precision failure: {exc}", file=err)

@@ -22,11 +22,13 @@ model was tuned against a 35-digit reference over thousands of points.
 
 For Re s <= 0 the value is produced by the reflection formula
 zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s); for |s| < 1/4
-zeta(1-s) enters as -W(1-s)/s, where W(s) = (s-1) zeta(s) is the one
-product that cancels the pole at s = 1, and the sin zero is divided by s.
+zeta(1-s) enters as -W(1-s)/s, and the sin zero is divided by s.  The
+functional-equation residual takes it at whichever of s, 1-s has Re <= 1/2.
+W(s) = (s-1) zeta(s) = eta(s) (s-1)/(1 - 2^{1-s}) on Re s > 0 is the one
+product that cancels the pole at s = 1; its term count and bound are W's own.
 
 xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
-pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s < 0 through xi(s) = xi(1-s).
+pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s).
 
 The zero search evaluates Re xi(1/2 + it) on rows of equally spaced points
 t = a_r + j h through the single kernel ``_eta_sum``: by angle addition,
@@ -105,7 +107,9 @@ def _log_bound_constant(s: complex, denom_abs: float) -> float:
     for sigma < 1/2."""
     t = abs(s.imag)
     log_c = math.log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 - math.log(denom_abs)
-    return log_c + (s.real < 0.5) * (math.log(4.0) + (0.5 - s.real) * math.log(100.0))
+    if s.real < 0.5:  # an if, not a 0/1 factor: past Re s ~ 4e307 the bracket is -inf
+        log_c += math.log(4.0) + (0.5 - s.real) * math.log(100.0)
+    return log_c
 
 
 def _analytic_bound(s: complex, n: int, denom_abs: float) -> float:
@@ -172,38 +176,16 @@ def _zeta_right(s: complex, target: float | None) -> tuple[complex, float, int]:
 
 def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
     """The reflection factor chi(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s)
-    split as (smooth part, its relative error, trig part, its absolute error).
-
-    For Re s <= 1/2 the factors are used as written (Gamma(1-s) is then in
-    the Lanczos half-plane).  For Re s > 1/2 the equivalent continued form
-    chi(s) = (2 pi)^s / (2 cos(pi s / 2) Gamma(s)) is used instead; it is
-    regular at even integers, where the literal product is a 0 * pole limit,
-    and keeps Gamma evaluated on its accurate half-plane.
-    """
+    on Re s <= 1/2, where Gamma(1-s) is in the Lanczos half-plane, split as
+    (smooth part, its relative error, sin(pi s / 2), its absolute error)."""
     w = 0.5 * math.pi * s
-    # |sin w| and |cos w| are at most cosh(Im w), which bounds both factors
-    # and their errors; past e^709 none of them is representable
+    # |sin w| <= cosh(Im w) bounds it and its error; past e^709 neither is representable
     if abs(w.imag) > _LOG_MAX:
         raise PrecisionUnreachable(f"reflection factor at s = {s!r} overflows double precision")
-    cosh_im = math.cosh(w.imag)
-    if s.real <= 0.5:
-        log_part = s * _LN2 + (s - 1.0) * _LOG_PI + loggamma_right(1.0 - s)
-        a = _cexp(log_part)
-        rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
-        trig = cmath.sin(w)
-        trig_abs_err = 4.0 * _EPS * (1.0 + abs(w)) * cosh_im
-        return a, rel_a, trig, trig_abs_err
-    log_part = s * (_LN2 + _LOG_PI) - loggamma_right(s)
+    log_part = s * _LN2 + (s - 1.0) * _LOG_PI + loggamma_right(1.0 - s)
     a = _cexp(log_part)
     rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
-    cos_w = cmath.cos(w)
-    # cos w errs by at most 4 eps (1 + |w|) cosh(Im w), delta of itself, so
-    # 1/(2 cos w) by delta/(1 - delta) of itself: no claim at odd integers s
-    delta = 4.0 * _EPS * (1.0 + abs(w)) * cosh_im / abs(cos_w) if cos_w else math.inf
-    if delta >= 0.5:
-        raise PrecisionUnreachable(f"cos(pi s / 2) at s = {s!r} is lost to rounding")
-    trig = 1.0 / (2.0 * cos_w)
-    return a, rel_a, trig, abs(trig) * delta / (1.0 - delta)
+    return a, rel_a, cmath.sin(w), 4.0 * _EPS * (1.0 + abs(w)) * math.cosh(w.imag)
 
 
 def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int]:
@@ -254,25 +236,23 @@ def zeta(s: complex, target_abs_error: float) -> ComplexEvalReport:
 
 
 def _weighted_pole_product(s: complex, target: float | None) -> tuple[complex, float, int]:
-    """W(s) = (s - 1) zeta(s) with the pole cancelled explicitly near s = 1;
-    ``target`` sets the term count as in ``zeta``."""
-    if abs(s - 1.0) < 0.25 and s.real > 0.0:
-        n = _pick_n(s, 1e-15 if target is None else target, 1.0)
-        eta_val, eta_fp = _eta_sum_at(s, n)
-        eta_err = _analytic_bound(s, n, 1.0) + eta_fp + 2.0 * _EPS * n
-        # (s-1)/(1 - 2^{1-s}) = (1/ln 2) * w/(e^w - 1) with w = (1-s) ln 2
-        w = (1.0 - s) * _LN2
-        ratio = 1.0 / _LN2 if w == 0 else w / complex(np.expm1(w)) / _LN2
-        value = eta_val * ratio
-        return value, abs(value) * (eta_err / max(abs(eta_val), 1e-300) + 8.0 * _EPS), n
-    value, err, n = _zeta_core(s, target)
-    return (s - 1.0) * value, abs(s - 1.0) * err + _EPS * abs((s - 1.0) * value), n
+    """W(s) = (s - 1) zeta(s) = eta(s) (s - 1)/(1 - 2^{1-s}) on Re s > 0, with
+    its error target ``target`` as in ``zeta``: the eta remainder times |ratio|."""
+    # (s-1)/(1 - 2^{1-s}) = (1/ln 2) * w/(e^w - 1) with w = (1-s) ln 2
+    w = (1.0 - s) * _LN2
+    ratio = 1.0 / _LN2 if w == 0 else w / complex(np.expm1(w)) / _LN2
+    ratio_abs = abs(ratio)
+    n = _pick_n(s, 1e-15 if target is None else target, 1.0 / ratio_abs)
+    eta_val, eta_fp = _eta_sum_at(s, n)
+    value = eta_val * ratio
+    err = _analytic_bound(s, n, 1.0 / ratio_abs) + ratio_abs * (eta_fp + 2.0 * _EPS * n)
+    return value, err + 8.0 * _EPS * abs(value), n
 
 
 def xi(s: complex) -> ComplexEvalReport:
     """The completed, entire, symmetric form 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s).
 
-    For Re s < 0, xi(s) = xi(1 - s) moves s into Re s > 1.  There
+    For Re s <= 0, xi(s) = xi(1 - s) moves s into Re s >= 1.  There
     s Gamma(s/2) = 2 Gamma(s/2 + 1) and W(s) = (s-1) zeta(s) remove the
     poles at s = 0 and s = 1, so xi(s) = pi^{-s/2} Gamma(s/2 + 1) W(s), with
     the Gamma factor formed in log space: it overflows only where |xi| does.
@@ -283,7 +263,7 @@ def xi(s: complex) -> ComplexEvalReport:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite argument {s!r}")
-    if s.real < 0.0:
+    if s.real <= 0.0:
         s = 1.0 - s
     w_val, w_err, n = _weighted_pole_product(s, None)
     log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LOG_PI
@@ -296,24 +276,17 @@ def xi(s: complex) -> ComplexEvalReport:
 
 
 def functional_equation_residual(s: complex) -> tuple[float, float]:
-    """Relative residual |zeta(s) - RHS| / (1 + |zeta(s)|) of the reflection
-    formula zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s), and
-    the bound on it that the error claims of both sides give (the exact
-    residual is 0).  The sides take independent routes only on 0 < Re s < 1:
-    on Re s > 1 zeta(1-s) is itself reflected, so this checks
-    chi(s) chi(1-s) = 1, and on Re s <= 0 with |s| >= 1/4 both sides are the
-    same product, so the residual is exactly 0.
-
-    At positive even integers the literal right side is a 0 * pole product;
-    the continued form used by ``_chi_factors`` on Re s > 1/2 is its limit,
-    so those points need no special casing.  At odd integers >= 3 the
-    Gamma(1-s) pole is genuine (cancelled only by the zero of zeta(1-s)):
-    cos(pi s / 2) is only rounding error there, so PrecisionUnreachable is raised.
-    """
+    """Relative residual |zeta(u) - RHS| / (1 + |zeta(u)|) of the reflection
+    formula zeta(u) = 2^u pi^{u-1} sin(pi u / 2) Gamma(1-u) zeta(1-u) at u,
+    whichever of s and 1 - s has Re u <= 1/2 (so s and 1 - s share it), and
+    the bound on it that the error claims of both sides give.  The sides take
+    independent routes only on Re u > 0; on Re u <= 0 with |u| >= 1/4 they
+    are the same product, and the residual is exactly 0."""
     s = complex(s)
-    lhs, lhs_err, _ = _zeta_core(s, None)
-    a, rel_a, trig, trig_err = _chi_factors(s)
-    z2, z2_err, _ = _zeta_core(1.0 - s, None)
+    u = s if s.real <= 0.5 else 1.0 - s
+    lhs, lhs_err, _ = _zeta_core(u, None)
+    a, rel_a, trig, trig_err = _chi_factors(u)
+    z2, z2_err, _ = _zeta_core(1.0 - u, None)
     rhs = a * trig * z2
     # the product of the three factors' error discs: |RHS - rhs| <= rhs_hi - |rhs|
     # up to rounding

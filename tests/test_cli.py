@@ -28,6 +28,10 @@ def test_zeta_subcommand():
     assert payload["config"]["subcommand"] == "zeta"
     assert abs(payload["result"]["re"] - math.pi**2 / 6.0) < 1e-12
     assert payload["result"]["abs_error_estimate"] <= 1e-12
+    # past Re s ~ 4e307 the strip term of the remainder bound was 0 * -inf
+    payload = invoke_json(["zeta", "--re", "1e308"])
+    assert payload["result"]["re"] == 1.0
+    assert payload["result"]["abs_error_estimate"] <= 1e-12
 
 
 def test_xi_and_fe_check():
@@ -35,6 +39,20 @@ def test_xi_and_fe_check():
     assert abs(payload["result"]["im"]) < 1e-12
     payload = invoke_json(["fe-check", "--re", "0.5", "--im", "3"])
     assert payload["result"]["residual"] <= payload["result"]["abs_error_bound"] < 1e-9
+    # taken at u = 1 - s = -2, where sin(pi u / 2) Gamma(1 - u) has no pole
+    payload = invoke_json(["fe-check", "--re", "3"])
+    assert payload["result"]["residual"] <= payload["result"]["abs_error_bound"] < 1e-14
+
+
+@pytest.mark.parametrize(
+    "argv", [["xi", "--re", "-1e-3"], ["zeta", "--re", "-2.5E1", "--im", "3", "--target", "1"]]
+)
+def test_negative_numbers_in_exponent_form_are_values(argv):
+    # argparse's own rule takes only -12 and -1.5 for numbers, not -1e-3
+    joined = [*argv[:1], f"--re={argv[2]}", *argv[3:]]
+    code, out, err = invoke(argv)
+    assert code == EXIT_OK, err
+    assert invoke(joined) == (EXIT_OK, out, "")
 
 
 def test_zeros_subcommand():
@@ -184,8 +202,8 @@ def test_zeros_to_500_counts_every_zero():
         # xi(1/2 + 805i) is finite, but its error claim overflows: printed,
         # it would read Infinity, which is not valid JSON
         ["xi", "--re", "0.5", "--im", "805"],
-        # cos(pi s / 2) at odd s is rounding error against a true 0
-        ["fe-check", "--re", "3"],
+        # at u = 1 - s = -1e308 the reflection factor is not representable
+        ["fe-check", "--re", "1e308"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -326,6 +344,12 @@ def test_key_value_csv():
         (["sweep", "--n", "2,x"], "bad integer list"),
         (["moment", "--input", "no-such-dir/sum.json"], "cannot read"),
         (["xi", "--re", "nan"], "non-finite argument"),
+        # printed in the config, inf would read Infinity, which is not valid JSON
+        (["zeta", "--re", "2", "--target", "inf"], "non-finite argument"),
+        (["constants", "--target", "inf"], "non-finite argument"),
+        (["gram", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
+        (["approx", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
+        (["zeros", "--t-max", "30", "--tol", "inf"], "non-finite argument"),
     ],
 )
 def test_bad_argument_values_are_domain_errors(tmp_path, monkeypatch, argv, message):

@@ -94,19 +94,26 @@ def test_functional_equation_examples(s):
 
 @pytest.mark.parametrize("s", [3.0, 5.0, 7.0, 9.0, 11.0, 13.0])
 def test_functional_equation_bound_covers_odd_integers(s):
-    # cos(pi s / 2) rounds to about 1e-16 against a true 0, so 1/(2 cos)
-    # has no error bound there: no residual is claimed
-    with pytest.raises(PrecisionUnreachable, match="lost to rounding"):
-        functional_equation_residual(s)
+    # the formula is taken at u = 1 - s, where sin(pi u / 2) Gamma(1 - u) has
+    # no pole: the bound is derived there, odd integers included
+    residual, bound = functional_equation_residual(s)
+    assert residual <= bound <= 1e-14
 
 
 @pytest.mark.parametrize("s", [3.0 - 1e-13, 3.0 + 1e-13, 13.0 + 1e-12])
 def test_functional_equation_bound_beside_odd_integers(s):
-    # cos(pi s / 2) is about 1e-13 to 1e-12 here, known to a few percent:
-    # the residual is large (1e-3 at 3 + 1e-13), and the bound covers it
     residual, bound = functional_equation_residual(s)
-    assert residual > 1e-4
-    assert residual <= bound < 0.1
+    assert residual <= bound < 1e-12
+
+
+def test_functional_equation_residual_is_symmetric():
+    # both s and 1 - s take the formula at the one of them with Re <= 1/2;
+    # on Re s = 1/2 both keep their own point, so no equality is asked there
+    rng = np.random.default_rng(17)
+    points = [complex(rng.uniform(0.5, 15.0), rng.uniform(-50.0, 50.0)) for _ in range(400)]
+    for s in [*points, 3.0, 2.0, complex(0.75, 1e-9), complex(1.25, 0.0)]:
+        s = complex(s)
+        assert functional_equation_residual(s) == functional_equation_residual(1.0 - s), s
 
 
 def test_functional_equation_strip_sample():
@@ -181,12 +188,15 @@ def assert_within_claim(rep, oracle: mpmath.mpc) -> None:
 
 
 @pytest.mark.parametrize(
-    "s", [*(-(10.0**-k) for k in range(2, 13)), 400.0, -399.0, 430.0, complex(-20.5, 30.0)]
+    "s",
+    [*(-(10.0**-k) for k in range(2, 13)), 400.0, -399.0, 430.0, complex(-20.5, 30.0),
+     0.0, 5j, -30j, complex(0.0, 100.0)],
 )
 def test_xi_against_mpmath(s):
     # just left of 0 the rounded 1 - s sits next to the pole of zeta, which
     # only a cancelled (s - 1) zeta(s) survives; Gamma(201) alone overflows,
-    # so xi(400) and xi(-399) need pi^{-s/2} Gamma(s/2 + 1) in log space
+    # so xi(400) and xi(-399) need pi^{-s/2} Gamma(s/2 + 1) in log space;
+    # Re s = 0 is reflected onto Re s = 1
     s = complex(s)
     assert_within_claim(xi(s), mpmath_xi(s))
 
@@ -230,6 +240,18 @@ def test_weighted_pole_product_near_one_against_mpmath():
                 z = mpmath.mpc(s.real, s.imag)
                 err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
             assert err <= claim, f"error {err:.3e} above claim {claim:.3e} at s = {s}"
+
+
+def test_weighted_pole_product_against_mpmath():
+    # one formula, eta(s) (s - 1)/(1 - 2^{1-s}), serves all of Re s > 0
+    rng = np.random.default_rng(23)
+    for _ in range(150):
+        s = complex(rng.uniform(0.05, 30.0), rng.uniform(-400.0, 400.0))
+        value, claim, _ = _weighted_pole_product(s, None)
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s.real, s.imag)
+            err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
+        assert err <= claim, f"error {err:.3e} above claim {claim:.3e} at s = {s}"
 
 
 @pytest.mark.parametrize("s", [-5e-324, 5e-324j, complex(-1e-320, 1e-321)])
