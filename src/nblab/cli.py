@@ -36,8 +36,8 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # "-1e-3" is a value, not an option: no nblab option starts with a digit
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # "-1e-3" and "-inf" are values: no nblab option starts with a digit, inf or nan
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.I)
 
     def error(self, message):
         raise _UsageError(message)

@@ -25,10 +25,9 @@ constraint; ``moment_report`` returns both routes side by side.
 
 The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
 of the dilations in windows of about ``_WINDOW`` segments, which bounds a
-walk's memory however far it reaches, and ``_segment_integrals`` integrates
-1, t - t1 and (t - t1)^2 against dt/t^2 exactly over each segment.  The
-weighted norms below are built on these two functions; Gram entries come
-from a closed form and do not walk the lattice.
+walk's memory however far it reaches.  Only the p < 2 norms walk it: the
+p = 2 norm is the Gram quadratic form h^T G h, and Gram entries come from
+a closed form.
 """
 
 from __future__ import annotations
@@ -67,9 +66,9 @@ _EM_TAIL_CONST = 5.0 / 66.0 / 10.0
 #: lattice segments per window and terms per harmonic-sum pass.  The
 #: Gauss-Legendre pass holds 16 nodes per segment, about 60 MB at this size.
 #: Measured on a 2-core Xeon with the sqrt(2) bstar of ``approx`` at 4M
-#: segments, a norm takes 0.15-0.18 s and 39 MB peak against 0.21-0.23 s and
-#: 69 MB at 500,000; a sloped p = 1.5 norm at 1M segments takes 0.74 s and
-#: 88 MB against 1.14 s and 314 MB.
+#: segments, a p = 1.5 norm takes 0.25-0.32 s and 40 MB peak RSS against
+#: 0.33-0.35 s and 71 MB at 500,000; a sloped p = 1.5 norm at 1M segments
+#: takes 0.74 s and 88 MB against 1.14 s and 314 MB.
 _WINDOW = 100_000
 
 #: periods P that ``dilated_frac_moment_quad`` integrates exactly, up to T = P l
@@ -259,37 +258,24 @@ def _lattice_windows(dilations, t_lo: float, t_hi: float):
         t_lo = w_hi
 
 
-def _segment_integrals(t1: np.ndarray, u: np.ndarray):
-    """(i0, i1, i2): int (t - t1)^j dt/t^2 over [t1, t1 + u] for j = 0, 1, 2.
-
-    With w = u/t1 these are w/(1+w)/t1, ln(1+w) - w/(1+w) and
-    t1 (w - 2 ln(1+w) + w/(1+w)); below w = 1e-3 the last two switch to
-    their Taylor series, which avoids the cancellation."""
-    w = u / t1
-    small = w < 1e-3
-    l1p = np.log1p(w)
-    wow = w / (1.0 + w)
-    i0 = wow / t1
-    i1 = np.where(small, w * w / 2 - 2 * w**3 / 3 + 3 * w**4 / 4, l1p - wow)
-    i2 = t1 * np.where(small, w**3 / 3 - w**4 / 2 + 3 * w**5 / 5, w - 2 * l1p + wow)
-    return i0, i1, i2
-
-
 def weighted_norm_report(
     phi: DilatedFracSum, p: float, max_segments: int = 1_000_000
 ) -> NormReport:
     """{ int_1^inf |phi|^p dt/t^2 }^{1/p} for p in (1, 2].
 
-    phi is piecewise linear with the single slope sum h_k / l_k between
-    lattice points (piecewise constant when constrained).  On [1, l_min]
-    phi(t) = slope t, which integrates in closed form, and so do the later
-    flat pieces and p = 2; sloped pieces with p < 2 use 16-point
-    Gauss-Legendre on each side of the piece's zero, with the nodes
-    clustered at it.  The pieces come from the windowed lattice kernel.
-    The integral is truncated at T (set by ``max_segments``) and the tail is
-    bounded by (sum |h_k|)^p / T.  The norm then lies in
-    [head^{1/p}, (head + tail)^{1/p}]; the value is that interval's midpoint
-    and half its width enters the error bound.
+    ``max_segments`` sets the truncation T = max(100, max_segments / sum 1/l_k).
+    For p = 2 the integral is q = h^T G h with G = ``gram_system(dilations,
+    1/T)``, whose entry bounds E are at most max(1/(2T), 1e-13) plus roundoff;
+    q is within e = |h|^T (E + 4 n u |G|) |h|, the last term covering the
+    roundoff of forming h^T (G h) (gamma_2n <= 4 n u, u = 2^-53; Higham,
+    ch. 3).  For p < 2, phi is piecewise linear with the single slope
+    sum h_k / l_k between lattice points, integrated over the windowed
+    lattice up to T: in closed form on [1, l_min] (phi = slope t) and on flat
+    pieces, and by 16-point Gauss-Legendre clustered at the zero of each
+    sloped piece; the tail past T is bounded by (sum |h_k|)^p / T.  So the
+    integral lies in [q - down, q + up], (down, up) = (e, e) or (0, tail); the
+    value is the midpoint of [(q - down)^{1/p}, (q + up)^{1/p}] and half its
+    width enters the error bound.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -304,17 +290,25 @@ def weighted_norm_report(
     T = max(100.0, max_segments / density)
     if np.all(coeffs == 0.0):
         return NormReport(value=0.0, abs_error_bound=0.0, truncation=T)
-    slope = float(np.sum(coeffs / dils))
-    # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
-    # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
-    start = min(float(dils.min()), T)
-    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
-    for t1, u in _lattice_windows(dils, start, T):
-        v_mid = phi(t1 + 0.5 * u)
-        head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
-    tail_bound = phi.abs_coeff_sum**p / T
-    lo = max(head, 0.0) ** (1.0 / p)
-    hi = (head + tail_bound) ** (1.0 / p)
+    if p == 2.0:
+        from .gram import gram_system  # gram imports moment_constant from here
+
+        system = gram_system(dils, 1.0 / T)
+        bounds = system.entry_error_bounds + 4 * dils.size * 2.0**-53 * np.abs(system.matrix)
+        head = float(coeffs @ system.matrix @ coeffs)
+        down = up = float(np.abs(coeffs) @ bounds @ np.abs(coeffs))
+    else:
+        slope = float(np.sum(coeffs / dils))
+        # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
+        # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
+        start = min(float(dils.min()), T)
+        head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
+        for t1, u in _lattice_windows(dils, start, T):
+            v_mid = phi(t1 + 0.5 * u)
+            head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
+        down, up = 0.0, phi.abs_coeff_sum**p / T
+    lo = max(head - down, 0.0) ** (1.0 / p)
+    hi = (head + up) ** (1.0 / p)
     value = 0.5 * (lo + hi)
     err = 0.5 * (hi - lo) + 1e-12 * (1.0 + value)
     return NormReport(value=value, abs_error_bound=err, truncation=T)
@@ -324,10 +318,6 @@ def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
     """int |v_mid + slope (t - mid)|^p / t^2 summed over segments [t1, t1+u]."""
     if abs(slope) <= 1e-14 * max(1.0, coeff_scale):
         return float(np.sum(np.abs(v_mid) ** p * (u / (t1 * (t1 + u)))))
-    if p == 2.0:
-        a = v_mid - 0.5 * slope * u  # value at the left endpoint
-        i0, i1, i2 = _segment_integrals(t1, u)
-        return float(np.sum(a * a * i0 + 2.0 * a * slope * i1 + slope * slope * i2))
     nodes, weights = np.polynomial.legendre.leggauss(16)
     # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of the
     # piece, where |phi|^p has its kink; dt = 2 d y dy

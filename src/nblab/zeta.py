@@ -23,7 +23,10 @@ model was tuned against a 35-digit reference over thousands of points.
 For Re s <= 0 the value is produced by the reflection formula
 zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s); for |s| < 1/4
 zeta(1-s) enters as -W(1-s)/s, and the sin zero is divided by s.  The
-functional-equation residual takes it at whichever of s, 1-s has Re <= 1/2.
+reflected factor's target is zeta's divided by what multiplies it, with
+a = 2^s pi^{s-1} Gamma(1-s): |a| (|sin(pi s / 2)| + its error bound) for
+zeta(1-s), |a sin(pi s / 2) / s| for W(1-s).  The functional-equation
+residual takes it at whichever of s, 1-s has Re <= 1/2.
 W(s) = (s-1) zeta(s) = eta(s) (s-1)/(1 - 2^{1-s}) on Re s > 0 is the one
 product that cancels the pole at s = 1; its term count and bound are W's own.
 
@@ -194,12 +197,15 @@ def _zeta_reflect(s: complex, target: float | None) -> tuple[complex, float, int
     if abs(s) < 0.25:
         # the sin zero against the reflected pole: with W(s) = (s - 1) zeta(s),
         # zeta(s) = -2^s pi^{s-1} Gamma(1-s) (sin(pi s / 2) / s) W(1 - s)
-        w_val, w_err, n = _weighted_pole_product(1.0 - s, target)
         # below |s| = 1e-8, sin(pi s / 2) / s is pi/2 to rounding, and sin_w / s
         # would lose digits to subnormals
-        value = -a * (0.5 * math.pi if abs(s) < 1e-8 else sin_w / s) * w_val
+        sinc = 0.5 * math.pi if abs(s) < 1e-8 else sin_w / s
+        w_target = None if target is None else target / abs(a * sinc)
+        w_val, w_err, n = _weighted_pole_product(1.0 - s, w_target)
+        value = -a * sinc * w_val
         return value, abs(value) * (rel_a + 8.0 * _EPS + w_err / max(abs(w_val), 1e-300)), n
-    z2, z2_err, n = _zeta_right(1.0 - s, target)
+    z2_target = None if target is None else target / (abs(a) * (abs(sin_w) + sin_err))
+    z2, z2_err, n = _zeta_right(1.0 - s, z2_target)
     value = a * sin_w * z2
     z2_abs = abs(z2)
     rel = rel_a + (z2_err / max(z2_abs, 1e-300)) + 6.0 * _EPS

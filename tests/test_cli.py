@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nblab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run
@@ -100,6 +101,27 @@ def test_norm_subcommand(tmp_path):
     payload = invoke_json(["norm", "--input", str(path), "--p", "2"])
     assert payload["result"]["norm"] > 0.0
     assert payload["result"]["abs_error_bound"] < 1e-3
+
+
+def test_norm2_is_the_gram_quadratic_form_at_target_one_over_t(tmp_path):
+    bstar = invoke_json(["approx", "--dilations", f"1,{math.sqrt(2.0)!r}"])["result"]["bstar"]
+    path = tmp_path / "bstar.json"
+    path.write_text(json.dumps(bstar))
+    argv = ["norm", "--input", str(path), "--p", "2", "--max-segments", "4000000"]
+    res = invoke_json(argv)["result"]
+    T = res["truncation"]
+    assert T == 2343145.7505076197  # max(100, 4e6 / sum 1/l), the walk's truncation
+    dilations = ",".join(repr(term["l"]) for term in bstar["terms"])
+    gram = invoke_json(["gram", "--dilations", dilations, "--target", repr(1.0 / T)])["result"]
+    h = np.array([term["h"] for term in bstar["terms"]])
+    q = float(h @ np.array(gram["matrix"]) @ h)
+    entry_bound = float(np.abs(h) @ np.array(gram["entry_error_bounds"]) @ np.abs(h))
+    norm, bound = res["norm"], res["abs_error_bound"]
+    assert abs(norm * norm - q) <= (2.0 * norm + bound) * bound + entry_bound
+    # tighter than the walk to T, whose tail (sum |h|)^2 / T leaves half of
+    # [q^{1/2}, (q + tail)^{1/2}] as its bound
+    tail = float(np.sum(np.abs(h))) ** 2 / T
+    assert bound < 0.5 * (math.sqrt(q + tail) - math.sqrt(q))
 
 
 def test_gram_csv_structure():
@@ -350,6 +372,8 @@ def test_key_value_csv():
         (["gram", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
         (["approx", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
         (["zeros", "--t-max", "30", "--tol", "inf"], "non-finite argument"),
+        (["xi", "--re", "-inf"], "non-finite argument"),
+        (["zeta", "--re", "-nan"], "non-finite argument"),
     ],
 )
 def test_bad_argument_values_are_domain_errors(tmp_path, monkeypatch, argv, message):

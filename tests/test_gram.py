@@ -15,7 +15,7 @@ from nblab import (
     pair_product_integral,
 )
 from nblab.gram import _closed_form_entry, _continuity_bound, _convergents
-from nblab.moments import _lattice_windows, _segment_integrals
+from nblab.moments import _lattice_windows
 
 #: pairs checked against both the mpmath closed form and the lattice walk
 WALK_PAIRS = [(1.0, 1.0), (1.0, 2.0), (7.0, 11.0), (3.0, 49.0), (49.0, 50.0), (12.0, 18.0)]
@@ -62,6 +62,22 @@ def product_mean(a: float, b: float, period: float) -> float:
     b1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b) - 0.5
     seg = a1 * b1 * u + (a1 / b + b1 / a) * (u * u) / 2.0 + u**3 / (3.0 * a * b)
     return float(np.sum(seg)) / period
+
+
+def _segment_integrals(t1: np.ndarray, u: np.ndarray):
+    """(i0, i1, i2): int (t - t1)^j dt/t^2 over [t1, t1 + u] for j = 0, 1, 2.
+
+    With w = u/t1 these are w/(1+w)/t1, ln(1+w) - w/(1+w) and
+    t1 (w - 2 ln(1+w) + w/(1+w)); below w = 1e-3 the last two switch to
+    their Taylor series, which avoids the cancellation."""
+    w = u / t1
+    small = w < 1e-3
+    l1p = np.log1p(w)
+    wow = w / (1.0 + w)
+    i0 = wow / t1
+    i1 = np.where(small, w * w / 2 - 2 * w**3 / 3 + 3 * w**4 / 4, l1p - wow)
+    i2 = t1 * np.where(small, w**3 / 3 - w**4 / 2 + 3 * w**5 / 5, w - 2 * l1p + wow)
+    return i0, i1, i2
 
 
 def segment_head(a: float, b: float, T: float) -> tuple[float, int]:

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_constrained_sum
-from test_gram import lattice_walk_oracle
+from test_gram import _segment_integrals, lattice_walk_oracle
 from nblab import (
     ConstraintViolated,
     DilatedFracSum,
@@ -22,6 +22,7 @@ from nblab import (
     step_profile,
     weighted_norm_report,
 )
+from nblab.moments import _lattice_windows
 
 EULER_GAMMA_REF = 0.5772156649015329  # reference digits of the constant
 
@@ -367,7 +368,8 @@ def test_norm_interval_holds_the_sloped_reference():
     assert (ref + tail) ** (1.0 / p) <= rep.value + rep.abs_error_bound
 
 
-@pytest.mark.parametrize(
+#: a constrained and a sloped sum whose walks span many windows
+WALK_SUMS = pytest.mark.parametrize(
     "phi",
     [
         DilatedFracSum(terms=((-1.0, 1.0), (math.sqrt(2.0), math.sqrt(2.0))), constrained=True),
@@ -375,16 +377,59 @@ def test_norm_interval_holds_the_sloped_reference():
     ],
     ids=["constrained", "sloped"],
 )
+
+
+@WALK_SUMS
 def test_lattice_walk_across_many_windows(monkeypatch, phi):
-    # the Gram-entry walk oracle and the norms walk the same windowed lattice;
-    # cutting it into windows of 1000 segments must not move any of them
+    # the Gram-entry and p = 2 walk oracles and the p = 1.5 norm walk the same
+    # windowed lattice; cutting it into windows of 1000 segments must not
+    # move any of them
 
     def walk():
-        entry = lattice_walk_oracle(1.0, math.sqrt(2.0), 1e-5)[0]
-        norms = [weighted_norm_report(phi, p, max_segments=200_000).value for p in (2.0, 1.5)]
-        return [entry, *norms]
+        return [lattice_walk_oracle(1.0, math.sqrt(2.0), 1e-5)[0],
+                norm2_walk_oracle(phi, 200_000)[0],
+                weighted_norm_report(phi, 1.5, max_segments=200_000).value]
 
     one_window = walk()
     monkeypatch.setattr("nblab.moments._WINDOW", 1000)
     many_windows = walk()
     assert many_windows == pytest.approx(one_window, rel=0.0, abs=1e-13)
+
+
+def norm2_walk_oracle(phi: DilatedFracSum, max_segments: int) -> tuple[float, float]:
+    """(value, bound) of the p = 2 norm by a walk over the union lattice up
+    to the truncation T of ``weighted_norm_report``: (slope t)^2 integrated
+    in closed form on [1, l_min], then each segment exactly, from its left
+    end value a and the slope through i0, i1, i2 (flat segments through
+    their value alone), and the tail past T bounded by (sum |h|)^2 / T.  The
+    value is the midpoint of [head^{1/2}, (head + tail)^{1/2}] and the bound
+    half its width, with the 1e-12 (1 + value) slack of the production
+    bound."""
+    coeffs, dils = phi.coeffs, phi.dilations
+    T = max(100.0, max_segments / float(np.sum(1.0 / dils)))
+    slope = float(np.sum(coeffs / dils))
+    start = min(float(dils.min()), T)
+    head = abs(slope) ** 2 * math.expm1(math.log(start))
+    flat = abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
+    for t1, u in _lattice_windows(dils, start, T):
+        v_mid = phi(t1 + 0.5 * u)
+        if flat:
+            head += float(np.sum(np.abs(v_mid) ** 2 * (u / (t1 * (t1 + u)))))
+        else:
+            a = v_mid - 0.5 * slope * u
+            i0, i1, i2 = _segment_integrals(t1, u)
+            head += float(np.sum(a * a * i0 + 2.0 * a * slope * i1 + slope * slope * i2))
+    lo = max(head, 0.0) ** 0.5
+    hi = (head + phi.abs_coeff_sum**2 / T) ** 0.5
+    value = 0.5 * (lo + hi)
+    return value, 0.5 * (hi - lo) + 1e-12 * (1.0 + value)
+
+
+@WALK_SUMS
+def test_norm2_against_lattice_oracle(phi):
+    # the Gram quadratic form at entry target 1/T and the walk to T must
+    # agree within their bounds, and the form's bound must be the tighter
+    rep = weighted_norm_report(phi, 2.0, max_segments=200_000)
+    walk, walk_bound = norm2_walk_oracle(phi, 200_000)
+    assert abs(rep.value - walk) <= rep.abs_error_bound + walk_bound
+    assert rep.abs_error_bound < walk_bound

@@ -229,6 +229,21 @@ def test_zeta_near_zero_against_mpmath(target, terms):
         assert rep.terms_used == terms
 
 
+@pytest.mark.parametrize(
+    "s, target",
+    [(complex(-25.0, 3.0), 1e-3), (complex(-25.0, 3.0), 1e-5), (complex(-3.0, 50.0), 1e-6)],
+)
+def test_reflection_scales_the_target_of_zeta_one_minus_s(s, target):
+    # zeta(s) = a sin(pi s / 2) zeta(1 - s), and |a sin| is 2.6e6 at -25 + 3i,
+    # so zeta(1 - s) needs zeta's target divided by it: at zeta's own target
+    # it takes 16 terms, whose certified error (3.4e-3) is above these targets
+    with mpmath.workdps(40):
+        oracle = mpmath.zeta(mpmath.mpc(s.real, s.imag))
+    rep = zeta(s, target)
+    assert rep.abs_error_estimate <= target
+    assert_within_claim(rep, oracle)
+
+
 def test_weighted_pole_product_near_one_against_mpmath():
     # W(s) = (s - 1) zeta(s) divides by e^w - 1, w = (1 - s) ln 2; formed as
     # e^w - 1 it cancelled to 25 times the claim on this grid
