@@ -215,10 +215,10 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
 def _emit_csv(config: dict, result: dict, out) -> None:
     print(f"# config: {json.dumps(config, sort_keys=True)}", file=out)
     if "records" in result:  # sweep table
-        print("N,distance,theta_log_sum,gap,gram_condition", file=out)
+        print("N,distance,theta_log_sum,gap,gram_condition,certified_error", file=out)
         for r in result["records"]:
             print(f"{r['N']},{r['distance']!r},{r['theta_log_sum']!r},"
-                  f"{r['gap']!r},{r['gram_condition']!r}", file=out)
+                  f"{r['gap']!r},{r['gram_condition']!r},{r['certified_error']!r}", file=out)
         return
     if "matrix" in result:  # gram tables
         print("kind,i,j,value", file=out)

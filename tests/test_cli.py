@@ -138,12 +138,13 @@ def test_sweep_csv_monotone():
     code, out, err = invoke(["sweep", "--family", "integers", "--n", "2,5,10", "--format", "csv"])
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[1] == "N,distance,theta_log_sum,gap,gram_condition"
+    assert lines[1] == "N,distance,theta_log_sum,gap,gram_condition,certified_error"
     rows = [line.split(",") for line in lines[2:]]
     distances = [float(r[1]) for r in rows]
     assert distances == sorted(distances, reverse=True)
     for row in rows:
         assert float(row[3]) <= float(row[1]) + 1e-12  # gap <= distance
+        assert 0.0 <= float(row[5]) <= 1e-6  # the bound of the distance, below --target
 
 
 def test_sweep_records_carry_certified_error():
@@ -160,6 +161,10 @@ def test_sweep_records_carry_certified_error():
         # certified errors 5.6e-13, and 4.5e-13 / 5.6e-13 at N = 2 / 5
         ["approx", "--dilations", "1,2,3,4,5", "--target", "1e-13"],
         ["sweep", "--n", "2,5", "--target", "1e-13"],
+        # a target of 5e-324 halves to 0, and 1e-300 over |chi(-150)| ~ 1e140
+        # is 0: the term count took the log of 0
+        ["zeta", "--re", "2", "--target", "5e-324"],
+        ["zeta", "--re", "-150", "--target", "1e-300"],
     ],
 )
 def test_certified_error_above_target_is_precision_failure(argv):
@@ -226,6 +231,10 @@ def test_zeros_to_500_counts_every_zero():
         ["xi", "--re", "0.5", "--im", "805"],
         # at u = 1 - s = -1e308 the reflection factor is not representable
         ["fe-check", "--re", "1e308"],
+        # past t ~ 805 the eta remainder bound of W(s) = (s - 1) zeta(s) overflows
+        ["zeta", "--re", "0.5", "--im", "900", "--target", "1"],
+        ["xi", "--re", "0.5", "--im", "900"],
+        ["fe-check", "--re", "0.5", "--im", "900"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):

@@ -115,3 +115,33 @@ def test_reflection_against_mpmath(s):
         ref = complex(mpmath.gamma(mpmath.mpc(s)))
     rep = gamma(s)
     assert abs(rep.value - ref) <= rep.abs_error_estimate
+
+
+def assert_claim_covers_mpmath(s: complex, rep) -> None:
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpc(rep.value) - mpmath.gamma(mpmath.mpc(s.real, s.imag))))
+    assert err <= rep.abs_error_estimate, f"error {err:.3e} above claim at s = {s}"
+
+
+@pytest.mark.parametrize(
+    "s",
+    [complex(265.318341332551, 705.932475309924), complex(114.52908472738419, 715.9421291144706)],
+)
+def test_claim_scales_with_log_gamma(s):
+    # |ln Gamma| is about 4e3 here, and exponentiating it costs eps |ln Gamma|:
+    # a claim of |Gamma| 1e-12 alone is 1.6 and 1.2 times too small
+    assert_claim_covers_mpmath(s, gamma(s))
+
+
+def test_claim_covers_large_arguments():
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(600):
+        s = complex(rng.uniform(0.5, 430.0), rng.uniform(-810.0, 810.0))
+        try:
+            rep = gamma(s)
+        except PrecisionUnreachable:  # |Gamma| outside the doubles
+            continue
+        assert_claim_covers_mpmath(s, rep)
+        checked += 1
+    assert checked == 269

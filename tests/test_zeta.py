@@ -17,9 +17,10 @@ from nblab import (
     zeta,
 )
 from nblab.zeta import (
+    _EPS,
     _analytic_bound,
+    _borwein_terms,
     _eta_sum,
-    _pick_n,
     _refined_zeros,
     _weighted_pole_product,
     _xi_rows,
@@ -244,13 +245,43 @@ def test_reflection_scales_the_target_of_zeta_one_minus_s(s, target):
     assert_within_claim(rep, oracle)
 
 
+def zeta_sweep_points() -> dict[str, list[complex]]:
+    rng = np.random.default_rng(29)
+    return {
+        "right": [complex(rng.uniform(0.05, 30.0), rng.uniform(-90.0, 90.0)) for _ in range(150)],
+        "left": [complex(rng.uniform(-30.0, 0.0), rng.uniform(-60.0, 60.0)) for _ in range(150)],
+        "near zero": [0.2 * math.sqrt(rng.uniform()) * cmath.exp(2j * math.pi * rng.uniform())
+                      for _ in range(20)],
+    }
+
+
+@pytest.mark.parametrize("target", [1e-12, 1e-6])
+def test_zeta_sweep_against_mpmath(target):
+    # W(s)/(s - 1) on the right, one reflection formula on the left and next
+    # to s = 0: wherever zeta returns, its claim covers its error.  On the
+    # left |zeta| reaches 1e20, so the relative error of Gamma alone puts
+    # most of those points above these targets, and zeta exits 2 there
+    returned = {}
+    for region, points in zeta_sweep_points().items():
+        returned[region] = 0
+        for s in points:
+            try:
+                rep = zeta(s, target)
+            except PrecisionUnreachable:
+                continue
+            with mpmath.workdps(40):
+                assert_within_claim(rep, mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+            returned[region] += 1
+    assert returned["right"] >= 149 and returned["left"] >= 10 and returned["near zero"] == 20
+
+
 def test_weighted_pole_product_near_one_against_mpmath():
     # W(s) = (s - 1) zeta(s) divides by e^w - 1, w = (1 - s) ln 2; formed as
     # e^w - 1 it cancelled to 25 times the claim on this grid
     for r in np.geomspace(1e-6, 0.2, 25):
         for k in range(5):
             s = 1.0 + r * cmath.exp(2j * math.pi * (k + 0.125) / 5)
-            value, claim, _ = _weighted_pole_product(s, None)
+            (value,), (claim,), _ = _weighted_pole_product(s)
             with mpmath.workdps(40):
                 z = mpmath.mpc(s.real, s.imag)
                 err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
@@ -262,7 +293,7 @@ def test_weighted_pole_product_against_mpmath():
     rng = np.random.default_rng(23)
     for _ in range(150):
         s = complex(rng.uniform(0.05, 30.0), rng.uniform(-400.0, 400.0))
-        value, claim, _ = _weighted_pole_product(s, None)
+        (value,), (claim,), _ = _weighted_pole_product(s)
         with mpmath.workdps(40):
             z = mpmath.mpc(s.real, s.imag)
             err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
@@ -399,14 +430,24 @@ def test_array_kernel_matches_scalar_xi():
         assert abs(value - rep.value) <= 2.0 * rep.abs_error_estimate
 
 
+def direct_eta_sums(s: np.ndarray, n: int) -> np.ndarray:
+    """Independent route for ``_eta_sum``: the eta partial sums at each
+    point of s, one of real part, from its own cos/sin row of phases."""
+    coeffs, ks, ln_k = _borwein_terms(n)
+    amp = coeffs * ks ** -s.real[0]
+    phase = np.multiply.outer(s.imag, ln_k)
+    return -(np.cos(phase) @ amp - 1j * (np.sin(phase) @ amp))
+
+
 def test_angle_addition_matches_direct_sums():
     step = 0.05
     s = 0.5 + 1j * (step * np.arange(6000, 6064))
     n = 200
-    direct, direct_fp = _eta_sum(s, n)
-    rows, rows_fp = _eta_sum(s[::32], n, step * np.arange(32))
+    rows, magnitude = _eta_sum(s[::32], n, step * np.arange(32))
     assert rows.shape == (2, 32)
-    assert np.all(np.abs(rows.ravel() - direct) <= rows_fp.ravel() + direct_fp)
+    # the floating-point claim of each route, as _weighted_pole_product forms it
+    fp_claim = _EPS * magnitude * (16.0 + np.abs(s.imag) * math.log(n + 1.0))
+    assert np.all(np.abs(rows.ravel() - direct_eta_sums(s, n)) <= 2.0 * fp_claim)
 
 
 def spy_on_scan(monkeypatch):
@@ -419,7 +460,7 @@ def spy_on_scan(monkeypatch):
         calls.append(np.add.outer(a, h * np.arange(m)).ravel())
         return kernel(a, h, m)
 
-    def spy_eta_sum(s, n, offsets=None):
+    def spy_eta_sum(s, n, offsets):
         counts.append(n)
         return eta_sum(s, n, offsets)
 
@@ -431,16 +472,17 @@ def spy_on_scan(monkeypatch):
 def test_scan_term_count_covers_each_point(monkeypatch):
     # each kernel call of the scan (top row, full rows, or refinement level)
     # uses one term count; it must be at least the count xi picks at each of
-    # its points.  Below t ~ 556 that count is under the 320 cap.
-    for t_max, n_max in ((200.0, 208), (600.0, 320)):
+    # its points.  The two grid calls come first, then 4 levels of refinement
+    # (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket; below
+    # t ~ 556 the counts are under the 320 cap
+    for t_max, n_calls, n_max in ((9.0, 2, 40), (187.1, 6, 200), (200.0, 6, 208),
+                                  (600.0, 6, 320)):
         calls, counts = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
-        # the two grid calls, then 4 levels: 0.05 / 32 / 32 / 32 / 2 < 1e-6
-        assert len(calls) == len(counts) == 2 + 4
+        monkeypatch.undo()
+        assert len(calls) == len(counts) == n_calls
         for t, n in zip(calls, counts):
-            s = 0.5 + 1j * t
-            denom_abs = np.abs(1.0 - 2.0 ** (1.0 - s))
-            assert all(n >= _pick_n(complex(z), 1e-15, float(d)) for z, d in zip(s, denom_abs))
+            assert all(n >= xi(complex(0.5, z)).terms_used for z in t), (t_max, n)
         assert max(counts) == n_max and all(n % 8 == 0 for n in counts)
 
 
@@ -455,10 +497,12 @@ def test_scan_underflow_raises_before_the_grid_is_built(monkeypatch, t_max, tol)
 
 def test_analytic_bound_nondecreasing_past_the_old_clamp():
     ts = np.arange(400.0, 600.0, 0.5)
-    bounds = [_analytic_bound(complex(0.5, t), 320, 1.0) for t in ts]
+    bounds = [_analytic_bound(0.5, t, 1.0, 320) for t in ts]
     assert all(b >= a for a, b in zip(bounds, bounds[1:]))
     # the bound keeps its e^{pi t / 2} growth beyond t = 445.6 (e^700)
     assert bounds[-1] / bounds[0] >= math.exp(math.pi / 2.0 * (ts[-1] - ts[0]))
-    # past t ~ 810 the bound itself overflows: no value is claimed there
+    # past t ~ 810 the bound itself overflows: no value is claimed there,
+    # but the scan, which prints no claim, still gets its sums
+    assert _analytic_bound(0.5, 1000.0, 1.0, 320) == math.inf
     with pytest.raises(PrecisionUnreachable):
         xi(complex(0.5, 1000.0))
