@@ -11,6 +11,7 @@ header row and data rows.  Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -160,6 +161,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The one parser of ``run``, built on first use: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def _run_subcommand(args: argparse.Namespace) -> dict:
     if args.subcommand == "zeta":
         rep = zeta(complex(args.re, args.im), args.target)
@@ -244,9 +251,8 @@ def _emit_csv(config: dict, result: dict, out) -> None:
 def run(argv=None, out=None, err=None) -> int:
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=err)
         return EXIT_USAGE

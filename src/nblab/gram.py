@@ -35,6 +35,11 @@ So |error| <= 18u M with M = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|)
 + pi/(2hk)(M_V + M_V'))/c + 1/(a b), and 16 eps M = 32u M is certified
 (about 1.8x slack).
 
+{m h/k} depends on h only mod k.  So one ``gram_system`` build computes V
+and M_V once per key (h mod k, k), from one cot vector per k, and its
+entries share them; the values are those of the unshared sums, bit for bit.
+Nothing is kept from one build to the next.
+
 Every entry is this closed form at (a, b) = (lo, hi), lo <= hi, c = lo/h.
 With x = lo/hi exactly, h/k = x when its denominator is at most
 ``DENOMINATOR_CAP`` (the bound is then roundoff only, whatever the
@@ -64,6 +69,7 @@ a tolerance tol needs k of about (ln(1/tol)/(lo tol))^(1/2).
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -84,21 +90,52 @@ _LN_2PI_MINUS_GAMMA = 1.2606614015078126
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
-def _cot_sum(h: int, k: int) -> tuple[float, float]:
-    """V(h/k) and its magnitude M_V = sum {m h/k} (1 + |cot(pi m/k)|)."""
-    if k == 1:
-        return 0.0, 0.0
+def _cot_vector(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """m = 1..k-1, cot(pi m/k) and 1 + |cot(pi m/k)|."""
     m = np.arange(1, k)
-    frac = (m * h % k) / k
     cot = 1.0 / np.tan(np.pi * np.minimum(m, k - m) / k)
     cot = np.where(2 * m < k, cot, -cot)
-    return math.fsum((frac * cot).tolist()), float(frac @ (1.0 + np.abs(cot)))
+    return m, cot, 1.0 + np.abs(cot)
+
+
+def _cot_sum(h: int, k: int, vector=None) -> tuple[float, float]:
+    """V(h/k) and its magnitude M_V = sum {m h/k} (1 + |cot(pi m/k)|), from
+    ``_cot_vector(k)`` or the ``vector`` it returned."""
+    m, cot, weight = _cot_vector(k) if vector is None else vector
+    frac = (m * h % k) / k
+    return math.fsum((frac * cot).tolist()), float(frac @ weight)
+
+
+class _SharedCotSums(dict):
+    """V(h/k) and M_V by the key (h mod k, k), each computed once on first
+    use, from one cot vector per k."""
+
+    def __init__(self):
+        super().__init__()
+        self.vectors: dict[int, tuple] = {}
+
+    def __missing__(self, key):
+        h, k = key
+        vector = self.vectors.get(k)
+        if vector is None:
+            vector = self.vectors[k] = _cot_vector(k)
+        value = self[key] = _cot_sum(h, k, vector)
+        return value
+
+
+#: the sums of the gram_system build in progress; None outside a build
+_build_sums: ContextVar[_SharedCotSums | None] = ContextVar("_build_sums", default=None)
 
 
 def _closed_form_entry(lo: float, hi: float, h: int, k: int) -> tuple[float, float]:
     """(value, roundoff bound) of I(c h, c k), c = lo/h, by Vasyunin's formula."""
-    v_hk, m_hk = _cot_sum(h, k)
-    v_kh, m_kh = _cot_sum(k, h)
+    sums = _build_sums.get()
+    if sums is None:
+        v_hk, m_hk = _cot_sum(h, k)
+        v_kh, m_kh = _cot_sum(k, h)
+    else:  # {m h/k} depends on h only mod k
+        v_hk, m_hk = sums[h % k, k]
+        v_kh, m_kh = sums[k % h, h]
     first = 0.5 * _LN_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
     log_coef = (k - h) / (2.0 * h * k)
     log_ratio = math.log(h / k)
@@ -142,11 +179,14 @@ def pair_product_integral(a: float, b: float, target_entry_error: float) -> tupl
     if not target_entry_error > 0.0:
         raise DomainError("target_entry_error must be positive")
     lo, hi = (a, b) if a <= b else (b, a)
-    x = Fraction(lo) / Fraction(hi)
-    if x.denominator <= DENOMINATOR_CAP:
-        return _closed_form_entry(lo, hi, x.numerator, x.denominator)
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    num, den = lo_num * hi_den, lo_den * hi_num
+    g = math.gcd(num, den)
+    if den // g <= DENOMINATOR_CAP:
+        return _closed_form_entry(lo, hi, num // g, den // g)
     goal = max(0.5 * target_entry_error, 1e-13)
-    for h, k in _convergents(x):
+    for h, k in _convergents(Fraction(num, den)):
         if k > DENOMINATOR_CAP:
             break
         continuity = _continuity_bound(lo, hi, h, k)
@@ -202,9 +242,10 @@ class GramSystem:
 def gram_system(dilations, target_entry_error: float) -> GramSystem:
     """Assemble the Gram data for an ascending list of distinct dilations.
 
-    Entries are computed pair by pair (deterministically, one pair at a
-    time) with ``pair_product_integral``; DuplicateDilation is raised when
-    two dilations coincide within relative 1e-12.
+    Entries are computed one pair at a time with ``pair_product_integral``,
+    sharing the cotangent sums by (h mod k, k) within this build (module
+    docstring); DuplicateDilation is raised when two dilations coincide
+    within relative 1e-12.
     """
     dils = [float(l) for l in dilations]
     if not dils:
@@ -219,11 +260,15 @@ def gram_system(dilations, target_entry_error: float) -> GramSystem:
     n = len(dils)
     matrix = np.zeros((n, n))
     bounds = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            value, err = pair_product_integral(dils[i], dils[j], target_entry_error)
-            matrix[i, j] = matrix[j, i] = value
-            bounds[i, j] = bounds[j, i] = err
+    token = _build_sums.set(_SharedCotSums())
+    try:
+        for i in range(n):
+            for j in range(i, n):
+                value, err = pair_product_integral(dils[i], dils[j], target_entry_error)
+                matrix[i, j] = matrix[j, i] = value
+                bounds[i, j] = bounds[j, i] = err
+    finally:
+        _build_sums.reset(token)
     larr = np.array(dils)
     g = (moment_constant() + np.log(larr)) / larr
     c = 1.0 / larr

@@ -93,17 +93,22 @@ _GRID_STEP = 0.05
 _AT_S = np.zeros(1)
 
 
+def _borwein_d(n: int) -> list[int]:
+    """Borwein's integers d_0..d_n, the partial sums of the terms
+    e_i = n (n+i-1)! 4^i / ((n-i)! (2i)!): e_0 = 1 and
+    e_{i+1} = e_i 2 (n+i)(n-i) / ((2i+1)(i+1)), an exact division."""
+    e, d = 1, [1]
+    for i in range(n):
+        e = e * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
+        d.append(d[-1] + e)
+    return d
+
+
 @lru_cache(maxsize=64)
 def _borwein_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n weights (-1)^k (d_k - d_n) / d_n (k < n, from exact integer
     d_k) of the bases k + 1 = 1..n, those bases, and their logarithms."""
-    fac = math.factorial
-    # cumulative sum keeps the cost linear in n
-    term_sum = 0
-    d = []
-    for k in range(n + 1):
-        term_sum += fac(n + k - 1) * 4**k // (fac(n - k) * fac(2 * k))
-        d.append(n * term_sum)
+    d = _borwein_d(n)
     dn = d[n]
     ks = np.arange(1.0, n + 1.0)
     coeffs = np.array([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=np.float64)

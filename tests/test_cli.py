@@ -421,7 +421,8 @@ def test_norm_budget_validated(tmp_path):
             assert out == ""
 
 
-def test_module_entry_point():
+def module_run(argv):
+    """(exit code, stdout, stderr) of ``python -m nblab`` in a fresh process."""
     import os
     import subprocess
     import sys
@@ -432,7 +433,29 @@ def test_module_entry_point():
     src = str(Path(nblab.__file__).resolve().parent.parent)
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-m", "nblab", "lemma1", "--l", "2"],
+    proc = subprocess.run([sys.executable, "-m", "nblab", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == EXIT_OK, proc.stderr
-    assert json.loads(proc.stdout)["result"] == invoke_json(["lemma1", "--l", "2"])["result"]
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point():
+    code, out, err = module_run(["lemma1", "--l", "2"])
+    assert code == EXIT_OK, err
+    assert json.loads(out)["result"] == invoke_json(["lemma1", "--l", "2"])["result"]
+
+
+def test_failed_parses_leave_the_parser_unchanged():
+    # run keeps one parser per process: after failed calls, every call must
+    # still print what a fresh process prints
+    calls = [
+        (["gram", "--bogus"], EXIT_USAGE),
+        (["gram", "--dilations", "1,2", "--bogus"], EXIT_USAGE),
+        (["sweep", "--n", "2", "--target", "0"], EXIT_DOMAIN),
+        (["gram", "--dilations", "1,2,3"], EXIT_OK),
+        (["gram", "--dilations", "1,2,3"], EXIT_OK),
+        (["zeros", "--t-max", "20"], EXIT_OK),
+    ]
+    for argv, expected in calls:
+        code, out, err = invoke(argv)
+        assert code == expected, err
+        assert (code, out, err) == module_run(argv)

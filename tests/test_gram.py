@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -16,6 +17,8 @@ from nblab import (
 )
 from nblab.gram import _closed_form_entry, _continuity_bound, _convergents
 from nblab.moments import _lattice_windows
+
+gram_module = importlib.import_module("nblab.gram")
 
 #: pairs checked against both the mpmath closed form and the lattice walk
 WALK_PAIRS = [(1.0, 1.0), (1.0, 2.0), (7.0, 11.0), (3.0, 49.0), (49.0, 50.0), (12.0, 18.0)]
@@ -296,3 +299,40 @@ def test_gram_export_schema():
     payload = gram_system([1.0, 2.0], 1e-8).to_dict()
     assert set(payload) == {"dilations", "matrix", "g_vector", "c_vector", "entry_error_bounds"}
     assert len(payload["matrix"]) == 2 and len(payload["matrix"][0]) == 2
+
+
+@pytest.mark.parametrize(
+    "dilations",
+    [[float(k) for k in range(1, 61)], [1.5**k for k in range(8)], [1.0 + 0.5 * k for k in range(19)]],
+    ids=["integers", "geometric-1.5", "halves"],
+)
+def test_shared_cot_sums_are_bit_identical(dilations):
+    # a build computes V(h/k) at h mod k; the entry on its own takes h as it is
+    system = gram_system(dilations, 1e-9)
+    for i, lo in enumerate(dilations):
+        for j, hi in enumerate(dilations[i:], start=i):
+            ratio = Fraction(lo) / Fraction(hi)
+            value, err = _closed_form_entry(lo, hi, ratio.numerator, ratio.denominator)
+            assert system.matrix[i, j] == value
+            assert system.entry_error_bounds[i, j] == err
+
+
+def test_each_cot_sum_is_computed_once_per_build(monkeypatch):
+    n = 40
+    keys = set()
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            h, k = i // math.gcd(i, j), j // math.gcd(i, j)
+            keys |= {(h % k, k), (k % h, h)}
+    counts = []
+    cot_sum = gram_module._cot_sum
+
+    def counting(*args):
+        counts[-1] += 1
+        return cot_sum(*args)
+
+    monkeypatch.setattr(gram_module, "_cot_sum", counting)
+    for _ in range(2):  # nothing is kept from one build to the next
+        counts.append(0)
+        gram_system([float(k) for k in range(1, n + 1)], 1e-9)
+    assert counts == [len(keys), len(keys)]

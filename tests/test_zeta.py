@@ -1,6 +1,8 @@
 import cmath
 import importlib
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -19,6 +21,7 @@ from nblab import (
 from nblab.zeta import (
     _EPS,
     _analytic_bound,
+    _borwein_d,
     _borwein_terms,
     _eta_sum,
     _refined_zeros,
@@ -506,3 +509,11 @@ def test_analytic_bound_nondecreasing_past_the_old_clamp():
     assert _analytic_bound(0.5, 1000.0, 1.0, 320) == math.inf
     with pytest.raises(PrecisionUnreachable):
         xi(complex(0.5, 1000.0))
+
+
+def test_borwein_d_is_exact():
+    # d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), summed in rationals
+    fac = math.factorial
+    for n in range(16, 321, 8):
+        terms = (Fraction(n * fac(n + i - 1) * 4**i, fac(n - i) * fac(2 * i)) for i in range(n + 1))
+        assert _borwein_d(n) == list(itertools.accumulate(terms)), n
