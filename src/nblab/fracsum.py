@@ -104,10 +104,17 @@ class DilatedFracSum:
         if np.any(arr <= 1.0):
             raise DomainError("dilated sums are defined on (1, inf)")
         out = np.zeros_like(arr)
-        for h, l in self.terms:
-            x = arr / l
-            out = out + h * (x - np.floor(x))
+        self._add_into(arr, out)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+
+    def _add_into(self, t: np.ndarray, out: np.ndarray) -> None:
+        """out += sum_k h_k {t / l_k} in place, term by term; the domain
+        check is the caller's."""
+        for h, l in self.terms:
+            x = t / l
+            x -= np.floor(x)
+            x *= h
+            out += x
 
     def to_dict(self) -> dict:
         return {

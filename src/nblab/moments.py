@@ -24,10 +24,14 @@ sum_k (h_k / l_k) ln l_k because the lam-part telescopes against the
 constraint; ``moment_report`` returns both routes side by side.
 
 The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
-of the dilations in windows of about ``_WINDOW`` segments, which bounds a
-walk's memory however far it reaches.  Only the p < 2 norms walk it: the
-p = 2 norm is the Gram quadratic form h^T G h, and Gram entries come from
-a closed form.
+of the dilations in windows of about ``_WINDOW`` segments, sized so that a
+window's arrays stay in a core's L2 cache; this also bounds a walk's memory
+however far it reaches.  Each window trims the ends of every progression
+m l_k instead of masking all its points, and compresses only where points
+merge; ``_abs_power_head`` evaluates phi at the midpoints into buffers it
+reuses from window to window.  Only the p < 2 norms walk it: the p = 2
+norm is the Gram quadratic form h^T G h, and Gram entries come from a
+closed form.
 """
 
 from __future__ import annotations
@@ -63,13 +67,14 @@ _EM_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
 _EM_TAIL_CONST = 5.0 / 66.0 / 10.0
 
 #: elements per numpy pass, the one limit on every array in this module:
-#: lattice segments per window and terms per harmonic-sum pass.  The
-#: Gauss-Legendre pass holds 16 nodes per segment, about 60 MB at this size.
-#: Measured on a 2-core Xeon with the sqrt(2) bstar of ``approx`` at 4M
-#: segments, a p = 1.5 norm takes 0.25-0.32 s and 40 MB peak RSS against
-#: 0.33-0.35 s and 71 MB at 500,000; a sloped p = 1.5 norm at 1M segments
-#: takes 0.74 s and 88 MB against 1.14 s and 314 MB.
-_WINDOW = 100_000
+#: lattice segments per window and terms per harmonic-sum pass.  A window's
+#: arrays, 256 KiB each, then fit a core's 2 MiB L2 cache.  Measured on a
+#: 2-core Xeon with the sqrt(2) bstar of ``approx`` at 4M segments, a p = 1.5
+#: norm takes 0.11-0.12 s and a traced peak of 1.6 MB against 0.12-0.15 s
+#: and 4.9 MB at 100,000; a sloped p = 1.5 norm at 1M segments (16 nodes per
+#: segment) takes 1.1-1.3 s at either size, with a traced peak of 19 MB
+#: against 58 MB.
+_WINDOW = 2**15
 
 #: periods P that ``dilated_frac_moment_quad`` integrates exactly, up to T = P l
 _PERIODS = 100_000
@@ -237,24 +242,38 @@ class NormReport:
     truncation: float
 
 
+def _lattice_run(l: float, t_lo: float, t_hi: float) -> np.ndarray:
+    """The points m l (m a positive integer) in [t_lo, t_hi], ascending."""
+    run = np.arange(math.floor(t_lo / l) + 1, math.floor(t_hi / l) + 1, dtype=np.float64)
+    run *= l
+    # m l rises with m, so rounding can push only the ends of the run out
+    return run[np.searchsorted(run, t_lo) : np.searchsorted(run, t_hi, "right")]
+
+
 def _lattice_windows(dilations, t_lo: float, t_hi: float):
     """Yield (t1, u), the left ends and widths of the segments of the union
     lattice {m l : l in dilations} on [t_lo, t_hi], one window of about
     ``_WINDOW`` segments at a time.  Points within relative 1e-12 of their
     predecessor are merged, so each kept point lies more than 1e-12 t past
-    the one before it and every segment has positive width."""
+    the one before it and every segment has positive width.  Building a
+    window holds at most two float arrays of its size at once, besides the
+    window last yielded, whether or not points merge."""
     width = _WINDOW / sum(1.0 / l for l in dilations)
     while t_lo < t_hi:
         w_hi = min(t_hi, t_lo + width)
-        pts = [
-            np.arange(math.floor(t_lo / l) + 1, math.floor(w_hi / l) + 1, dtype=np.float64) * l
-            for l in dilations
-        ]
-        pts = np.sort(np.concatenate([np.array([t_lo, w_hi])] + pts))
-        pts = pts[(pts >= t_lo) & (pts <= w_hi)]
-        keep = np.concatenate(([True], np.diff(pts) > 1e-12 * pts[1:]))
-        pts = pts[keep]
-        yield pts[:-1], np.diff(pts)
+        runs = [_lattice_run(l, t_lo, w_hi) for l in dilations]
+        pts = np.concatenate([np.array([t_lo, w_hi])] + runs)
+        del runs
+        pts.sort(kind="stable")
+        u = np.diff(pts)
+        # pts ascends, so only a gap at most 1e-12 pts[-1] can merge
+        merged = np.flatnonzero(u <= 1e-12 * pts[-1])
+        merged = merged[u[merged] <= 1e-12 * pts[merged + 1]]
+        if merged.size:
+            del u
+            pts = np.delete(pts, merged + 1)
+            u = np.diff(pts)
+        yield pts[:-1], u
         t_lo = w_hi
 
 
@@ -268,11 +287,9 @@ def weighted_norm_report(
     1/T)``, whose entry bounds E are at most max(1/(2T), 1e-13) plus roundoff;
     q is within e = |h|^T (E + 4 n u |G|) |h|, the last term covering the
     roundoff of forming h^T (G h) (gamma_2n <= 4 n u, u = 2^-53; Higham,
-    ch. 3).  For p < 2, phi is piecewise linear with the single slope
-    sum h_k / l_k between lattice points, integrated over the windowed
-    lattice up to T: in closed form on [1, l_min] (phi = slope t) and on flat
-    pieces, and by 16-point Gauss-Legendre clustered at the zero of each
-    sloped piece; the tail past T is bounded by (sum |h_k|)^p / T.  So the
+    ch. 3).  For p < 2, q is ``_abs_power_head`` up to T, and the tail past
+    T is at most max(sum h_k^+, sum h_k^-)^p / T, since {x} lies in [0, 1)
+    and so sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  So the
     integral lies in [q - down, q + up], (down, up) = (e, e) or (0, tail); the
     value is the midpoint of [(q - down)^{1/p}, (q + up)^{1/p}] and half its
     width enters the error bound.
@@ -298,15 +315,11 @@ def weighted_norm_report(
         head = float(coeffs @ system.matrix @ coeffs)
         down = up = float(np.abs(coeffs) @ bounds @ np.abs(coeffs))
     else:
-        slope = float(np.sum(coeffs / dils))
-        # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
-        # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
-        start = min(float(dils.min()), T)
-        head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
-        for t1, u in _lattice_windows(dils, start, T):
-            v_mid = phi(t1 + 0.5 * u)
-            head += _segments_abs_power(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
-        down, up = 0.0, phi.abs_coeff_sum**p / T
+        head = _abs_power_head(phi, p, T)
+        # {x} lies in [0, 1), so phi lies between the sum of its negative and
+        # the sum of its positive coefficients
+        reach = max(float(np.sum(coeffs[coeffs > 0.0])), -float(np.sum(coeffs[coeffs < 0.0])))
+        down, up = 0.0, reach**p / T
     lo = max(head - down, 0.0) ** (1.0 / p)
     hi = (head + up) ** (1.0 / p)
     value = 0.5 * (lo + hi)
@@ -314,15 +327,51 @@ def weighted_norm_report(
     return NormReport(value=value, abs_error_bound=err, truncation=T)
 
 
-def _segments_abs_power(t1, u, v_mid, slope, p, coeff_scale) -> float:
-    """int |v_mid + slope (t - mid)|^p / t^2 summed over segments [t1, t1+u]."""
-    if abs(slope) <= 1e-14 * max(1.0, coeff_scale):
-        return float(np.sum(np.abs(v_mid) ** p * (u / (t1 * (t1 + u)))))
+def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
+    """int_1^T |phi|^p dt/t^2, phi piecewise linear with the single slope
+    sum h_k / l_k between lattice points: in closed form on [1, l_min],
+    then window by window over the lattice, exactly on flat pieces and by
+    16-point Gauss-Legendre on sloped ones.  A window's midpoints and
+    values live in two rows allocated once per call."""
+    dils = phi.dilations
+    slope = float(np.sum(phi.coeffs / dils))
+    # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
+    # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
+    start = min(float(dils.min()), T)
+    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
+    flat = abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
     nodes, weights = np.polynomial.legendre.leggauss(16)
-    # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of the
+    # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of a sloped
     # piece, where |phi|^p has its kink; dt = 2 d y dy
     y = 0.5 * (nodes + 1.0)
     y_sq, y_weights = y * y, weights * y
+    rows = np.empty((2, _WINDOW + 2 * dils.size + 2))  # a window's segments, ends included
+    for t1, u in _lattice_windows(dils, start, T):
+        n = t1.size
+        if rows.shape[1] < n:
+            rows = np.empty((2, n))
+        mid, v = rows[0, :n], rows[1, :n]
+        np.multiply(u, 0.5, out=mid)
+        np.add(t1, mid, out=mid)
+        v.fill(0.0)
+        phi._add_into(mid, v)
+        if flat:
+            # |v|^p u / (t1 (t1 + u)), the integral of |v|^p dt/t^2
+            np.abs(v, out=v)
+            np.power(v, p, out=v)
+            np.add(t1, u, out=mid)
+            np.multiply(t1, mid, out=mid)
+            np.divide(u, mid, out=mid)
+            np.multiply(v, mid, out=v)
+            head += float(np.sum(v))
+        else:
+            head += _sloped_abs_power(t1, u, v, slope, p, y_sq, y_weights)
+    return head
+
+
+def _sloped_abs_power(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
+    """int |v_mid + slope (t - mid)|^p / t^2 summed over segments [t1, t1+u],
+    with the nodes y^2 and weights of the substitution t = z -+ d y^2."""
     total = 0.0
     a_left = v_mid - 0.5 * slope * u
     t2 = t1 + u

@@ -135,6 +135,10 @@ def test_transform_consistency(terms, t):
 def test_boundedness(terms, t):
     phi = DilatedFracSum(terms=tuple(terms))
     assert abs(phi(t)) <= phi.abs_coeff_sum + 1e-12
+    # tighter: {x} lies in [0, 1), so phi lies between the sums of its
+    # negative and of its positive coefficients (the p < 2 norm tail uses it)
+    h = phi.coeffs
+    assert float(np.sum(h[h < 0.0])) - 1e-12 <= phi(t) <= float(np.sum(h[h > 0.0])) + 1e-12
 
 
 def test_step_profile_example():

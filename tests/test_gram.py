@@ -16,7 +16,6 @@ from nblab import (
     pair_product_integral,
 )
 from nblab.gram import _closed_form_entry, _continuity_bound, _convergents
-from nblab.moments import _lattice_windows
 
 gram_module = importlib.import_module("nblab.gram")
 
@@ -83,6 +82,32 @@ def _segment_integrals(t1: np.ndarray, u: np.ndarray):
     return i0, i1, i2
 
 
+#: segments per window of ``lattice_windows_oracle``
+ORACLE_WINDOW = 100_000
+
+
+def lattice_windows_oracle(dilations, t_lo: float, t_hi: float):
+    """Yield (t1, u), the left ends and widths of the segments of the union
+    lattice {m l : l in dilations} on [t_lo, t_hi], one window of about
+    ``ORACLE_WINDOW`` segments at a time, by the plain route: every window's
+    points sorted, masked to [t_lo, t_hi] and merged when within relative
+    1e-12 of their predecessor.  It shares no code with the production
+    lattice walk of ``nblab.moments``, which must yield the same segments."""
+    width = ORACLE_WINDOW / sum(1.0 / l for l in dilations)
+    while t_lo < t_hi:
+        w_hi = min(t_hi, t_lo + width)
+        pts = [
+            np.arange(math.floor(t_lo / l) + 1, math.floor(w_hi / l) + 1, dtype=np.float64) * l
+            for l in dilations
+        ]
+        pts = np.sort(np.concatenate([np.array([t_lo, w_hi])] + pts))
+        pts = pts[(pts >= t_lo) & (pts <= w_hi)]
+        keep = np.concatenate(([True], np.diff(pts) > 1e-12 * pts[1:]))
+        pts = pts[keep]
+        yield pts[:-1], np.diff(pts)
+        t_lo = w_hi
+
+
 def segment_head(a: float, b: float, T: float) -> tuple[float, int]:
     """Exact integral of {t/a}{t/b}/t^2 over (1, T] by a windowed walk over
     the union lattice {m a} U {n b}: on each segment the integrand is a
@@ -90,7 +115,7 @@ def segment_head(a: float, b: float, T: float) -> tuple[float, int]:
     so that every per-segment term is cancellation-free."""
     total = 0.0
     n_seg = 0
-    for t1, u in _lattice_windows((a, b), 1.0, T):
+    for t1, u in lattice_windows_oracle((a, b), 1.0, T):
         mid = t1 + 0.5 * u
         alpha1 = (mid / a - np.floor(mid / a)) - u / (2.0 * a)
         beta1 = (mid / b - np.floor(mid / b)) - u / (2.0 * b)

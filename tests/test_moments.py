@@ -1,11 +1,13 @@
 import math
+import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from conftest import random_constrained_sum
-from test_gram import _segment_integrals, lattice_walk_oracle
+from test_gram import _segment_integrals, lattice_walk_oracle, lattice_windows_oracle
 from nblab import (
     ConstraintViolated,
     DilatedFracSum,
@@ -22,7 +24,8 @@ from nblab import (
     step_profile,
     weighted_norm_report,
 )
-from nblab.moments import _lattice_windows
+from nblab.approx import best_approximation
+from nblab.moments import _WINDOW, _abs_power_head, _lattice_windows
 
 EULER_GAMMA_REF = 0.5772156649015329  # reference digits of the constant
 
@@ -47,6 +50,14 @@ def weighted_measure(intervals) -> float:
         if a2 < b1 * (1.0 - 1e-12):
             raise DomainError("intervals must be pairwise disjoint")
     return sum(1.0 / a - (0.0 if math.isinf(b) else 1.0 / b) for a, b in spans)
+
+
+def tail_bound(phi: DilatedFracSum, p: float, T: float) -> float:
+    """max(sum h_k^+, sum h_k^-)^p / T, which bounds int_T^inf |phi|^p dt/t^2:
+    {x} lies in [0, 1), so phi lies between the sums of its negative and of
+    its positive coefficients."""
+    h = phi.coeffs
+    return max(float(np.sum(h[h > 0.0])), -float(np.sum(h[h < 0.0]))) ** p / T
 
 
 def scipy_frac_moment(l: float, T: float = 2000.0) -> tuple[float, float]:
@@ -241,7 +252,7 @@ def test_norm_zero_function():
 def test_flat_norm_against_step_profile_measure(rng, p):
     # a constrained sum is constant between breakpoints, so int_1^T |phi|^p
     # is sum |v_i|^p times the measure of each interval of its step profile;
-    # with the tail bound (sum |h|)^p / T this brackets the norm
+    # with the tail bound this brackets the norm
     for _ in range(4):
         phi = random_constrained_sum(rng)
         rep = weighted_norm_report(phi, p, max_segments=20_000)
@@ -253,7 +264,7 @@ def test_flat_norm_against_step_profile_measure(rng, p):
             for v, a, b in zip(prof.values, edges[:-1], edges[1:])
             if b > a
         )
-        tail = phi.abs_coeff_sum**p / T
+        tail = tail_bound(phi, p, T)
         assert head ** (1.0 / p) - rep.abs_error_bound <= rep.value
         assert rep.value <= (head + tail) ** (1.0 / p) + rep.abs_error_bound
 
@@ -350,7 +361,7 @@ def test_sloped_norm_against_reference(terms, p, max_segments):
     rep = weighted_norm_report(phi, p, max_segments=max_segments)
     T = rep.truncation
     head = sloped_abs_power_reference(phi, p, T)
-    reference = (head + 0.5 * phi.abs_coeff_sum**p / T) ** (1.0 / p)
+    reference = (head + 0.5 * tail_bound(phi, p, T)) ** (1.0 / p)
     assert abs(rep.value - reference) <= 1e-2 * rep.abs_error_bound
 
 
@@ -363,7 +374,7 @@ def test_norm_interval_holds_the_sloped_reference():
     p = 1.5
     rep = weighted_norm_report(phi, p, max_segments=200_000)
     ref = sloped_abs_power_reference(phi, p, rep.truncation)
-    tail = phi.abs_coeff_sum**p / rep.truncation
+    tail = tail_bound(phi, p, rep.truncation)
     assert rep.value - rep.abs_error_bound <= ref ** (1.0 / p)
     assert (ref + tail) ** (1.0 / p) <= rep.value + rep.abs_error_bound
 
@@ -381,9 +392,9 @@ WALK_SUMS = pytest.mark.parametrize(
 
 @WALK_SUMS
 def test_lattice_walk_across_many_windows(monkeypatch, phi):
-    # the Gram-entry and p = 2 walk oracles and the p = 1.5 norm walk the same
-    # windowed lattice; cutting it into windows of 1000 segments must not
-    # move any of them
+    # the Gram-entry and p = 2 walk oracles walk the frozen lattice and the
+    # p = 1.5 norm the production one; cutting both into windows of 1000
+    # segments must not move any of them
 
     def walk():
         return [lattice_walk_oracle(1.0, math.sqrt(2.0), 1e-5)[0],
@@ -392,6 +403,7 @@ def test_lattice_walk_across_many_windows(monkeypatch, phi):
 
     one_window = walk()
     monkeypatch.setattr("nblab.moments._WINDOW", 1000)
+    monkeypatch.setattr("test_gram.ORACLE_WINDOW", 1000)
     many_windows = walk()
     assert many_windows == pytest.approx(one_window, rel=0.0, abs=1e-13)
 
@@ -411,7 +423,7 @@ def norm2_walk_oracle(phi: DilatedFracSum, max_segments: int) -> tuple[float, fl
     start = min(float(dils.min()), T)
     head = abs(slope) ** 2 * math.expm1(math.log(start))
     flat = abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
-    for t1, u in _lattice_windows(dils, start, T):
+    for t1, u in lattice_windows_oracle(dils, start, T):
         v_mid = phi(t1 + 0.5 * u)
         if flat:
             head += float(np.sum(np.abs(v_mid) ** 2 * (u / (t1 * (t1 + u)))))
@@ -433,3 +445,114 @@ def test_norm2_against_lattice_oracle(phi):
     walk, walk_bound = norm2_walk_oracle(phi, 200_000)
     assert abs(rep.value - walk) <= rep.abs_error_bound + walk_bound
     assert rep.abs_error_bound < walk_bound
+
+
+def segments_abs_power_oracle(t1, u, v_mid, slope, p, coeff_scale) -> float:
+    """int |v_mid + slope (t - mid)|^p / t^2 summed over segments [t1, t1+u]:
+    exactly on flat segments, else by 16-point Gauss-Legendre in
+    t = z -+ d y^2 on each side of the zero z of each piece."""
+    if abs(slope) <= 1e-14 * max(1.0, coeff_scale):
+        return float(np.sum(np.abs(v_mid) ** p * (u / (t1 * (t1 + u)))))
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    y = 0.5 * (nodes + 1.0)
+    y_sq, y_weights = y * y, weights * y
+    total = 0.0
+    a_left = v_mid - 0.5 * slope * u
+    t2 = t1 + u
+    z = np.clip(t1 - a_left / slope, t1, t2)
+    left = a_left[:, None]
+    t1c = t1[:, None]
+    for d, sign in ((z - t1, -1.0), (t2 - z, 1.0)):
+        ts = z[:, None] + sign * d[:, None] * y_sq
+        vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
+        total += float(np.dot(vals @ y_weights, d))
+    return total
+
+
+def norm_p_walk_oracle(phi: DilatedFracSum, p: float, T: float) -> float:
+    """int_1^T |phi|^p dt/t^2 for p < 2 by the frozen lattice walk: the
+    closed form on [1, l_min], then each window's midpoint values from
+    ``phi(...)`` and the per-segment integrals of
+    ``segments_abs_power_oracle``.  It shares no code with the production
+    walk, whose head must match it to rounding."""
+    coeffs, dils = phi.coeffs, phi.dilations
+    slope = float(np.sum(coeffs / dils))
+    start = min(float(dils.min()), T)
+    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
+    for t1, u in lattice_windows_oracle(dils, start, T):
+        v_mid = phi(t1 + 0.5 * u)
+        head += segments_abs_power_oracle(t1, u, v_mid, slope, p, phi.abs_coeff_sum)
+    return head
+
+
+@lru_cache(maxsize=None)
+def approx_bstar(l: float) -> DilatedFracSum:
+    """The minimiser b* of ``approx --dilations 1,l`` at its default target."""
+    res = best_approximation([1.0, l], 1e-6)
+    return DilatedFracSum(terms=tuple(zip(res.h_star, res.dilations)), constrained=True)
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+@pytest.mark.parametrize("p", [1.5, 1.2])
+@pytest.mark.parametrize(
+    "make_phi, max_segments",
+    [
+        (lambda: approx_bstar(math.sqrt(2.0)), 200_000),
+        (lambda: approx_bstar(math.sqrt(2.0)), 4_000_000),
+        (lambda: approx_bstar(GOLDEN), 200_000),
+        (lambda: approx_bstar(GOLDEN), 4_000_000),
+        (lambda: DilatedFracSum(terms=((1.0, 1.0), (0.5, math.sqrt(2.0)))), 200_000),
+    ],
+    ids=["sqrt2-200k", "sqrt2-4M", "golden-200k", "golden-4M", "sloped-200k"],
+)
+def test_norm_p_against_frozen_walk(make_phi, max_segments, p):
+    # the production head matches the frozen walk to rounding, and the
+    # reported interval holds [head, head + tail]^{1/p}
+    phi = make_phi()
+    rep = weighted_norm_report(phi, p, max_segments=max_segments)
+    head = norm_p_walk_oracle(phi, p, rep.truncation)
+    assert _abs_power_head(phi, p, rep.truncation) == pytest.approx(head, rel=1e-14, abs=0.0)
+    tail = tail_bound(phi, p, rep.truncation)
+    assert rep.value - rep.abs_error_bound <= head ** (1.0 / p)
+    assert (head + tail) ** (1.0 / p) <= rep.value + rep.abs_error_bound
+
+
+@pytest.mark.parametrize(
+    "dilations, t_lo, t_hi",
+    [
+        # commensurate: points merge in every window
+        ((1.0, 2.0, 3.0), 1.0, 30_000.0),
+        # m sqrt(2) comes within 1e-12 m sqrt(2) of an integer up here
+        ((1.0, math.sqrt(2.0)), 2.0e6, 2.05e6),
+        ((1.0, math.sqrt(2.0), math.pi), 1.0, 20_000.0),
+    ],
+)
+def test_lattice_windows_match_frozen_walk(monkeypatch, dilations, t_lo, t_hi):
+    # same windows, same segments, bit for bit
+    monkeypatch.setattr("nblab.moments._WINDOW", 1000)
+    monkeypatch.setattr("test_gram.ORACLE_WINDOW", 1000)
+    windows = list(_lattice_windows(dilations, t_lo, t_hi))
+    frozen = list(lattice_windows_oracle(dilations, t_lo, t_hi))
+    assert len(windows) == len(frozen) > 1
+    for (t1, u), (t1_ref, u_ref) in zip(windows, frozen):
+        np.testing.assert_array_equal(t1, t1_ref)
+        np.testing.assert_array_equal(u, u_ref)
+
+
+def test_norm_walk_memory_does_not_grow_with_segments():
+    # the walk holds a few arrays of one window whatever T is: the traced
+    # peak is the same at 1M and 4M segments (to the bytes of Python objects)
+    phi = approx_bstar(math.sqrt(2.0))
+    weighted_norm_report(phi, 1.5, max_segments=1000)  # one-time allocations
+    peaks = []
+    for n in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            weighted_norm_report(phi, 1.5, max_segments=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < _WINDOW  # an eighth of one window array
+    assert max(peaks) <= 12 * _WINDOW * 8  # about 8 window arrays today
