@@ -555,4 +555,4 @@ def test_norm_walk_memory_does_not_grow_with_segments():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < _WINDOW  # an eighth of one window array
-    assert max(peaks) <= 12 * _WINDOW * 8  # about 8 window arrays today
+    assert max(peaks) <= 12 * _WINDOW * 8  # about 6 window arrays today
