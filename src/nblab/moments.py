@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import DomainError, PrecisionUnreachable
 from .fracsum import DilatedFracSum
+from .gammafn import _BERNOULLI
 
 __all__ = [
     "euler_gamma",
@@ -59,12 +60,6 @@ __all__ = [
     "NormReport",
     "weighted_norm_report",
 ]
-
-# Bernoulli-number coefficients B_{2k} / (2k) for k = 1..4 of the
-# harmonic-sum correction; the truncation error of the series below is
-# bounded by the first omitted term |B_10 / 10| n^{-10}.
-_EM_COEFFS = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0)
-_EM_TAIL_CONST = 5.0 / 66.0 / 10.0
 
 #: elements per numpy pass, the one limit on every array in this module:
 #: lattice segments per window and terms per harmonic-sum pass.  A window's
@@ -87,21 +82,23 @@ def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
     """Euler-Mascheroni constant with certified error <= target_abs_error.
 
     gamma = H_n - ln n - 1/(2n) + sum_k B_{2k}/(2k) n^{-2k}, truncated after
-    n^{-8}; the remainder is bounded by the first omitted term.  ``n`` may be
+    n^{-8}, with B_{2k} from the exact table of ``gammafn``; the remainder is
+    bounded by the first omitted term |B_10|/10 n^{-10}.  ``n`` may be
     pinned explicitly to cross-validate two independent evaluations.
     """
+    tail = float(abs(_BERNOULLI[5]) / 10)
     if not target_abs_error > 0.0:
         raise DomainError("target_abs_error must be positive")
     if target_abs_error < 5e-15:
         raise PrecisionUnreachable("euler_gamma cannot certify below 5e-15 in doubles")
     if n is None:
-        n = max(16, math.ceil((2.0 * _EM_TAIL_CONST / target_abs_error) ** 0.1))
-    elif _EM_TAIL_CONST * float(n) ** -10 > 0.5 * target_abs_error:
+        n = max(16, math.ceil((2.0 * tail / target_abs_error) ** 0.1))
+    elif tail * float(n) ** -10 > 0.5 * target_abs_error:
         raise PrecisionUnreachable(f"n = {n} too small for target {target_abs_error:g}")
     harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
     value = harmonic - math.log(n) - 0.5 / n
-    for k, coeff in enumerate(_EM_COEFFS, start=1):
-        value += coeff * float(n) ** (-2 * k)
+    for k in range(1, 5):
+        value += float(_BERNOULLI[k] / (2 * k)) * float(n) ** (-2 * k)
     return value
 
 

@@ -3,84 +3,87 @@
 Evaluation scheme
 -----------------
 Every value, and every sign the zero scan reads, comes from one function:
-W(s) = (s - 1) zeta(s) on Re s > 0, ``_weighted_pole_product``.  It sums
-the alternating (eta) series, accelerated with the Chebyshev-weighted
-partial sums of P. Borwein's algorithm:
+W(s) = (s - 1) zeta(s) on Re s > 0, ``_weighted_pole_product``, the
+Euler-Maclaurin sum of zeta (Edwards, *Riemann's Zeta Function*, 6.4;
+Johansson, Numer. Algorithms 69, 2015) times s - 1, which has no pole:
 
-    d_k = n * sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!)        (exact integers)
-    eta(s) ~ -1/d_n * sum_{k<n} (-1)^k (d_k - d_n) (k+1)^{-s}
+    W(s) = (s - 1) [sum_{n<N} n^{-s} + N^{-s}/2 + sum_{k<=M} T_k] + N^{1-s},
+    T_k = B_2k/(2k)! s (s+1) ... (s+2k-2) N^{-s-2k+1},
 
-and multiplies it by the ratio (s - 1)/(1 - 2^{1-s}), with
-1 - 2^{1-s} = -expm1(w), w = (1 - s) ln 2, from numpy's complex expm1, which
-does not cancel near s = 1; below |w| = 1e-8 the ratio is (1 - w/2)/ln 2.
-For sigma >= 1/2 the analytic remainder of W is bounded by
+within |s - 1| R_M, R_M = |s (s+1) ... (s+2M) B_{2M+2} N^{-sigma-2M-1} /
+(2M+2)!| |s+2M+1| / (sigma+2M+1) for sigma = Re s > -2M - 1.  The B_2k are
+``gammafn._BERNOULLI``'s, and the T_k are summed by Horner's rule in
+(s+2k-1)(s+2k)/N^2.  R_M grows with |Im s| at fixed sigma, so one (N, M),
+picked at a call's largest |Im s|, serves all its points.  N = ceil(|s|/pi)
++ 8 puts each factor |s+j|/(2 pi N) of R_M (|B_2k|/(2k)! ~ 2 (2 pi)^{-2k})
+below 1/2 + j/(2|s| + 50); N is smaller where R_0 alone is below half the
+target (large sigma), and at most ``_MAX_TERMS``.  M is the least count
+whose remainder is below half of what the rounding claim leaves of the
+target (half the target if it leaves nothing), else the one at which R_M
+stops decreasing or the Bernoulli table ends.  ``terms_used`` is N - 1 + M.
 
-    3 (3+sqrt(8))^{-n} (1 + 2|t|) e^{pi |t| / 2} |ratio|.
+Rounding (eps = 2^-52, elementary functions within an ulp): the phase
+t ln n of n^{-s} = e^{-s ln n} is off by c_t eps |t| ln n, c_t = 1.5, or 2
+on the scan's rows (a ln n + d ln n for t = a + d, a, d >= 0), the modulus
+by a relative 1.5 eps sigma ln n; exp and products add 4 eps, the sum
+(N/2) eps of the moduli.  With c = c_t |t| + 1.5 sigma, the head is within
+eps sum_{n<N} n^{-sigma} (c ln n + N/2 + 8), N^{1-s} within
+(c ln N + 8) eps N^{1-sigma}, N^{-s} times Horner's M levels within
+(c ln N + 6M + 12) eps N^{-sigma} (1/2 + sum |T_k| N^sigma), both sums
+times |s - 1|, and the last products 8 eps |W|.
 
-For 0 < sigma < 1/2 the bound is inflated by the documented factor
-``4 * 100^{1/2 - sigma}`` (conservative; the empirical error stays at
-roundoff level throughout the strip).  A floating-point claim proportional
-to the summed term magnitudes, including the eps * |Im s| * ln k
-phase-rounding of each power, is always added; the model was tuned against
-a 35-digit reference over thousands of points.  W takes one point or rows
-of points (row starts plus offsets) and uses one term count per call: the
-count that puts the remainder below half the target at the call's largest
-|Im s| and largest |ratio|, so at least each point's own count.
-
-- zeta on Re s > 0 is W(s)/(s - 1); W's target is zeta's times |s - 1|,
-  whose logarithm cancels ln|s - 1| in ln|ratio|, so the count is zeta's.
-- zeta on Re s <= 0 is the reflection formula
-  zeta(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s) zeta(1-s) with
-  zeta(1 - s) = -W(1 - s)/s, so that the zero of sin at s = 0 cancels the
-  reflected pole: zeta(s) = -a (sin(pi s / 2)/s) W(1 - s), where
-  a = 2^s pi^{s-1} Gamma(1-s).  The claim bounds the product of the three
-  factors' error discs; W's target is zeta's over |a| (|sin(pi s/2)/s| + its
-  error).  The sin error vanishes with s.  With w = pi s / 2 = x + iy,
-  rounding w moves sin w by at most eps |w| max|cos| <= eps |w| cosh y, and
-  ``cmath.sin`` adds at most 2 eps (|sin x| cosh y + |cos x| |sinh y|)
-  <= 2 sqrt(2) eps |w| cosh y, since |sin x| <= |x|, |sinh y| <= |y| cosh y
-  and |x| + |y| <= sqrt(2) |w|; 6 eps |w| cosh y covers both.
+- zeta on Re s > 0 is W(s)/(s - 1), W's target being zeta's times |s - 1|.
+- zeta on Re s <= 0 is the reflection formula with zeta(1 - s) = -W(1 - s)/s,
+  zeta(s) = -a (sin(pi s / 2)/s) W(1 - s), a = 2^s pi^{s-1} Gamma(1-s), so
+  that the zero of sin at s = 0 cancels the reflected pole.  The claim bounds
+  the product of the three factors' error discs; W's target is zeta's over
+  |a| (|sin(pi s/2)/s| + its error).  With w = pi s / 2 = x + iy, rounding w
+  moves sin w by at most eps |w| cosh y, and ``cmath.sin`` adds at most
+  2 eps (|sin x| cosh y + |cos x| |sinh y|) <= 2 sqrt(2) eps |w| cosh y
+  (|sin x| <= |x|, |sinh y| <= |y| cosh y, |x| + |y| <= sqrt(2) |w|), so
+  6 eps |w| cosh y covers both and vanishes with s.  ln a adds 2 eps of its
+  three parts' moduli to ln Gamma's claim.
 - xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
   pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s).
+  Where that Gamma factor is subnormal (on the critical line from
+  t = 908.65) it has lost bits, and xi and the scan refuse.
 
 The zero search evaluates Re xi(1/2 + it) by that formula on rows of equally
-spaced points t = a_r + j h, with W's sums by angle addition:
-e^{-i(a_r + jh) ln k} = e^{-i a_r ln k} e^{-i jh ln k}, so each call's sums
-are one matrix product.  The scan is one pass of such calls: the grid's top
-row first, then its full rows, then one per refinement level of all
-brackets.  Each call's count is W's, at its largest t and |ratio|, so no
-point gets fewer terms than ``xi`` gives it.  A bracket is a pair of
-neighbours of opposite sign.  Each level cuts every
-bracket into at most 32 equal parts by one such row, keeps every sign
-change among them, and stops once the parts are at most ``tol`` wide;
-each final bracket's midpoint is reported.
+spaced points t = a_r + j h, with W's head sums by angle addition,
+e^{-i(a_r + jh) ln n} = e^{-i a_r ln n} e^{-i jh ln n}: one matrix product
+per call.  The scan is one pass of such calls: the grid's top row, its full
+rows, then one per refinement level of all brackets (pairs of neighbours
+of opposite sign).  Each call's N is at least ``xi``'s at each of its
+points, and its M at least what ``xi`` needs there with that N.  Each level
+cuts every bracket into at most 32 equal parts by one such row, keeps every
+sign change, and stops once the parts are at most ``tol`` wide; each final
+bracket's midpoint is reported.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, PoleAtOne, PrecisionUnreachable
-from .gammafn import _EPS, _LOG_MAX, _LOG_PI, REL_ERROR_CLAIM, ComplexEvalReport, _cexp
-from .gammafn import loggamma_right
+from .gammafn import _BERNOULLI, _EPS, _LOG_MAX, _LOG_PI, POLE_TOL, ComplexEvalReport, _cexp
+from .gammafn import _require_finite, loggamma_right
 from .gammafn import gamma  # noqa: F401 -- not called here; bench/tracing.py wraps this name
 
-__all__ = [
-    "zeta",
-    "xi",
-    "functional_equation_residual",
-    "find_critical_zeros",
-]
+__all__ = ["zeta", "xi", "functional_equation_residual", "find_critical_zeros"]
 
 _LN2 = math.log(2.0)
-_RHO = 3.0 + math.sqrt(8.0)
-_LOG_RHO = math.log(_RHO)
-_N_MAX = 320
-_POLE_TOL = 1e-12
+_TINY = float(np.finfo(float).tiny)
+
+#: most terms of W's head sum, so that its arrays stay within 16 MiB; past
+#: |s| ~ 3.3e6 no M then brings R_M near a small target, and the claim says so
+_MAX_TERMS = 2**20
+
+#: B_2k/(2k)!, k = 0..40
+_EM_COEF = [float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI)]
+
 #: points per row of the scan's angle-addition layout, and most parts per
 #: refinement of a bracket
 _ROW = 32
@@ -89,121 +92,100 @@ _ROW = 32
 #: the first zeros exceeds ten times this)
 _GRID_STEP = 0.05
 
-#: the one offset 0: ``_weighted_pole_product`` at its points themselves
-_AT_S = np.zeros(1)
+
+def _log_r0(s: complex) -> float:
+    """ln(|s - 1| |B_2|/2! |s| |s+1| / (sigma+1)), W's R_0 times N^{sigma+1}."""
+    log_r = math.log(abs(s - 1.0)) if s != 1.0 else -math.inf
+    return log_r + math.log(_EM_COEF[1] * abs(s) / (s.real + 1.0)) + math.log(abs(s + 1.0))
 
 
-def _borwein_d(n: int) -> list[int]:
-    """Borwein's integers d_0..d_n, the partial sums of the terms
-    e_i = n (n+i-1)! 4^i / ((n-i)! (2i)!): e_0 = 1 and
-    e_{i+1} = e_i 2 (n+i)(n-i) / ((2i+1)(i+1)), an exact division."""
-    e, d = 1, [1]
-    for i in range(n):
-        e = e * 2 * (n + i) * (n - i) // ((2 * i + 1) * (i + 1))
-        d.append(d[-1] + e)
-    return d
+def _em_terms(s: complex, target: float) -> int:
+    """W's N at s, Re s > 0 (module docstring)."""
+    n = min(math.ceil(abs(s) / math.pi) + 8, _MAX_TERMS)
+    log_n0 = (_log_r0(s) - math.log(max(0.5 * target, 5e-324))) / (s.real + 1.0)
+    return max(2, math.ceil(math.exp(log_n0))) if log_n0 < math.log(n) else n
 
 
-@lru_cache(maxsize=64)
-def _borwein_terms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n weights (-1)^k (d_k - d_n) / d_n (k < n, from exact integer
-    d_k) of the bases k + 1 = 1..n, those bases, and their logarithms."""
-    d = _borwein_d(n)
-    dn = d[n]
-    ks = np.arange(1.0, n + 1.0)
-    coeffs = np.array([(-1) ** k * ((d[k] - dn) / dn) for k in range(n)], dtype=np.float64)
-    return coeffs, ks, np.log(ks)
-
-
-def _log_bound_constant(sigma: float, t: float, ratio_abs: float) -> float:
-    """ln of W's analytic remainder bound before its rho^{-n} factor at
-    sigma + it, t >= 0: ln(3 (1 + 2t) e^{pi t / 2} |ratio|), plus
-    ln(4 * 100^{1/2 - sigma}) for sigma < 1/2."""
-    log_c = math.log(3.0 * (1.0 + 2.0 * t)) + t * math.pi / 2.0 + math.log(ratio_abs)
-    if sigma < 0.5:  # an if, not a 0/1 factor: past Re s ~ 4e307 the bracket is -inf
-        log_c += math.log(4.0) + (0.5 - sigma) * math.log(100.0)
-    return log_c
-
-
-def _analytic_bound(sigma: float, t: float, ratio_abs: float, n: int) -> float:
-    """W's analytic remainder bound after n terms; inf where it overflows."""
-    log_bound = _log_bound_constant(sigma, t, ratio_abs) - n * _LOG_RHO
-    return math.exp(log_bound) if log_bound <= _LOG_MAX else math.inf
-
-
-def _pick_n(sigma: float, t: float, ratio_abs: float, target: float) -> int:
-    """Borwein term count for a remainder of W below target/2 at sigma + it:
-    a multiple of 8 in [16, _N_MAX]; targets below 1e-300, or scaled to 0,
-    need more than _N_MAX terms anyway."""
-    n = (_log_bound_constant(sigma, t, ratio_abs) - math.log(max(0.5 * target, 1e-300))) / _LOG_RHO
-    return -(-math.ceil(min(max(n, 16.0), _N_MAX)) // 8) * 8  # a multiple of 8 for cache reuse
-
-
-def _eta_sum(s: np.ndarray, n: int, offsets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Accelerated partial sums approximating eta(s) = (1 - 2^{1-s}) zeta(s)
-    at the points s_q + i d_r, of shape s.shape + offsets.shape, for starts
-    s_q (a point or an array) that share one real part sigma and the
-    offsets d_r, with the term count n, and the summed term magnitudes.
-
-    By angle addition, e^{-i (t + d) ln k} = e^{-i t ln k} e^{-i d ln k}, so
-    the sums of c_k k^{-s} over k = 1..n are one (starts x n) @ (n x offsets)
-    product, with the amplitudes c_k k^{-sigma} in the right factor.
-    """
-    coeffs, ks, ln_k = _borwein_terms(n)
-    amp = coeffs * ks ** -s.real.flat[0]
-    shifts = amp * np.exp(-1j * np.multiply.outer(offsets, ln_k))
-    sums = np.exp(-1j * np.multiply.outer(s.imag, ln_k)) @ shifts.T
-    return -sums, float(np.abs(amp).sum())
+def _em_order(s: complex, n: int, goal: float) -> tuple[int, float, float]:
+    """W's M at s with N = n for a remainder below goal (module docstring),
+    that remainder |s - 1| R_M (inf where it overflows), and 1/2 + sum_{k<=M}
+    |T_k| N^sigma; R_0 in log space (a huge |s| or sigma), then the ratios."""
+    sigma, t = s.real, s.imag
+    log_r = _log_r0(s) - (sigma + 1.0) * math.log(n)
+    goal = math.exp(min(math.log(max(goal, 5e-324)) - log_r, _LOG_MAX))  # over R_0
+    n2, ratio = float(n) * n, 1.0
+    m, tail, term, odd = 0, 0.5, _EM_COEF[1] * abs(s) / n, abs(s + 1.0)  # term: |T_{M+1}| N^sigma
+    while ratio > goal and m + 2 < len(_EM_COEF):
+        j = sigma + 2 * m
+        even, next_odd = math.hypot(j + 2.0, t), math.hypot(j + 3.0, t)  # |s + 2M + 2|, ...
+        step = -_EM_COEF[m + 2] / _EM_COEF[m + 1] * even * next_odd * (j + 1.0) / ((j + 3.0) * n2)
+        if not step < 1.0:
+            break
+        m, tail, ratio = m + 1, tail + term, ratio * step
+        term *= -_EM_COEF[m + 1] / _EM_COEF[m] * odd * even / n2
+        odd = next_odd
+    log_r += math.log(ratio)
+    return m, math.exp(log_r) if log_r <= _LOG_MAX else math.inf, tail
 
 
 def _weighted_pole_product(
-    s: complex | np.ndarray, target: float = 1e-15, offsets: np.ndarray = _AT_S
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """W(s) = (s - 1) zeta(s) = eta(s) (s - 1)/(1 - 2^{1-s}) on Re s > 0 at
-    the points s + i d, d in ``offsets`` (by default s itself), for a point
-    s or an array of row starts of one real part.  Returns the values and
-    their error claims, of shape s.shape + offsets.shape, and the call's one
-    term count.  The count and the remainder bound are taken at the call's
-    largest |Im s| and |ratio|, where the bound is largest, so the remainder
-    is below target/2 at each point.  A claim is inf where the remainder
-    bound overflows; only callers that return the value refuse it.
-
-    Each term of the eta sum carries a phase-rounding error of order
-    eps * |Im s| * ln k on top of the usual few ulps, so its claim scales
-    the summed term magnitudes by (16 + |Im s| ln(n+1)) eps, at the call's
-    largest |Im s|.
+    s: complex | np.ndarray, target: float = 1e-15, offsets: np.ndarray | None = None
+) -> tuple[complex | np.ndarray, float | np.ndarray, int]:
+    """W(s) = (s - 1) zeta(s) on Re s > 0 (module docstring) at the point s,
+    or at the points s + i d, d in ``offsets``, for an array s of row starts
+    of one real part.  Returns the values, their claims (a complex and a
+    float, or arrays of shape s.shape + offsets.shape), inf where the
+    remainder overflows, and N - 1 + M, all picked at the largest |Im s|.
     """
-    s = np.asarray(s, dtype=complex)
-    points = np.add.outer(s, 1j * offsets)
-    # (s-1)/(1 - 2^{1-s}) = (1-s)/expm1(w), w = (1-s) ln 2; below |w| = 1e-8
-    # it is (1/ln 2) w/(e^w - 1) = (1 - w/2)/ln 2 to rounding, and dividing
-    # subnormals would overflow
-    one_minus_s = 1.0 - points
-    w = one_minus_s * _LN2
-    ratio = np.divide(one_minus_s, np.expm1(w), out=(1.0 - 0.5 * w) / _LN2, where=np.abs(w) > 1e-8)
-    ratio_abs = np.abs(ratio)
-    sigma, t_top = s.real.flat[0], float(np.abs(points.imag).max())
-    ratio_top = float(ratio_abs.max())
-    n = _pick_n(sigma, t_top, ratio_top, target)
-    eta, magnitude = _eta_sum(s, n, offsets)
-    value = eta * ratio
-    eta_fp = _EPS * magnitude * (16.0 + t_top * math.log(n + 1.0))
-    err = _analytic_bound(sigma, t_top, ratio_top, n) + ratio_abs * (eta_fp + 2.0 * _EPS * n)
-    return value, err + 8.0 * _EPS * np.abs(value), n
+    if offsets is None:
+        points, top = s, s
+    else:
+        points = np.add.outer(s, 1j * offsets)
+        top = complex(s.real.flat[0], np.abs(points.imag).max())
+    sigma, scale, n = top.real, abs(top - 1.0), _em_terms(top, target)
+    log_n, ln_n = math.log(n), np.log(np.arange(1.0, n))
+    amp = np.exp(-sigma * ln_n)
+    # c eps, with eps first, so that no product of two huge |s| overflows
+    c = _EPS * (1.5 * sigma + (1.5 if offsets is None else 2.0) * abs(top.imag))
+    fp = (scale * (c * float(amp @ ln_n) + _EPS * (0.5 * n + 8.0) * float(amp.sum()))
+          + n ** (1.0 - sigma) * (c * log_n + 8.0 * _EPS))
+    m, remainder, tail = _em_order(top, n, 0.5 * (target - fp if fp < target else target))
+    fp += scale * n ** -sigma * tail * (c * log_n + _EPS * (6.0 * m + 12.0))
+    phases = np.exp(-1j * np.multiply.outer(s.imag, ln_n))
+    if offsets is None:
+        head, n_s = complex(phases @ amp), cmath.exp(-log_n * s)
+    else:
+        head = phases @ (amp * np.exp(-1j * np.multiply.outer(offsets, ln_n))).T
+        n_s = np.exp(-log_n * points)
+    # Horner in (s+2k-1)(s+2k)/N^2 = s^2/N^2 + (4k-1) s/N^2 + (2k-1) 2k/N^2, in place on rows
+    n2 = float(n) * n
+    poly, over, square = 0.0, points / n2, points * points / n2
+    for k in range(m, 0, -1):
+        u = over * (4 * k - 1)
+        u += square
+        u += (2 * k - 1) * 2 * k / n2
+        u *= poly
+        u += _EM_COEF[k]
+        poly = u
+    value = (points - 1.0) * (head + n_s * (0.5 + points / n * poly)) + n * n_s
+    return value, remainder + fp + 8.0 * _EPS * abs(value), n - 1 + m
 
 
 def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
     """The reflection factor chi(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s)
-    on Re s <= 1/2, where Gamma(1-s) is in the Lanczos half-plane, split as
+    on Re s <= 1/2, where Gamma(1-s) is in Stirling's half-plane, split as
     (smooth part, its relative error, sin(pi s / 2), its absolute error
     6 eps |w| cosh(Im w), derived in the module docstring)."""
     w = 0.5 * math.pi * s
     # |sin w| <= cosh(Im w) bounds it and its error; past e^709 neither is representable
     if abs(w.imag) > _LOG_MAX:
         raise PrecisionUnreachable(f"reflection factor at s = {s!r} overflows double precision")
-    log_part = s * _LN2 + (s - 1.0) * _LOG_PI + loggamma_right(1.0 - s)
+    log_gamma, log_err = loggamma_right(1.0 - s)
+    log_2, log_pi = s * _LN2, (s - 1.0) * _LOG_PI
+    log_part = log_2 + log_pi + log_gamma
     a = _cexp(log_part)
-    rel_a = REL_ERROR_CLAIM + 4.0 * _EPS * (1.0 + abs(log_part))
+    log_err += 2.0 * _EPS * (abs(log_2) + abs(log_pi) + abs(log_gamma))
+    rel_a = log_err * math.exp(log_err) + 4.0 * _EPS * (1.0 + abs(log_part))
     return a, rel_a, cmath.sin(w), 6.0 * _EPS * abs(w) * math.cosh(w.imag)
 
 
@@ -216,8 +198,7 @@ def _zeta_reflect(s: complex, target: float) -> tuple[complex, float, int]:
     sinc_hi = abs(sinc) * (1.0 + _EPS) + sin_err / max(abs(s), 1e-300)
     if not math.isfinite(abs(a) * sinc_hi):  # a is nan where ln Gamma(1 - s) overflows
         raise PrecisionUnreachable(f"zeta({s!r}) overflows double precision")
-    (w_val,), (w_err,), n = _weighted_pole_product(1.0 - s, target / (abs(a) * sinc_hi))
-    w_val, w_err = complex(w_val), float(w_err)
+    w_val, w_err, n = _weighted_pole_product(1.0 - s, target / (abs(a) * sinc_hi))
     value = -a * sinc * w_val
     # |zeta - value| <= hi - |value| up to rounding: the factors' error discs' product
     hi = abs(a) * (1.0 + rel_a) * sinc_hi * (abs(w_val) + w_err)
@@ -225,14 +206,13 @@ def _zeta_reflect(s: complex, target: float) -> tuple[complex, float, int]:
 
 
 def _zeta_core(s: complex, target: float = 1e-15) -> tuple[complex, float, int]:
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"non-finite argument {s!r}")
-    if abs(s - 1.0) <= _POLE_TOL:
+    s = _require_finite(s)
+    if abs(s - 1.0) <= POLE_TOL:
         raise PoleAtOne(f"zeta has its pole at s = 1; got {s!r}")
     if s.real > 0.0:
-        (w_val,), (w_err,), n = _weighted_pole_product(s, target * abs(s - 1.0))
-        value = complex(w_val) / (s - 1.0)
-        err = float(w_err) / abs(s - 1.0) + 4.0 * _EPS * abs(value)
+        w_val, w_err, n = _weighted_pole_product(s, target * abs(s - 1.0))
+        value = w_val / (s - 1.0)
+        err = w_err / abs(s - 1.0) + 4.0 * _EPS * abs(value)
     else:
         value, err, n = _zeta_reflect(s, target)
     if not math.isfinite(err):  # also where the value itself overflows
@@ -259,25 +239,25 @@ def zeta(s: complex, target_abs_error: float) -> ComplexEvalReport:
 def xi(s: complex) -> ComplexEvalReport:
     """The completed, entire, symmetric form 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s).
 
-    For Re s <= 0, xi(s) = xi(1 - s) moves s into Re s >= 1.  There
-    s Gamma(s/2) = 2 Gamma(s/2 + 1) and W(s) = (s-1) zeta(s) remove the
-    poles at s = 0 and s = 1, so xi(s) = pi^{-s/2} Gamma(s/2 + 1) W(s), with
-    the Gamma factor formed in log space: it overflows only where |xi| does.
-    Rounding 1 - s moves xi by at most |xi'| eps |1 - Re s|, which lies
-    inside the 6 eps (1 + |log part|) term of the claim away from the pole
-    that W cancels.
+    xi(s) = xi(1 - s) moves Re s <= 0 to Re s >= 1, where s Gamma(s/2) =
+    2 Gamma(s/2 + 1) and W remove the poles: xi(s) = pi^{-s/2} Gamma(s/2 + 1)
+    W(s), the Gamma factor in log space, so it overflows only where |xi| does
+    (and is refused where subnormal).  Rounding 1 - s moves xi by at most
+    |xi'| eps |1 - Re s|, inside the 6 eps (1 + |log part|) term of the claim.
     """
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"non-finite argument {s!r}")
+    s = _require_finite(s)
     if s.real <= 0.0:
         s = 1.0 - s
-    (w_val,), (w_err,), n = _weighted_pole_product(s)
-    w_val, w_err = complex(w_val), float(w_err)
-    log_part = loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LOG_PI
-    value = _cexp(log_part) * w_val
-    rel = REL_ERROR_CLAIM + 6.0 * _EPS * (1.0 + abs(log_part)) + w_err / max(abs(w_val), 1e-300)
-    err = abs(value) * rel
+    log_gamma, log_err = loggamma_right(0.5 * s + 1.0)
+    log_part = log_gamma - 0.5 * s * _LOG_PI
+    prefactor = _cexp(log_part)
+    if abs(prefactor) < _TINY:
+        raise PrecisionUnreachable(f"xi at {s!r} underflows double precision")
+    w_val, w_err, n = _weighted_pole_product(s)
+    value = prefactor * w_val
+    rel = log_err * math.exp(log_err) + 6.0 * _EPS * (1.0 + abs(log_part))
+    # a subnormal product adds at most 8 times the least subnormal, eps tiny
+    err = abs(value) * (rel + w_err / max(abs(w_val), 1e-300)) + 8.0 * _EPS * _TINY
     if not math.isfinite(err):  # also where the value itself overflows
         raise PrecisionUnreachable(f"xi at {s!r} or its error claim overflows double precision")
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
@@ -293,8 +273,8 @@ def functional_equation_residual(s: complex) -> tuple[float, float]:
     own term count, and the residual is at rounding level."""
     s = complex(s)
     u = s if s.real <= 0.5 else 1.0 - s
-    lhs, lhs_err, _ = _zeta_core(u)
     a, rel_a, trig, trig_err = _chi_factors(u)
+    lhs, lhs_err, _ = _zeta_core(u)
     z2, z2_err, _ = _zeta_core(1.0 - u)
     rhs = a * trig * z2
     # the product of the three factors' error discs: |RHS - rhs| <= rhs_hi - |rhs|
@@ -311,9 +291,10 @@ def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = h * np.arange(m)
     t = np.add.outer(a, offsets)
     s = 0.5 + 1j * t
-    prefactor = np.exp(loggamma_right(0.5 * s + 1.0) - 0.5 * s * _LOG_PI)
-    if np.any(prefactor == 0.0):
-        raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[prefactor == 0.0][0]:g}")
+    prefactor = np.exp(loggamma_right(0.5 * s + 1.0)[0] - 0.5 * s * _LOG_PI)
+    lost = np.abs(prefactor) < _TINY
+    if np.any(lost):
+        raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[lost][0]:g}")
     w_rows, _, _ = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
     return t, (prefactor * w_rows).real
 

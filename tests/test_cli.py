@@ -2,6 +2,7 @@ import io
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -226,15 +227,16 @@ def test_zeros_to_500_counts_every_zero():
         ["xi", "--re", "450"],
         ["xi", "--re=-449"],
         ["xi", "--re", "3000"],
-        # xi(1/2 + 805i) is finite, but its error claim overflows: printed,
-        # it would read Infinity, which is not valid JSON
-        ["xi", "--re", "0.5", "--im", "805"],
         # at u = 1 - s = -1e308 the reflection factor is not representable
         ["fe-check", "--re", "1e308"],
-        # past t ~ 805 the eta remainder bound of W(s) = (s - 1) zeta(s) overflows
-        ["zeta", "--re", "0.5", "--im", "900", "--target", "1"],
-        ["xi", "--re", "0.5", "--im", "900"],
+        # fe-check takes the reflection factor at u = s: past |Im u| ~ 451
+        # its sin(pi u / 2) overflows, although zeta itself returns there
         ["fe-check", "--re", "0.5", "--im", "900"],
+        # pi^{-s/2} Gamma(s/2 + 1) is subnormal from t ~ 908.65
+        ["xi", "--re", "0.5", "--im", "950"],
+        # the head sum stops at 2^20 terms, a third of what |s|/pi asks for
+        # here, so the Euler-Maclaurin terms grow and the claim is 3.4e3
+        ["zeta", "--re", "0.5", "--im", "1e7", "--target", "1e-3"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -242,6 +244,29 @@ def test_reflection_overflow_is_precision_failure(argv):
     assert code == EXIT_PRECISION
     assert "precision failure" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # W's head grows as |s|/pi: a series capped at 320 terms exited 2 on
+        # all four (claim overflow for xi, target missed for zeta at 1000)
+        ["xi", "--re", "0.5", "--im", "805"],
+        ["zeta", "--re", "0.5", "--im", "900", "--target", "1"],
+        ["xi", "--re", "0.5", "--im", "900"],
+        ["zeta", "--re", "0.5", "--im", "1000", "--target", "1e-9"],
+    ],
+)
+def test_large_heights_agree_with_mpmath(argv):
+    result = invoke_json(argv)["result"]
+    s = mpmath.mpc(float(argv[2]), float(argv[4]))
+    with mpmath.workdps(40):
+        if argv[0] == "zeta":
+            oracle = mpmath.zeta(s)
+        else:
+            oracle = s * (s - 1) / 2 * mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2) * mpmath.zeta(s)
+        err = float(abs(mpmath.mpc(result["re"], result["im"]) - oracle))
+    assert err <= result["abs_error_estimate"]
 
 
 def test_zero_function_norm_reports_its_truncation(monkeypatch):
@@ -261,13 +286,17 @@ def test_gram_near_irrational_ratio_meets_tight_target():
 
 
 def test_zeros_scan_stops_at_t_max():
-    # the grid ends at 955.4 < 955.45, the first height where the xi
-    # prefactor underflows; the scan used to evaluate whole rows past t_max
-    code, out, err = invoke(["zeros", "--t-max", "955.4"])
+    # the grid ends at 908.6 < 908.65, the first height where the xi
+    # prefactor is subnormal; the scan used to evaluate whole rows past t_max.
+    # Past 908.65 the prefactor has lost bits: the scan found 610 sign
+    # changes to 950, where mpmath.nzeros(950) is 608
+    code, out, err = invoke(["zeros", "--t-max", "908.6"])
     assert code == EXIT_OK, err
-    code, out, err = invoke(["zeros", "--t-max", "956"])
+    code, out, err = invoke(["zeros", "--t-max", "908.65"])
     assert code == EXIT_PRECISION
-    assert "underflows at t = 955.45" in err
+    assert "underflows at t = 908.65" in err
+    code, out, err = invoke(["zeros", "--t-max", "950"])
+    assert code == EXIT_PRECISION and out == ""
 
 
 @pytest.mark.parametrize("target", ["0", "-1"])

@@ -145,3 +145,24 @@ def test_claim_covers_large_arguments():
         assert_claim_covers_mpmath(s, rep)
         checked += 1
     assert checked == 269
+
+
+def test_claim_covers_both_half_planes_to_height_2500():
+    # Stirling's series with its derived remainder, on Re s >= 1/2 and through
+    # the reflection; most of this box is outside the doubles, so half the
+    # points are drawn where |Gamma| is about 1 (Re s ln|s| ~ pi |Im s| / 2)
+    rng = np.random.default_rng(12)
+    points = [complex(rng.uniform(-430.0, 430.0), rng.uniform(-2500.0, 2500.0)) for _ in range(200)]
+    for _ in range(200):
+        t = rng.uniform(-2500.0, 2500.0)
+        sigma = math.pi * abs(t) / (2.0 * math.log(abs(t) + 2.0)) + rng.uniform(-60.0, 60.0)
+        points.append(complex(min(sigma, 430.0), t))
+    checked = 0
+    for s in points:
+        try:
+            rep = gamma(s)
+        except PrecisionUnreachable:
+            continue
+        assert_claim_covers_mpmath(s, rep)
+        checked += 1
+    assert checked == 236

@@ -1,6 +1,5 @@
 import cmath
 import importlib
-import itertools
 import math
 from fractions import Fraction
 
@@ -18,16 +17,8 @@ from nblab import (
     xi,
     zeta,
 )
-from nblab.zeta import (
-    _EPS,
-    _analytic_bound,
-    _borwein_d,
-    _borwein_terms,
-    _eta_sum,
-    _refined_zeros,
-    _weighted_pole_product,
-    _xi_rows,
-)
+from nblab.gammafn import _BERNOULLI
+from nblab.zeta import _em_order, _em_terms, _refined_zeros, _weighted_pole_product, _xi_rows
 
 # the module itself: ``nblab.zeta`` as an attribute is the function
 zeta_module = importlib.import_module("nblab.zeta")
@@ -194,13 +185,15 @@ def assert_within_claim(rep, oracle: mpmath.mpc) -> None:
 @pytest.mark.parametrize(
     "s",
     [*(-(10.0**-k) for k in range(2, 13)), 400.0, -399.0, 430.0, complex(-20.5, 30.0),
-     0.0, 5j, -30j, complex(0.0, 100.0)],
+     0.0, 5j, -30j, complex(0.0, 100.0), complex(0.5, 805.0), complex(2.0, 805.0),
+     complex(-1.0, 805.0), complex(0.5, 900.0)],
 )
 def test_xi_against_mpmath(s):
     # just left of 0 the rounded 1 - s sits next to the pole of zeta, which
     # only a cancelled (s - 1) zeta(s) survives; Gamma(201) alone overflows,
     # so xi(400) and xi(-399) need pi^{-s/2} Gamma(s/2 + 1) in log space;
-    # Re s = 0 is reflected onto Re s = 1
+    # Re s = 0 is reflected onto Re s = 1.  At |Im s| = 805 and 900 the
+    # capped eta series' remainder bound overflowed; W's has no cap
     s = complex(s)
     assert_within_claim(xi(s), mpmath_xi(s))
 
@@ -212,17 +205,11 @@ def test_xi_left_half_plane_against_mpmath():
         assert_within_claim(xi(s), mpmath_xi(s))
 
 
-@pytest.mark.parametrize("s", [complex(0.5, 805.0), complex(2.0, 805.0), complex(-1.0, 805.0)])
-def test_xi_with_overflowing_error_claim_raises(s):
-    # the value is finite there, but the eta remainder bound times |s - 1| is not
-    with pytest.raises(PrecisionUnreachable):
-        xi(s)
-
-
-@pytest.mark.parametrize("target, terms", [(1e-12, 24), (1e-6, 16)])
-def test_zeta_near_zero_against_mpmath(target, terms):
+@pytest.mark.parametrize("target", [1e-12, 1e-6])
+def test_zeta_near_zero_against_mpmath(target):
     # on |s| < 1/4 the reflected pole is cancelled through (s - 1) zeta(s) at
-    # 1 - s, whose eta sum takes its term count from zeta's target
+    # 1 - s, whose Euler-Maclaurin sum takes its term count from zeta's
+    # target: never fewer terms than at the next larger target
     rng = np.random.default_rng(3)
     points = [0.0, 1e-9, -1e-9, 1e-5j, *(complex(*rng.uniform(-0.17, 0.17, 2)) for _ in range(20))]
     for s in map(complex, points):
@@ -230,7 +217,7 @@ def test_zeta_near_zero_against_mpmath(target, terms):
             oracle = mpmath.zeta(mpmath.mpc(s.real, s.imag))
         rep = zeta(s, target)
         assert_within_claim(rep, oracle)
-        assert rep.terms_used == terms
+        assert rep.terms_used >= zeta(s, 1e3 * target).terms_used
 
 
 @pytest.mark.parametrize(
@@ -279,12 +266,12 @@ def test_zeta_sweep_against_mpmath(target):
 
 
 def test_weighted_pole_product_near_one_against_mpmath():
-    # W(s) = (s - 1) zeta(s) divides by e^w - 1, w = (1 - s) ln 2; formed as
-    # e^w - 1 it cancelled to 25 times the claim on this grid
+    # W(s) = (s - 1) zeta(s) carries zeta's pole as the term N^{1-s}: nothing
+    # cancels next to s = 1 (the eta form divided by e^w - 1 there)
     for r in np.geomspace(1e-6, 0.2, 25):
         for k in range(5):
             s = 1.0 + r * cmath.exp(2j * math.pi * (k + 0.125) / 5)
-            (value,), (claim,), _ = _weighted_pole_product(s)
+            value, claim, _ = _weighted_pole_product(s)
             with mpmath.workdps(40):
                 z = mpmath.mpc(s.real, s.imag)
                 err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
@@ -292,11 +279,11 @@ def test_weighted_pole_product_near_one_against_mpmath():
 
 
 def test_weighted_pole_product_against_mpmath():
-    # one formula, eta(s) (s - 1)/(1 - 2^{1-s}), serves all of Re s > 0
+    # one formula, the Euler-Maclaurin sum times s - 1, serves all of Re s > 0
     rng = np.random.default_rng(23)
     for _ in range(150):
         s = complex(rng.uniform(0.05, 30.0), rng.uniform(-400.0, 400.0))
-        (value,), (claim,), _ = _weighted_pole_product(s)
+        value, claim, _ = _weighted_pole_product(s)
         with mpmath.workdps(40):
             z = mpmath.mpc(s.real, s.imag)
             err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
@@ -433,60 +420,73 @@ def test_array_kernel_matches_scalar_xi():
         assert abs(value - rep.value) <= 2.0 * rep.abs_error_estimate
 
 
-def direct_eta_sums(s: np.ndarray, n: int) -> np.ndarray:
-    """Independent route for ``_eta_sum``: the eta partial sums at each
-    point of s, one of real part, from its own cos/sin row of phases."""
-    coeffs, ks, ln_k = _borwein_terms(n)
-    amp = coeffs * ks ** -s.real[0]
-    phase = np.multiply.outer(s.imag, ln_k)
-    return -(np.cos(phase) @ amp - 1j * (np.sin(phase) @ amp))
-
-
-def test_angle_addition_matches_direct_sums():
+def test_angle_addition_matches_direct_sums(monkeypatch):
+    # the rows' head sums by angle addition, e^{-i(a + d) ln n} =
+    # e^{-i a ln n} e^{-i d ln n}, against the one-point route's own phases
+    # e^{-i t ln n} at each point, with the rows' N and M
     step = 0.05
-    s = 0.5 + 1j * (step * np.arange(6000, 6064))
-    n = 200
-    rows, magnitude = _eta_sum(s[::32], n, step * np.arange(32))
+    a, offsets = step * np.arange(6000, 6064, 32), step * np.arange(32)
+    rows, _, terms = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
     assert rows.shape == (2, 32)
-    # the floating-point claim of each route, as _weighted_pole_product forms it
-    fp_claim = _EPS * magnitude * (16.0 + np.abs(s.imag) * math.log(n + 1.0))
-    assert np.all(np.abs(rows.ravel() - direct_eta_sums(s, n)) <= 2.0 * fp_claim)
+    top = complex(0.5, a[-1] + offsets[-1])
+    n = _em_terms(top, 1e-15)
+    order = _em_order(top, n, 5e-16)  # the rows' rounding is far above their target
+    monkeypatch.setattr(zeta_module, "_em_terms", lambda s, target: n)
+    monkeypatch.setattr(zeta_module, "_em_order", lambda s, n, goal: order)
+    for t, row_value in zip(np.add.outer(a, offsets).ravel(), rows.ravel()):
+        # the claim covers each route's rounding; the truncation is shared
+        value, claim, point_terms = _weighted_pole_product(complex(0.5, t))
+        assert point_terms == terms
+        assert abs(row_value - value) <= 2.0 * claim
 
 
 def spy_on_scan(monkeypatch):
-    """Lists that collect each ``_xi_rows`` call's points and each
-    ``_eta_sum`` call's term count."""
+    """Lists that collect each ``_xi_rows`` call's points and each W call's
+    (N, M)."""
     calls, counts = [], []
-    kernel, eta_sum = zeta_module._xi_rows, zeta_module._eta_sum
+    kernel, em_order = zeta_module._xi_rows, zeta_module._em_order
 
     def spy_kernel(a, h, m):
         calls.append(np.add.outer(a, h * np.arange(m)).ravel())
         return kernel(a, h, m)
 
-    def spy_eta_sum(s, n, offsets):
-        counts.append(n)
-        return eta_sum(s, n, offsets)
+    def spy_em_order(s, n, goal):
+        picked = em_order(s, n, goal)
+        counts.append((n, picked[0]))
+        return picked
 
     monkeypatch.setattr(zeta_module, "_xi_rows", spy_kernel)
-    monkeypatch.setattr(zeta_module, "_eta_sum", spy_eta_sum)
+    monkeypatch.setattr(zeta_module, "_em_order", spy_em_order)
     return calls, counts
+
+
+def own_counts(t: float, n: int | None = None) -> tuple[int, int]:
+    """xi's (N, M) at 1/2 + it, or its M there with N = n: its rounding is
+    above its target 1e-15 on the critical line, so M is the least with a
+    remainder below 5e-16."""
+    s = complex(0.5, t)
+    n = _em_terms(s, 1e-15) if n is None else n
+    return n, _em_order(s, n, 5e-16)[0]
 
 
 def test_scan_term_count_covers_each_point(monkeypatch):
     # each kernel call of the scan (top row, full rows, or refinement level)
-    # uses one term count; it must be at least the count xi picks at each of
-    # its points.  The two grid calls come first, then 4 levels of refinement
-    # (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket; below
-    # t ~ 556 the counts are under the 320 cap
-    for t_max, n_calls, n_max in ((9.0, 2, 40), (187.1, 6, 200), (200.0, 6, 208),
-                                  (600.0, 6, 320)):
+    # uses one (N, M): N is at least what xi picks at each of its points,
+    # and M at least what xi would need there with that N, so no point's
+    # remainder is above xi's.  (xi's own M can exceed the call's where its
+    # own N is smaller.)  The two grid calls come first, then 4 levels of
+    # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket
+    for t_max, n_calls, n_max in ((9.0, 2, 11), (187.1, 6, 68), (200.0, 6, 72), (600.0, 6, 199)):
         calls, counts = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
         monkeypatch.undo()
         assert len(calls) == len(counts) == n_calls
-        for t, n in zip(calls, counts):
-            assert all(n >= xi(complex(0.5, z)).terms_used for z in t), (t_max, n)
-        assert max(counts) == n_max and all(n % 8 == 0 for n in counts)
+        for t, (n, m) in zip(calls, counts):
+            assert all(n >= own_counts(z)[0] and m >= own_counts(z, n)[1] for z in t), (t_max, n, m)
+        assert max(n for n, _ in counts) == n_max
+    for z in (0.05, 14.1, 187.1, 600.0):
+        n, m = own_counts(z)
+        assert xi(complex(0.5, z)).terms_used == n - 1 + m
 
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
@@ -498,22 +498,95 @@ def test_scan_underflow_raises_before_the_grid_is_built(monkeypatch, t_max, tol)
     assert len(calls) == 1 and calls[0].size <= 32
 
 
-def test_analytic_bound_nondecreasing_past_the_old_clamp():
-    ts = np.arange(400.0, 600.0, 0.5)
-    bounds = [_analytic_bound(0.5, t, 1.0, 320) for t in ts]
-    assert all(b >= a for a, b in zip(bounds, bounds[1:]))
-    # the bound keeps its e^{pi t / 2} growth beyond t = 445.6 (e^700)
-    assert bounds[-1] / bounds[0] >= math.exp(math.pi / 2.0 * (ts[-1] - ts[0]))
-    # past t ~ 810 the bound itself overflows: no value is claimed there,
-    # but the scan, which prints no claim, still gets its sums
-    assert _analytic_bound(0.5, 1000.0, 1.0, 320) == math.inf
-    with pytest.raises(PrecisionUnreachable):
-        xi(complex(0.5, 1000.0))
+def test_bernoulli_table_is_exact():
+    # W's remainder reads B_2k up to the table's end, k = 40
+    assert len(_BERNOULLI) == 41
+    for k, b in enumerate(_BERNOULLI):
+        assert b == Fraction(*mpmath.bernfrac(2 * k)), k
 
 
-def test_borwein_d_is_exact():
-    # d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), summed in rationals
-    fac = math.factorial
-    for n in range(16, 321, 8):
-        terms = (Fraction(n * fac(n + i - 1) * 4**i, fac(n - i) * fac(2 * i)) for i in range(n + 1))
-        assert _borwein_d(n) == list(itertools.accumulate(terms)), n
+def test_em_remainder_covers_every_point_of_a_call():
+    # one (N, M) per call, picked at its largest |Im s|: at each lower point
+    # of one real part the remainder of that pick is below half the target
+    for sigma, target in ((0.5, 1e-15), (0.05, 1e-12), (3.0, 1e-9)):
+        top = complex(sigma, 2000.0)
+        n = _em_terms(top, target)
+        m, remainder, _ = _em_order(top, n, 0.5 * target)
+        assert remainder <= 0.5 * target
+        for t in np.linspace(0.0, 2000.0, 41):
+            s = complex(sigma, t)
+            with mpmath.workdps(30):
+                z = mpmath.mpc(sigma, t)
+                r_m = (abs(mpmath.rf(z, 2 * m + 1) * mpmath.bernoulli(2 * m + 2)
+                           / mpmath.factorial(2 * m + 2)) * mpmath.power(n, -sigma - 2 * m - 1)
+                       * abs(z + 2 * m + 1) / (sigma + 2 * m + 1))
+                assert float(abs(z - 1) * r_m) <= remainder * (1.0 + 1e-9), (s, n, m)
+
+
+def em_sweep_points(rng, count, re_lo, re_hi):
+    return [complex(rng.uniform(re_lo, re_hi), rng.uniform(-5000.0, 5000.0)) for _ in range(count)]
+
+
+def test_w_zeta_and_xi_within_claims_to_height_5000():
+    # W on Re s > 0, zeta and xi on Re s in [-30, 31], |Im s| <= 5000, against
+    # 40-digit mpmath; left of Re s = 0 the reflection factor overflows past
+    # |Im s| ~ 451, and past t ~ 908 on the critical line xi's Gamma factor
+    # is subnormal, so there both refuse
+    rng = np.random.default_rng(41)
+    returned = {"W": 0, "zeta": 0, "xi": 0}
+    for s in em_sweep_points(rng, 40, 0.05, 31.0):
+        value, claim, _ = _weighted_pole_product(s)
+        with mpmath.workdps(40):
+            z = mpmath.mpc(s.real, s.imag)
+            err = float(abs(mpmath.mpc(value) - (z - 1) * mpmath.zeta(z)))
+        assert err <= claim, f"error {err:.3e} above claim {claim:.3e} at s = {s}"
+        returned["W"] += 1
+    for s in em_sweep_points(rng, 40, -30.0, 31.0) + [complex(-3.0, 400.0), complex(20.0, -350.0)]:
+        try:
+            rep = zeta(s, 1e-3)
+        except PrecisionUnreachable:
+            continue
+        with mpmath.workdps(40):
+            assert_within_claim(rep, mpmath.zeta(mpmath.mpc(s.real, s.imag)))
+        returned["zeta"] += 1
+    for s in em_sweep_points(rng, 30, -30.0, 31.0) + [complex(12.0, 1500.0), complex(-19.0, 900.0)]:
+        try:
+            rep = xi(s)
+        except PrecisionUnreachable:
+            continue
+        assert_within_claim(rep, mpmath_xi(s))
+        returned["xi"] += 1
+    assert returned == {"W": 40, "zeta": 21, "xi": 6}
+
+
+def test_find_critical_zeros_at_600_within_tol_of_each_zero():
+    # the eta series' 320-term cap put 25 ordinates past t ~ 556 up to
+    # 1.45e-4 off.  Each ordinate t brackets a sign change of Z on
+    # [t - tol, t + tol], and there are mpmath.nzeros(600) = 341 of them, so
+    # the k-th lies within tol of mpmath.zetazero(k); zetazero itself costs
+    # about 0.5 s a zero at this height, so it is asked only past 556
+    tol = 1e-6
+    zeros = find_critical_zeros(600.0, tol)
+    assert len(zeros) == 341 == int(mpmath.nzeros(600))
+    for t in zeros:
+        assert mpmath.fp.siegelz(t - tol) * mpmath.fp.siegelz(t + tol) < 0.0, t
+    for k in (317, 341):
+        assert abs(zeros[k - 1] - float(mpmath.zetazero(k).imag)) <= tol
+
+
+def test_find_critical_zeros_to_800_brackets_every_zero():
+    # the capped eta series returned 465 ordinates here
+    tol = 1e-6
+    zeros = find_critical_zeros(800.0, tol)
+    assert len(zeros) == 491 == int(mpmath.nzeros(800))
+    for t in zeros:
+        assert mpmath.fp.siegelz(t - tol) * mpmath.fp.siegelz(t + tol) < 0.0, t
+
+
+def test_find_critical_zeros_to_900_and_the_subnormal_prefactor():
+    # pi^{-s/2} Gamma(s/2 + 1) is subnormal from t = 908.65 on the critical
+    # line; past it the scan found 610 sign changes to 950, where
+    # mpmath.nzeros(950) is 608
+    assert len(find_critical_zeros(900.0, 1e-6)) == 569
+    with pytest.raises(PrecisionUnreachable, match="underflows at t = 908.65"):
+        find_critical_zeros(908.65, 1e-6)
