@@ -237,6 +237,8 @@ def test_zeros_to_500_counts_every_zero():
         # the head sum stops at 2^20 terms, a third of what |s|/pi asks for
         # here, so the Euler-Maclaurin terms grow and the claim is 3.4e3
         ["zeta", "--re", "0.5", "--im", "1e7", "--target", "1e-3"],
+        # left of the critical line xi is taken at 1 - s, and underflows there too
+        ["xi", "--re", "-1", "--im", "950"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
