@@ -88,7 +88,12 @@ def _sweep_family(args: argparse.Namespace, n_max: int) -> tuple[list[float], st
     if args.family == "geometric":
         if not args.ratio > 1.0:
             raise DomainError("geometric families need ratio > 1")
-        return [args.ratio**k for k in range(n_max)], f"geometric(ratio={args.ratio!r})"
+        try:
+            dilations = [args.ratio**k for k in range(n_max)]
+        except OverflowError as exc:
+            raise DomainError(f"ratio {args.ratio!r} to the power {n_max - 1} "
+                              "overflows double precision") from exc
+        return dilations, f"geometric(ratio={args.ratio!r})"
     dilations = _parse_floats(args.dilations)
     if not dilations:
         raise DomainError("explicit families need a dilation list")

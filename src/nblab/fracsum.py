@@ -74,10 +74,15 @@ class DilatedFracSum:
             self.check_constraint()
 
     def check_constraint(self) -> None:
-        """ConstraintViolated unless |sum h/l| <= CONSTRAINT_TOL max(1, sum |h|/l)."""
+        """ConstraintViolated unless |sum h/l| <= CONSTRAINT_TOL max(1, sum |h|/l).
+
+        Both sides are compared over a power of two s near max |h|, which
+        leaves every rounding as it is and keeps sum |h|/l from overflowing.
+        """
         total = self.constraint_sum
-        scale = max(1.0, sum(abs(h) / l for h, l in self.terms))
-        if abs(total) > CONSTRAINT_TOL * scale:
+        scale = math.ldexp(1.0, math.frexp(max(abs(h) for h, _ in self.terms))[1] - 1)
+        size = sum(abs(h) / scale / l for h, l in self.terms)
+        if abs(sum(h / scale / l for h, l in self.terms)) > CONSTRAINT_TOL * max(1.0 / scale, size):
             raise ConstraintViolated(
                 f"sum h/l = {total!r} violates the constraint within {CONSTRAINT_TOL}"
             )

@@ -35,10 +35,12 @@ So |error| <= 18u M with M = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|)
 + pi/(2hk)(M_V + M_V'))/c + 1/(a b), and 16 eps M = 32u M is certified
 (about 1.8x slack).
 
-{m h/k} depends on h only mod k.  So one ``gram_system`` build computes V
-and M_V once per key (h mod k, k), from one cot vector per k, and its
-entries share them; the values are those of the unshared sums, bit for bit.
-Nothing is kept from one build to the next.
+{m h/k} depends on h only mod k.  So entries, one pair or a whole
+``gram_system`` build, take three passes: every pair is reduced to h/k
+(below); for each k, one cot vector gives V and M_V at every residue
+h mod k the pairs need, and is dropped; every pair then takes Vasyunin's
+formula.  An entry has the same value and bound in every build that holds
+its pair, and nothing is kept from one build to the next.
 
 Every entry is this closed form at (a, b) = (lo, hi), lo <= hi, c = lo/h.
 With x = lo/hi exactly, h/k = x when its denominator is at most
@@ -69,7 +71,8 @@ a tolerance tol needs k of about (ln(1/tol)/(lo tol))^(1/2).
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -90,59 +93,32 @@ _LN_2PI_MINUS_GAMMA = 1.2606614015078126
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
-def _cot_vector(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """m = 1..k-1, cot(pi m/k) and 1 + |cot(pi m/k)|."""
+def _cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
+    """V(h/k) and its magnitude M_V = sum {m h/k} (1 + |cot(pi m/k)|) for
+    each h in ``residues``, from one cot vector, dropped on return."""
     m = np.arange(1, k)
     cot = 1.0 / np.tan(np.pi * np.minimum(m, k - m) / k)
     cot = np.where(2 * m < k, cot, -cot)
-    return m, cot, 1.0 + np.abs(cot)
+    weight = 1.0 + np.abs(cot)
+    sums = {}
+    for h in residues:
+        frac = (m * h % k) / k
+        sums[h] = math.fsum((frac * cot).tolist()), float(frac @ weight)
+    return sums
 
 
-def _cot_sum(h: int, k: int, vector=None) -> tuple[float, float]:
-    """V(h/k) and its magnitude M_V = sum {m h/k} (1 + |cot(pi m/k)|), from
-    ``_cot_vector(k)`` or the ``vector`` it returned."""
-    m, cot, weight = _cot_vector(k) if vector is None else vector
-    frac = (m * h % k) / k
-    return math.fsum((frac * cot).tolist()), float(frac @ weight)
-
-
-class _SharedCotSums(dict):
-    """V(h/k) and M_V by the key (h mod k, k), each computed once on first
-    use, from one cot vector per k."""
-
-    def __init__(self):
-        super().__init__()
-        self.vectors: dict[int, tuple] = {}
-
-    def __missing__(self, key):
-        h, k = key
-        vector = self.vectors.get(k)
-        if vector is None:
-            vector = self.vectors[k] = _cot_vector(k)
-        value = self[key] = _cot_sum(h, k, vector)
-        return value
-
-
-#: the sums of the gram_system build in progress; None outside a build
-_build_sums: ContextVar[_SharedCotSums | None] = ContextVar("_build_sums", default=None)
-
-
-def _closed_form_entry(lo: float, hi: float, h: int, k: int) -> tuple[float, float]:
-    """(value, roundoff bound) of I(c h, c k), c = lo/h, by Vasyunin's formula."""
-    sums = _build_sums.get()
-    if sums is None:
-        v_hk, m_hk = _cot_sum(h, k)
-        v_kh, m_kh = _cot_sum(k, h)
-    else:  # {m h/k} depends on h only mod k
-        v_hk, m_hk = sums[h % k, k]
-        v_kh, m_kh = sums[k % h, h]
+def _closed_form_entry(a: float, b: float, h: int, k: int, sums) -> tuple[float, float]:
+    """(value, roundoff bound) of I(c h, c k), c = min(a, b)/h, by Vasyunin's
+    formula, with V and M_V from ``sums[k][h mod k]`` and ``sums[h][k mod h]``."""
+    v_hk, m_hk = sums[k][h % k]
+    v_kh, m_kh = sums[h][k % h]
     first = 0.5 * _LN_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
     log_coef = (k - h) / (2.0 * h * k)
     log_ratio = math.log(h / k)
     cot_coef = math.pi / (2.0 * h * k)
     j = first + log_coef * log_ratio - cot_coef * (v_hk + v_kh)
-    c = lo / h
-    inv_ab = 1.0 / (lo * hi)
+    c = min(a, b) / h
+    inv_ab = 1.0 / (a * b)
     magnitude = (first + log_coef * (1.0 - log_ratio) + cot_coef * (m_hk + m_kh)) / c + inv_ab
     return j / c - inv_ab, _CLOSED_FORM_ROUNDOFF * magnitude
 
@@ -167,8 +143,61 @@ def _continuity_bound(lo: float, hi: float, h: int, k: int) -> float:
     return (delta * logs + min(1.0, 2.0 * delta) + delta / lo) * (1.0 + _CLOSED_FORM_ROUNDOFF)
 
 
+def _reduced_ratio(a: float, b: float, target_entry_error: float) -> tuple[int, int, float]:
+    """h/k of the pair (module docstring) and the continuity bound it adds,
+    0.0 at the exact ratio."""
+    lo, hi = (a, b) if a <= b else (b, a)
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    num, den = lo_num * hi_den, lo_den * hi_num
+    g = math.gcd(num, den)
+    if den // g <= DENOMINATOR_CAP:
+        return num // g, den // g, 0.0
+    goal = max(0.5 * target_entry_error, 1e-13)
+    for h, k in _convergents(Fraction(num, den)):
+        if k > DENOMINATOR_CAP:
+            break
+        continuity = _continuity_bound(lo, hi, h, k)
+        if continuity <= goal:
+            return h, k, continuity
+    raise PrecisionUnreachable(f"entry ({a!r}, {b!r}) needs a denominator above "
+                               f"{DENOMINATOR_CAP} for {target_entry_error:g}")
+
+
+def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric matrices of I(l_i, l_j) and its certified bound over
+    the upper triangle of ``dils``, row by row, in three passes (module
+    docstring): h/k per pair, the cot sums per k, the formula per pair."""
+    if not target_entry_error > 0.0:
+        raise DomainError("target_entry_error must be positive")
+    n = len(dils)
+    hs, ks, continuities = array("q"), array("q"), array("d")
+    residues = defaultdict(set)  # k -> the residues h mod k that the pairs need
+    for i, a in enumerate(dils):
+        for b in dils[i:]:
+            h, k, continuity = _reduced_ratio(a, b, target_entry_error)
+            hs.append(h)
+            ks.append(k)
+            continuities.append(continuity)
+            residues[k].add(h % k)
+            residues[h].add(k % h)
+    sums = {k: _cot_sums(k, needed) for k, needed in residues.items()}
+    matrix = np.zeros((n, n))
+    bounds = np.zeros((n, n))
+    p = 0
+    for i, a in enumerate(dils):
+        for j in range(i, n):
+            value, roundoff = _closed_form_entry(a, dils[j], hs[p], ks[p], sums)
+            matrix[i, j] = matrix[j, i] = value
+            bounds[i, j] = bounds[j, i] = roundoff + continuities[p]
+            p += 1
+    return matrix, bounds
+
+
 def pair_product_integral(a: float, b: float, target_entry_error: float) -> tuple[float, float]:
-    """(value, certified absolute error) of int_1^inf {t/a}{t/b} dt/t^2.
+    """(value, certified absolute error) of int_1^inf {t/a}{t/b} dt/t^2:
+    the off-diagonal entry of the Gram build of (a, b), bit for bit that of
+    every ``gram_system`` build holding the pair.
 
     ``target_entry_error`` governs only pairs whose exact ratio has a
     denominator above ``DENOMINATOR_CAP``; the rest carry roundoff only.
@@ -176,25 +205,8 @@ def pair_product_integral(a: float, b: float, target_entry_error: float) -> tupl
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)) or min(a, b) < 1.0 - 1e-12:
         raise DomainError(f"dilations must be finite and lie in [1, inf); got ({a!r}, {b!r})")
-    if not target_entry_error > 0.0:
-        raise DomainError("target_entry_error must be positive")
-    lo, hi = (a, b) if a <= b else (b, a)
-    lo_num, lo_den = lo.as_integer_ratio()
-    hi_num, hi_den = hi.as_integer_ratio()
-    num, den = lo_num * hi_den, lo_den * hi_num
-    g = math.gcd(num, den)
-    if den // g <= DENOMINATOR_CAP:
-        return _closed_form_entry(lo, hi, num // g, den // g)
-    goal = max(0.5 * target_entry_error, 1e-13)
-    for h, k in _convergents(Fraction(num, den)):
-        if k > DENOMINATOR_CAP:
-            break
-        continuity = _continuity_bound(lo, hi, h, k)
-        if continuity <= goal:
-            value, roundoff = _closed_form_entry(lo, hi, h, k)
-            return value, roundoff + continuity
-    raise PrecisionUnreachable(f"entry ({a!r}, {b!r}) needs a denominator above "
-                               f"{DENOMINATOR_CAP} for {target_entry_error:g}")
+    matrix, bounds = _gram_entries([a, b], target_entry_error)
+    return float(matrix[0, 1]), float(bounds[0, 1])
 
 
 @dataclass(frozen=True)
@@ -242,10 +254,10 @@ class GramSystem:
 def gram_system(dilations, target_entry_error: float) -> GramSystem:
     """Assemble the Gram data for an ascending list of distinct dilations.
 
-    Entries are computed one pair at a time with ``pair_product_integral``,
-    sharing the cotangent sums by (h mod k, k) within this build (module
-    docstring); DuplicateDilation is raised when two dilations coincide
-    within relative 1e-12.
+    The upper triangle is evaluated row by row in one pass of each kind
+    (module docstring), not by one ``pair_product_integral`` call per
+    entry, with the same values and bounds; DuplicateDilation is raised
+    when two dilations coincide within relative 1e-12.
     """
     dils = [float(l) for l in dilations]
     if not dils:
@@ -257,25 +269,8 @@ def gram_system(dilations, target_entry_error: float) -> GramSystem:
             raise DomainError("dilations must be ascending")
         if y - x <= 1e-12 * y:
             raise DuplicateDilation(f"dilations {x!r} and {y!r} coincide")
-    n = len(dils)
-    matrix = np.zeros((n, n))
-    bounds = np.zeros((n, n))
-    token = _build_sums.set(_SharedCotSums())
-    try:
-        for i in range(n):
-            for j in range(i, n):
-                value, err = pair_product_integral(dils[i], dils[j], target_entry_error)
-                matrix[i, j] = matrix[j, i] = value
-                bounds[i, j] = bounds[j, i] = err
-    finally:
-        _build_sums.reset(token)
+    matrix, bounds = _gram_entries(dils, target_entry_error)
     larr = np.array(dils)
-    g = (moment_constant() + np.log(larr)) / larr
-    c = 1.0 / larr
-    return GramSystem(
-        dilations=tuple(dils),
-        matrix=matrix,
-        moment_vector=g,
-        constraint_vector=c,
-        entry_error_bounds=bounds,
-    )
+    return GramSystem(dilations=tuple(dils), matrix=matrix,
+                      moment_vector=(moment_constant() + np.log(larr)) / larr,
+                      constraint_vector=1.0 / larr, entry_error_bounds=bounds)

@@ -289,7 +289,8 @@ def weighted_norm_report(
     and so sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  So the
     integral lies in [q - down, q + up], (down, up) = (e, e) or (0, tail); the
     value is the midpoint of [(q - down)^{1/p}, (q + up)^{1/p}] and half its
-    width enters the error bound.
+    width enters the error bound.  PrecisionUnreachable is raised where
+    that bound is not finite.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -304,23 +305,30 @@ def weighted_norm_report(
     T = max(100.0, max_segments / density)
     if np.all(coeffs == 0.0):
         return NormReport(value=0.0, abs_error_bound=0.0, truncation=T)
-    if p == 2.0:
-        from .gram import gram_system  # gram imports moment_constant from here
+    overflow = f"the integral of |phi|^{p!r} or its bound overflows double precision"
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite is refused
+        if p == 2.0:
+            from .gram import gram_system  # gram imports moment_constant from here
 
-        system = gram_system(dils, 1.0 / T)
-        bounds = system.entry_error_bounds + 4 * dils.size * 2.0**-53 * np.abs(system.matrix)
-        head = float(coeffs @ system.matrix @ coeffs)
-        down = up = float(np.abs(coeffs) @ bounds @ np.abs(coeffs))
-    else:
-        head = _abs_power_head(phi, p, T)
-        # {x} lies in [0, 1), so phi lies between the sum of its negative and
-        # the sum of its positive coefficients
-        reach = max(float(np.sum(coeffs[coeffs > 0.0])), -float(np.sum(coeffs[coeffs < 0.0])))
-        down, up = 0.0, reach**p / T
+            system = gram_system(dils, 1.0 / T)
+            bounds = system.entry_error_bounds + 4 * dils.size * 2.0**-53 * np.abs(system.matrix)
+            head = float(coeffs @ system.matrix @ coeffs)
+            down = up = float(np.abs(coeffs) @ bounds @ np.abs(coeffs))
+        else:
+            # {x} lies in [0, 1), so phi lies between the sum of its negative and
+            # the sum of its positive coefficients
+            reach = max(float(np.sum(coeffs[coeffs > 0.0])), -float(np.sum(coeffs[coeffs < 0.0])))
+            try:
+                head = _abs_power_head(phi, p, T)
+                down, up = 0.0, reach**p / T
+            except OverflowError as exc:  # a float power past the largest double
+                raise PrecisionUnreachable(overflow) from exc
     lo = max(head - down, 0.0) ** (1.0 / p)
     hi = (head + up) ** (1.0 / p)
     value = 0.5 * (lo + hi)
     err = 0.5 * (hi - lo) + 1e-12 * (1.0 + value)
+    if not math.isfinite(err):  # nor then is the value
+        raise PrecisionUnreachable(overflow)
     return NormReport(value=value, abs_error_bound=err, truncation=T)
 
 

@@ -78,7 +78,8 @@ _LN2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
 
 #: most terms of W's head sum, so that its arrays stay within 16 MiB; past
-#: |s| ~ 3.3e6 no M then brings R_M near a small target, and the claim says so
+#: |s| ~ 3.3e6 no M then brings R_M near a small target, and a call whose
+#: least remainder alone exceeds its target refuses before it sums
 _MAX_TERMS = 2**20
 
 #: B_2k/(2k)!, k = 0..40
@@ -143,6 +144,12 @@ def _weighted_pole_product(
         points = np.add.outer(s, 1j * offsets)
         top = complex(s.real.flat[0], np.abs(points.imag).max())
     sigma, scale, n = top.real, abs(top - 1.0), _em_terms(top, target)
+    if n == _MAX_TERMS:  # the least remainder may miss the target: refuse before summing
+        remainder = _em_order(top, n, 0.5 * target)[1]
+        if remainder > target:
+            raise PrecisionUnreachable(f"the Euler-Maclaurin remainder at s = {top!r} is "
+                                       f"{remainder / target:.3g} times the target with the "
+                                       f"most terms, {n}")
     log_n, ln_n = math.log(n), np.log(np.arange(1.0, n))
     amp = np.exp(-sigma * ln_n)
     # c eps, with eps first, so that no product of two huge |s| overflows

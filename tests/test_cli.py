@@ -424,6 +424,42 @@ def test_bad_argument_values_are_domain_errors(tmp_path, monkeypatch, argv, mess
     assert out == ""
 
 
+def _huge_pair(h):
+    return json.dumps({"terms": [{"h": h, "l": 1}, {"h": -h, "l": 1.5}]})
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, prefix",
+    [
+        # h^T G h overflows to inf (at 1e308 the difference of two infs is nan)
+        (["norm", "--input", "-", "--p", "2"], _huge_pair(1e160), EXIT_PRECISION,
+         "precision failure: "),
+        (["norm", "--input", "-", "--p", "2"], _huge_pair(1e308), EXIT_PRECISION,
+         "precision failure: "),
+        # |slope|^p past the largest double, as a Python float power
+        (["norm", "--input", "-", "--p", "1.5"], _huge_pair(1e308), EXIT_PRECISION,
+         "precision failure: "),
+        (["sweep", "--family", "geometric", "--ratio", "1e200", "--n", "2,3"], "", EXIT_DOMAIN,
+         "domain error: "),
+        # sum |h|/l overflows, and the constraint compared against it passed
+        (["moment", "--input", "-"],
+         json.dumps({"terms": [{"h": 1.5e308, "l": 1}, {"h": -1.5e308, "l": 1.0000001}],
+                     "constrained": True}),
+         EXIT_DOMAIN, "domain error: sum h/l = "),
+    ],
+    ids=["norm2-inf", "norm2-nan", "norm1.5", "sweep-ratio", "moment-constraint"],
+)
+def test_overflow_goes_through_the_exit_codes(monkeypatch, argv, stdin, code, prefix):
+    import sys
+
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    got, out, err = invoke(argv)
+    assert got == code
+    assert err.startswith(prefix)
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_non_json_stdin_is_domain_error(monkeypatch):
     import sys
 

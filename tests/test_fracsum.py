@@ -58,6 +58,35 @@ def test_constraint_enforced_when_flagged():
     DilatedFracSum(terms=((1.0, 2.0),), constrained=False)  # fine unflagged
 
 
+def test_constraint_does_not_pass_by_overflow():
+    # sum |h|/l overflows to inf, so an unscaled tolerance would pass any sum
+    with pytest.raises(ConstraintViolated, match="violates the constraint"):
+        DilatedFracSum(terms=((1.5e308, 1.0), (-1.5e308, 1.0000001)), constrained=True)
+    DilatedFracSum(terms=((1.5e308, 1.0), (-1.5e308 * 1.0000001, 1.0000001)), constrained=True)
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-8, 1.0, 3.0, 1e8, 1e300])
+def test_scaled_constraint_decides_as_the_unscaled_rule(size):
+    # off the overflow, comparing both sides over a power of two changes no rounding
+    rng = np.random.default_rng(5)
+    outcomes = []
+    for _ in range(200):
+        h = size * rng.standard_normal(3)
+        l = 1.0 + 3.0 * rng.random(3)
+        miss = rng.choice([0.0, 1e-13, 1e-12, 3e-12])
+        h[2] = -l[2] * (h[0] / l[0] + h[1] / l[1]) * (1.0 + miss)
+        phi = DilatedFracSum(terms=tuple(zip(h.tolist(), l.tolist())))
+        total = abs(sum(a / b for a, b in phi.terms))
+        unscaled = total <= 1e-12 * max(1.0, sum(abs(a) / b for a, b in phi.terms))
+        try:
+            phi.check_constraint()
+            outcomes.append(True)
+        except ConstraintViolated:
+            outcomes.append(False)
+        assert outcomes[-1] == unscaled
+    assert size < 1.0 or set(outcomes) == {True, False}
+
+
 def test_dilation_domain():
     with pytest.raises(DomainError):
         DilatedFracSum(terms=((1.0, 0.5),))

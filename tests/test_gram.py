@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -15,7 +16,7 @@ from nblab import (
     moment_constant,
     pair_product_integral,
 )
-from nblab.gram import _closed_form_entry, _continuity_bound, _convergents
+from nblab.gram import _closed_form_entry, _continuity_bound, _convergents, _cot_sums
 
 gram_module = importlib.import_module("nblab.gram")
 
@@ -229,7 +230,8 @@ def test_continuity_bound_at_coarser_convergents(pair):
     coarse = [(h, k) for h, k in _convergents(Fraction(lo) / Fraction(hi)) if h * hi != k * lo]
     assert len(coarse) >= 2
     for h, k in coarse:
-        value, roundoff = _closed_form_entry(lo, hi, h, k)
+        sums = {k: _cot_sums(k, [h % k]), h: _cot_sums(h, [k % h])}
+        value, roundoff = _closed_form_entry(lo, hi, h, k, sums)
         assert abs(mpmath.mpf(value) - exact) <= roundoff + _continuity_bound(lo, hi, h, k)
 
 
@@ -327,19 +329,21 @@ def test_gram_export_schema():
 
 
 @pytest.mark.parametrize(
-    "dilations",
-    [[float(k) for k in range(1, 61)], [1.5**k for k in range(8)], [1.0 + 0.5 * k for k in range(19)]],
-    ids=["integers", "geometric-1.5", "halves"],
+    "dilations, target",
+    [([float(k) for k in range(1, 61)], 1e-9), ([1.5**k for k in range(8)], 1e-9),
+     ([1.0 + 0.5 * k for k in range(19)], 1e-9),
+     ([1.0, math.sqrt(2.0), 1.5, 2.0, math.e, 3.0, math.pi], 1e-7)],
+    ids=["integers", "geometric-1.5", "halves", "mixed-convergents"],
 )
-def test_shared_cot_sums_are_bit_identical(dilations):
-    # a build computes V(h/k) at h mod k; the entry on its own takes h as it is
-    system = gram_system(dilations, 1e-9)
+def test_build_entries_equal_standalone_pairs(dilations, target):
+    # a build takes every entry from one table of cot sums; a pair alone
+    # builds its own, and neither may round differently
+    system = gram_system(dilations, target)
     for i, lo in enumerate(dilations):
         for j, hi in enumerate(dilations[i:], start=i):
-            ratio = Fraction(lo) / Fraction(hi)
-            value, err = _closed_form_entry(lo, hi, ratio.numerator, ratio.denominator)
-            assert system.matrix[i, j] == value
-            assert system.entry_error_bounds[i, j] == err
+            value, err = pair_product_integral(lo, hi, target)
+            assert system.matrix[i, j] == system.matrix[j, i] == value
+            assert system.entry_error_bounds[i, j] == system.entry_error_bounds[j, i] == err
 
 
 def test_each_cot_sum_is_computed_once_per_build(monkeypatch):
@@ -349,15 +353,29 @@ def test_each_cot_sum_is_computed_once_per_build(monkeypatch):
         for j in range(i, n + 1):
             h, k = i // math.gcd(i, j), j // math.gcd(i, j)
             keys |= {(h % k, k), (k % h, h)}
-    counts = []
-    cot_sum = gram_module._cot_sum
+    computed = []
+    cot_sums = gram_module._cot_sums
 
-    def counting(*args):
-        counts[-1] += 1
-        return cot_sum(*args)
+    def recording(k, residues):
+        sums = cot_sums(k, residues)
+        computed[-1].extend((h, k) for h in sums)
+        return sums
 
-    monkeypatch.setattr(gram_module, "_cot_sum", counting)
+    monkeypatch.setattr(gram_module, "_cot_sums", recording)
     for _ in range(2):  # nothing is kept from one build to the next
-        counts.append(0)
+        computed.append([])
         gram_system([float(k) for k in range(1, n + 1)], 1e-9)
-    assert counts == [len(keys), len(keys)]
+    assert [sorted(c) for c in computed] == [sorted(keys), sorted(keys)]
+
+
+def test_build_holds_one_cot_vector_at_a_time():
+    # six convergent pairs need cot vectors of up to about 1e5 entries each;
+    # holding every one until the build ended took about 24 MB traced
+    dilations = [math.sqrt(p) for p in (2.0, 3.0, 5.0, 7.0, 11.0, 13.0)]
+    tracemalloc.start()
+    try:
+        gram_system(dilations, 3e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6

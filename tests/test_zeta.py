@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -65,6 +66,21 @@ def test_pole_raises():
 def test_unreachable_target_raises():
     with pytest.raises(PrecisionUnreachable):
         zeta(2.0, 1e-30)
+
+
+def test_capped_head_refuses_before_it_sums():
+    # at N = 2^20 the least remainder is already 3.4e3 in zeta's units, and
+    # summing the head first took about 85 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(PrecisionUnreachable, match="remainder"):
+            zeta(complex(0.5, 1e7), 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+    # capped as well, but the remainder (2.7e-22) leaves room for the target
+    assert zeta(complex(0.5, 3.4e6), 1e-3).abs_error_estimate <= 1e-3
 
 
 def test_target_validation():
