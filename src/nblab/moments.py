@@ -376,15 +376,25 @@ def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
 
 def _sloped_abs_power(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
     """int |v_mid + slope (t - mid)|^p / t^2 summed over segments [t1, t1+u],
-    with the nodes y^2 and weights of the substitution t = z -+ d y^2."""
+    with the nodes y^2 and weights of the substitution t = z -+ d y^2.  Each
+    side's nodes ts = z + (-+d) y^2 and values |a + slope (ts - t1)|^p / ts^2
+    are formed in place in two (segments, nodes) buffers, by the operations
+    of those expressions in their order."""
     total = 0.0
     a_left = v_mid - 0.5 * slope * u
     t2 = t1 + u
     z = np.clip(t1 - a_left / slope, t1, t2)  # interior sign change, if any
-    left = a_left[:, None]
-    t1c = t1[:, None]
+    ts = np.empty((t1.size, y_sq.size))
+    vals = np.empty_like(ts)
     for d, sign in ((z - t1, -1.0), (t2 - z, 1.0)):
-        ts = z[:, None] + sign * d[:, None] * y_sq
-        vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
+        np.multiply((sign * d)[:, None], y_sq, out=ts)
+        ts += z[:, None]
+        np.subtract(ts, t1[:, None], out=vals)
+        vals *= slope
+        vals += a_left[:, None]
+        np.abs(vals, out=vals)
+        vals **= p
+        np.square(ts, out=ts)
+        vals /= ts
         total += float(np.dot(vals @ y_weights, d))
     return total

@@ -2,9 +2,9 @@
 
 Evaluation scheme
 -----------------
-Every value, and every sign the zero scan reads, comes from one function:
-W(s) = (s - 1) zeta(s) on Re s > 0, ``_weighted_pole_product``, the
-Euler-Maclaurin sum of zeta (Edwards, *Riemann's Zeta Function*, 6.4;
+Every value, and every sign the zero scan reads up to t = 200, comes from
+one function: W(s) = (s - 1) zeta(s) on Re s > 0, ``_weighted_pole_product``,
+the Euler-Maclaurin sum of zeta (Edwards, *Riemann's Zeta Function*, 6.4;
 Johansson, Numer. Algorithms 69, 2015) times s - 1, which has no pole:
 
     W(s) = (s - 1) [sum_{n<N} n^{-s} + N^{-s}/2 + sum_{k<=M} T_k] + N^{1-s},
@@ -46,24 +46,85 @@ times |s - 1|, and the last products 8 eps |W|.
 - xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
   pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s).
   Where that Gamma factor is subnormal (on the critical line from
-  t = 908.65) it has lost bits, and xi and the scan refuse.
+  t = 908.65) it has lost bits, and xi refuses.
 
-The zero search evaluates Re xi(1/2 + it) by that formula on rows of equally
-spaced points t = a_r + j h, with W's head sums by angle addition,
-e^{-i(a_r + jh) ln n} = e^{-i a_r ln n} e^{-i jh ln n}: one matrix product
-per call.  The scan is one pass of such calls: the grid's top row, its full
-rows, then one per refinement level of all brackets (pairs of neighbours
-of opposite sign).  Each call's N is at least ``xi``'s at each of its
+Hardy's Z
+---------
+Above t = 200 the zero scan reads the sign of Hardy's Z(t) = e^{i theta(t)}
+zeta(1/2 + it), real on the real line, in place of xi's:
+xi(1/2 + it) = -1/2 (t^2 + 1/4) pi^{-1/4} |Gamma(1/4 + it/2)| Z(t), so the
+two have opposite signs.  With N = floor(sqrt(t/2 pi)), p = sqrt(t/2 pi) - N
+and w = (t/2 pi)^{-1/2}, the Riemann-Siegel formula (Edwards, ch. 7) is
+
+    Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t ln n)
+           + (-1)^{N-1} w^{1/2} sum_{j<=4} C_j(p) w^j + R,
+
+and for t >= 200 Gabcke (thesis, Goettingen 1979) bounds |R| by d_4 t^{-11/4},
+d_4 = 0.017 (8.0e-9 at t = 200).
+
+- theta(t) = t/2 ln(t/2 pi) - t/2 - pi/8 + sum_k (1 - 2^{1-2k}) |B_2k| /
+  (4k (2k-1) t^{2k-1}), summed to k = 3 (1/(48t) + 7/(5760t^3) +
+  31/(80640t^5)); the error is below the first omitted term, k = 4 (Brent,
+  J. Aust. Math. Soc. 107, 2019; Edwards 6.5), 2.3e-20 at t = 200, and an
+  error d in theta moves Z by at most 2 d sum n^{-1/2}.
+- C_0 = Psi, C_1 = -Psi^(3)/(96 pi^2), C_2 = Psi^(2)/(64 pi^2) +
+  Psi^(6)/(18432 pi^4), C_3 = -Psi^(1)/(64 pi^2) - Psi^(5)/(3840 pi^4) -
+  Psi^(9)/(5308416 pi^6), C_4 = Psi/(128 pi^2) + 19 Psi^(4)/(24576 pi^4) +
+  11 Psi^(8)/(5898240 pi^6) + Psi^(12)/(2038431744 pi^8), derivatives in p
+  of Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) = -cos(2 pi x^2 -
+  5 pi/8) / cos(2 pi x), x = p - 1/2.  Psi is entire and even in x; its
+  Taylor coefficients to degree 43 are the 64-point trapezoid rule on
+  |x| = 0.9 (an FFT at import; radius 3/4 would meet the zeros +-3/4 of
+  cos 2 pi x, and float power-series division loses all digits near
+  x = 1/2), and each C_j is a polynomial in x^2, times x for odd j, summed
+  by Horner's rule.  The tables agree with 30-digit mpmath within a quarter
+  of the table error ``_RS_TABLE_ERR`` that the claim carries.
+  Psi(1 - p) = Psi(p), so a sqrt rounded across an integer (N off by one at
+  t = 2 pi N^2) stays within the claim.
+- The main sums of a row of points t = a_r + j h are Re(e^{i theta} sum_n
+  n^{-1/2} e^{-i a_r ln n} e^{-i jh ln n}): one matrix product over the n up
+  to the N at the row's start, plus the few n up to each point's own N,
+  masked per point.
+- Rounding (eps as above): each term's phase theta - t ln n is off by at
+  most 3 eps t ln n (for t ln n = a_r ln n + jh ln n at the rounded t),
+  plus theta's own 3 eps t (ln(t/2 pi) + 2) (its logarithm, products and
+  sums); exp, the products and the sums add (N + 8) eps, all of the moduli
+  2 n^{-1/2}.  The correction's Horner sums, its table error and p (off by
+  2 eps sqrt(t/2 pi) + eps) add w^{1/2} sum_j w^j (table error +
+  64 eps max |C_j| + dp max |C_j'|), the sum taken at t = 200, and the last
+  sum 2 eps |Z|.
+
+Z's claim is the sum of these terms.  Against 30-digit ``mpmath.siegelz``
+the worst ratio of error to claim seen is 0.69, on t in [200, 5000] and at
+t = 2 pi N^2 and one ulp either side for N = 6..18.
+
+The zero scan
+-------------
+The scan reads signs on rows of equally spaced points t = a_r + j h.  Rows
+that start at or below t = 200 take Re xi(1/2 + it) from W's rows, with W's
+head sums by angle addition, e^{-i(a_r + jh) ln n} = e^{-i a_r ln n}
+e^{-i jh ln n}, one matrix product per call.  The other rows take -Z(t),
+which has xi's sign, from the Riemann-Siegel rows above, and there a sign
+counts only where |Z| exceeds its claim: a point whose sign does not count
+is dropped, so that its two neighbours bracket across it.  The scan is one
+pass of such calls: the grid's top row, its full rows, then one per
+refinement level of each group of brackets (neighbours of opposite sign,
+grouped by width).  Each xi call's N is at least ``xi``'s at each of its
 points, and its M at least what ``xi`` needs there with that N.  Each level
 cuts every bracket into at most 32 equal parts by one such row, keeps every
-sign change, and stops once the parts are at most ``tol`` wide; each final
-bracket's midpoint is reported.
+sign change, and stops once the parts are at most ``tol`` wide (2 ``tol``
+for a bracket across a dropped point); each final bracket's midpoint is
+reported, within ``tol`` of a zero between two counted signs.  A bracket at
+least 2 ``tol`` wide none of whose inner signs counts is refused (exit 2),
+and so is a grid of more than 2^20 points, before any row is evaluated.
+The count is that of the sign changes seen, not a certified count of zeros.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -92,6 +153,66 @@ _ROW = 32
 #: grid step of the sign-change scan before refinement (smallest gap between
 #: the first zeros exceeds ten times this)
 _GRID_STEP = 0.05
+
+#: most grid points of a scan (t_max ~ 52,000), refused before any row is
+#: evaluated, so that no scan exhausts memory
+_MAX_GRID = 2**20
+
+#: the scan reads Hardy's Z on rows that start above this height, from which
+#: Gabcke's bound holds, and Re xi on the others
+_Z_FROM = 200.0
+
+#: most points per call of the Z kernel, and 32 times the most brackets
+#: refined together, so that a scan's arrays stay within a few MiB
+_Z_CHUNK = 2**15
+
+#: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
+_GABCKE_D4 = 0.017
+
+#: theta's series coefficients (1 - 2^{1-2k}) |B_2k| / (4k (2k-1)), k = 1..4;
+#: the last one bounds the truncation after k = 3
+_THETA_COEF = [float((1 - Fraction(2, 4**k)) * abs(_BERNOULLI[k]) / (4 * k * (2 * k - 1)))
+               for k in range(1, 5)]
+
+#: the largest (t/2 pi)^{-1/2} of a point the scan reads Z at
+_W_MAX = math.sqrt(2.0 * math.pi / _Z_FROM)
+
+#: bounds on the error of the C_j tables on |x| <= 1/2, each at least four
+#: times what 30-digit mpmath shows on a grid of p in [0, 1)
+_RS_TABLE_ERR = np.array([2e-15, 1e-16, 1e-15, 1e-13, 4e-12])
+
+
+def _rs_tables() -> tuple[np.ndarray, float, float]:
+    """C_0..C_4 of the Riemann-Siegel remainder as polynomials in y = x^2,
+    x = p - 1/2, row j holding C_j(x) / x^(j mod 2), lowest degree first, from
+    Psi's Taylor coefficients (module docstring); and two bounds for Z's
+    claim, sum_j w^j (table error + 64 eps max |C_j|) and sum_j w^j max |C_j'|
+    on |x| <= 1/2 at w = ``_W_MAX``."""
+    points, radius, degree = 64, 0.9, 43
+    x = radius * np.exp(2j * math.pi * np.arange(points) / points)
+    psi = -np.cos(2.0 * math.pi * x * x - 0.625 * math.pi) / np.cos(2.0 * math.pi * x)
+    a = np.fft.fft(psi).real[: degree + 1] / (points * radius ** np.arange(degree + 1))
+    a[1::2] = 0.0  # Psi(x) = Psi(-x)
+
+    def der(k: int, scale: float) -> np.ndarray:
+        return np.pad(np.polynomial.polynomial.polyder(a, k), (0, k)) / scale
+
+    q = math.pi**2
+    c = [a,
+         -der(3, 96 * q),
+         der(2, 64 * q) + der(6, 18432 * q**2),
+         -der(1, 64 * q) - der(5, 3840 * q**2) - der(9, 5308416 * q**3),
+         a / (128 * q) + 19 * der(4, 24576 * q**2) + 11 * der(8, 5898240 * q**3)
+         + der(12, 2038431744 * q**4)]
+    table = np.array([row[j % 2 :: 2] for j, row in enumerate(c)])
+    power = 2 * np.arange(table.shape[1]) + (np.arange(5) % 2)[:, None]  # the degrees in x
+    size = (np.abs(table) * 0.5**power).sum(axis=1)
+    slope = (np.abs(table) * power * 0.5 ** (power - 1.0)).sum(axis=1)
+    weight = _W_MAX ** np.arange(5)
+    return table, float(weight @ (_RS_TABLE_ERR + 64.0 * _EPS * size)), float(weight @ slope)
+
+
+_RS_COEF, _RS_ERR, _RS_SLOPE = _rs_tables()
 
 
 def _log_r0(s: complex) -> float:
@@ -299,51 +420,164 @@ def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     t = np.add.outer(a, offsets)
     s = 0.5 + 1j * t
     prefactor = np.exp(loggamma_right(0.5 * s + 1.0)[0] - 0.5 * s * _LOG_PI)
-    lost = np.abs(prefactor) < _TINY
-    if np.any(lost):
-        raise PrecisionUnreachable(f"xi(1/2 + it) underflows at t = {t[lost][0]:g}")
     w_rows, _, _ = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
     return t, (prefactor * w_rows).real
 
 
-def _sign_changes(f: np.ndarray) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Indices along the last axis of f's exact zeros, its last point
-    excepted, and of its brackets' left ends: neighbours of opposite sign
-    (signs compared, as the product of two underflows past t ~ 472)."""
-    head = f[..., :-1]
-    return np.nonzero(head == 0.0), np.nonzero(np.sign(head) * np.sign(f[..., 1:]) < 0.0)
+def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, all above 200, one row per start a_r,
+    Hardy's Z(t) there by the Riemann-Siegel formula, and its claims (module
+    docstring), with the main sums' phases by angle addition."""
+    offsets = h * np.arange(m)
+    t = np.add.outer(a, offsets)
+    u = t / (2.0 * math.pi)
+    root = np.sqrt(u)
+    n_point = np.floor(root)  # N(t)
+    n_row = np.floor(np.sqrt(a / (2.0 * math.pi))).astype(int)  # N at a row's start
+    n = np.arange(1.0, n_point.max() + 1.0)
+    ln_n, amp = np.log(n), n**-0.5
+    phases = np.exp(-1j * np.multiply.outer(a, ln_n))
+    steps = np.exp(-1j * np.multiply.outer(ln_n, offsets))
+    # a row's points past the start's N add the n between, each masked per point
+    rows, extra = np.arange(a.size), []
+    for k in range(1, int((n_point - n_row[:, None]).max()) + 1):
+        col = np.minimum(n_row + k - 1, n.size - 1)
+        term = (phases[rows, col] * amp[col])[:, None] * steps[col]
+        extra.append(np.where(n_point >= (n_row + k)[:, None], term, 0.0))
+    phases *= np.where(n <= n_row[:, None], amp, 0.0)
+    head = phases @ steps
+    for term in extra:
+        head += term
+    half, ln_u, inv = 0.5 * t, np.log(u), 1.0 / t
+    inv2 = inv * inv
+    c1, c2, c3, c4 = _THETA_COEF
+    theta = half * ln_u - half - 0.125 * math.pi + inv * (c1 + inv2 * (c2 + inv2 * c3))
+    main = 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
+    # sum_j w^j C_j(x) with w = (t/2 pi)^{-1/2}: C_j(x) = x^(j mod 2) Q_j(x^2) by Horner
+    x = root - n_point - 0.5
+    y, w = x * x, 1.0 / root
+    q = np.empty((5,) + t.shape)
+    q[:] = _RS_COEF[:, -1, None, None]
+    for k in range(_RS_COEF.shape[1] - 2, -1, -1):
+        q *= y
+        q += _RS_COEF[:, k, None, None]
+    q0, q1, q2, q3, q4 = q
+    corr = q0 + w * (x * q1 + w * (q2 + w * (x * q3 + w * q4)))
+    quarter = np.sqrt(w)
+    z = main + np.where(n_point % 2.0 == 1.0, quarter, -quarter) * corr
+    a0, a1 = np.cumsum(amp), np.cumsum(amp * ln_n)
+    idx = n_point.astype(int) - 1
+    theta_err = c4 * inv2 * inv2 * inv2 * inv + 3.0 * _EPS * t * (ln_u + 2.0)
+    claim = (_GABCKE_D4 * t**-2.75
+             + 2.0 * theta_err * a0[idx]
+             + 2.0 * _EPS * (3.0 * t * a1[idx] + (n_point + 8.0) * a0[idx])
+             + quarter * (_RS_ERR + _EPS * (2.0 * root + 1.0) * _RS_SLOPE)
+             + 2.0 * _EPS * np.abs(z))
+    return t, z, claim
 
 
-def _refined_zeros(
-    a: np.ndarray, fa: np.ndarray, fb: np.ndarray, h: float, tol: float
-) -> list[float]:
-    """Zeros in the brackets [a, a + h] with end values fa, fb.  Each level
-    cuts every bracket into the fewest equal parts narrower than ``tol``, at
-    most _ROW, evaluates one row per bracket and applies the grid's rule;
-    once h <= tol (then h > tol/2) the midpoints are reported."""
+def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, one row per start a_r; Re xi(1/2 + it)
+    on the rows that start at or below 200, and -Z(t), which has the sign of
+    xi(1/2 + it), on the others; and whether each sign counts: every one of
+    xi's, and Z's where |Z| exceeds its claim."""
+    t = np.add.outer(a, h * np.arange(m))
+    f, ok = np.empty(t.shape), np.ones(t.shape, dtype=bool)
+    low = a <= _Z_FROM
+    if low.any():
+        f[low] = _xi_rows(a[low], h, m)[1]
+    high = np.flatnonzero(~low)
+    step = max(1, _Z_CHUNK // m)
+    for i in range(0, high.size, step):
+        rows = high[i : i + step]
+        _, z, claim = _z_rows(a[rows], h, m)
+        f[rows], ok[rows] = -z, np.abs(z) > claim
+    return t, f, ok
+
+
+def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into f of its exact zeros and of its brackets' two ends.
+    Each row (last axis) is read as the sequence of its points whose sign
+    counts (ok), so a point whose sign does not count is dropped and its two
+    neighbours bracket across it.  An exact zero is a value 0.0 other than
+    the last of its row; a bracket is two neighbours of opposite sign (signs
+    compared, as the product of two values of xi underflows past t ~ 472)."""
+    kept = np.flatnonzero(ok)
+    same = kept[1:] // f.shape[-1] == kept[:-1] // f.shape[-1]
+    left, right = kept[:-1][same], kept[1:][same]
+    flat = f.ravel()
+    opposite = np.sign(flat[left]) * np.sign(flat[right]) < 0.0
+    return left[flat[left] == 0.0], left[opposite], right[opposite]
+
+
+#: brackets of one width: left ends, values there, values at the right ends,
+#: the width, and the width at which refining stops
+_Group = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
+
+
+def _brackets(
+    t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float
+) -> tuple[list[float], list[_Group]]:
+    """The exact zeros among rows of points t, spaced h, with values f and
+    counted signs ok (``_sign_changes``), and their brackets in groups of
+    one width and at most ``_Z_CHUNK`` / 32 brackets.  A bracket with g - 1
+    dropped points inside is g h wide and stops at 2 tol, the others at
+    tol."""
+    zeros, left, right = _sign_changes(f, ok)
+    t, f = t.ravel(), f.ravel()
+    gap, size, groups = right - left, _Z_CHUNK // _ROW, []
+    for g in np.unique(gap).tolist():
+        i, j = left[gap == g], right[gap == g]
+        groups += [(t[i[k : k + size]], f[i[k : k + size]], f[j[k : k + size]], g * h,
+                    2.0 * tol if g > 1 else tol) for k in range(0, i.size, size)]
+    return t[zeros].tolist(), groups
+
+
+def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
+    """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
+    width at which to stop (``_brackets``), one group at a time.  Each level
+    cuts every bracket of a group into the fewest equal parts narrower than
+    ``tol``, at most _ROW, evaluates one row per bracket and applies the
+    grid's rule; once h is at most the stop width the midpoints are reported
+    (then h > tol/2 for brackets with no dropped point).  A bracket at least
+    2 tol wide none of whose inner signs counts is refused: refining it
+    again would not narrow it."""
     zeros: list[float] = []
-    while h > tol and a.size:
+    while groups:
+        a, fa, fb, h, stop = groups.pop()
+        if h <= stop:
+            zeros += (a + 0.5 * h).tolist()
+            continue
         m = min(_ROW, math.floor(h / tol) + 1)
         h /= m
-        t, f = _xi_rows(a + h, h, m - 1)
-        t = np.column_stack([a, t])
-        f = np.column_stack([fa, f, fb])
-        hits, (r, c) = _sign_changes(f)
-        zeros.extend(t[hits].tolist())
-        a, fa, fb = t[r, c], f[r, c], f[r, c + 1]
-    return zeros + (a + 0.5 * h).tolist()
+        t, f, ok = _scan_rows(a + h, h, m - 1)
+        lost = ~ok.any(axis=1)
+        if m > 2 and lost.any():
+            raise PrecisionUnreachable(f"no sign of Z inside [{a[lost][0]!r}, "
+                                       f"{a[lost][0] + m * h!r}] exceeds its error claim")
+        ends = np.ones((a.size, 1), dtype=bool)
+        hits, more = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
+                               np.column_stack([ends, ok, ends]), h, tol)
+        zeros += hits
+        groups += more
+    return zeros
 
 
 def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
 
-    Re xi(1/2 + it) is evaluated on the grid t_j = j * 0.05, j >= 1, up to
-    t_max: first the top row of 1 to 32 points that ends there, where xi
-    underflows first, then all full rows of 32 points.  A grid value of
-    exactly 0.0 is reported as it stands; neighbours of opposite sign form a
-    bracket, and all brackets are refined together down to width ``tol``
-    and reported by their midpoints (``_refined_zeros``): Re xi(1/2 + it)
-    is continuous, so a sign change brackets a zero.
+    The sign of xi(1/2 + it) is read on the grid t_j = j * 0.05, j >= 1, up
+    to t_max, in rows of 32 points (the top row ending at t_max holds 1 to
+    32): from Re xi on the rows that start at or below t = 200, from -Z(t)
+    above, where a sign counts only when |Z| exceeds its certified claim; a
+    point whose sign does not count is dropped, so that its neighbours
+    bracket across it.  A grid value of exactly 0.0 is reported as it stands;
+    neighbours of opposite sign form a bracket, and all brackets are refined
+    together down to width ``tol`` and reported by their midpoints
+    (``_refined_zeros``): xi(1/2 + it) is continuous, so each ordinate lies
+    within ``tol`` of a zero between two counted signs.  A scan of more than
+    2^20 grid points (t_max above about 52,000) is refused before any row is
+    evaluated.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -355,11 +589,13 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     last = int(math.floor((t_max - h) / h + 1e-9)) + 1  # the grid is t_j = j h, j = 1..last
     if last == 0:
         return []
+    if last > _MAX_GRID:
+        raise PrecisionUnreachable(f"a scan to t = {t_max:.10g} needs {last} grid points, "
+                                   f"more than the {_MAX_GRID} a scan may hold")
     rows = (last - 1) // _ROW  # full rows from t = h; the top row holds the other points
-    t_top, f_top = _xi_rows(np.array([h * (1 + rows * _ROW)]), h, last - rows * _ROW)
-    t_rows = f_rows = np.empty(0)
+    parts = [_scan_rows(np.array([h * (1 + rows * _ROW)]), h, last - rows * _ROW)]
     if rows:
-        t_rows, f_rows = _xi_rows(h * np.arange(1, rows * _ROW, _ROW), h, _ROW)
-    t, f = np.append(t_rows, t_top), np.append(f_rows, f_top)
-    (hits,), (i,) = _sign_changes(f)
-    return sorted(t[hits].tolist() + _refined_zeros(t[i], f[i], f[i + 1], h, tol))
+        parts.insert(0, _scan_rows(h * np.arange(1, rows * _ROW, _ROW), h, _ROW))
+    t, f, ok = (np.concatenate([x.ravel() for x in arrays]) for arrays in zip(*parts))
+    zeros, groups = _brackets(t, f, ok, h, tol)
+    return sorted(zeros + _refined_zeros(groups, tol))

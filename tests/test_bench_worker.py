@@ -13,6 +13,7 @@ def test_traced_bench_worker_starts_and_stops(tmp_path):
     # show only in a traced benchmark run
     requests = [{"argv": ["gram", "--dilations", "1,2,3"]},
                 {"argv": ["approx", "--dilations", "1,1.4142135623730951"]},
+                {"argv": ["zeros", "--t-max", "300", "--tol", "1e-6"]},
                 {"stop": True}]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "worker.py"), str(ROOT), str(tmp_path / "spans")],
@@ -20,10 +21,14 @@ def test_traced_bench_worker_starts_and_stops(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    ready, gram, approx, done = map(json.loads, proc.stdout.splitlines())
+    ready, gram, approx, zeros, done = map(json.loads, proc.stdout.splitlines())
     assert ready == {"ready": True}
     assert gram["code"] == 0 and approx["code"] == 0, (gram["err"], approx["err"])
+    assert zeros["code"] == 0, zeros["err"]
+    assert json.loads(zeros["out"])["result"]["count"] == 138
     layers = done["layers"]
     assert layers["gram.gram_system.calls"] == 2
     assert layers["approx.gram_builds_per_approx"] == 1
     assert layers["approx.solve.calls"] == 1
+    # the scan's span: the CLI must reach it as ``cli.find_critical_zeros``
+    assert layers["zeta.find_critical_zeros.self_s"] > 0

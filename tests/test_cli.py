@@ -290,15 +290,17 @@ def test_gram_near_irrational_ratio_meets_tight_target():
 def test_zeros_scan_stops_at_t_max():
     # the grid ends at 908.6 < 908.65, the first height where the xi
     # prefactor is subnormal; the scan used to evaluate whole rows past t_max.
-    # Past 908.65 the prefactor has lost bits: the scan found 610 sign
-    # changes to 950, where mpmath.nzeros(950) is 608
+    # It read xi there and refused from 908.65 on; above t = 200 it now reads
+    # Z, and returns mpmath.nzeros.  A grid of more than 2^20 points is
+    # refused before any row is evaluated
     code, out, err = invoke(["zeros", "--t-max", "908.6"])
     assert code == EXIT_OK, err
-    code, out, err = invoke(["zeros", "--t-max", "908.65"])
-    assert code == EXIT_PRECISION
-    assert "underflows at t = 908.65" in err
-    code, out, err = invoke(["zeros", "--t-max", "950"])
+    for t_max in ("908.65", "950"):
+        payload = invoke_json(["zeros", "--t-max", t_max])
+        assert payload["result"]["count"] == int(mpmath.nzeros(float(t_max)))
+    code, out, err = invoke(["zeros", "--t-max", "1e6"])
     assert code == EXIT_PRECISION and out == ""
+    assert "grid points" in err
 
 
 @pytest.mark.parametrize("target", ["0", "-1"])

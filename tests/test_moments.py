@@ -25,7 +25,7 @@ from nblab import (
     weighted_norm_report,
 )
 from nblab.approx import best_approximation
-from nblab.moments import _WINDOW, _abs_power_head, _lattice_windows
+from nblab.moments import _WINDOW, _abs_power_head, _lattice_windows, _sloped_abs_power
 
 EULER_GAMMA_REF = 0.5772156649015329  # reference digits of the constant
 
@@ -556,3 +556,34 @@ def test_norm_walk_memory_does_not_grow_with_segments():
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < _WINDOW  # an eighth of one window array
     assert max(peaks) <= 12 * _WINDOW * 8  # about 6 window arrays today
+
+
+def sloped_abs_power_oracle(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
+    """``moments._sloped_abs_power`` as it was before it worked in place:
+    each side's nodes and values as plain array expressions."""
+    total = 0.0
+    a_left = v_mid - 0.5 * slope * u
+    t2 = t1 + u
+    z = np.clip(t1 - a_left / slope, t1, t2)
+    left = a_left[:, None]
+    t1c = t1[:, None]
+    for d, sign in ((z - t1, -1.0), (t2 - z, 1.0)):
+        ts = z[:, None] + sign * d[:, None] * y_sq
+        vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
+        total += float(np.dot(vals @ y_weights, d))
+    return total
+
+
+@pytest.mark.parametrize("p", [1.2, 1.8])
+def test_sloped_abs_power_in_place_is_bit_identical(p):
+    # random segments with and without an interior sign change, of both slopes
+    rng = np.random.default_rng(7)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    y = 0.5 * (nodes + 1.0)
+    n = 5000
+    t1 = np.sort(rng.uniform(1.0, 1e4, n))
+    u = rng.uniform(1e-4, 2.0, n)
+    for slope in (0.37, -1.3):
+        v_mid = rng.uniform(-2.0, 2.0, n)
+        args = (t1, u, v_mid, slope, p, y * y, weights * y)
+        assert _sloped_abs_power(*args) == sloped_abs_power_oracle(*args)

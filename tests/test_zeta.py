@@ -342,7 +342,7 @@ def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
     # differ in sign; refining it on sub-grids keeps all of them
     tol = 1e-6
     fa, fb = (xi(complex(0.5, t)).value.real for t in (28.5, 38.0))
-    zeros = _refined_zeros(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)
+    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
     assert len(zeros) == len(expected)
     for found, true in zip(sorted(zeros), expected):
@@ -457,10 +457,10 @@ def test_angle_addition_matches_direct_sums(monkeypatch):
 
 
 def spy_on_scan(monkeypatch):
-    """Lists that collect each ``_xi_rows`` call's points and each W call's
-    (N, M)."""
-    calls, counts = [], []
-    kernel, em_order = zeta_module._xi_rows, zeta_module._em_order
+    """Lists that collect each ``_xi_rows`` call's points, each W call's
+    (N, M) and each ``_z_rows`` call's points."""
+    calls, counts, z_calls = [], [], []
+    kernel, em_order, z_kernel = zeta_module._xi_rows, zeta_module._em_order, zeta_module._z_rows
 
     def spy_kernel(a, h, m):
         calls.append(np.add.outer(a, h * np.arange(m)).ravel())
@@ -471,9 +471,14 @@ def spy_on_scan(monkeypatch):
         counts.append((n, picked[0]))
         return picked
 
+    def spy_z_kernel(a, h, m):
+        z_calls.append(np.add.outer(a, h * np.arange(m)).ravel())
+        return z_kernel(a, h, m)
+
     monkeypatch.setattr(zeta_module, "_xi_rows", spy_kernel)
     monkeypatch.setattr(zeta_module, "_em_order", spy_em_order)
-    return calls, counts
+    monkeypatch.setattr(zeta_module, "_z_rows", spy_z_kernel)
+    return calls, counts, z_calls
 
 
 def own_counts(t: float, n: int | None = None) -> tuple[int, int]:
@@ -491,14 +496,17 @@ def test_scan_term_count_covers_each_point(monkeypatch):
     # and M at least what xi would need there with that N, so no point's
     # remainder is above xi's.  (xi's own M can exceed the call's where its
     # own N is smaller.)  The two grid calls come first, then 4 levels of
-    # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket
-    for t_max, n_calls, n_max in ((9.0, 2, 11), (187.1, 6, 68), (200.0, 6, 72), (600.0, 6, 199)):
-        calls, counts = spy_on_scan(monkeypatch)
+    # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket.
+    # Past t = 200 the scan reads Z: at 600 the top row is all Z, and the
+    # full rows and each level call xi only on the cells at or below 200
+    for t_max, n_calls, n_max in ((9.0, 2, 11), (187.1, 6, 68), (200.0, 6, 72), (600.0, 5, 72)):
+        calls, counts, _ = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
         monkeypatch.undo()
         assert len(calls) == len(counts) == n_calls
         for t, (n, m) in zip(calls, counts):
             assert all(n >= own_counts(z)[0] and m >= own_counts(z, n)[1] for z in t), (t_max, n, m)
+            assert t.max() <= 200.0 + 1e-9
         assert max(n for n, _ in counts) == n_max
     for z in (0.05, 14.1, 187.1, 600.0):
         n, m = own_counts(z)
@@ -507,11 +515,13 @@ def test_scan_term_count_covers_each_point(monkeypatch):
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
 def test_scan_underflow_raises_before_the_grid_is_built(monkeypatch, t_max, tol):
-    # the top row is evaluated first, and xi(1/2 + it) underflows there
-    calls, _ = spy_on_scan(monkeypatch)
-    with pytest.raises(PrecisionUnreachable, match="underflows"):
+    # xi's rows end at t = 200, so no row underflows any more; the grids of
+    # 1e9 and 2e13 points are refused by the point budget before any row of
+    # xi or Z is evaluated (a Z grid of 1e9 points would exhaust memory)
+    calls, _, z_calls = spy_on_scan(monkeypatch)
+    with pytest.raises(PrecisionUnreachable, match="grid points"):
         find_critical_zeros(t_max, tol)
-    assert len(calls) == 1 and calls[0].size <= 32
+    assert calls == [] and z_calls == []
 
 
 def test_bernoulli_table_is_exact():
@@ -601,8 +611,108 @@ def test_find_critical_zeros_to_800_brackets_every_zero():
 
 def test_find_critical_zeros_to_900_and_the_subnormal_prefactor():
     # pi^{-s/2} Gamma(s/2 + 1) is subnormal from t = 908.65 on the critical
-    # line; past it the scan found 610 sign changes to 950, where
-    # mpmath.nzeros(950) is 608
+    # line, where the xi scan refused (past it, it found 610 sign changes to
+    # 950, where mpmath.nzeros(950) is 608).  Above t = 200 the scan now
+    # reads Z, so it goes on; the counts are mpmath.nzeros
     assert len(find_critical_zeros(900.0, 1e-6)) == 569
-    with pytest.raises(PrecisionUnreachable, match="underflows at t = 908.65"):
-        find_critical_zeros(908.65, 1e-6)
+    for t_max, tol, count in ((908.65, 1e-6, 576), (955.4, 1e-6, 613), (955.4, 1e-3, 613),
+                              (2000.0, 1e-6, 1517)):
+        zeros = find_critical_zeros(t_max, tol)
+        assert len(zeros) == count, (t_max, tol)
+        for t in zeros:
+            if t > 900.0:
+                assert mpmath.fp.siegelz(t - tol) * mpmath.fp.siegelz(t + tol) < 0.0, (t, tol)
+
+
+def test_z_rows_within_claim_against_mpmath_siegelz():
+    # Hardy's Z by the Riemann-Siegel formula with C_0..C_4 against 30-digit
+    # mpmath on random t in [200, 5000], as rows of three points, and at
+    # t = 2 pi N^2 and one ulp either side, where N steps and p crosses 0
+    rng = np.random.default_rng(24)
+    starts = np.sort(rng.uniform(200.0, 5000.0, 5))
+    rows = [zeta_module._z_rows(starts, 0.37, 3)]
+    for n in range(6, 19, 3):
+        t = 2.0 * math.pi * n * n
+        rows.append(zeta_module._z_rows(np.array([math.nextafter(t, 0.0), t,
+                                                  math.nextafter(t, math.inf)]), 1.0, 1))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for ts, zs, claims in rows:
+            for t, z, claim in zip(ts.ravel(), zs.ravel(), claims.ravel()):
+                err = float(abs(z - mpmath.siegelz(mpmath.mpf(t))))
+                assert err <= claim, (t, err, claim)
+                worst = max(worst, err / claim)
+    assert worst > 0.1  # the claim is not loose by orders of magnitude
+
+
+def test_z_claim_at_200_is_gabckes_term():
+    # d_4 t^{-11/4} = 8.0e-9 at t = 200; rounding adds about 1e-12
+    _, _, claim = zeta_module._z_rows(np.array([200.0]), 1.0, 1)
+    assert 7.9e-9 < claim[0, 0] <= 1e-8
+
+
+def test_riemann_siegel_tables_against_mpmath_taylor():
+    # C_j from 30-digit derivatives of Psi(p) = cos(2 pi (p^2 - p - 1/16)) /
+    # cos(2 pi p) (Gabcke 1979; Edwards 7.4), within a quarter of the table
+    # error the claim carries; the grid keeps off p = 1/4 and 3/4, where
+    # mpmath's quotient is 0/0
+    pi = mpmath.pi
+
+    def psi(p):
+        return mpmath.cos(2 * pi * (p * p - p - mpmath.mpf(1) / 16)) / mpmath.cos(2 * pi * p)
+
+    grid = [k / 24 + 0.003 for k in range(24)] + [0.0, 0.5, 1.0 - 2.0**-40]
+    worst = np.zeros(5)
+    with mpmath.workdps(30):
+        for p in grid:
+            taylor = mpmath.taylor(psi, mpmath.mpf(p), 12)
+            d = [c * mpmath.factorial(k) for k, c in enumerate(taylor)]
+            c = [d[0],
+                 -d[3] / (96 * pi**2),
+                 d[2] / (64 * pi**2) + d[6] / (18432 * pi**4),
+                 -d[1] / (64 * pi**2) - d[5] / (3840 * pi**4) - d[9] / (5308416 * pi**6),
+                 d[0] / (128 * pi**2) + 19 * d[4] / (24576 * pi**4)
+                 + 11 * d[8] / (5898240 * pi**6) + d[12] / (2038431744 * pi**8)]
+            x = p - 0.5
+            for j in range(5):
+                poly = np.polynomial.polynomial.polyval(x * x, zeta_module._RS_COEF[j])
+                table = x ** (j % 2) * poly
+                worst[j] = max(worst[j], float(abs(table - c[j])))
+    assert np.all(worst <= zeta_module._RS_TABLE_ERR / 4), worst
+
+
+def test_uncertified_signs_are_bracketed_across(monkeypatch):
+    # a Z sign whose claim is not exceeded is dropped and its neighbours
+    # bracket across it: blinding the grid point left of each zero above
+    # 200 doubles those cells, and every ordinate stays within tol
+    tol = 1e-6
+    expected = find_critical_zeros(300.0, tol)
+    kernel, blinded = zeta_module._z_rows, []
+    left = np.floor(np.array(expected) / 0.05) * 0.05
+
+    def blind(a, h, m):
+        t, z, claim = kernel(a, h, m)
+        near = np.abs(t[..., None] - left).min(axis=-1) < 1e-9
+        blinded.append(int(near.sum()))
+        return t, z, np.where(near, np.inf, claim)
+
+    monkeypatch.setattr(zeta_module, "_z_rows", blind)
+    zeros = find_critical_zeros(300.0, tol)
+    assert sum(blinded[:2]) == 138 - 79  # the two grid calls: one point per zero above 200
+    assert len(zeros) == len(expected) == 138
+    assert max(abs(a - b) for a, b in zip(zeros, expected)) <= tol
+
+
+def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
+    # around the zero at t ~ 236.52 no Z sign within 0.01 counts: the
+    # certified ends of its bracket close in on that interval, and refining
+    # it again could not narrow it, so the scan refuses
+    kernel = zeta_module._z_rows
+
+    def blind(a, h, m):
+        t, z, claim = kernel(a, h, m)
+        return t, z, np.where(np.abs(t - 236.5242296658) < 0.01, np.inf, claim)
+
+    monkeypatch.setattr(zeta_module, "_z_rows", blind)
+    with pytest.raises(PrecisionUnreachable, match="no sign of Z"):
+        find_critical_zeros(300.0, 1e-6)
