@@ -189,13 +189,18 @@ def _rs_tables() -> tuple[np.ndarray, float, float]:
     claim, sum_j w^j (table error + 64 eps max |C_j|) and sum_j w^j max |C_j'|
     on |x| <= 1/2 at w = ``_W_MAX``."""
     points, radius, degree = 64, 0.9, 43
-    x = radius * np.exp(2j * math.pi * np.arange(points) / points)
+    turns = np.exp(2j * math.pi * np.arange(points) / points)
+    x = radius * turns
     psi = -np.cos(2.0 * math.pi * x * x - 0.625 * math.pi) / np.cos(2.0 * math.pi * x)
-    a = np.fft.fft(psi).real[: degree + 1] / (points * radius ** np.arange(degree + 1))
+    powers = np.arange(degree + 1)
+    a = (turns[-np.outer(powers, np.arange(points)) % points] @ psi).real
+    a /= points * radius**powers
     a[1::2] = 0.0  # Psi(x) = Psi(-x)
 
     def der(k: int, scale: float) -> np.ndarray:
-        return np.pad(np.polynomial.polynomial.polyder(a, k), (0, k)) / scale
+        """Psi^(k)'s coefficients over scale, padded to the table's length."""
+        falling = [math.perm(i + k, k) for i in range(degree + 1 - k)]
+        return np.pad(a[k:] * falling, (0, k)) / scale
 
     q = math.pi**2
     c = [a,
