@@ -123,6 +123,7 @@ The count is that of the sign changes seen, not a certified count of zeros.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from fractions import Fraction
 
@@ -182,12 +183,14 @@ _W_MAX = math.sqrt(2.0 * math.pi / _Z_FROM)
 _RS_TABLE_ERR = np.array([2e-15, 1e-16, 1e-15, 1e-13, 4e-12])
 
 
+@functools.cache
 def _rs_tables() -> tuple[np.ndarray, float, float]:
     """C_0..C_4 of the Riemann-Siegel remainder as polynomials in y = x^2,
     x = p - 1/2, row j holding C_j(x) / x^(j mod 2), lowest degree first, from
     Psi's Taylor coefficients (module docstring); and two bounds for Z's
     claim, sum_j w^j (table error + 64 eps max |C_j|) and sum_j w^j max |C_j'|
-    on |x| <= 1/2 at w = ``_W_MAX``."""
+    on |x| <= 1/2 at w = ``_W_MAX``.  Built at the first Z row, so that a
+    process that never reads Z neither computes nor pages in their code."""
     points, radius, degree = 64, 0.9, 43
     turns = np.exp(2j * math.pi * np.arange(points) / points)
     x = radius * turns
@@ -216,8 +219,6 @@ def _rs_tables() -> tuple[np.ndarray, float, float]:
     weight = _W_MAX ** np.arange(5)
     return table, float(weight @ (_RS_TABLE_ERR + 64.0 * _EPS * size)), float(weight @ slope)
 
-
-_RS_COEF, _RS_ERR, _RS_SLOPE = _rs_tables()
 
 
 def _log_r0(s: complex) -> float:
@@ -458,16 +459,17 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
     c1, c2, c3, c4 = _THETA_COEF
     theta = half * ln_u - half - 0.125 * math.pi + inv * (c1 + inv2 * (c2 + inv2 * c3))
     main = 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
-    # sum_j w^j C_j(x) with w = (t/2 pi)^{-1/2}: C_j(x) = x^(j mod 2) Q_j(x^2) by Horner
+    # sum_j w^j C_j(x) with w = (t/2 pi)^{-1/2} and C_j(x) = x^(j mod 2) Q_j(x^2):
+    # each point's coefficients sum_j w^j x^(j mod 2) Q_j, then Horner in x^2
     x = root - n_point - 0.5
     y, w = x * x, 1.0 / root
-    q = np.empty((5,) + t.shape)
-    q[:] = _RS_COEF[:, -1, None, None]
-    for k in range(_RS_COEF.shape[1] - 2, -1, -1):
-        q *= y
-        q += _RS_COEF[:, k, None, None]
-    q0, q1, q2, q3, q4 = q
-    corr = q0 + w * (x * q1 + w * (q2 + w * (x * q3 + w * q4)))
+    w2, wx = w * w, w * x
+    table, table_err, table_slope = _rs_tables()
+    coef = np.tensordot(table.T, np.stack([np.ones_like(w), wx, w2, w2 * wx, w2 * w2]), 1)
+    corr = coef[-1]
+    for c in coef[-2::-1]:
+        corr *= y
+        corr += c
     quarter = np.sqrt(w)
     z = main + np.where(n_point % 2.0 == 1.0, quarter, -quarter) * corr
     a0, a1 = np.cumsum(amp), np.cumsum(amp * ln_n)
@@ -476,7 +478,7 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
     claim = (_GABCKE_D4 * t**-2.75
              + 2.0 * theta_err * a0[idx]
              + 2.0 * _EPS * (3.0 * t * a1[idx] + (n_point + 8.0) * a0[idx])
-             + quarter * (_RS_ERR + _EPS * (2.0 * root + 1.0) * _RS_SLOPE)
+             + quarter * (table_err + _EPS * (2.0 * root + 1.0) * table_slope)
              + 2.0 * _EPS * np.abs(z))
     return t, z, claim
 
@@ -531,7 +533,7 @@ def _brackets(
     zeros, left, right = _sign_changes(f, ok)
     t, f = t.ravel(), f.ravel()
     gap, size, groups = right - left, _Z_CHUNK // _ROW, []
-    for g in np.unique(gap).tolist():
+    for g in sorted(set(gap.tolist())):  # np.unique would import numpy.ma, about 1 MB
         i, j = left[gap == g], right[gap == g]
         groups += [(t[i[k : k + size]], f[i[k : k + size]], f[j[k : k + size]], g * h,
                     2.0 * tol if g > 1 else tol) for k in range(0, i.size, size)]
