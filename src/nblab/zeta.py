@@ -567,8 +567,9 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
         t, f, ok = _scan_rows(a + h, h, m - 1)
         lost = ~ok.any(axis=1)
         if m > 2 and lost.any():
-            raise PrecisionUnreachable(f"no sign of Z inside [{a[lost][0]!r}, "
-                                       f"{a[lost][0] + m * h!r}] exceeds its error claim")
+            start = float(a[lost][0])
+            raise PrecisionUnreachable(f"no sign of Z inside [{start!r}, {start + m * h!r}] "
+                                       f"exceeds its error claim")
         ends = np.ones((a.size, 1), dtype=bool)
         hits, more = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
                                np.column_stack([ends, ok, ends]), h, tol)

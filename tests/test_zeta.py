@@ -722,3 +722,11 @@ def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
     monkeypatch.setattr(zeta_module, "_z_rows", blind)
     with pytest.raises(PrecisionUnreachable, match="no sign of Z"):
         find_critical_zeros(300.0, 1e-6)
+
+
+def test_tol_finer_than_the_certified_signs_is_refused():
+    # next to the zero at t ~ 204.19 no Z sign counts over about 7.9e-9
+    # (claim / |Z'|), so brackets cannot be certified down to 1e-9 there
+    assert len(find_critical_zeros(300.0, 1e-8)) == 138
+    with pytest.raises(PrecisionUnreachable, match="no sign of Z inside"):
+        find_critical_zeros(300.0, 1e-9)
