@@ -74,10 +74,12 @@ d_4 = 0.017 (8.0e-9 at t = 200).
   of Psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) = -cos(2 pi x^2 -
   5 pi/8) / cos(2 pi x), x = p - 1/2.  Psi is entire and even in x; its
   Taylor coefficients to degree 43 are the 64-point trapezoid rule on
-  |x| = 0.9 (an FFT at import; radius 3/4 would meet the zeros +-3/4 of
-  cos 2 pi x, and float power-series division loses all digits near
-  x = 1/2), and each C_j is a polynomial in x^2, times x for odd j, summed
-  by Horner's rule.  The tables agree with 30-digit mpmath within a quarter
+  |x| = 0.9 (a 44 x 64 DFT product at the first Z row; radius 3/4 would
+  meet the zeros +-3/4 of cos 2 pi x, and float power-series division
+  loses all digits near x = 1/2), and each C_j is a polynomial in x^2,
+  times x for odd j: each point's sum_j w^j C_j is one polynomial in x^2,
+  its coefficients from one matrix product, summed by Horner's rule.  The
+  tables agree with 30-digit mpmath within a quarter
   of the table error ``_RS_TABLE_ERR`` that the claim carries.
   Psi(1 - p) = Psi(p), so a sqrt rounded across an integer (N off by one at
   t = 2 pi N^2) stays within the claim.
