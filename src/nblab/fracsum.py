@@ -31,6 +31,13 @@ COINCIDENCE_RTOL = 1e-12
 CONSTRAINT_TOL = 1e-12
 
 
+def _checked_dilation(l: float) -> float:
+    l = float(l)
+    if not math.isfinite(l) or l < 1.0 - COINCIDENCE_RTOL:
+        raise DomainError(f"dilation {l!r} outside [1, inf)")
+    return l
+
+
 def _merge_terms(terms):
     cleaned: list[tuple[float, float]] = []
     for coeff, dil in terms:
@@ -38,11 +45,9 @@ def _merge_terms(terms):
             coeff, dil = float(coeff), float(dil)
         except (TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"non-numeric term ({coeff!r}, {dil!r})") from exc
-        if not (math.isfinite(coeff) and math.isfinite(dil)):
+        if not math.isfinite(coeff):
             raise DomainError(f"non-finite term ({coeff!r}, {dil!r})")
-        if dil < 1.0 - COINCIDENCE_RTOL:
-            raise DomainError(f"dilation {dil!r} outside [1.0, inf]")
-        cleaned.append((coeff, dil))
+        cleaned.append((coeff, _checked_dilation(dil)))
     if not cleaned:
         raise DomainError("at least one term is required")
     cleaned.sort(key=lambda hl: hl[1])

@@ -79,6 +79,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
+from .fracsum import COINCIDENCE_RTOL, _checked_dilation
 from .moments import moment_constant
 
 __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
@@ -202,9 +203,7 @@ def pair_product_integral(a: float, b: float, target_entry_error: float) -> tupl
     ``target_entry_error`` governs only pairs whose exact ratio has a
     denominator above ``DENOMINATOR_CAP``; the rest carry roundoff only.
     """
-    a, b = float(a), float(b)
-    if not (math.isfinite(a) and math.isfinite(b)) or min(a, b) < 1.0 - 1e-12:
-        raise DomainError(f"dilations must be finite and lie in [1, inf); got ({a!r}, {b!r})")
+    a, b = _checked_dilation(a), _checked_dilation(b)
     matrix, bounds = _gram_entries([a, b], target_entry_error)
     return float(matrix[0, 1]), float(bounds[0, 1])
 
@@ -259,15 +258,13 @@ def gram_system(dilations, target_entry_error: float) -> GramSystem:
     entry, with the same values and bounds; DuplicateDilation is raised
     when two dilations coincide within relative 1e-12.
     """
-    dils = [float(l) for l in dilations]
+    dils = [_checked_dilation(l) for l in dilations]
     if not dils:
         raise DomainError("at least one dilation is required")
-    if any(l < 1.0 - 1e-12 or not math.isfinite(l) for l in dils):
-        raise DomainError("dilations must lie in [1, inf)")
     for x, y in zip(dils, dils[1:]):
         if y < x:
             raise DomainError("dilations must be ascending")
-        if y - x <= 1e-12 * y:
+        if y - x <= COINCIDENCE_RTOL * y:
             raise DuplicateDilation(f"dilations {x!r} and {y!r} coincide")
     matrix, bounds = _gram_entries(dils, target_entry_error)
     larr = np.array(dils)

@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionUnreachable
-from .fracsum import DilatedFracSum
+from .fracsum import DilatedFracSum, _checked_dilation
 from .gammafn import _BERNOULLI
 
 __all__ = [
@@ -120,13 +120,6 @@ def partial_moment_constant(n: int) -> float:
         stop = min(n + 1, start + _WINDOW)
         acc += float(np.sum(1.0 / np.arange(start, stop, dtype=np.float64)))
     return math.log(n) - acc
-
-
-def _checked_dilation(l: float) -> float:
-    l = float(l)
-    if not math.isfinite(l) or l < 1.0 - 1e-12:
-        raise DomainError(f"dilation {l!r} outside [1, inf)")
-    return l
 
 
 def dilated_frac_moment(l: float) -> float:
@@ -345,11 +338,12 @@ def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
     start = min(float(dils.min()), T)
     head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
     flat = abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of a sloped
-    # piece, where |phi|^p has its kink; dt = 2 d y dy
-    y = 0.5 * (nodes + 1.0)
-    y_sq, y_weights = y * y, weights * y
+    if not flat:  # flat sums need no nodes, nor the numpy.polynomial import
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of a
+        # sloped piece, where |phi|^p has its kink; dt = 2 d y dy
+        y = 0.5 * (nodes + 1.0)
+        y_sq, y_weights = y * y, weights * y
     rows = np.empty((2, _WINDOW + 2 * dils.size + 2))  # a window's segments, ends included
     for t1, u in _lattice_windows(dils, start, T):
         n = t1.size

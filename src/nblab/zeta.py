@@ -112,13 +112,14 @@ e^{-i jh ln n}, one matrix product per call.  The other rows take -Z(t),
 which has xi's sign, from the Riemann-Siegel rows above, and there a sign
 counts only where |Z| exceeds its claim: a point whose sign does not count
 is dropped, so that its two neighbours bracket across it.  The scan is one
-pass of such calls: the grid's top row, its full rows, then one per
-refinement level of each group of brackets (neighbours of opposite sign,
-grouped by width).  Each xi call's N is at least ``xi``'s at each of its
-points, and its M at least what ``xi`` needs there with that N.  Each level
-cuts every bracket into at most 32 equal parts by one such row, keeps every
-sign change, and stops once the parts are at most ``tol`` wide (2 ``tol``
-for a bracket across a dropped point); each final bracket's midpoint is
+pass of such calls: one for the grid's whole rows, the last row's points
+past ``t_max`` dropped, then one per refinement level of each group of
+brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
+time).  Each xi call's N is at least ``xi``'s at each of its points, and
+its M at least what ``xi`` needs there with that N.  Each level cuts every
+bracket into at most 32 equal parts by one such row, keeps every sign
+change, and stops once the parts are at most ``tol`` wide (2 ``tol`` for a
+bracket across a dropped point); each final bracket's midpoint is
 reported, within ``tol`` of a zero between two counted signs.  A bracket at
 least 2 ``tol`` wide none of whose inner signs counts is refused (exit 2),
 and so is a grid of more than 2^20 points, before any row is evaluated.
@@ -516,7 +517,7 @@ def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray
     counts (ok), so a point whose sign does not count is dropped and its two
     neighbours bracket across it.  An exact zero is a value 0.0 other than
     the last of its row; a bracket is two neighbours of opposite sign (signs
-    compared, as the product of two values of xi underflows past t ~ 472)."""
+    compared, so that no product of two small values underflows to 0)."""
     kept = np.flatnonzero(ok)
     row = kept // f.shape[-1]
     same = row[1:] == row[:-1]
@@ -584,17 +585,17 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
 
     The sign of xi(1/2 + it) is read on the grid t_j = j * 0.05, j >= 1, up
-    to t_max, in rows of 32 points (the top row ending at t_max holds 1 to
-    32): from Re xi on the rows that start at or below t = 200, from -Z(t)
-    above, where a sign counts only when |Z| exceeds its certified claim; a
-    point whose sign does not count is dropped, so that its neighbours
-    bracket across it.  A grid value of exactly 0.0 is reported as it stands;
-    neighbours of opposite sign form a bracket, and the brackets of one width
-    (up to 1024 at a time) are refined together down to width ``tol`` and
-    reported by their midpoints (``_refined_zeros``): xi(1/2 + it) is
-    continuous, so each ordinate lies within ``tol`` of a zero between two
-    counted signs.  A scan of more than 2^20 grid points (t_max above about
-    52,429) is refused before any row is evaluated.
+    to t_max, in whole rows of 32 points, the last row's points past t_max
+    dropped: from Re xi on the rows that start at or below t = 200, from
+    -Z(t) above, where a sign counts only when |Z| exceeds its certified
+    claim; a point whose sign does not count is dropped, so that its
+    neighbours bracket across it.  A grid value of exactly 0.0 is reported
+    as it stands; neighbours of opposite sign form a bracket, and the
+    brackets of one width (up to 1024 at a time) are refined together down
+    to width ``tol`` and reported by their midpoints (``_refined_zeros``):
+    xi(1/2 + it) is continuous, so each ordinate lies within ``tol`` of a
+    zero between two counted signs.  A scan of more than 2^20 grid points
+    (t_max above about 52,429) is refused before any row is evaluated.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -604,15 +605,10 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
         raise PrecisionUnreachable(f"sub-grids cannot resolve brackets of width {tol:g}")
     h = _GRID_STEP
     last = int(math.floor((t_max - h) / h + 1e-9)) + 1  # the grid is t_j = j h, j = 1..last
-    if last == 0:
-        return []
     if last > _MAX_GRID:
         raise PrecisionUnreachable(f"a scan to t = {t_max:.10g} needs {last} grid points, "
                                    f"more than the {_MAX_GRID} a scan may hold")
-    rows = (last - 1) // _ROW  # full rows from t = h; the top row holds the other points
-    parts = [_scan_rows(np.array([h * (1 + rows * _ROW)]), h, last - rows * _ROW)]
-    if rows:
-        parts.insert(0, _scan_rows(h * np.arange(1, rows * _ROW, _ROW), h, _ROW))
-    t, f, ok = (np.concatenate([x.ravel() for x in arrays]) for arrays in zip(*parts))
+    t, f, ok = (x.ravel() for x in _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW))
+    ok[last:] = False  # the last row's points past t_max
     zeros, groups = _brackets(t, f, ok, h, tol)
     return sorted(zeros + _refined_zeros(groups, tol))

@@ -289,10 +289,10 @@ def test_gram_near_irrational_ratio_meets_tight_target():
 
 def test_zeros_scan_stops_at_t_max():
     # the grid ends at 908.6 < 908.65, the first height where the xi
-    # prefactor is subnormal; the scan used to evaluate whole rows past t_max.
-    # It read xi there and refused from 908.65 on; above t = 200 it now reads
-    # Z, and returns mpmath.nzeros.  A grid of more than 2^20 points is
-    # refused before any row is evaluated
+    # prefactor is subnormal; above t = 200 the scan reads Z, so from there
+    # on too it returns mpmath.nzeros.  The last row's points past t_max are
+    # evaluated but dropped.  A grid of more than 2^20 points is refused
+    # before any row is evaluated
     code, out, err = invoke(["zeros", "--t-max", "908.6"])
     assert code == EXIT_OK, err
     for t_max in ("908.65", "950"):
@@ -490,8 +490,9 @@ def test_norm_budget_validated(tmp_path):
             assert out == ""
 
 
-def module_run(argv):
-    """(exit code, stdout, stderr) of ``python -m nblab`` in a fresh process."""
+def fresh_python(*args):
+    """(exit code, stdout, stderr) of ``python *args`` in a fresh process
+    that imports nblab from this tree."""
     import os
     import subprocess
     import sys
@@ -502,9 +503,14 @@ def module_run(argv):
     src = str(Path(nblab.__file__).resolve().parent.parent)
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run([sys.executable, "-m", "nblab", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def module_run(argv):
+    """(exit code, stdout, stderr) of ``python -m nblab`` in a fresh process."""
+    return fresh_python("-m", "nblab", *argv)
 
 
 def test_module_entry_point():
@@ -528,3 +534,39 @@ def test_failed_parses_leave_the_parser_unchanged():
         code, out, err = invoke(argv)
         assert code == expected, err
         assert (code, out, err) == module_run(argv)
+
+
+#: one call of each subcommand shape the benchmark workloads use, then moment
+#: and both norms on approx's bstar, all in one fresh interpreter
+_WORKLOAD_SHAPES = """
+import io, json, sys
+from nblab.cli import run
+
+def call(argv, stdin=""):
+    sys.stdin, out, err = io.StringIO(stdin), io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 0, (argv, err.getvalue())
+    return json.loads(out.getvalue())["result"]
+
+for t_max in ("20", "300"):
+    call(["zeros", "--t-max", t_max])
+call(["gram", "--dilations", "1,2,3"])
+call(["gram", "--dilations", "1,1.4142135623730951", "--target", "1e-4"])
+call(["sweep", "--family", "integers", "--n", "2,5"])
+call(["sweep", "--family", "explicit", "--dilations", "1,1.5,2", "--n", "2,3"])
+call(["approx", "--dilations", "1,2,3"])
+bstar = json.dumps(call(["approx", "--dilations", "1,1.4142135623730951"])["bstar"])
+call(["moment", "--input", "-"], bstar)
+for p in ("2", "1.5"):
+    call(["norm", "--input", "-", "--max-segments", "100000", "--p", p], bstar)
+print(" ".join(m for m in ("numpy.polynomial", "numpy.fft", "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_workload_calls_leave_numpy_submodules_unloaded():
+    # the scan's brackets avoid np.unique (it imports numpy.ma), Psi's Taylor
+    # coefficients come from a DFT product rather than numpy.fft, and flat
+    # p < 2 norms take no Gauss nodes from numpy.polynomial: each import
+    # would add to every process's resident memory
+    code, out, err = fresh_python("-c", _WORKLOAD_SHAPES)
+    assert code == 0, err
+    assert out.split() == []

@@ -350,9 +350,21 @@ def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
 
 
 def test_find_critical_zeros_empty_below_first():
-    # no grid point, the top row alone, and one full row with a 1-point top row
+    # no grid point, part of one row, one whole row, and one point of a second row
     for t_max in (0.01, 1.0, 1.6, 1.65):
         assert find_critical_zeros(t_max, 1e-6) == []
+
+
+def test_points_past_t_max_make_no_ordinate():
+    # the last row is evaluated whole, but its points past t_max are dropped:
+    # the first zero, 14.1347..., lies between the grid's last point 14.10
+    # and the dropped 14.15, and so does 201.2647... on Z's rows between
+    # 201.25 and 201.30
+    assert find_critical_zeros(14.13, 1e-6) == []
+    assert find_critical_zeros(14.15, 1e-6) == [pytest.approx(14.134725142, abs=1e-6)]
+    below, above = find_critical_zeros(201.25, 1e-6), find_critical_zeros(201.3, 1e-6)
+    assert below[-1] == pytest.approx(198.015309676, abs=1e-6)
+    assert above[:-1] == below and above[-1] == pytest.approx(201.264751944, abs=1e-6)
 
 
 def test_find_critical_zeros_validation():
@@ -417,8 +429,8 @@ def test_scan_equals_scalar_oracle(t_max, tol, grid_step):
 
 
 def test_find_critical_zeros_count_at_500():
-    # the product of two neighbouring values underflows past t ~ 472, where
-    # Re xi(1/2 + it) is below 1e-155; the scan compares signs instead
+    # the scan reads Re xi to t = 200 and Hardy's Z above; the ordinates
+    # above 450 are checked against mpmath's Z
     tol = 1e-6
     zeros = find_critical_zeros(500.0, tol)
     assert len(zeros) == int(mpmath.nzeros(500))
@@ -491,15 +503,16 @@ def own_counts(t: float, n: int | None = None) -> tuple[int, int]:
 
 
 def test_scan_term_count_covers_each_point(monkeypatch):
-    # each kernel call of the scan (top row, full rows, or refinement level)
+    # each kernel call of the scan (the grid, or a refinement level)
     # uses one (N, M): N is at least what xi picks at each of its points,
     # and M at least what xi would need there with that N, so no point's
     # remainder is above xi's.  (xi's own M can exceed the call's where its
-    # own N is smaller.)  The two grid calls come first, then 4 levels of
+    # own N is smaller.)  The one grid call comes first, then 4 levels of
     # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket.
-    # Past t = 200 the scan reads Z: at 600 the top row is all Z, and the
-    # full rows and each level call xi only on the cells at or below 200
-    for t_max, n_calls, n_max in ((9.0, 2, 11), (187.1, 6, 68), (200.0, 6, 72), (600.0, 5, 72)):
+    # The grid call evaluates whole rows, so its last row may reach past
+    # t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z: at 600 the
+    # grid call and each level call xi only on the cells at or below 200
+    for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 5, 68), (200.0, 5, 72), (600.0, 5, 72)):
         calls, counts, _ = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
         monkeypatch.undo()
@@ -704,7 +717,7 @@ def test_uncertified_signs_are_bracketed_across(monkeypatch):
 
     monkeypatch.setattr(zeta_module, "_z_rows", blind)
     zeros = find_critical_zeros(300.0, tol)
-    assert sum(blinded[:2]) == 138 - 79  # the two grid calls: one point per zero above 200
+    assert blinded[0] == 138 - 79  # the grid call: one point per zero above 200
     assert len(zeros) == len(expected) == 138
     assert max(abs(a - b) for a, b in zip(zeros, expected)) <= tol
 
