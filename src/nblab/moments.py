@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PrecisionUnreachable
-from .fracsum import DilatedFracSum, _checked_dilation
+from .fracsum import COINCIDENCE_RTOL, DilatedFracSum, _checked_dilation
 from .gammafn import _BERNOULLI
 
 __all__ = [
@@ -243,11 +243,11 @@ def _lattice_run(l: float, t_lo: float, t_hi: float) -> np.ndarray:
 def _lattice_windows(dilations, t_lo: float, t_hi: float):
     """Yield (t1, u), the left ends and widths of the segments of the union
     lattice {m l : l in dilations} on [t_lo, t_hi], one window of about
-    ``_WINDOW`` segments at a time.  Points within relative 1e-12 of their
-    predecessor are merged, so each kept point lies more than 1e-12 t past
-    the one before it and every segment has positive width.  Building a
-    window holds at most two float arrays of its size at once, besides the
-    window last yielded, whether or not points merge."""
+    ``_WINDOW`` segments at a time.  Points within relative r =
+    ``COINCIDENCE_RTOL`` of their predecessor are merged, so each kept point
+    lies more than r t past the one before it and every segment has positive
+    width.  Building a window holds at most two float arrays of its size at
+    once, besides the window last yielded, whether or not points merge."""
     width = _WINDOW / sum(1.0 / l for l in dilations)
     while t_lo < t_hi:
         w_hi = min(t_hi, t_lo + width)
@@ -256,9 +256,9 @@ def _lattice_windows(dilations, t_lo: float, t_hi: float):
         del runs
         pts.sort(kind="stable")
         u = np.diff(pts)
-        # pts ascends, so only a gap at most 1e-12 pts[-1] can merge
-        merged = np.flatnonzero(u <= 1e-12 * pts[-1])
-        merged = merged[u[merged] <= 1e-12 * pts[merged + 1]]
+        # pts ascends, so only a gap at most COINCIDENCE_RTOL pts[-1] can merge
+        merged = np.flatnonzero(u <= COINCIDENCE_RTOL * pts[-1])
+        merged = merged[u[merged] <= COINCIDENCE_RTOL * pts[merged + 1]]
         if merged.size:
             del u
             pts = np.delete(pts, merged + 1)

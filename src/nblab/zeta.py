@@ -35,18 +35,20 @@ times |s - 1|, and the last products 8 eps |W|.
 - zeta on Re s > 0 is W(s)/(s - 1), W's target being zeta's times |s - 1|.
 - zeta on Re s <= 0 is the reflection formula with zeta(1 - s) = -W(1 - s)/s,
   zeta(s) = -a (sin(pi s / 2)/s) W(1 - s), a = 2^s pi^{s-1} Gamma(1-s), so
-  that the zero of sin at s = 0 cancels the reflected pole.  The claim bounds
-  the product of the three factors' error discs; W's target is zeta's over
-  |a| (|sin(pi s/2)/s| + its error).  With w = pi s / 2 = x + iy, rounding w
-  moves sin w by at most eps |w| cosh y, and ``cmath.sin`` adds at most
-  2 eps (|sin x| cosh y + |cos x| |sinh y|) <= 2 sqrt(2) eps |w| cosh y
-  (|sin x| <= |x|, |sinh y| <= |y| cosh y, |x| + |y| <= sqrt(2) |w|), so
-  6 eps |w| cosh y covers both and vanishes with s.  ln a adds 2 eps of its
-  three parts' moduli to ln Gamma's claim.
+  that the zero of sin at s = 0 cancels the reflected pole (fe-check's right
+  side on Re s <= 1/2).  The claim bounds the product of the three factors'
+  error discs; W's target is zeta's over |a| (|sin(pi s/2)/s| + its error).
+  With w = pi s / 2 = x + iy, rounding w moves sin w by at most
+  eps |w| cosh y, and ``cmath.sin`` adds at most 2 eps (|sin x| cosh y +
+  |cos x| |sinh y|) <= 2 sqrt(2) eps |w| cosh y (|sin x| <= |x|,
+  |sinh y| <= |y| cosh y, |x| + |y| <= sqrt(2) |w|), so 6 eps |w| cosh y
+  covers both and vanishes with s.  ln a adds 2 eps of its three parts'
+  moduli to ln Gamma's claim.
 - xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
-  pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s).
-  Where that Gamma factor is subnormal (on the critical line from
-  t = 908.65) it has lost bits, and xi refuses.
+  pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s),
+  and one claim, ``_xi_claim``, for a point and for the scan's rows.  Where
+  that Gamma factor is subnormal (on the critical line from t = 908.65) it
+  has lost bits, and xi refuses.
 
 Hardy's Z
 ---------
@@ -108,19 +110,18 @@ The zero scan
 The scan reads signs on rows of equally spaced points t = a_r + j h.  Rows
 that start at or below t = 200 take Re xi(1/2 + it) from W's rows, with W's
 head sums by angle addition, e^{-i(a_r + jh) ln n} = e^{-i a_r ln n}
-e^{-i jh ln n}, one matrix product per call.  The other rows take -Z(t),
-which has xi's sign, from the Riemann-Siegel rows above, and there a sign
-counts only where |Z| exceeds its claim: a point whose sign does not count
-is dropped, so that its two neighbours bracket across it.  The scan is one
-pass of such calls: one for the grid's whole rows, the last row's points
-past ``t_max`` dropped, then one per refinement level of each group of
-brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
-time).  Each xi call's N is at least ``xi``'s at each of its points, and
-its M at least what ``xi`` needs there with that N.  Each level cuts every
-bracket into at most 32 equal parts by one such row, keeps every sign
-change, and stops once the parts are at most ``tol`` wide (2 ``tol`` for a
-bracket across a dropped point); each final bracket's midpoint is
-reported, within ``tol`` of a zero between two counted signs.  A bracket at
+e^{-i jh ln n}, one matrix product per call, each point with xi's claim.
+The other rows take -Z(t), which has xi's sign, from the Riemann-Siegel rows
+above, each point with Z's claim.  A sign counts only where the value's
+magnitude exceeds its claim: a point whose sign does not count is dropped,
+so that its two neighbours bracket across it.  The scan is one pass of such
+calls: one for the grid's whole rows, the last row's points past ``t_max``
+dropped, then one per refinement level of each group of brackets
+(neighbours of opposite sign, grouped by width, up to 1024 at a time).
+Each level cuts every bracket into at most 32 equal parts by one such row,
+keeps every sign change, and stops once the parts are at most ``tol`` wide
+(2 ``tol`` for a bracket across a dropped point); each final bracket's
+midpoint is reported, within ``tol`` of a zero between two counted signs.  A bracket at
 least 2 ``tol`` wide none of whose inner signs counts is refused (exit 2),
 and so is a grid of more than 2^20 points, before any row is evaluated.
 The count is that of the sign changes seen, not a certified count of zeros.
@@ -169,7 +170,7 @@ _MAX_GRID = 2**20
 #: Gabcke's bound holds, and Re xi on the others
 _Z_FROM = 200.0
 
-#: most points per call of the Z kernel, and 32 times the most brackets
+#: most points per call of a row kernel, and 32 times the most brackets
 #: refined together, so that a scan's arrays stay within a few MiB
 _Z_CHUNK = 2**15
 
@@ -310,11 +311,10 @@ def _weighted_pole_product(
     return value, remainder + fp + 8.0 * _EPS * abs(value), n - 1 + m
 
 
-def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
-    """The reflection factor chi(s) = 2^s pi^{s-1} sin(pi s / 2) Gamma(1-s)
-    on Re s <= 1/2, where Gamma(1-s) is in Stirling's half-plane, split as
-    (smooth part, its relative error, sin(pi s / 2), its absolute error
-    6 eps |w| cosh(Im w), derived in the module docstring)."""
+def _zeta_reflect(s: complex, target: float) -> tuple[complex, float, int]:
+    """zeta(s) = -a (sin(pi s / 2)/s) W(1 - s), a = 2^s pi^{s-1} Gamma(1-s),
+    on Re s <= 1/2, where Gamma(1-s) is in Stirling's half-plane, and its
+    claim, the product of the three factors' error discs (module docstring)."""
     w = 0.5 * math.pi * s
     # |sin w| <= cosh(Im w) bounds it and its error; past e^709 neither is representable
     if abs(w.imag) > _LOG_MAX:
@@ -325,15 +325,10 @@ def _chi_factors(s: complex) -> tuple[complex, float, complex, float]:
     a = _cexp(log_part)
     log_err += 2.0 * _EPS * (abs(log_2) + abs(log_pi) + abs(log_gamma))
     rel_a = log_err * math.exp(log_err) + 4.0 * _EPS * (1.0 + abs(log_part))
-    return a, rel_a, cmath.sin(w), 6.0 * _EPS * abs(w) * math.cosh(w.imag)
-
-
-def _zeta_reflect(s: complex, target: float) -> tuple[complex, float, int]:
-    """zeta on Re s <= 0: -a (sin(pi s / 2)/s) W(1 - s), a = 2^s pi^{s-1} Gamma(1-s)."""
-    a, rel_a, sin_w, sin_err = _chi_factors(s)
-    # below |s| = 1e-8, sin(pi s / 2) / s is pi/2 to rounding, and sin_w / s
+    # below |s| = 1e-8, sin(pi s / 2) / s is pi/2 to rounding, and sin w / s
     # would lose digits to subnormals
-    sinc = 0.5 * math.pi if abs(s) < 1e-8 else sin_w / s
+    sinc = 0.5 * math.pi if abs(s) < 1e-8 else cmath.sin(w) / s
+    sin_err = 6.0 * _EPS * abs(w) * math.cosh(w.imag)
     sinc_hi = abs(sinc) * (1.0 + _EPS) + sin_err / max(abs(s), 1e-300)
     if not math.isfinite(abs(a) * sinc_hi):  # a is nan where ln Gamma(1 - s) overflows
         raise PrecisionUnreachable(f"zeta({s!r}) overflows double precision")
@@ -375,6 +370,15 @@ def zeta(s: complex, target_abs_error: float) -> ComplexEvalReport:
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
 
 
+def _xi_claim(value, w_val, w_err, log_part, log_err):
+    """|xi| times the relative errors of e^{log_part} (ln Gamma's claim
+    log_err) and of W, plus 8 eps tiny for a subnormal product, at a point or
+    on rows.  abs, not np.abs: np.abs misses CPython's complex modulus by an
+    ulp at about a third of points, and xi keeps its own digits."""
+    rel = log_err * np.exp(log_err) + 6.0 * _EPS * (1.0 + abs(log_part))
+    return abs(value) * (rel + w_err / np.maximum(abs(w_val), 1e-300)) + 8.0 * _EPS * _TINY
+
+
 def xi(s: complex) -> ComplexEvalReport:
     """The completed, entire, symmetric form 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s).
 
@@ -394,9 +398,7 @@ def xi(s: complex) -> ComplexEvalReport:
         raise PrecisionUnreachable(f"xi at {s!r} underflows double precision")
     w_val, w_err, n = _weighted_pole_product(s)
     value = prefactor * w_val
-    rel = log_err * math.exp(log_err) + 6.0 * _EPS * (1.0 + abs(log_part))
-    # a subnormal product adds at most 8 times the least subnormal, eps tiny
-    err = abs(value) * (rel + w_err / max(abs(w_val), 1e-300)) + 8.0 * _EPS * _TINY
+    err = float(_xi_claim(value, w_val, w_err, log_part, log_err))
     if not math.isfinite(err):  # also where the value itself overflows
         raise PrecisionUnreachable(f"xi at {s!r} or its error claim overflows double precision")
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
@@ -406,33 +408,28 @@ def functional_equation_residual(s: complex) -> tuple[float, float]:
     """Relative residual |zeta(u) - RHS| / (1 + |zeta(u)|) of the reflection
     formula zeta(u) = 2^u pi^{u-1} sin(pi u / 2) Gamma(1-u) zeta(1-u) at u,
     whichever of s and 1 - s has Re u <= 1/2 (so s and 1 - s share it), and
-    the bound on it that the error claims of both sides give.  The sides take
-    independent routes only on Re u > 0; on Re u <= 0 both are the product
-    of a, sin(pi u / 2) and W(1 - u), grouped differently and each with its
-    own term count, and the residual is at rounding level."""
+    the bound on it that the error claims of both sides give.  The right side
+    is ``_zeta_reflect`` at u, zeta's own route on Re u <= 0, so the sides
+    are independent only on Re u > 0, and elsewhere the residual is 0."""
     s = complex(s)
     u = s if s.real <= 0.5 else 1.0 - s
-    a, rel_a, trig, trig_err = _chi_factors(u)
     lhs, lhs_err, _ = _zeta_core(u)
-    z2, z2_err, _ = _zeta_core(1.0 - u)
-    rhs = a * trig * z2
-    # the product of the three factors' error discs: |RHS - rhs| <= rhs_hi - |rhs|
-    # up to rounding
-    rhs_hi = abs(a) * (1.0 + rel_a) * (abs(trig) + trig_err) * (abs(z2) + z2_err)
+    rhs, rhs_err, _ = _zeta_reflect(u, 1e-15)
     scale = 1.0 + abs(lhs)
-    bound = (lhs_err + rhs_hi - abs(rhs) + 8.0 * _EPS * (abs(lhs) + rhs_hi)) / scale
-    return abs(lhs - rhs) / scale, bound
+    return abs(lhs - rhs) / scale, (lhs_err + rhs_err + 8.0 * _EPS * abs(lhs)) / scale
 
 
-def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The points t = a_r + j h, j < m, one row per start a_r, and
-    Re xi(1/2 + it) = Re pi^{-s/2} Gamma(s/2 + 1) W(s) there, from W's rows."""
+def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, one row per start a_r, Re xi(1/2 + it)
+    = Re pi^{-s/2} Gamma(s/2 + 1) W(s) there from W's rows, and its claims."""
     offsets = h * np.arange(m)
     t = np.add.outer(a, offsets)
     s = 0.5 + 1j * t
-    prefactor = np.exp(loggamma_right(0.5 * s + 1.0)[0] - 0.5 * s * _LOG_PI)
-    w_rows, _, _ = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
-    return t, (prefactor * w_rows).real
+    log_gamma, log_err = loggamma_right(0.5 * s + 1.0)
+    log_part = log_gamma - 0.5 * s * _LOG_PI
+    w_rows, w_err, _ = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
+    value = np.exp(log_part) * w_rows
+    return t, value.real, _xi_claim(value, w_rows, w_err, log_part, log_err)
 
 
 def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -495,19 +492,19 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
 def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points t = a_r + j h, j < m, one row per start a_r; Re xi(1/2 + it)
     on the rows that start at or below 200, and -Z(t), which has the sign of
-    xi(1/2 + it), on the others; and whether each sign counts: every one of
-    xi's, and Z's where |Z| exceeds its claim."""
+    xi(1/2 + it), on the others; and whether each sign counts: where the
+    value's magnitude exceeds its claim."""
     t = np.add.outer(a, h * np.arange(m))
-    f, ok = np.empty(t.shape), np.ones(t.shape, dtype=bool)
-    low = a <= _Z_FROM
-    if low.any():
-        f[low] = _xi_rows(a[low], h, m)[1]
-    high = np.flatnonzero(~low)
+    f, ok = np.empty(t.shape), np.empty(t.shape, dtype=bool)
     step = max(1, _Z_CHUNK // m)
-    for i in range(0, high.size, step):
-        rows = high[i : i + step]
-        _, z, claim = _z_rows(a[rows], h, m)
-        f[rows], ok[rows] = -z, np.abs(z) > claim
+    # Z's rows first: they build the scan's largest arrays, and then no claim
+    # of the xi rows is held beside them
+    for rows, kernel, sign in ((np.flatnonzero(a > _Z_FROM), _z_rows, -1.0),
+                               (np.flatnonzero(a <= _Z_FROM), _xi_rows, 1.0)):
+        for i in range(0, rows.size, step):
+            part = rows[i : i + step]
+            _, value, claim = kernel(a[part], h, m)
+            f[part], ok[part] = sign * value, np.abs(value) > claim
     return t, f, ok
 
 
@@ -571,8 +568,8 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
         lost = ~ok.any(axis=1)
         if m > 2 and lost.any():
             start = float(a[lost][0])
-            raise PrecisionUnreachable(f"no sign of Z inside [{start!r}, {start + m * h!r}] "
-                                       f"exceeds its error claim")
+            raise PrecisionUnreachable(f"no sign inside [{start!r}, {start + m * h!r}] counts: "
+                                       f"no value there exceeds its error claim")
         ends = np.ones((a.size, 1), dtype=bool)
         hits, more = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
                                np.column_stack([ends, ok, ends]), h, tol)
@@ -587,10 +584,10 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     The sign of xi(1/2 + it) is read on the grid t_j = j * 0.05, j >= 1, up
     to t_max, in whole rows of 32 points, the last row's points past t_max
     dropped: from Re xi on the rows that start at or below t = 200, from
-    -Z(t) above, where a sign counts only when |Z| exceeds its certified
-    claim; a point whose sign does not count is dropped, so that its
-    neighbours bracket across it.  A grid value of exactly 0.0 is reported
-    as it stands; neighbours of opposite sign form a bracket, and the
+    -Z(t) above, and a sign counts only when the value's magnitude exceeds
+    its certified claim; a point whose sign does not count is dropped, so
+    that its neighbours bracket across it.  A grid value of exactly 0.0 is
+    reported as it stands; neighbours of opposite sign form a bracket, and the
     brackets of one width (up to 1024 at a time) are refined together down
     to width ``tol`` and reported by their midpoints (``_refined_zeros``):
     xi(1/2 + it) is continuous, so each ordinate lies within ``tol`` of a

@@ -46,6 +46,28 @@ def test_xi_and_fe_check():
     assert payload["result"]["residual"] <= payload["result"]["abs_error_bound"] < 1e-14
 
 
+@pytest.mark.parametrize("re", ["0", "1", "1.0000000000001", "1e-13", "1e-9"])
+def test_fe_check_at_and_beside_zero_and_one(re):
+    # the right side is zeta's own reflection route at u = s or 1 - s, which
+    # reads W(1 - u) and so meets no pole at u = 0; where Re u <= 0 both
+    # sides are that one value.  At s = 1e-9 a right side through
+    # zeta(1 - u) lost 2.8e-8 of its value to rounding 1 - u next to the
+    # pole, a residual of 9.4e-9 outside its bound of 8.2e-14
+    result = invoke_json(["fe-check", "--re", re])["result"]
+    assert result["residual"] <= result["abs_error_bound"] < 1e-12
+    if float(re) in (0.0, 1.0, 1.0000000000001):
+        assert result["residual"] == 0.0
+
+
+def test_zeros_refuses_a_tol_finer_than_the_xi_claims():
+    # below t = 200 a sign of xi counts only where |Re xi| exceeds its claim:
+    # next to the zero at 82.91 no sign inside a bracket 8.7e-12 wide counts
+    code, out, err = invoke(["zeros", "--t-max", "199.9", "--tol", "3e-12"])
+    assert code == EXIT_PRECISION
+    assert "no sign inside [82.91" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv", [["xi", "--re", "-1e-3"], ["zeta", "--re", "-2.5E1", "--im", "3", "--target", "1"]]
 )

@@ -441,11 +441,12 @@ def test_find_critical_zeros_count_at_500():
 
 def test_array_kernel_matches_scalar_xi():
     # the array kernel gives each point at least the term count xi picks
-    # there, so it lies within the scalar certified error of xi's value
-    ts, values = _xi_rows(np.array([0.05, 250.0]), 10.0, 25)
-    for t, value in zip(ts.ravel(), values.ravel()):
+    # there, so it lies within the scalar certified error of xi's value, and
+    # each row's own claim covers its distance from xi's value too
+    ts, values, claims = _xi_rows(np.array([0.05, 250.0]), 10.0, 25)
+    for t, value, claim in zip(ts.ravel(), values.ravel(), claims.ravel()):
         rep = xi(complex(0.5, t))
-        assert abs(value - rep.value) <= 2.0 * rep.abs_error_estimate
+        assert abs(value - rep.value) <= min(2.0 * rep.abs_error_estimate, claim), t
 
 
 def test_angle_addition_matches_direct_sums(monkeypatch):
@@ -733,7 +734,7 @@ def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
         return t, z, np.where(np.abs(t - 236.5242296658) < 0.01, np.inf, claim)
 
     monkeypatch.setattr(zeta_module, "_z_rows", blind)
-    with pytest.raises(PrecisionUnreachable, match="no sign of Z"):
+    with pytest.raises(PrecisionUnreachable, match="no sign inside"):
         find_critical_zeros(300.0, 1e-6)
 
 
@@ -741,5 +742,38 @@ def test_tol_finer_than_the_certified_signs_is_refused():
     # next to the zero at t ~ 204.19 no Z sign counts over about 7.9e-9
     # (claim / |Z'|), so brackets cannot be certified down to 1e-9 there
     assert len(find_critical_zeros(300.0, 1e-8)) == 138
-    with pytest.raises(PrecisionUnreachable, match="no sign of Z inside"):
+    with pytest.raises(PrecisionUnreachable, match="no sign inside"):
         find_critical_zeros(300.0, 1e-9)
+
+
+def test_xi_signs_count_only_above_their_claim(monkeypatch):
+    # below t = 200 a sign of Re xi counts only where |Re xi| exceeds its
+    # claim, as Z's do above: the scan to 199.9 at tol 1e-9 meets sub-grid
+    # points within their claim next to the zeros at 111.03 and 176.44, counts
+    # none of them, and brackets across them.  Each ordinate t brackets a sign
+    # change of Z on [t - tol, t + tol], and there are mpmath.nzeros(199.9) of
+    # them, so the k-th lies within tol of mpmath.zetazero(k); zetazero itself
+    # is asked only at the two bracketed across (about 10 s for all 79)
+    tol, uncounted, counted = 1e-9, [], []
+    xi_rows, scan_rows = zeta_module._xi_rows, zeta_module._scan_rows
+
+    def spy_xi(a, h, m):
+        t, f, claim = xi_rows(a, h, m)
+        uncounted.extend(t[np.abs(f) <= claim].tolist())
+        return t, f, claim
+
+    def spy_scan(a, h, m):
+        t, f, ok = scan_rows(a, h, m)
+        counted.extend(t[ok].tolist())
+        return t, f, ok
+
+    monkeypatch.setattr(zeta_module, "_xi_rows", spy_xi)
+    monkeypatch.setattr(zeta_module, "_scan_rows", spy_scan)
+    zeros = find_critical_zeros(199.9, tol)
+    assert uncounted and not set(uncounted) & set(counted)
+    assert len(zeros) == 79 == int(mpmath.nzeros(199.9))
+    for t in zeros:
+        assert mpmath.fp.siegelz(t - tol) * mpmath.fp.siegelz(t + tol) < 0.0, t
+    for k in (34, 67):
+        assert min(abs(t - zeros[k - 1]) for t in uncounted) < tol
+        assert abs(zeros[k - 1] - float(mpmath.zetazero(k).imag)) <= tol
