@@ -13,6 +13,11 @@ equations are solved by eigendecomposition, with a spectral cutoff
 pseudo-inverse that drops the eigenvalues at or below 1e-12 times the
 largest, so it takes over when the reduced condition number exceeds 1e12.
 
+``certified_error`` bounds the error of d^2(h) at the computed h by
+|h|^T (E + 4 n u |G|) |h| from ``GramSystem.quadratic_form`` (Gram entry
+bounds E, roundoff u = 2^-53) plus an ad hoc 1e-13 (1 + |h|_1) for g and
+the linear term; nothing bounds how far d^2(h) lies above the true d_N^2.
+
 ``sweep`` is the one build-solve-check path: it builds the Gram system of
 an ascending dilation list once at the largest N, solves every requested
 prefix, and tightens the Gram entries once when a certified error comes out
@@ -123,16 +128,14 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
     if not np.all(np.isfinite(y)):
         raise SingularSystem("regularized solve produced non-finite coefficients")
     h = Z @ y
-    d_sq = 1.0 - 2.0 * float(g @ h) + float(h @ (G @ h))
+    form, form_error = gram.quadratic_form(h)
+    d_sq = 1.0 - 2.0 * float(g @ h) + form
     distance = math.sqrt(min(max(d_sq, 0.0), 1.0))
     # stationarity: the residual functional must be proportional to c,
     # i.e. (g - G h)_k l_k constant over k
     kkt = (g - G @ h) * larr
     kkt_residual = float(np.max(np.abs(kkt - np.mean(kkt))))
-    abs_h = np.abs(h)
-    certified = float(abs_h @ gram.entry_error_bounds @ abs_h) + 1e-13 * (
-        1.0 + float(np.sum(abs_h))
-    )
+    certified = form_error + 1e-13 * (1.0 + float(np.sum(np.abs(h))))
     return ApproximationResult(
         dilations=gram.dilations,
         h_star=h,
@@ -144,12 +147,6 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
         kkt_residual=kkt_residual,
         regularization_cutoff=None if kept.all() else cutoff,
     )
-
-
-def _entry_tolerance(target_error: float, n: int) -> float:
-    """Gram entry target for a distance target over n dilations: target/(8 n),
-    clamped to [1e-12, 1e-6]."""
-    return min(1e-6, max(1e-12, target_error / (8.0 * n)))
 
 
 def sweep(dilations, N_values, target_error: float = 1e-6) -> list[ApproximationResult]:
@@ -176,7 +173,7 @@ def sweep(dilations, N_values, target_error: float = 1e-6) -> list[Approximation
         raise DomainError("N values must be positive integers")
     if ns[-1] > len(dils):
         raise DomainError(f"N = {ns[-1]} exceeds the {len(dils)} dilations given")
-    entry_tol = _entry_tolerance(target_error, ns[-1])
+    entry_tol = min(1e-6, max(1e-12, target_error / (8.0 * ns[-1])))
     for tol in (entry_tol, entry_tol / 16.0):
         full = gram_system(dils[: ns[-1]], tol)
         results = [best_approximation_from_gram(full.head(n)) for n in ns]

@@ -44,18 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_list(text: str, kind=float) -> list:
+    """The comma-separated numbers of ``text`` as ``kind`` (float or int)."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        return [kind(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
-        raise DomainError(f"bad numeric list {text!r}") from exc
-
-
-def _parse_ints(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise DomainError(f"bad integer list {text!r}") from exc
+        raise DomainError(f"bad {'integer' if kind is int else 'numeric'} list {text!r}") from exc
 
 
 def _read_fracsum(path: str) -> _fracsum.DilatedFracSum:
@@ -94,7 +88,7 @@ def _sweep_family(args: argparse.Namespace, n_max: int) -> tuple[list[float], st
             raise DomainError(f"ratio {args.ratio!r} to the power {n_max - 1} "
                               "overflows double precision") from exc
         return dilations, f"geometric(ratio={args.ratio!r})"
-    dilations = _parse_floats(args.dilations)
+    dilations = _parse_list(args.dilations)
     if not dilations:
         raise DomainError("explicit families need a dilation list")
     if any(y <= x for x, y in zip(dilations, dilations[1:])):
@@ -109,24 +103,20 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json",
                         help="output format (default json)")
+    point = argparse.ArgumentParser(add_help=False)  # s = re + i im
+    point.add_argument("--re", type=float, required=True)
+    point.add_argument("--im", type=float, default=0.0)
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 parser_class=_Parser)
 
-    def add(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
-    p = add("zeta", help="zeta(s) with certified absolute error")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
+    p = add("zeta", point, help="zeta(s) with certified absolute error")
     p.add_argument("--target", type=float, default=1e-12)
 
-    p = add("xi", help="completed symmetric xi(s)")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
-
-    p = add("fe-check", help="relative residual of the reflection formula")
-    p.add_argument("--re", type=float, required=True)
-    p.add_argument("--im", type=float, default=0.0)
+    add("xi", point, help="completed symmetric xi(s)")
+    add("fe-check", point, help="relative residual of the reflection formula")
 
     p = add("zeros", help="critical-line zero ordinates up to t-max")
     p.add_argument("--t-max", type=float, required=True)
@@ -173,13 +163,9 @@ def _parser() -> _Parser:
 
 
 def _run_subcommand(args: argparse.Namespace) -> dict:
-    if args.subcommand == "zeta":
-        rep = zeta(complex(args.re, args.im), args.target)
-        return {"re": rep.value.real, "im": rep.value.imag,
-                "abs_error_estimate": rep.abs_error_estimate,
-                "terms_used": rep.terms_used}
-    if args.subcommand == "xi":
-        rep = xi(complex(args.re, args.im))
+    if args.subcommand in ("zeta", "xi"):
+        s = complex(args.re, args.im)
+        rep = zeta(s, args.target) if args.subcommand == "zeta" else xi(s)
         return {"re": rep.value.real, "im": rep.value.imag,
                 "abs_error_estimate": rep.abs_error_estimate,
                 "terms_used": rep.terms_used}
@@ -203,25 +189,24 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
         return {"p": args.p, "norm": rep.value,
                 "abs_error_bound": rep.abs_error_bound, "truncation": rep.truncation}
     if args.subcommand == "gram":
-        system = _gram.gram_system(_parse_floats(args.dilations), args.target)
+        system = _gram.gram_system(_parse_list(args.dilations), args.target)
         return system.to_dict()
     if args.subcommand == "approx":
-        res = _approx.best_approximation(_parse_floats(args.dilations), args.target)
+        res = _approx.best_approximation(_parse_list(args.dilations), args.target)
         out = res.to_dict()
         out["bstar"] = _fracsum.DilatedFracSum(
             terms=tuple(zip(res.h_star.tolist(), res.dilations)), constrained=True
         ).to_dict()
         return out
-    if args.subcommand == "sweep":
-        ns = _parse_ints(args.n)
-        # at least one dilation, so that N values below 1 reach sweep's own check
-        dilations, label = _sweep_family(args, max([1, *ns]))
-        return {"records": [
-            {"N": len(res.dilations), "dilation_family": label,
-             **{key: value for key, value in res.to_dict().items() if key in _SWEEP_KEYS}}
-            for res in _approx.sweep(dilations, ns, args.target)
-        ]}
-    raise DomainError(f"unknown subcommand {args.subcommand!r}")
+    # sweep: the parser admits no other subcommand
+    ns = _parse_list(args.n, int)
+    # at least one dilation, so that N values below 1 reach sweep's own check
+    dilations, label = _sweep_family(args, max([1, *ns]))
+    return {"records": [
+        {"N": len(res.dilations), "dilation_family": label,
+         **{key: value for key, value in res.to_dict().items() if key in _SWEEP_KEYS}}
+        for res in _approx.sweep(dilations, ns, args.target)
+    ]}
 
 
 def _emit_csv(config: dict, result: dict, out) -> None:

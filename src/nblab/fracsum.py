@@ -198,12 +198,10 @@ def step_profile(phi: DilatedFracSum, T: float) -> StepProfile:
     # a float may round to either side of the true jump, while midpoints are
     # unambiguous and the function is constant across each interval anyway
     edges = [1.0] + breakpoints + [T]
-    values: list[float] = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        probe = 0.5 * (a + b) if b > a else min(a * (1.0 + 1e-12), T)
-        values.append(float(phi(probe)))
+    probes = [0.5 * (a + b) if b > a else min(a * (1.0 + 1e-12), T)
+              for a, b in zip(edges[:-1], edges[1:])]
     return StepProfile(
         breakpoints=tuple(breakpoints),
-        values=tuple(values),
+        values=tuple(phi(np.array(probes)).tolist()),
         jumps=tuple(jumps),
     )

@@ -80,7 +80,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, _checked_dilation
-from .moments import moment_constant
+from .gammafn import moment_constant
 
 __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
 
@@ -239,6 +239,15 @@ class GramSystem:
             constraint_vector=self.constraint_vector[:n],
             entry_error_bounds=self.entry_error_bounds[:n, :n],
         )
+
+    def quadratic_form(self, h: np.ndarray) -> tuple[float, float]:
+        """(h^T (G h), e) with e = |h|^T (E + 4 n u |G|) |h| the certified error
+        against the true form: E covers the entries, and gamma_2n <= 4 n u
+        (u = 2^-53; Higham, Accuracy and Stability, ch. 3) the roundoff of
+        forming h^T (G h)."""
+        abs_h = np.abs(h)
+        bounds = self.entry_error_bounds + 4 * self.size * 2.0**-53 * np.abs(self.matrix)
+        return float(h @ (self.matrix @ h)), float(abs_h @ bounds @ abs_h)
 
     def to_dict(self) -> dict:
         return {

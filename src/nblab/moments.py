@@ -20,8 +20,12 @@ from the Euler-Maclaurin expansion in ``euler_gamma``, so their agreement
 is a genuine cross-check of the closed form.
 
 For a constrained combination the moment collapses to
-sum_k (h_k / l_k) ln l_k because the lam-part telescopes against the
-constraint; ``moment_report`` returns both routes side by side.
+sum_k (h_k / l_k) ln l_k, as the lam-part cancels against the constraint.
+The quadrature twin's lam_P / l_k and 1/(2T) terms cancel the same way, so
+``moment_report``'s two routes are then one sum up to rounding: its
+``quad_error_bound`` bounds each single-term quadrature and does not check
+sum Theta_k ln l_k.  ``euler_gamma`` and ``moment_constant`` come from
+``gammafn``.
 
 The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
 of the dilations in windows of about ``_WINDOW`` segments, sized so that a
@@ -38,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from . import gram as _gram
 from .errors import DomainError, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, DilatedFracSum, _checked_dilation
-from .gammafn import _BERNOULLI
+from .gammafn import euler_gamma, moment_constant
 
 __all__ = [
     "euler_gamma",
@@ -76,36 +80,6 @@ _PERIODS = 100_000
 
 #: truncation orders n of the lambda_n trace in ``constants_report``
 _TRACE_NS = (16, 256, 4096, 65536, 1048576)
-
-
-def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
-    """Euler-Mascheroni constant with certified error <= target_abs_error.
-
-    gamma = H_n - ln n - 1/(2n) + sum_k B_{2k}/(2k) n^{-2k}, truncated after
-    n^{-8}, with B_{2k} from the exact table of ``gammafn``; the remainder is
-    bounded by the first omitted term |B_10|/10 n^{-10}.  ``n`` may be
-    pinned explicitly to cross-validate two independent evaluations.
-    """
-    tail = float(abs(_BERNOULLI[5]) / 10)
-    if not target_abs_error > 0.0:
-        raise DomainError("target_abs_error must be positive")
-    if target_abs_error < 5e-15:
-        raise PrecisionUnreachable("euler_gamma cannot certify below 5e-15 in doubles")
-    if n is None:
-        n = max(16, math.ceil((2.0 * tail / target_abs_error) ** 0.1))
-    elif tail * float(n) ** -10 > 0.5 * target_abs_error:
-        raise PrecisionUnreachable(f"n = {n} too small for target {target_abs_error:g}")
-    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-    value = harmonic - math.log(n) - 0.5 / n
-    for k in range(1, 5):
-        value += float(_BERNOULLI[k] / (2 * k)) * float(n) ** (-2 * k)
-    return value
-
-
-@lru_cache(maxsize=1)
-def moment_constant() -> float:
-    """lam = 1 - gamma, the constant of the first-moment closed form, to 1e-14."""
-    return 1.0 - euler_gamma(1e-14)
 
 
 def partial_moment_constant(n: int) -> float:
@@ -155,8 +129,7 @@ class MomentReport:
 
     ``closed_form`` holds sum Theta_k ln l_k with Theta_k = h_k / l_k (its
     dict also carries it under ``theta_log_sum``, the name used by the sweep
-    tables), while ``integral_value`` comes from the independent per-term
-    quadrature.
+    tables), while ``integral_value`` sums the per-term quadratures.
     """
 
     integral_value: float
@@ -177,11 +150,12 @@ class MomentReport:
 
 
 def moment_report(phi: DilatedFracSum) -> MomentReport:
-    """Moment of a constrained sum: closed form next to independent quadrature.
+    """Moment of a constrained sum: closed form next to the per-term quadrature.
 
-    The two agree within ``quad_error_bound`` (at most 2.6e-11 per unit
-    coefficient); lam_P is evaluated once for all terms.  ConstraintViolated
-    is raised when the coefficient combination is not constrained.
+    The two are one sum up to rounding (module docstring); ``quad_error_bound``
+    (at most 2.6e-11 per unit coefficient) bounds the single-term quadratures.
+    lam_P is evaluated once for all terms.  ConstraintViolated is raised when
+    the coefficient combination is not constrained.
     """
     phi.check_constraint()
     closed = theta_log_sum(phi.coeffs, phi.dilations)
@@ -275,11 +249,10 @@ def weighted_norm_report(
     ``max_segments`` sets the truncation T = max(100, max_segments / sum 1/l_k).
     For p = 2 the integral is q = h^T G h with G = ``gram_system(dilations,
     1/T)``, whose entry bounds E are at most max(1/(2T), 1e-13) plus roundoff;
-    q is within e = |h|^T (E + 4 n u |G|) |h|, the last term covering the
-    roundoff of forming h^T (G h) (gamma_2n <= 4 n u, u = 2^-53; Higham,
-    ch. 3).  For p < 2, q is ``_abs_power_head`` up to T, and the tail past
-    T is at most max(sum h_k^+, sum h_k^-)^p / T, since {x} lies in [0, 1)
-    and so sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  So the
+    q and its error e come from ``GramSystem.quadratic_form``.  For p < 2, q
+    is ``_abs_power_head`` up to T, and the tail past T is at most
+    max(sum h_k^+, sum h_k^-)^p / T, since {x} lies in [0, 1) and so
+    sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  So the
     integral lies in [q - down, q + up], (down, up) = (e, e) or (0, tail); the
     value is the midpoint of [(q - down)^{1/p}, (q + up)^{1/p}] and half its
     width enters the error bound.  PrecisionUnreachable is raised where
@@ -301,12 +274,8 @@ def weighted_norm_report(
     overflow = f"the integral of |phi|^{p!r} or its bound overflows double precision"
     with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite is refused
         if p == 2.0:
-            from .gram import gram_system  # gram imports moment_constant from here
-
-            system = gram_system(dils, 1.0 / T)
-            bounds = system.entry_error_bounds + 4 * dils.size * 2.0**-53 * np.abs(system.matrix)
-            head = float(coeffs @ system.matrix @ coeffs)
-            down = up = float(np.abs(coeffs) @ bounds @ np.abs(coeffs))
+            head, down = _gram.gram_system(dils, 1.0 / T).quadratic_form(coeffs)
+            up = down
         else:
             # {x} lies in [0, 1), so phi lies between the sum of its negative and
             # the sum of its positive coefficients

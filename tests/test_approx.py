@@ -136,6 +136,30 @@ def test_spectral_cutoff_engages_on_degenerate_span():
     assert res.constraint_residual < 1e-10
 
 
+def test_certified_error_covers_the_roundoff_of_the_form():
+    # an eigenvalue 1e-6 inside the constraint plane makes |h|_1 about 3.4e5,
+    # so the roundoff of forming h^T G h (4 n u |h|^T |G| |h|, Higham ch. 3)
+    # outgrows the 1e-15 entry bounds and the ad hoc 1e-13 (1 + |h|_1)
+    c = np.array([1.0, 0.5, 0.25])
+    basis = _nullspace_basis(c)
+    G = basis @ np.diag([1.0, 1e-6]) @ basis.T + np.outer(c, c)
+    E = np.full((3, 3), 1e-15)
+    system = GramSystem(
+        dilations=(1.0, 2.0, 4.0),
+        matrix=G,
+        moment_vector=np.array([0.42, 0.55, 0.4]),
+        constraint_vector=c,
+        entry_error_bounds=E,
+    )
+    res = best_approximation_from_gram(system)
+    assert res.regularization_cutoff is None
+    abs_h = np.abs(res.h_star)
+    assert np.sum(abs_h) > 1e5
+    roundoff = float(abs_h @ (E + 4 * 3 * 2.0**-53 * np.abs(G)) @ abs_h)
+    assert system.quadratic_form(res.h_star)[1] == roundoff
+    assert res.certified_error >= roundoff
+
+
 def test_singular_system_raises():
     system = GramSystem(
         dilations=(1.0, 2.0),
