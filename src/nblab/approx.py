@@ -20,8 +20,8 @@ the linear term; nothing bounds how far d^2(h) lies above the true d_N^2.
 
 ``sweep`` is the one build-solve-check path: it builds the Gram system of
 an ascending dilation list once at the largest N, solves every requested
-prefix, and tightens the Gram entries once when a certified error comes out
-above target; ``best_approximation`` is its single-N case.  Each result
+prefix, and refuses when a certified error comes out above target;
+``best_approximation`` is its single-N case.  Each result
 carries the distance and the moment sum Theta.log(l) of the optimum, whose
 gap to 1 is the necessary-condition tracker: since the moment of 1 is 1 and
 the moment functional is bounded by the distance (Cauchy-Schwarz against
@@ -156,12 +156,14 @@ def sweep(dilations, N_values, target_error: float = 1e-6) -> list[Approximation
     The Gram system is assembled once at the largest N and sliced, so all
     results share identical entries for common pairs and the distances are
     nonincreasing in N up to solver roundoff.  ``target_error`` caps each
-    certified error of the squared distance: Gram entries are requested at
-    target_error / (8 N_max), rebuilt once at a sixteenth of that if any
-    result comes out above target, and PrecisionUnreachable names the first
-    N still above target after that.  The entry target only governs
-    incommensurate pairs: commensurate entries are closed-form and carry a
-    roundoff bound alone.
+    certified error of the squared distance: Gram entries are requested once
+    at target_error / (8 N_max), clipped to [1e-12, 1e-6], and
+    PrecisionUnreachable names the first N above target.  The entry target
+    only governs incommensurate pairs: commensurate entries are closed-form
+    and carry a roundoff bound alone.  An incommensurate entry's continuity
+    part is at most half its target, so above the 1e-12 clip it adds at
+    most target |h|_1^2 / (16 N_max) to a certified error, and tighter
+    entries could rescue a result only where |h|_1^2 > 16 N_max.
     """
     if not target_error > 0.0:
         raise DomainError("target_error must be positive")
@@ -173,22 +175,20 @@ def sweep(dilations, N_values, target_error: float = 1e-6) -> list[Approximation
         raise DomainError("N values must be positive integers")
     if ns[-1] > len(dils):
         raise DomainError(f"N = {ns[-1]} exceeds the {len(dils)} dilations given")
-    entry_tol = min(1e-6, max(1e-12, target_error / (8.0 * ns[-1])))
-    for tol in (entry_tol, entry_tol / 16.0):
-        full = gram_system(dils[: ns[-1]], tol)
-        results = [best_approximation_from_gram(full.head(n)) for n in ns]
-        above = [r for r in results if r.certified_error > target_error]
-        if not above:
-            return results
-    raise PrecisionUnreachable(
-        f"certified error {above[0].certified_error:.3e} exceeds target {target_error:.3e} "
-        f"at N = {len(above[0].dilations)}"
-    )
+    full = gram_system(dils[: ns[-1]], min(1e-6, max(1e-12, target_error / (8.0 * ns[-1]))))
+    results = [best_approximation_from_gram(full.head(n)) for n in ns]
+    above = [r for r in results if r.certified_error > target_error]
+    if above:
+        raise PrecisionUnreachable(
+            f"certified error {above[0].certified_error:.3e} exceeds target {target_error:.3e} "
+            f"at N = {len(above[0].dilations)}"
+        )
+    return results
 
 
 def best_approximation(dilations, target_error: float = 1e-6) -> ApproximationResult:
     """Distance from 1 to the constrained span of {t/l_k} over the given set:
-    ``sweep`` at N = len(dilations), with its target and retry.  A single
+    ``sweep`` at N = len(dilations), with its target.  A single
     dilation degenerates to the zero function with distance exactly 1."""
     dils = list(dilations)
     return sweep(dils, [len(dils)], target_error)[0]

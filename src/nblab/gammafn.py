@@ -5,14 +5,16 @@ constant.
 (2m+1) B_2m = (2m-1)/2 - sum_{0<k<m} C(2m+1, 2k) B_2k: the one source of
 Bernoulli numbers, for Stirling's series and ``euler_gamma`` here and the
 Euler-Maclaurin sums of ``zeta``.  ``moment_constant``, lam = 1 - gamma, is
-the constant of the first moments and the Gram moment vector; ``moments``
-re-exports both.
+the constant of the first moments and the Gram moment vector: 1 minus the
+correctly rounded gamma, held here beside the correctly rounded
+ln(2 pi) - gamma of ``gram``'s closed form.  ``moments`` re-exports
+``euler_gamma`` and ``moment_constant``.
 
 On Re z >= 1/2, ln Gamma(w) = (w - 1/2) ln w - w + ln(2 pi)/2 +
 sum_{k<K} B_2k/(2k (2k-1) w^{2k-1}) + R_K(w), K = 10, with |R_K(w)| <=
 |B_2K|/(2K (2K-1) |w|^{2K-1}) sec^{2K}(ph(w)/2) (DLMF 5.11(ii); Spira, Math.
-Comp. 25, 1971) and sec^2(ph(w)/2) = 2|w|/(|w| + Re w) <= 2.  Points with
-|z| < 14 share the least shift m that brings each Re z + m to 14, ln Gamma(z)
+Comp. 25, 1971) and sec^2(ph(w)/2) = 2|w|/(|w| + Re w) <= 2.  A point with
+|z| < 14 takes the least shift m that brings Re z + m to 14, ln Gamma(z)
 = ln Gamma(z + m) - ln prod_{j<m} (z + j), so |R_K| <= 2.4e-19.  Rounding
 (eps = 2^-52, elementary functions within an ulp): five parts, each a product
 of at most two rounded factors (3 eps), m shift factors (2 eps each), and
@@ -34,7 +36,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,10 +81,15 @@ def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
     return value
 
 
-@lru_cache(maxsize=1)
+#: Euler's gamma and ln(2 pi) - gamma, correctly rounded
+_EULER_GAMMA = 0.5772156649015329
+_LN_2PI_MINUS_GAMMA = 1.2606614015078126
+
+
 def moment_constant() -> float:
-    """lam = 1 - gamma, the constant of the first-moment closed form, to 1e-14."""
-    return 1.0 - euler_gamma(1e-14)
+    """lam = 1 - gamma, the constant of the first-moment closed form: 1 minus
+    the correctly rounded gamma, exact (Sterbenz)."""
+    return 1.0 - _EULER_GAMMA
 
 
 #: Stirling's shift bound, B_2k/(2k (2k-1)) for k < K = 10, highest first, and |B_2K|/(2K (2K-1))
@@ -124,13 +130,12 @@ def _require_finite(s: complex) -> complex:
     return s
 
 
-def _stirling(z: complex | np.ndarray, m: int) -> tuple[complex | np.ndarray, float | np.ndarray]:
+def _stirling(z: complex, m: int) -> tuple[complex, float]:
     """ln Gamma(z) by Stirling's series at w = z + m, m >= 0, and its claim."""
-    log = np.log if isinstance(z, np.ndarray) else cmath.log
     w, shift, series = z + m, 1.0, 0.0
     for j in range(m):
         shift = shift * (z + j)
-    log_w, log_shift, inv_w2 = log(w), log(shift) if m else 0.0, 1.0 / (w * w)
+    log_w, log_shift, inv_w2 = cmath.log(w), cmath.log(shift) if m else 0.0, 1.0 / (w * w)
     for coef in _STIRLING_COEF:
         series = coef + series * inv_w2
     size = abs(w)
@@ -139,21 +144,15 @@ def _stirling(z: complex | np.ndarray, m: int) -> tuple[complex | np.ndarray, fl
     return (w - 0.5) * log_w - w + _LOG_SQRT_2PI + series / w - log_shift, claim
 
 
-def loggamma_right(z: complex | np.ndarray) -> tuple[complex | np.ndarray, float | np.ndarray]:
+def loggamma_right(z: complex) -> tuple[complex, float]:
     """log Gamma(z) for Re z >= 0.5, correct up to an integer multiple of
-    2*pi*i, and a bound on its absolute error (module docstring).
+    2*pi*i, and a bound on its absolute error (module docstring), at one
+    complex point.
 
     Only ever exponentiated or differenced against another branch-insensitive
     quantity, so the branch ambiguity of the imaginary part is harmless.
-    Accepts a complex array as well, elementwise.
     """
-    if not isinstance(z, np.ndarray):
-        return _stirling(z, math.ceil(_SHIFT_TO - z.real) if abs(z) < _SHIFT_TO else 0)
-    value, claim = _stirling(z, 0)
-    small = np.abs(z) < _SHIFT_TO
-    if small.any():
-        value[small], claim[small] = _stirling(z[small], math.ceil(_SHIFT_TO - z[small].real.min()))
-    return value, claim
+    return _stirling(z, math.ceil(_SHIFT_TO - z.real) if abs(z) < _SHIFT_TO else 0)
 
 
 def _cexp(w: complex) -> complex:

@@ -80,15 +80,12 @@ import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, _checked_dilation
-from .gammafn import moment_constant
+from .gammafn import _LN_2PI_MINUS_GAMMA, moment_constant
 
 __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
 
 #: largest denominator h/k at which the closed form is evaluated
 DENOMINATOR_CAP = 2**20
-
-#: ln(2 pi) - gamma, correctly rounded
-_LN_2PI_MINUS_GAMMA = 1.2606614015078126
 
 #: certified roundoff of a closed-form entry, per unit of summed magnitude
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps

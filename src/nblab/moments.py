@@ -15,9 +15,10 @@ and the tail past T = P l is corrected with the mean value 1/2 of {t/l}:
     int_T^inf {t/l} dt/t^2 = 1/(2T) + R,   |R| <= l / (4 T^2),
 
 (the remainder bound follows by parts from |int_0^u ({v} - 1/2) dv| <= 1/8).
-The two routes share no constant: lam_P is a harmonic partial sum, lam comes
-from the Euler-Maclaurin expansion in ``euler_gamma``, so their agreement
-is a genuine cross-check of the closed form.
+The two routes share no constant: lam_P is a harmonic partial sum, lam is
+1 minus the correctly rounded gamma (checked against the Euler-Maclaurin
+expansion in ``euler_gamma``), so their agreement is a genuine cross-check
+of the closed form.
 
 For a constrained combination the moment collapses to
 sum_k (h_k / l_k) ln l_k, as the lam-part cancels against the constraint.

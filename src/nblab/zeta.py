@@ -46,29 +46,55 @@ times |s - 1|, and the last products 8 eps |W|.
   moduli to ln Gamma's claim.
 - xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
   pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s),
-  and one claim, ``_xi_claim``, for a point and for the scan's rows.  Where
-  that Gamma factor is subnormal (on the critical line from t = 908.65) it
-  has lost bits, and xi refuses.
+  and one claim.  Where that Gamma factor is subnormal (on the critical
+  line from t = 908.65) it has lost bits, and xi refuses.
 
 Hardy's Z
 ---------
-Above t = 200 the zero scan reads the sign of Hardy's Z(t) = e^{i theta(t)}
-zeta(1/2 + it), real on the real line, in place of xi's:
-xi(1/2 + it) = -1/2 (t^2 + 1/4) pi^{-1/4} |Gamma(1/4 + it/2)| Z(t), so the
-two have opposite signs.  With N = floor(sqrt(t/2 pi)), p = sqrt(t/2 pi) - N
-and w = (t/2 pi)^{-1/2}, the Riemann-Siegel formula (Edwards, ch. 7) is
+The zero scan reads the sign of Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it),
+theta(t) = arg Gamma(1/4 + it/2) - t/2 ln pi, real on the real line:
+from W's rows up to t = 200, and by the Riemann-Siegel formula above.  Both
+read one theta, ``_theta``, with one claim.
+
+- theta(t) = t/2 ln(t/2 pi) - t/2 - pi/8 + sum_k (1 - 2^{1-2k}) |B_2k| /
+  (4k (2k-1) t^{2k-1}), summed to k = 3 (1/(48t) + 7/(5760t^3) +
+  31/(80640t^5)).  The series' terms are all positive, and its error is
+  not below the first omitted term (1.015 times it at t = 10, 406 times at
+  t = 2).  A bound: theta(t) = Im ln Gamma(z) - t/2 ln pi, z = 1/4 + it/2,
+  and Stirling's series to K = 4 terms (``gammafn``'s, DLMF 5.11(ii)) is off
+  by |R_4(z)| <= |B_8|/56 |z|^-7 sec^8(ph(z)/2) <= 1.22 t^-7 (|z| >= t/2,
+  sec^2 <= 2).  Its terms re-expand about z = (it/2)(1 + e), e = -i/(2t),
+  into a series in x = 1/(2t) that converges for t > 1/2, whose imaginary
+  part is the series above up to t^-5 and odd in 1/t: the tail of
+  (z - 1/2) ln z, (1 - e) ln(1 + e)/(4e) with coefficients (2n+1)/(4n(n+1)),
+  is within 15/224 x^7/(1 - x^2), and that of B_2k/(2k(2k-1)) z^{1-2k},
+  from (1 + e)^{1-2k}, within |B_2k|/(2k(2k-1)) (4x)^{2k-1} C(6, 8-2k)
+  x^{8-2k} / (1 - r_k x^2), r_k = 56/((9-2k)(10-2k)), k = 1..3.  From
+  t = 10 these sum to 0.121 t^-7, so theta's truncation is within
+  1.34 t^-7 (``_THETA_TAIL``); below t = 10 no claim is made (inf), so no
+  sign of Z counts there, and Z has no zero below 14.13.  Rounding adds
+  3 eps t (|ln(t/2 pi)| + 2) (its logarithm, products and sums).
+- Up to t = 200 (``_em_z_rows``), Z(t) = Re e^{i theta} q with
+  q = W(s)/(s - 1), s = 1/2 + it, from W's rows.  e^{i theta} zeta is real,
+  so an error d in theta moves Re e^{i theta} zeta by |zeta| (1 - cos d)
+  <= |zeta| d^2/2, and theta's crude bound costs nothing; q is within
+  dW/|s - 1| of zeta (dW W's claim) up to the rounding of the division.
+  The claim is dW/|s - 1| + (|q| + dW/|s - 1|) (d^2/2 + 16 eps), the 16 eps
+  for the division, cos, sin, the two products and their sum.  Against
+  30-digit ``mpmath.siegelz`` the worst ratio of error to claim seen is
+  0.05, on rows in [10, 200] and across the first zeros.
+
+From t = 200 the scan reads Z by the Riemann-Siegel formula (Edwards, ch. 7)
+(``_z_rows``).  With N = floor(sqrt(t/2 pi)), p = sqrt(t/2 pi) - N and
+w = (t/2 pi)^{-1/2},
 
     Z(t) = 2 sum_{n<=N} n^{-1/2} cos(theta(t) - t ln n)
            + (-1)^{N-1} w^{1/2} sum_{j<=4} C_j(p) w^j + R,
 
 and for t >= 200 Gabcke (thesis, Goettingen 1979) bounds |R| by d_4 t^{-11/4},
-d_4 = 0.017 (8.0e-9 at t = 200).
+d_4 = 0.017 (8.0e-9 at t = 200).  An error d in theta moves this Z by at
+most 2 d sum n^{-1/2}.
 
-- theta(t) = t/2 ln(t/2 pi) - t/2 - pi/8 + sum_k (1 - 2^{1-2k}) |B_2k| /
-  (4k (2k-1) t^{2k-1}), summed to k = 3 (1/(48t) + 7/(5760t^3) +
-  31/(80640t^5)); the error is below the first omitted term, k = 4 (Brent,
-  J. Aust. Math. Soc. 107, 2019; Edwards 6.5), 2.3e-20 at t = 200, and an
-  error d in theta moves Z by at most 2 d sum n^{-1/2}.
 - C_0 = Psi, C_1 = -Psi^(3)/(96 pi^2), C_2 = Psi^(2)/(64 pi^2) +
   Psi^(6)/(18432 pi^4), C_3 = -Psi^(1)/(64 pi^2) - Psi^(5)/(3840 pi^4) -
   Psi^(9)/(5308416 pi^6), C_4 = Psi/(128 pi^2) + 19 Psi^(4)/(24576 pi^4) +
@@ -91,40 +117,40 @@ d_4 = 0.017 (8.0e-9 at t = 200).
   masked per point.
 - Rounding (eps as above): each term's phase theta - t ln n is off by at
   most 3 eps t ln n (for t ln n = a_r ln n + jh ln n at the rounded t),
-  plus theta's own 3 eps t (ln(t/2 pi) + 2) (its logarithm, products and
-  sums); exp, the products and the sums add (N + 8) eps, all of the moduli
-  2 n^{-1/2}.  The correction's Horner sums, its table error and p (off by
-  2 eps sqrt(t/2 pi) + eps) add w^{1/2} sum_j w^j (table error +
-  64 eps max |C_j| + dp max |C_j'|), the sum taken at t = 200, and the last
-  sum 2 eps |Z|.
+  plus theta's own claim; exp, the products and the sums add (N + 8) eps,
+  all of the moduli 2 n^{-1/2}.  The correction's Horner sums, its table
+  error and p (off by 2 eps sqrt(t/2 pi) + eps) add w^{1/2} sum_j w^j
+  (table error + 64 eps max |C_j| + dp max |C_j'|), the sum taken at
+  t = 200, and the last sum 2 eps |Z|.
 
-Z's claim is the sum of these terms, taken once per row from its ends: at
-its start for Gabcke's term, theta's truncation and (t/2 pi)^{-1/4}, which
-fall with t, and at its end for the rounding terms and N, which grow; only
-2 eps |Z| is taken per point.  Against 30-digit ``mpmath.siegelz``
+This Z's claim is the sum of these terms, taken once per row: at its start
+for Gabcke's term and (t/2 pi)^{-1/4}, which fall with t, at its end for
+the rounding terms and N, which grow, and theta's largest claim on the row;
+only 2 eps |Z| is taken per point.  Against 30-digit ``mpmath.siegelz``
 the worst ratio of error to claim seen is 0.69, on t in [200, 5000] and at
 t = 2 pi N^2 and one ulp either side for N = 6..18.
 
 The zero scan
 -------------
-The scan reads signs on rows of equally spaced points t = a_r + j h.  Rows
-that start at or below t = 200 take Re xi(1/2 + it) from W's rows, with W's
-head sums by angle addition, e^{-i(a_r + jh) ln n} = e^{-i a_r ln n}
-e^{-i jh ln n}, one matrix product per call, each point with xi's claim.
-The other rows take -Z(t), which has xi's sign, from the Riemann-Siegel rows
-above, each point with Z's claim.  A sign counts only where the value's
-magnitude exceeds its claim: a point whose sign does not count is dropped,
-so that its two neighbours bracket across it.  The scan is one pass of such
-calls: one for the grid's whole rows, the last row's points past ``t_max``
-dropped, then one per refinement level of each group of brackets
-(neighbours of opposite sign, grouped by width, up to 1024 at a time).
-Each level cuts every bracket into at most 32 equal parts by one such row,
-keeps every sign change, and stops once the parts are at most ``tol`` wide
-(2 ``tol`` for a bracket across a dropped point); each final bracket's
-midpoint is reported, within ``tol`` of a zero between two counted signs.  A bracket at
-least 2 ``tol`` wide none of whose inner signs counts is refused (exit 2),
-and so is a grid of more than 2^20 points, before any row is evaluated.
-The count is that of the sign changes seen, not a certified count of zeros.
+The scan reads the sign of Z on rows of equally spaced points
+t = a_r + j h: from W's rows on the rows that start at or below t = 200,
+with W's head sums by angle addition, e^{-i(a_r + jh) ln n} =
+e^{-i a_r ln n} e^{-i jh ln n}, one matrix product per call, and by the
+Riemann-Siegel formula on the others, each point with its kernel's claim.
+A sign counts only where the value's magnitude exceeds its claim, which is
+positive, so no counted sign is 0: a point whose sign does not count is
+dropped, so that its two neighbours bracket across it.  The scan is one
+pass of such calls: one for the grid's whole rows, the last row's points
+past ``t_max`` dropped, then one per refinement level of each group of
+brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
+time).  Each level cuts every bracket into at most 32 equal parts by one
+such row, keeps every sign change, and stops once the parts are at most
+``tol`` wide (2 ``tol`` for a bracket across a dropped point); each final
+bracket's midpoint is reported, within ``tol`` of a zero between two
+counted signs.  A bracket at least 2 ``tol`` wide none of whose inner signs
+counts is refused (exit 2), and so is a grid of more than 2^20 points,
+before any row is evaluated.  The count is that of the sign changes seen,
+not a certified count of zeros.
 """
 
 from __future__ import annotations
@@ -166,8 +192,8 @@ _GRID_STEP = 0.05
 #: evaluated, so that no scan exhausts memory
 _MAX_GRID = 2**20
 
-#: the scan reads Hardy's Z on rows that start above this height, from which
-#: Gabcke's bound holds, and Re xi on the others
+#: the scan reads Hardy's Z by the Riemann-Siegel formula on rows that start
+#: above this height, from which Gabcke's bound holds, and from W on the others
 _Z_FROM = 200.0
 
 #: most points per call of a row kernel, and 32 times the most brackets
@@ -177,10 +203,13 @@ _Z_CHUNK = 2**15
 #: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
 _GABCKE_D4 = 0.017
 
-#: theta's series coefficients (1 - 2^{1-2k}) |B_2k| / (4k (2k-1)), k = 1..4;
-#: the last one bounds the truncation after k = 3
+#: theta's series coefficients (1 - 2^{1-2k}) |B_2k| / (4k (2k-1)), k = 1..3
 _THETA_COEF = [float((1 - Fraction(2, 4**k)) * abs(_BERNOULLI[k]) / (4 * k * (2 * k - 1)))
-               for k in range(1, 5)]
+               for k in range(1, 4)]
+
+#: theta's truncation is within _THETA_TAIL t^-7 from t = _THETA_FROM (module
+#: docstring); below it theta's claim, and so every Z claim, is inf
+_THETA_FROM, _THETA_TAIL = 10.0, 1.34
 
 #: the largest (t/2 pi)^{-1/2} of a point the scan reads Z at
 _W_MAX = math.sqrt(2.0 * math.pi / _Z_FROM)
@@ -370,15 +399,6 @@ def zeta(s: complex, target_abs_error: float) -> ComplexEvalReport:
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
 
 
-def _xi_claim(value, w_val, w_err, log_part, log_err):
-    """|xi| times the relative errors of e^{log_part} (ln Gamma's claim
-    log_err) and of W, plus 8 eps tiny for a subnormal product, at a point or
-    on rows.  abs, not np.abs: np.abs misses CPython's complex modulus by an
-    ulp at about a third of points, and xi keeps its own digits."""
-    rel = log_err * np.exp(log_err) + 6.0 * _EPS * (1.0 + abs(log_part))
-    return abs(value) * (rel + w_err / np.maximum(abs(w_val), 1e-300)) + 8.0 * _EPS * _TINY
-
-
 def xi(s: complex) -> ComplexEvalReport:
     """The completed, entire, symmetric form 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s).
 
@@ -398,7 +418,10 @@ def xi(s: complex) -> ComplexEvalReport:
         raise PrecisionUnreachable(f"xi at {s!r} underflows double precision")
     w_val, w_err, n = _weighted_pole_product(s)
     value = prefactor * w_val
-    err = float(_xi_claim(value, w_val, w_err, log_part, log_err))
+    # |xi| times the relative errors of e^{log_part} and of W, plus 8 eps tiny
+    # for a subnormal product
+    rel = log_err * np.exp(log_err) + 6.0 * _EPS * (1.0 + abs(log_part))
+    err = float(abs(value) * (rel + w_err / max(abs(w_val), 1e-300)) + 8.0 * _EPS * _TINY)
     if not math.isfinite(err):  # also where the value itself overflows
         raise PrecisionUnreachable(f"xi at {s!r} or its error claim overflows double precision")
     return ComplexEvalReport(value=value, abs_error_estimate=err, terms_used=n)
@@ -419,17 +442,32 @@ def functional_equation_residual(s: complex) -> tuple[float, float]:
     return abs(lhs - rhs) / scale, (lhs_err + rhs_err + 8.0 * _EPS * abs(lhs)) / scale
 
 
-def _xi_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points t = a_r + j h, j < m, one row per start a_r, Re xi(1/2 + it)
-    = Re pi^{-s/2} Gamma(s/2 + 1) W(s) there from W's rows, and its claims."""
+def _theta(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta(t) by its series to k = 3 at the points t > 0, and its claims:
+    the truncation and rounding bound of the module docstring from t =
+    ``_THETA_FROM``, inf below."""
+    half, inv = 0.5 * t, 1.0 / t
+    inv2 = inv * inv
+    c1, c2, c3 = _THETA_COEF
+    log_u = np.log(t / (2.0 * math.pi))
+    theta = half * log_u - half - 0.125 * math.pi + inv * (c1 + inv2 * (c2 + inv2 * c3))
+    claim = _THETA_TAIL * inv * inv2**3 + 3.0 * _EPS * t * (np.abs(log_u) + 2.0)
+    return theta, np.where(t >= _THETA_FROM, claim, np.inf)
+
+
+def _em_z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, one row per start a_r, Hardy's Z(t) =
+    Re e^{i theta(t)} W(s)/(s - 1), s = 1/2 + it, there from W's rows, and
+    its claims (module docstring)."""
     offsets = h * np.arange(m)
     t = np.add.outer(a, offsets)
-    s = 0.5 + 1j * t
-    log_gamma, log_err = loggamma_right(0.5 * s + 1.0)
-    log_part = log_gamma - 0.5 * s * _LOG_PI
     w_rows, w_err, _ = _weighted_pole_product(0.5 + 1j * a, offsets=offsets)
-    value = np.exp(log_part) * w_rows
-    return t, value.real, _xi_claim(value, w_rows, w_err, log_part, log_err)
+    pole = -0.5 + 1j * t  # s - 1
+    q = w_rows / pole
+    theta, theta_err = _theta(t)
+    z = np.cos(theta) * q.real - np.sin(theta) * q.imag
+    q_err = w_err / np.abs(pole)
+    return t, z, q_err + (np.abs(q) + q_err) * (0.5 * theta_err * theta_err + 16.0 * _EPS)
 
 
 def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -456,10 +494,7 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
     head = phases @ steps
     for term in extra:
         head += term
-    half, inv = 0.5 * t, 1.0 / t
-    inv2 = inv * inv
-    c1, c2, c3, c4 = _THETA_COEF
-    theta = half * np.log(u) - half - 0.125 * math.pi + inv * (c1 + inv2 * (c2 + inv2 * c3))
+    theta, theta_err = _theta(t)
     main = 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
     # sum_j w^j C_j(x) with w = (t/2 pi)^{-1/2} and C_j(x) = x^(j mod 2) Q_j(x^2):
     # each point's coefficients sum_j w^j x^(j mod 2) Q_j, then Horner in x^2
@@ -475,14 +510,13 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
         corr += c
     quarter = np.sqrt(w)
     z = main + np.where(n_point % 2.0 == 1.0, quarter, -quarter) * corr.reshape(t.shape)
-    # the claim of each row, from its ends: Gabcke's term, theta's truncation
-    # and quarter fall with t, the rounding terms grow with t and N
+    # the claim of each row, from its ends: Gabcke's term and quarter fall
+    # with t, the rounding terms grow with t and N; theta's is its row's largest
     lo, hi, n_hi = t[:, 0], t[:, -1], n_point[:, -1]
     i = n_hi.astype(int) - 1
     a0, a1 = np.cumsum(amp)[i], np.cumsum(amp * ln_n)[i]
-    theta_err = c4 * lo**-7.0 + 3.0 * _EPS * hi * (np.log(u[:, -1]) + 2.0)
     claim = (_GABCKE_D4 * lo**-2.75
-             + 2.0 * theta_err * a0
+             + 2.0 * theta_err.max(axis=1) * a0
              + 2.0 * _EPS * (3.0 * hi * a1 + (n_hi + 8.0) * a0)
              + u[:, 0] ** -0.25 * (table_err + _EPS * (2.0 * root[:, -1] + 1.0) * table_slope))
     claim = claim[:, None] + 2.0 * _EPS * np.abs(z)
@@ -490,38 +524,38 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points t = a_r + j h, j < m, one row per start a_r; Re xi(1/2 + it)
-    on the rows that start at or below 200, and -Z(t), which has the sign of
-    xi(1/2 + it), on the others; and whether each sign counts: where the
-    value's magnitude exceeds its claim."""
+    """The points t = a_r + j h, j < m, one row per start a_r; Hardy's Z(t)
+    there, from W on the rows that start at or below 200 and by the
+    Riemann-Siegel formula on the others; and whether each sign counts: where
+    the value's magnitude exceeds its claim."""
     t = np.add.outer(a, h * np.arange(m))
     f, ok = np.empty(t.shape), np.empty(t.shape, dtype=bool)
     step = max(1, _Z_CHUNK // m)
-    # Z's rows first: they build the scan's largest arrays, and then no claim
-    # of the xi rows is held beside them
-    for rows, kernel, sign in ((np.flatnonzero(a > _Z_FROM), _z_rows, -1.0),
-                               (np.flatnonzero(a <= _Z_FROM), _xi_rows, 1.0)):
+    # the Riemann-Siegel rows first: they build the scan's largest arrays, and
+    # then no claim of W's rows is held beside them
+    for rows, kernel in ((np.flatnonzero(a > _Z_FROM), _z_rows),
+                         (np.flatnonzero(a <= _Z_FROM), _em_z_rows)):
         for i in range(0, rows.size, step):
             part = rows[i : i + step]
             _, value, claim = kernel(a[part], h, m)
-            f[part], ok[part] = sign * value, np.abs(value) > claim
+            f[part], ok[part] = value, np.abs(value) > claim
     return t, f, ok
 
 
-def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat indices into f of its exact zeros and of its brackets' two ends.
-    Each row (last axis) is read as the sequence of its points whose sign
-    counts (ok), so a point whose sign does not count is dropped and its two
-    neighbours bracket across it.  An exact zero is a value 0.0 other than
-    the last of its row; a bracket is two neighbours of opposite sign (signs
-    compared, so that no product of two small values underflows to 0)."""
+def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into f of its brackets' two ends.  Each row (last axis)
+    is read as the sequence of its points whose sign counts (ok), so a point
+    whose sign does not count is dropped and its two neighbours bracket
+    across it; a bracket is two neighbours of opposite sign (signs compared,
+    so that no product of two small values underflows to 0).  A counted sign
+    is never 0: its value's magnitude exceeds a positive claim."""
     kept = np.flatnonzero(ok)
     row = kept // f.shape[-1]
     same = row[1:] == row[:-1]
     left, right = kept[:-1][same], kept[1:][same]
     flat = f.ravel()
     opposite = np.sign(flat[left]) * np.sign(flat[right]) < 0.0
-    return left[flat[left] == 0.0], left[opposite], right[opposite]
+    return left[opposite], right[opposite]
 
 
 #: brackets of one width: left ends, values there, values at the right ends,
@@ -529,22 +563,19 @@ def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _Group = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
 
 
-def _brackets(
-    t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float
-) -> tuple[list[float], list[_Group]]:
-    """The exact zeros among rows of points t, spaced h, with values f and
-    counted signs ok (``_sign_changes``), and their brackets in groups of
-    one width and at most ``_Z_CHUNK`` / 32 brackets.  A bracket with g - 1
-    dropped points inside is g h wide and stops at 2 tol, the others at
-    tol."""
-    zeros, left, right = _sign_changes(f, ok)
+def _brackets(t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float) -> list[_Group]:
+    """The brackets among rows of points t, spaced h, with values f and
+    counted signs ok (``_sign_changes``), in groups of one width and at most
+    ``_Z_CHUNK`` / 32 brackets.  A bracket with g - 1 dropped points inside
+    is g h wide and stops at 2 tol, the others at tol."""
+    left, right = _sign_changes(f, ok)
     t, f = t.ravel(), f.ravel()
     gap, size, groups = right - left, _Z_CHUNK // _ROW, []
     for g in sorted(set(gap.tolist())):  # np.unique would import numpy.ma, about 1 MB
         i, j = left[gap == g], right[gap == g]
         groups += [(t[i[k : k + size]], f[i[k : k + size]], f[j[k : k + size]], g * h,
                     2.0 * tol if g > 1 else tol) for k in range(0, i.size, size)]
-    return t[zeros].tolist(), groups
+    return groups
 
 
 def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
@@ -571,27 +602,25 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
             raise PrecisionUnreachable(f"no sign inside [{start!r}, {start + m * h!r}] counts: "
                                        f"no value there exceeds its error claim")
         ends = np.ones((a.size, 1), dtype=bool)
-        hits, more = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
-                               np.column_stack([ends, ok, ends]), h, tol)
-        zeros += hits
-        groups += more
+        groups += _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
+                            np.column_stack([ends, ok, ends]), h, tol)
     return zeros
 
 
 def find_critical_zeros(t_max: float, tol: float) -> list[float]:
-    """Ordinates 0 < t_1 < t_2 < ... < t_max where xi(1/2 + it) changes sign.
+    """Ordinates 0 < t_1 < t_2 < ... < t_max where Hardy's Z(t) changes sign.
 
-    The sign of xi(1/2 + it) is read on the grid t_j = j * 0.05, j >= 1, up
-    to t_max, in whole rows of 32 points, the last row's points past t_max
-    dropped: from Re xi on the rows that start at or below t = 200, from
-    -Z(t) above, and a sign counts only when the value's magnitude exceeds
-    its certified claim; a point whose sign does not count is dropped, so
-    that its neighbours bracket across it.  A grid value of exactly 0.0 is
-    reported as it stands; neighbours of opposite sign form a bracket, and the
+    The sign of Z(t) = e^{i theta(t)} zeta(1/2 + it) is read on the grid
+    t_j = j * 0.05, j >= 1, up to t_max, in whole rows of 32 points,
+    the last row's points past t_max dropped: from W on the rows that start
+    at or below t = 200, by the Riemann-Siegel formula above, and a sign
+    counts only when the value's magnitude exceeds its certified claim; a
+    point whose sign does not count is dropped, so that its neighbours
+    bracket across it.  Neighbours of opposite sign form a bracket, and the
     brackets of one width (up to 1024 at a time) are refined together down
     to width ``tol`` and reported by their midpoints (``_refined_zeros``):
-    xi(1/2 + it) is continuous, so each ordinate lies within ``tol`` of a
-    zero between two counted signs.  A scan of more than 2^20 grid points
+    Z is continuous, so each ordinate lies within ``tol`` of a zero between
+    two counted signs.  A scan of more than 2^20 grid points
     (t_max above about 52,429) is refused before any row is evaluated.
     """
     if not 0.0 < t_max < math.inf:
@@ -607,5 +636,4 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
                                    f"more than the {_MAX_GRID} a scan may hold")
     t, f, ok = (x.ravel() for x in _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW))
     ok[last:] = False  # the last row's points past t_max
-    zeros, groups = _brackets(t, f, ok, h, tol)
-    return sorted(zeros + _refined_zeros(groups, tol))
+    return sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol))

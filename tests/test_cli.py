@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import math
@@ -237,6 +238,40 @@ def test_zeros_to_500_counts_every_zero():
     # mpmath.nzeros(500) is 269; the scan used to stop finding zeros past t ~ 472
     payload = invoke_json(["zeros", "--t-max", "500", "--tol", "1e-6"])
     assert payload["result"]["count"] == 269
+
+
+def test_zeros_evaluates_no_log_gamma(monkeypatch):
+    # the scan reads Z from W's rows and theta's series below t = 200 and by
+    # the Riemann-Siegel formula above: it never takes ln Gamma, under either
+    # name it has, nor through Stirling's series itself
+    from nblab import gammafn
+
+    def boom(*_args):
+        raise AssertionError("the zero scan took ln Gamma")
+
+    monkeypatch.setattr(gammafn, "loggamma_right", boom)
+    monkeypatch.setattr(gammafn, "_stirling", boom)
+    # the module, not the function ``nblab.zeta``
+    monkeypatch.setattr(importlib.import_module("nblab.zeta"), "loggamma_right", boom)
+    assert invoke_json(["zeros", "--t-max", "500"])["result"]["count"] == 269
+
+
+def test_sweep_builds_the_gram_system_once(monkeypatch):
+    # a certified error above --target exits 2 after one build: a rebuild at
+    # tighter entries leaves commensurate entries, and so the error, as they were
+    from nblab import approx
+
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return gram_system(*args)
+
+    gram_system = approx.gram_system
+    monkeypatch.setattr(approx, "gram_system", counted)
+    code, out, err = invoke(["sweep", "--n", "2,5", "--target", "1e-13"])
+    assert code == EXIT_PRECISION and "exceeds target" in err and out == ""
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize(

@@ -166,3 +166,15 @@ def test_claim_covers_both_half_planes_to_height_2500():
         assert_claim_covers_mpmath(s, rep)
         checked += 1
     assert checked == 236
+
+
+def test_euler_gamma_literals_are_correctly_rounded():
+    # gamma and ln(2 pi) - gamma against 40-digit mpmath; lam = 1 - gamma,
+    # which the Gram moment vector and the first moments read, is exact from
+    # the rounded gamma (Sterbenz) and is itself the correctly rounded 1 - gamma
+    from nblab.gammafn import _EULER_GAMMA, _LN_2PI_MINUS_GAMMA, moment_constant
+
+    with mpmath.workdps(40):
+        assert _EULER_GAMMA == float(mpmath.euler)
+        assert _LN_2PI_MINUS_GAMMA == float(mpmath.log(2 * mpmath.pi) - mpmath.euler)
+        assert moment_constant() == 1.0 - _EULER_GAMMA == float(1 - mpmath.euler)

@@ -19,7 +19,7 @@ from nblab import (
     zeta,
 )
 from nblab.gammafn import _BERNOULLI
-from nblab.zeta import _em_order, _em_terms, _refined_zeros, _weighted_pole_product, _xi_rows
+from nblab.zeta import _em_order, _em_terms, _refined_zeros, _weighted_pole_product
 
 # the module itself: ``nblab.zeta`` as an attribute is the function
 zeta_module = importlib.import_module("nblab.zeta")
@@ -339,9 +339,9 @@ def test_find_critical_zeros_coarse_tol_keeps_every_zero():
 
 def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
     # the cell [28.5, 38] holds three zeros (zeros 4, 5 and 6), so its ends
-    # differ in sign; refining it on sub-grids keeps all of them
+    # differ in sign; refining it on sub-grids of Z keeps all of them
     tol = 1e-6
-    fa, fb = (xi(complex(0.5, t)).value.real for t in (28.5, 38.0))
+    fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
     zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
     assert len(zeros) == len(expected)
@@ -380,8 +380,10 @@ def test_find_critical_zeros_validation():
 
 def scalar_scan_oracle(t_max: float, tol: float, grid_step: float) -> list[float]:
     """Independent route for the zero scan: one scalar ``xi`` call per grid
-    point and per sub-grid point, with the same points, bracket signs,
-    exact-zero rule and sub-grid refinement as ``find_critical_zeros``."""
+    point and per sub-grid point, with the same points, brackets and
+    sub-grid refinement as ``find_critical_zeros``.  xi(1/2 + it) has the
+    sign of -Z(t), so the sign changes are the same; an exact 0.0 is
+    reported as it stands (no sign the scan counts is 0)."""
     row = 32
 
     def f(t: float) -> float:
@@ -429,24 +431,14 @@ def test_scan_equals_scalar_oracle(t_max, tol, grid_step):
 
 
 def test_find_critical_zeros_count_at_500():
-    # the scan reads Re xi to t = 200 and Hardy's Z above; the ordinates
-    # above 450 are checked against mpmath's Z
+    # the scan reads Z from W's rows to t = 200 and by the Riemann-Siegel
+    # formula above; the ordinates above 450 are checked against mpmath's Z
     tol = 1e-6
     zeros = find_critical_zeros(500.0, tol)
     assert len(zeros) == int(mpmath.nzeros(500))
     for t in zeros:
         if t > 450.0:
             assert mpmath.siegelz(t - tol) * mpmath.siegelz(t + tol) < 0
-
-
-def test_array_kernel_matches_scalar_xi():
-    # the array kernel gives each point at least the term count xi picks
-    # there, so it lies within the scalar certified error of xi's value, and
-    # each row's own claim covers its distance from xi's value too
-    ts, values, claims = _xi_rows(np.array([0.05, 250.0]), 10.0, 25)
-    for t, value, claim in zip(ts.ravel(), values.ravel(), claims.ravel()):
-        rep = xi(complex(0.5, t))
-        assert abs(value - rep.value) <= min(2.0 * rep.abs_error_estimate, claim), t
 
 
 def test_angle_addition_matches_direct_sums(monkeypatch):
@@ -470,10 +462,10 @@ def test_angle_addition_matches_direct_sums(monkeypatch):
 
 
 def spy_on_scan(monkeypatch):
-    """Lists that collect each ``_xi_rows`` call's points, each W call's
+    """Lists that collect each ``_em_z_rows`` call's points, each W call's
     (N, M) and each ``_z_rows`` call's points."""
     calls, counts, z_calls = [], [], []
-    kernel, em_order, z_kernel = zeta_module._xi_rows, zeta_module._em_order, zeta_module._z_rows
+    kernel, em_order, z_kernel = zeta_module._em_z_rows, zeta_module._em_order, zeta_module._z_rows
 
     def spy_kernel(a, h, m):
         calls.append(np.add.outer(a, h * np.arange(m)).ravel())
@@ -488,7 +480,7 @@ def spy_on_scan(monkeypatch):
         z_calls.append(np.add.outer(a, h * np.arange(m)).ravel())
         return z_kernel(a, h, m)
 
-    monkeypatch.setattr(zeta_module, "_xi_rows", spy_kernel)
+    monkeypatch.setattr(zeta_module, "_em_z_rows", spy_kernel)
     monkeypatch.setattr(zeta_module, "_em_order", spy_em_order)
     monkeypatch.setattr(zeta_module, "_z_rows", spy_z_kernel)
     return calls, counts, z_calls
@@ -511,8 +503,9 @@ def test_scan_term_count_covers_each_point(monkeypatch):
     # own N is smaller.)  The one grid call comes first, then 4 levels of
     # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket.
     # The grid call evaluates whole rows, so its last row may reach past
-    # t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z: at 600 the
-    # grid call and each level call xi only on the cells at or below 200
+    # t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z by the
+    # Riemann-Siegel formula: at 600 the grid call and each level call W's
+    # rows only on the cells at or below 200
     for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 5, 68), (200.0, 5, 72), (600.0, 5, 72)):
         calls, counts, _ = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
@@ -529,9 +522,9 @@ def test_scan_term_count_covers_each_point(monkeypatch):
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
 def test_scan_underflow_raises_before_the_grid_is_built(monkeypatch, t_max, tol):
-    # xi's rows end at t = 200, so no row underflows any more; the grids of
-    # 1e9 and 2e13 points are refused by the point budget before any row of
-    # xi or Z is evaluated (a Z grid of 1e9 points would exhaust memory)
+    # the grids of 1e9 and 2e13 points are refused by the point budget
+    # before any row of either Z kernel is evaluated (a Z grid of 1e9 points
+    # would exhaust memory)
     calls, _, z_calls = spy_on_scan(monkeypatch)
     with pytest.raises(PrecisionUnreachable, match="grid points"):
         find_critical_zeros(t_max, tol)
@@ -645,9 +638,12 @@ def test_find_critical_zeros_to_900_and_the_subnormal_prefactor():
 
 
 def test_z_rows_within_claim_against_mpmath_siegelz():
-    # Hardy's Z by the Riemann-Siegel formula with C_0..C_4 against 30-digit
-    # mpmath on random t in [200, 5000], as rows of three points, and at
-    # t = 2 pi N^2 and one ulp either side, where N steps and p crosses 0
+    # Hardy's Z against 30-digit mpmath from both kernels.  By the
+    # Riemann-Siegel formula with C_0..C_4: on random t in [200, 5000], as rows
+    # of three points, and at t = 2 pi N^2 and one ulp either side, where N
+    # steps and p crosses 0.  From W's rows: on random rows in [10, 200], a
+    # row from the floor t = 10 of theta's claim, rows across the first three
+    # zeros, and a row ending at t = 200
     rng = np.random.default_rng(24)
     starts = np.sort(rng.uniform(200.0, 5000.0, 4))
     rows = [zeta_module._z_rows(starts, 0.37, 3)]
@@ -655,14 +651,43 @@ def test_z_rows_within_claim_against_mpmath_siegelz():
         t = 2.0 * math.pi * n * n
         rows.append(zeta_module._z_rows(np.array([math.nextafter(t, 0.0), t,
                                                   math.nextafter(t, math.inf)]), 1.0, 1))
-    worst = 0.0
+    em_rows = [zeta_module._em_z_rows(np.sort(rng.uniform(10.0, 190.0, 6)), 0.31, 32),
+               zeta_module._em_z_rows(np.array([10.0, 14.1, 21.0, 24.99]), 0.001, 48),
+               zeta_module._em_z_rows(np.array([200.0 - 31 * 0.05]), 0.05, 32)]
+    worst = {}
     with mpmath.workdps(30):
-        for ts, zs, claims in rows:
-            for t, z, claim in zip(ts.ravel(), zs.ravel(), claims.ravel()):
-                err = float(abs(z - mpmath.siegelz(mpmath.mpf(t))))
-                assert err <= claim, (t, err, claim)
-                worst = max(worst, err / claim)
-    assert worst > 0.1  # the claim is not loose by orders of magnitude
+        for kernel, kernel_rows in (("rs", rows), ("em", em_rows)):
+            for ts, zs, claims in kernel_rows:
+                for t, z, claim in zip(ts.ravel(), zs.ravel(), claims.ravel()):
+                    err = float(abs(z - mpmath.siegelz(mpmath.mpf(t))))
+                    assert err <= claim, (kernel, t, err, claim)
+                    worst[kernel] = max(worst.get(kernel, 0.0), err / claim)
+    assert em_rows[-1][0][0, -1] == 200.0
+    # the claims are not loose by orders of magnitude; W's rows carry W's
+    # own rounding claim, so there the error sits further below it
+    assert worst["rs"] > 0.1 and worst["em"] > 1e-3, worst
+
+
+def test_theta_claim_against_mpmath_siegeltheta():
+    # theta's series to k = 3 against 50-digit mpmath on [10, 5000]: its
+    # terms are all positive, so near the floor its error exceeds the first
+    # omitted term (1.015 times it at t = 10), and only the derived bound
+    # 1.34 t^-7 (Stirling's remainder plus the re-expansion's tail) holds
+    rng = np.random.default_rng(7)
+    t = np.concatenate([[10.0, 10.5, 12.0, 14.134725, 200.0, 5000.0],
+                        rng.uniform(10.0, 5000.0, 60)])
+    theta, claims = zeta_module._theta(t)
+    first_omitted = (1 - 2.0**-7) * (1 / 30) / (4 * 4 * 7) * t**-7.0
+    over_first = 0
+    with mpmath.workdps(50):
+        for x, value, claim, omitted in zip(t, theta, claims, first_omitted):
+            err = float(abs(value - mpmath.siegeltheta(mpmath.mpf(x))))
+            assert err <= claim, (x, err, claim)
+            over_first += err > omitted + 3.0 * 2.0**-52 * x * (math.log(x / (2 * math.pi)) + 2.0)
+    assert over_first > 0
+    # below the floor no claim is made, and so no sign of Z counts there
+    assert np.isinf(zeta_module._theta(np.array([0.05, 9.99]))[1]).all()
+    assert np.isinf(zeta_module._em_z_rows(np.array([9.0]), 0.05, 32)[2][0, :20]).all()
 
 
 def test_z_claim_at_200_is_gabckes_term():
@@ -747,18 +772,20 @@ def test_tol_finer_than_the_certified_signs_is_refused():
 
 
 def test_xi_signs_count_only_above_their_claim(monkeypatch):
-    # below t = 200 a sign of Re xi counts only where |Re xi| exceeds its
-    # claim, as Z's do above: the scan to 199.9 at tol 1e-9 meets sub-grid
-    # points within their claim next to the zeros at 111.03 and 176.44, counts
-    # none of them, and brackets across them.  Each ordinate t brackets a sign
-    # change of Z on [t - tol, t + tol], and there are mpmath.nzeros(199.9) of
-    # them, so the k-th lies within tol of mpmath.zetazero(k); zetazero itself
-    # is asked only at the two bracketed across (about 10 s for all 79)
+    # below t = 200 a sign of Z from W's rows counts only where |Z| exceeds
+    # its claim, as on the Riemann-Siegel rows above: the scan to 199.9 at tol
+    # 1e-9 meets sub-grid points within their claim next to the zeros at
+    # 111.03 and 176.44 (besides the grid points below t = 10, where theta
+    # has no claim), counts none of them, and brackets across them.  Each
+    # ordinate t brackets a sign change of Z on [t - tol, t + tol], and there
+    # are mpmath.nzeros(199.9) of them, so the k-th lies within tol of
+    # mpmath.zetazero(k); zetazero itself is asked only at the two bracketed
+    # across (about 10 s for all 79)
     tol, uncounted, counted = 1e-9, [], []
-    xi_rows, scan_rows = zeta_module._xi_rows, zeta_module._scan_rows
+    em_rows, scan_rows = zeta_module._em_z_rows, zeta_module._scan_rows
 
-    def spy_xi(a, h, m):
-        t, f, claim = xi_rows(a, h, m)
+    def spy_em(a, h, m):
+        t, f, claim = em_rows(a, h, m)
         uncounted.extend(t[np.abs(f) <= claim].tolist())
         return t, f, claim
 
@@ -767,7 +794,7 @@ def test_xi_signs_count_only_above_their_claim(monkeypatch):
         counted.extend(t[ok].tolist())
         return t, f, ok
 
-    monkeypatch.setattr(zeta_module, "_xi_rows", spy_xi)
+    monkeypatch.setattr(zeta_module, "_em_z_rows", spy_em)
     monkeypatch.setattr(zeta_module, "_scan_rows", spy_scan)
     zeros = find_critical_zeros(199.9, tol)
     assert uncounted and not set(uncounted) & set(counted)
