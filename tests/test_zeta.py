@@ -441,6 +441,22 @@ def test_find_critical_zeros_count_at_500():
             assert mpmath.siegelz(t - tol) * mpmath.siegelz(t + tol) < 0
 
 
+def test_array_kernel_matches_scalar_xi():
+    # W's Z rows against scalar xi: xi(1/2 + it) = -g(t) Z(t) with
+    # g(t) = (t^2 + 1/4)/2 pi^{-1/4} |Gamma(1/4 + it/2)| > 0, g from 30-digit
+    # mpmath, so each row's value lies within its own claim plus xi's claim
+    # over g of -Re xi / g, on rows from theta's floor t = 10, across the
+    # first zero, and ending at t = 200
+    ts, values, claims = zeta_module._em_z_rows(np.array([10.0, 14.1, 120.0, 200.0 - 31 * 0.05]), 0.05, 32)
+    assert np.isfinite(claims).all() and ts[-1, -1] == 200.0
+    with mpmath.workdps(30):
+        for t, value, claim in zip(ts.ravel(), values.ravel(), claims.ravel()):
+            g = float((mpmath.mpf(t) ** 2 + 0.25) / 2 * mpmath.pi**-0.25
+                      * abs(mpmath.gamma(mpmath.mpc(0.25, t / 2))))
+            rep = xi(complex(0.5, t))
+            assert abs(value + rep.value.real / g) <= claim + rep.abs_error_estimate / g, t
+
+
 def test_angle_addition_matches_direct_sums(monkeypatch):
     # the rows' head sums by angle addition, e^{-i(a + d) ln n} =
     # e^{-i a ln n} e^{-i d ln n}, against the one-point route's own phases
