@@ -11,36 +11,56 @@ functions and cotangent sums, 2013) gives
               - pi/(2hk) (V(h/k) + V(k/h)),
     V(h/k)  = sum_{0<m<k} {m h/k} cot(pi m/k),
 
-at O(h + k) cost.  {m h/k} is formed from the integer (m h) mod k, and
-cot(pi m/k) from the argument folded into (0, pi/2], so that no argument
-sits next to the pole at pi.  Nothing is truncated, and the certified error
-is roundoff only.  With u = 2^-53, each step below is first order in u:
+at O(h + k) cost.  Pairing m with k - m halves V: cot(pi (k - m)/k) =
+-cot(pi m/k), and as gcd(h, k) = 1, {(k - m) h/k} = 1 - {m h/k}, so
 
-* the folded argument x carries relative error <= 3u (pi, the product, the
-  quotient), which moves cot x by <= 3u x/sin^2 x <= 3u (pi/2 + |cot x|);
-  tan (taken within one ulp, as is log) and the reciprocal add 3u |cot x|,
-  the fraction and the product 2u, so each summand is off by
-  <= 8u {m h/k} (1 + |cot x|), and the correctly rounded sum (math.fsum)
-  adds u |V|: V is within 9u M_V, M_V = sum {m h/k} (1 + |cot(pi m/k)|);
+    V(h/k)  = sum_{0<m<k/2} (2{m h/k} - 1) cot(pi m/k),
+
+n = ceil(k/2) - 1 terms whose moduli sum to at most
+
+    M       = sum_{0<m<k/2} (1 + cot(pi m/k)) + [k even]/2
+            = (k - 1)/2 + sum_{0<m<k/2} cot(pi m/k),
+
+the same for every h (it equals sum_{0<m<k} {m h/k} (1 + |cot(pi m/k)|)).
+2{m h/k} - 1 is formed as (2r - k)/k from the integer r = (m h) mod k, and
+cot(pi m/k) at an argument in (0, pi/2), away from the pole at pi.  Nothing
+is truncated, and the certified error is roundoff only.  With u = 2^-53:
+
+* the argument x carries relative error <= 3u (pi, the product, the
+  quotient), which moves cot x by <= 3u x/sin^2 x <= 3u (pi/2 + cot x);
+  tan (taken within one ulp, as is log) and the reciprocal add 3u cot x,
+  the fraction and the product 2u cot x, so each summand is off by
+  <= 8u (1 + cot x);
+* the n summands are added by a fixed halving tree (``_halving_sum``), in
+  which each meets at most d = ceil(log2 n) roundings, so the sum adds
+  gamma_d (1 + 8u) M <= d u M (1 + O(u)) (Higham, Accuracy and Stability,
+  2002, sec. 4.2), and V is within (8 + d) u M to first order.  The order
+  is fixed by the code, not by numpy's or BLAS's summation, so V is the
+  same for any thread count; any-order sums would give gamma_{n-1}, about
+  k u/2, too loose at k of 10^3 and more.  M only scales the bound, so
+  numpy sums it in any order, within (7u + gamma_{n-1}) M < 6e-11 M;
 * the coefficient pi/(2hk), the sum V(h/k) + V(k/h), the product and the
-  two additions of J keep the cot term within 15u pi/(2hk) (M_V + M_V'),
-  with M_V' the magnitude of V(k/h); the first term is within 7u of its
-  size (a rounded constant, three operations, the additions of J), and the
-  log term within 6u (k - h)/(2hk) (1 + |ln(h/k)|), since the rounding of
-  h/k moves the log by u absolutely;
+  two additions of J keep the cot term within pi/(2hk) ((14 + d) u M +
+  (14 + d') u M'), with M', d' those of V(k/h); the first term is within
+  7u of its size (a rounded constant, three operations, the additions of
+  J), and the log term within 6u (k - h)/(2hk) (1 + |ln(h/k)|), since the
+  rounding of h/k moves the log by u absolutely;
 * dividing by the rounded c, forming 1/(a b) and the final subtraction add
   at most 3u of |J|/c + 1/(a b).
 
-So |error| <= 18u M with M = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|)
-+ pi/(2hk)(M_V + M_V'))/c + 1/(a b), and 16 eps M = 32u M is certified
-(about 1.8x slack).
+So |error| <= 17u S + u pi/(2hk) (d M + d' M')/c to first order, with
+S = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|) + pi/(2hk)(M + M'))/c
++ 1/(a b); 16 eps S + u pi/(2hk) (d M + d' M')/c is certified, the 15u S
+to spare covering the second-order terms and the rounding of M.
 
 {m h/k} depends on h only mod k.  So entries, one pair or a whole
 ``gram_system`` build, take three passes: every pair is reduced to h/k
-(below); for each k, one cot vector gives V and M_V at every residue
-h mod k the pairs need, and is dropped; every pair then takes Vasyunin's
-formula.  An entry has the same value and bound in every build that holds
-its pair, and nothing is kept from one build to the next.
+(below); for each k, one half-length cot vector gives M and V at every
+residue h mod k the pairs need, in blocks of up to 2^16 summands, and is
+dropped; every pair then takes Vasyunin's formula.  Each summand and each
+addition of the tree is the same whatever else a block holds, so an entry
+has the same value and bound in every build that holds its pair, and
+nothing is kept from one build to the next.
 
 Every entry is this closed form at (a, b) = (lo, hi), lo <= hi, c = lo/h.
 With x = lo/hi exactly, h/k = x when its denominator is at most
@@ -62,8 +82,9 @@ T the integrand is below 1, which gives 1/T.  So
     C = delta (1 + ln T + ln+(T/m0)) + 1/T = O(delta ln(1/delta)),
 
 and the closed form moves by delta/lo more, since it subtracts 1/(lo hi)
-where I(lo, b') has 1/(lo b').  delta is computed in rationals and rounded
-up; C + delta/lo, evaluated in floats and inflated by 16 eps to cover that,
+where I(lo, b') has 1/(lo b').  delta = |lo k - h hi|/(hi lo k) is one
+correctly rounded division of the doubles' integer ratios, rounded up;
+C + delta/lo, evaluated in floats and inflated by 16 eps to cover that,
 is added to the roundoff bound.  Since delta = |x - h/k|/lo < 1/(lo k^2),
 a tolerance tol needs k of about (ln(1/tol)/(lo tol))^(1/2).
 """
@@ -91,23 +112,47 @@ DENOMINATOR_CAP = 2**20
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
+def _halving_sum(x: np.ndarray) -> np.ndarray:
+    """Row sums of the 2-D array ``x``, which is overwritten: each step adds
+    the last half of the n columns left onto the first, so every term meets
+    at most ``_sum_depth`` roundings, in an order no library decides."""
+    n = x.shape[1]
+    while n > 1:
+        half = n // 2
+        first = x[:, :half]
+        np.add(first, x[:, n - half:n], out=first)
+        n -= half
+    return x[:, 0]
+
+
+def _sum_depth(k: int) -> int:
+    """ceil(log2 n) for the n = ceil(k/2) - 1 summands of V(h/k)."""
+    return max((k + 1) // 2 - 2, 0).bit_length()
+
+
 def _cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
-    """V(h/k) and its magnitude M_V = sum {m h/k} (1 + |cot(pi m/k)|) for
-    each h in ``residues``, from one cot vector, dropped on return."""
-    m = np.arange(1, k)
-    cot = 1.0 / np.tan(np.pi * np.minimum(m, k - m) / k)
-    cot = np.where(2 * m < k, cot, -cot)
-    weight = 1.0 + np.abs(cot)
+    """V(h/k) and its magnitude M = (k - 1)/2 + sum_{0<m<k/2} cot(pi m/k),
+    the same for every h, for each h in ``residues`` (coprime to k), from
+    one half-length cot vector, dropped on return."""
+    m = np.arange(1, (k + 1) // 2)
+    if not m.size:  # k <= 2: V(0/1) = V(1/2) = 0
+        return {h: (0.0, (k - 1) / 2) for h in residues}
+    cot = 1.0 / np.tan(np.pi * m / k)
+    magnitude = float(cot.sum()) + (k - 1) / 2
+    hs = list(residues)
+    rows = max(1, (1 << 16) // m.size)  # at most 2^16 summands in flight
     sums = {}
-    for h in residues:
-        frac = (m * h % k) / k
-        sums[h] = math.fsum((frac * cot).tolist()), float(frac @ weight)
+    for i in range(0, len(hs), rows):
+        block = hs[i:i + rows]
+        r = np.array(block)[:, None] * m % k
+        v = _halving_sum((2 * r - k) / k * cot)
+        sums.update((h, (value, magnitude)) for h, value in zip(block, v.tolist()))
     return sums
 
 
 def _closed_form_entry(a: float, b: float, h: int, k: int, sums) -> tuple[float, float]:
     """(value, roundoff bound) of I(c h, c k), c = min(a, b)/h, by Vasyunin's
-    formula, with V and M_V from ``sums[k][h mod k]`` and ``sums[h][k mod h]``."""
+    formula, with V and M from ``sums[k][h mod k]`` and ``sums[h][k mod h]``."""
     v_hk, m_hk = sums[k][h % k]
     v_kh, m_kh = sums[h][k % h]
     first = 0.5 * _LN_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
@@ -118,7 +163,8 @@ def _closed_form_entry(a: float, b: float, h: int, k: int, sums) -> tuple[float,
     c = min(a, b) / h
     inv_ab = 1.0 / (a * b)
     magnitude = (first + log_coef * (1.0 - log_ratio) + cot_coef * (m_hk + m_kh)) / c + inv_ab
-    return j / c - inv_ab, _CLOSED_FORM_ROUNDOFF * magnitude
+    summation = 2.0**-53 * cot_coef * (_sum_depth(k) * m_hk + _sum_depth(h) * m_kh) / c
+    return j / c - inv_ab, _CLOSED_FORM_ROUNDOFF * magnitude + summation
 
 
 def _convergents(x: Fraction):
@@ -134,10 +180,13 @@ def _convergents(x: Fraction):
 
 def _continuity_bound(lo: float, hi: float, h: int, k: int) -> float:
     """C + delta/lo of the module docstring: the closed form at h/k off I(lo, hi)."""
-    b = Fraction(lo) * k / h
-    delta = math.nextafter(float(abs(1 / Fraction(hi) - 1 / b)), math.inf)  # rounded up
+    lo_num, lo_den = lo.as_integer_ratio()
+    hi_num, hi_den = hi.as_integer_ratio()
+    delta = abs(lo_num * k * hi_den - h * hi_num * lo_den) / (hi_num * lo_num * k)
+    delta = math.nextafter(delta, math.inf)
+    b = lo_num * k / (lo_den * h)
     log_t = max(0.0, -math.log(2.0 * delta))
-    logs = 1.0 + log_t + max(0.0, log_t - math.log(min(hi, float(b))))
+    logs = 1.0 + log_t + max(0.0, log_t - math.log(min(hi, b)))
     return (delta * logs + min(1.0, 2.0 * delta) + delta / lo) * (1.0 + _CLOSED_FORM_ROUNDOFF)
 
 

@@ -547,9 +547,9 @@ def test_norm_budget_validated(tmp_path):
             assert out == ""
 
 
-def fresh_python(*args):
+def fresh_python(*args, **env):
     """(exit code, stdout, stderr) of ``python *args`` in a fresh process
-    that imports nblab from this tree."""
+    that imports nblab from this tree, with ``env`` added to its environment."""
     import os
     import subprocess
     import sys
@@ -559,15 +559,30 @@ def fresh_python(*args):
 
     src = str(Path(nblab.__file__).resolve().parent.parent)
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
                           timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def module_run(argv):
+def module_run(argv, **env):
     """(exit code, stdout, stderr) of ``python -m nblab`` in a fresh process."""
-    return fresh_python("-m", "nblab", *argv)
+    return fresh_python("-m", "nblab", *argv, **env)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--dilations", "1,1.4142135623730951"],
+     ["gram", "--dilations", "2.718281828459045,3.141592653589793", "--target", "2.5e-8"]],
+    ids=["approx-sqrt2", "gram-e-pi"],
+)
+def test_incommensurate_output_independent_of_blas_threads(argv):
+    # their cot sums run to about 2e4 terms, past the length at which
+    # OpenBLAS splits a dot product across threads; a V summed by BLAS
+    # printed other digits under one and two threads
+    runs = [module_run(argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert runs[0][0] == runs[1][0] == EXIT_OK, runs[0][2]
+    assert runs[0][1] == runs[1][1]
 
 
 def test_module_entry_point():

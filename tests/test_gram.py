@@ -16,9 +16,22 @@ from nblab import (
     moment_constant,
     pair_product_integral,
 )
-from nblab.gram import _closed_form_entry, _continuity_bound, _convergents, _cot_sums
+from nblab.gram import (
+    _closed_form_entry,
+    _continuity_bound,
+    _convergents,
+    _cot_sums,
+    _sum_depth,
+)
 
 gram_module = importlib.import_module("nblab.gram")
+
+#: unit roundoff
+U = 2.0**-53
+
+#: (h, k) of the incommensurate pairs the benchmark's gram and approx calls
+#: reduce to: (1, sqrt 2) at two targets, (1, phi) and (e, pi)
+WORKLOAD_RATIOS = [(13860, 19601), (33461, 47321), (17711, 28657), (33244, 38421)]
 
 #: pairs checked against both the mpmath closed form and the lattice walk
 WALK_PAIRS = [(1.0, 1.0), (1.0, 2.0), (7.0, 11.0), (3.0, 49.0), (49.0, 50.0), (12.0, 18.0)]
@@ -173,6 +186,90 @@ def mp_closed_form(a: float, b: float) -> mpmath.mpf:
             - mpmath.pi / (2 * h * k) * (cot_sum(h, k) + cot_sum(k, h))
         )
         return j / mpq(lo / h) - 1 / mpq(lo * hi)
+
+
+def fsum_cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
+    """The full-length route, kept as an oracle: V(h/k) over every
+    0 < m < k, summed correctly rounded by ``math.fsum`` (within 9u M_V),
+    and M_V = sum {m h/k} (1 + |cot(pi m/k)|) by a dot product."""
+    m = np.arange(1, k)
+    cot = 1.0 / np.tan(np.pi * np.minimum(m, k - m) / k)
+    cot = np.where(2 * m < k, cot, -cot)
+    weight = 1.0 + np.abs(cot)
+    sums = {}
+    for h in residues:
+        frac = (m * h % k) / k
+        sums[h] = math.fsum((frac * cot).tolist()), float(frac @ weight)
+    return sums
+
+
+def v_bound(k: int, magnitude: float) -> float:
+    """V(h/k)'s certified roundoff, (8 + d) u M to first order (``nblab.gram``
+    docstring), plus u M for the second-order terms."""
+    return (9 + _sum_depth(k)) * U * magnitude
+
+
+def rational_continuity_bound(lo: float, hi: float, h: int, k: int) -> float:
+    """The continuity bound with delta and b' formed as Fractions: the route
+    that ``_continuity_bound`` must match bit for bit."""
+    b = Fraction(lo) * k / h
+    delta = math.nextafter(float(abs(1 / Fraction(hi) - 1 / b)), math.inf)
+    log_t = max(0.0, -math.log(2.0 * delta))
+    logs = 1.0 + log_t + max(0.0, log_t - math.log(min(hi, float(b))))
+    return (delta * logs + min(1.0, 2.0 * delta) + delta / lo) * (1.0 + 16.0 * np.finfo(float).eps)
+
+
+def assert_cot_sums_match_oracle(k: int, residues) -> None:
+    """New V and M against ``fsum_cot_sums`` within both routes' bounds."""
+    new, old = _cot_sums(k, residues), fsum_cot_sums(k, residues)
+    assert sorted(new) == sorted(residues)
+    for h in residues:
+        (v, magnitude), (v_old, m_old) = new[h], old[h]
+        assert abs(v - v_old) <= v_bound(k, magnitude) + 9 * U * m_old
+        # the same positive terms, each within 9u, summed in any order twice
+        assert abs(magnitude - m_old) <= (9 + k) * U * (magnitude + m_old)
+
+
+def test_cot_sums_against_full_length_oracle_at_every_residue():
+    # k = 1 and 2 have no summand left: V(0/1) = V(1/2) = 0
+    assert _cot_sums(1, [0]) == {0: (0.0, 0.0)}
+    assert _cot_sums(2, [1]) == {1: (0.0, 0.5)}
+    for k in range(1, 201):
+        assert_cot_sums_match_oracle(k, [h for h in range(k) if math.gcd(h, k) == 1])
+
+
+@pytest.mark.parametrize("h, k", WORKLOAD_RATIOS, ids=[str(k) for _, k in WORKLOAD_RATIOS])
+def test_cot_sums_against_full_length_oracle_at_workload_ratios(h, k):
+    assert_cot_sums_match_oracle(k, [h % k])
+    assert_cot_sums_match_oracle(h, [k % h])
+
+
+@pytest.mark.parametrize("h, k", [(1, 97), (45, 97), (1, 1024), (777, 1024), (1, 2999), (1000, 2999),
+                                  (37, 8191), (4096, 9999)])
+def test_cot_sum_within_its_bound_of_mpmath(h, k):
+    # the definition's full sum over 0 < m < k at 30 digits, not the
+    # half-length pairing that the code sums
+    v, magnitude = _cot_sums(k, [h])[h]
+    with mpmath.workdps(30):
+        exact = mpmath.fsum(mpmath.mpf(m * h % k) / k * mpmath.cot(mpmath.pi * m / k)
+                            for m in range(1, k))
+        assert abs(mpmath.mpf(v) - exact) <= v_bound(k, magnitude)
+
+
+def test_continuity_bound_equals_the_rational_route():
+    dilations = [1.0, math.sqrt(2.0), (1.0 + math.sqrt(5.0)) / 2.0, math.e, math.pi, 3.000000003,
+                 1.1, 3.3, 37.0, 8191.0] + [math.sqrt(p) for p in (3.0, 5.0, 7.0, 11.0, 13.0)]
+    cases = 0
+    for i, a in enumerate(dilations):
+        for b in dilations[i + 1:]:
+            lo, hi = min(a, b), max(a, b)
+            for h, k in _convergents(Fraction(lo) / Fraction(hi)):
+                if k > gram_module.DENOMINATOR_CAP:
+                    break
+                if h * hi != k * lo:
+                    assert _continuity_bound(lo, hi, h, k) == rational_continuity_bound(lo, hi, h, k)
+                    cases += 1
+    assert cases > 1000
 
 
 def test_entry_1_1_against_adaptive_oracle():
@@ -332,8 +429,9 @@ def test_gram_export_schema():
     "dilations, target",
     [([float(k) for k in range(1, 61)], 1e-9), ([1.5**k for k in range(8)], 1e-9),
      ([1.0 + 0.5 * k for k in range(19)], 1e-9),
-     ([1.0, math.sqrt(2.0), 1.5, 2.0, math.e, 3.0, math.pi], 1e-7)],
-    ids=["integers", "geometric-1.5", "halves", "mixed-convergents"],
+     ([1.0, math.sqrt(2.0), 1.5, 2.0, math.e, 3.0, math.pi], 1e-7),
+     ([1.0, (1.0 + math.sqrt(5.0)) / 2.0, math.e, math.pi], 2.5e-8)],
+    ids=["integers", "geometric-1.5", "halves", "mixed-convergents", "large-k-convergents"],
 )
 def test_build_entries_equal_standalone_pairs(dilations, target):
     # a build takes every entry from one table of cot sums; a pair alone
