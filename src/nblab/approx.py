@@ -8,10 +8,11 @@ constrained span of b_k(t) = {t / l_k} is
 with G, g, c from the Gram system (the weight has total mass 1, so
 |1|^2 = 1).  The constraint is eliminated through an orthonormal basis Z of
 the hyperplane c-perp (a fixed Householder reflector, so the solve order is
-deterministic and results are reproducible bit for bit); the reduced normal
-equations are solved by eigendecomposition, with a spectral cutoff
-pseudo-inverse that drops the eigenvalues at or below 1e-12 times the
-largest, so it takes over when the reduced condition number exceeds 1e12.
+deterministic and results are reproducible bit for bit).  The reduced Gram
+R = Z^T G Z must be positive definite: its eigenvalues give
+``gram_condition`` = lambda_max / lambda_min, one LU solve of R y = Z^T g
+gives h = Z y, and an R with lambda_min <= 0 or a non-finite eigenvalue
+raises SingularSystem.
 
 ``certified_error`` bounds the error of d^2(h) at the computed h by
 |h|^T (E + 4 n u |G|) |h| from ``GramSystem.quadratic_form`` (Gram entry
@@ -47,10 +48,6 @@ __all__ = [
     "sweep",
 ]
 
-#: cutoff factor (times the largest eigenvalue) for the pseudo-inverse
-CUTOFF_FACTOR = 1e-12
-
-
 @dataclass(frozen=True)
 class ApproximationResult:
     """Optimal coefficients and diagnostics of one constrained solve."""
@@ -63,7 +60,6 @@ class ApproximationResult:
     gram_condition: float
     certified_error: float
     kkt_residual: float
-    regularization_cutoff: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +72,6 @@ class ApproximationResult:
             "gram_condition": self.gram_condition,
             "certified_error": self.certified_error,
             "kkt_residual": self.kkt_residual,
-            "regularization_cutoff": self.regularization_cutoff,
         }
 
 
@@ -85,7 +80,10 @@ def _nullspace_basis(c: np.ndarray) -> np.ndarray:
     v = c / np.linalg.norm(c)
     w = v.copy()
     w[0] += math.copysign(1.0, v[0] if v[0] != 0.0 else 1.0)
-    H = np.eye(c.size) - 2.0 * np.outer(w, w) / float(w @ w)
+    H = np.outer(w, w)  # the reflector I - 2 w w^T / w.w, built in place
+    H *= -2.0
+    H /= w @ w
+    H.flat[:: c.size + 1] += 1.0
     return H[:, 1:]
 
 
@@ -111,22 +109,15 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
         )
     Z = _nullspace_basis(c)
     R = Z.T @ G @ Z
-    rhs = Z.T @ g
     try:
-        eigvals, eigvecs = np.linalg.eigh(R)
+        eigvals = np.linalg.eigvalsh(R)
+        if not (np.all(np.isfinite(eigvals)) and eigvals[0] > 0.0):
+            raise SingularSystem("reduced Gram is not positive definite")
+        y = np.linalg.solve(R, Z.T @ g)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"eigendecomposition failed: {exc}") from exc
-    w_max = float(eigvals[-1])
-    if not (math.isfinite(w_max) and w_max > 0.0):
-        raise SingularSystem("reduced Gram has no positive spectrum")
-    w_min = float(eigvals[0])
-    condition = math.inf if w_min <= 0.0 else w_max / w_min
-    cutoff = CUTOFF_FACTOR * w_max
-    kept = eigvals > cutoff
-    inv = np.where(kept, 1.0 / np.where(kept, eigvals, 1.0), 0.0)
-    y = eigvecs @ (inv * (eigvecs.T @ rhs))
+        raise SingularSystem(f"reduced solve failed: {exc}") from exc
     if not np.all(np.isfinite(y)):
-        raise SingularSystem("regularized solve produced non-finite coefficients")
+        raise SingularSystem("reduced solve produced non-finite coefficients")
     h = Z @ y
     form, form_error = gram.quadratic_form(h)
     d_sq = 1.0 - 2.0 * float(g @ h) + form
@@ -142,10 +133,9 @@ def best_approximation_from_gram(gram: GramSystem) -> ApproximationResult:
         distance=distance,
         theta_log_sum=theta_log_sum(h, larr),
         constraint_residual=abs(float(c @ h)),
-        gram_condition=condition,
+        gram_condition=float(eigvals[-1] / eigvals[0]),
         certified_error=certified,
         kkt_residual=kkt_residual,
-        regularization_cutoff=None if kept.all() else cutoff,
     )
 
 

@@ -26,7 +26,8 @@ class DuplicateDilation(DomainError):
 
 
 class SingularSystem(NblabError):
-    """The regularized least-squares solve failed to produce a finite solution."""
+    """The reduced Gram of a constrained solve is not positive definite, or the
+    solve produced no finite solution."""
 
 
 class PrecisionUnreachable(NblabError):

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nblab import (
     DomainError,
@@ -65,6 +67,60 @@ def test_three_dilations_against_grid_search():
     assert abs(res.distance - brute) < 1e-6
 
 
+_ORACLE_SETS = [[float(k) for k in range(1, n + 1)] for n in (5, 12, 30)] + [
+    [1.0, math.sqrt(2.0), (1.0 + math.sqrt(5.0)) / 2.0]
+]
+
+
+@pytest.mark.parametrize("dils", _ORACLE_SETS, ids=lambda d: f"n={len(d)},l2={d[1]:.4f}")
+def test_solve_against_mpmath_kkt(dils):
+    # the KKT system of the same float (G, g, c), solved at 30 digits.  h*
+    # keeps c.h = 0 only to roundoff, and off the plane the least d^2 moves
+    # by -2 mu c.h* (mu the KKT multiplier; -1.9e-16 for (1, sqrt 2, phi)),
+    # so h* is compared with the optimum of its own plane c.h = c.h*, which
+    # it can never beat, and with the optimum of c.h = 0
+    system = gram_system(dils, 1e-9)
+    res = best_approximation_from_gram(system)
+    n = system.size
+    with mpmath.workdps(30):
+        G = mpmath.matrix(system.matrix.tolist())
+        g = [mpmath.mpf(x) for x in system.moment_vector.tolist()]
+        c = [mpmath.mpf(x) for x in system.constraint_vector.tolist()]
+        h_star = [mpmath.mpf(x) for x in res.h_star.tolist()]
+
+        def d_sq(h):
+            form = mpmath.fsum(h[i] * G[i, j] * h[j] for i in range(n) for j in range(n))
+            return 1 - 2 * mpmath.fdot(g, h) + form
+
+        kkt = mpmath.zeros(n + 1, n + 1)
+        for i in range(n):
+            for j in range(n):
+                kkt[i, j] = G[i, j]
+            kkt[i, n] = kkt[n, i] = c[i]
+
+        def gap(plane):
+            """d^2(h*) minus the least d^2 on the plane c.h = plane"""
+            sol = mpmath.lu_solve(kkt, mpmath.matrix(g + [plane]))
+            return float(d_sq(h_star) - d_sq([sol[i] for i in range(n)]))
+
+        own_gap, gap_to_optimum = gap(mpmath.fdot(c, h_star)), gap(0)
+    # 1e-28 (1 + |h|_1)^2 covers the 30-digit rounding of d^2 itself
+    floor = 1e-28 * (1.0 + float(np.sum(np.abs(res.h_star)))) ** 2
+    assert -floor <= own_gap <= res.certified_error
+    assert abs(gap_to_optimum) <= res.certified_error
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 12, 30, 50])
+def test_gram_condition_in_an_svd_basis(n):
+    # condition numbers do not depend on the orthonormal basis of c-perp:
+    # scipy's null_space takes one from an SVD, not from the reflector
+    system = gram_system([float(k) for k in range(1, n + 1)], 1e-10)
+    basis = scipy.linalg.null_space(system.constraint_vector[None, :])
+    expected = np.linalg.cond(basis.T @ system.matrix @ basis)
+    res = best_approximation_from_gram(system)
+    assert res.gram_condition == pytest.approx(expected, rel=1e-9)
+
+
 def test_single_dilation_degenerates_to_zero_function():
     res = best_approximation([1.0])
     assert res.distance == 1.0
@@ -116,43 +172,44 @@ def test_reproducible_bit_for_bit():
     assert a.distance == b.distance
 
 
-def test_spectral_cutoff_engages_on_degenerate_span():
-    # plant a 1e-14 eigenvalue inside the constraint plane: the reduced
-    # condition number then crosses the 1e12 limit and the cutoff must engage
+def planted_system(eigenvalue, entry_error=1e-12):
+    """A Gram system whose reduced Gram on the constraint plane has the
+    eigenvalues 1 and ``eigenvalue``."""
     c = np.array([1.0, 0.5, 0.25])
     basis = _nullspace_basis(c)
-    G = basis @ np.diag([1.0, 1e-14]) @ basis.T + np.outer(c, c)
-    system = GramSystem(
+    G = basis @ np.diag([1.0, eigenvalue]) @ basis.T + np.outer(c, c)
+    return GramSystem(
         dilations=(1.0, 2.0, 4.0),
         matrix=G,
         moment_vector=np.array([0.42, 0.55, 0.4]),
         constraint_vector=c,
-        entry_error_bounds=np.full((3, 3), 1e-12),
+        entry_error_bounds=np.full((3, 3), entry_error),
     )
-    res = best_approximation_from_gram(system)
+
+
+def test_near_degenerate_span_is_solved_and_refused_by_its_bound():
+    # a 1e-14 eigenvalue inside the constraint plane: the reduced Gram is
+    # still positive definite, so the solve returns finite coefficients, but
+    # they are so large that the certified error rules the result out
+    # against any target sweep would accept
+    res = best_approximation_from_gram(planted_system(1e-14))
     assert res.gram_condition > 1e12
-    assert res.regularization_cutoff == pytest.approx(1e-12, rel=1e-6)
     assert np.all(np.isfinite(res.h_star))
-    assert res.constraint_residual < 1e-10
+    assert res.certified_error > 1e-6
+
+
+def test_indefinite_reduced_gram_raises():
+    with pytest.raises(SingularSystem, match="not positive definite"):
+        best_approximation_from_gram(planted_system(-1e-14))
 
 
 def test_certified_error_covers_the_roundoff_of_the_form():
     # an eigenvalue 1e-6 inside the constraint plane makes |h|_1 about 3.4e5,
     # so the roundoff of forming h^T G h (4 n u |h|^T |G| |h|, Higham ch. 3)
     # outgrows the 1e-15 entry bounds and the ad hoc 1e-13 (1 + |h|_1)
-    c = np.array([1.0, 0.5, 0.25])
-    basis = _nullspace_basis(c)
-    G = basis @ np.diag([1.0, 1e-6]) @ basis.T + np.outer(c, c)
-    E = np.full((3, 3), 1e-15)
-    system = GramSystem(
-        dilations=(1.0, 2.0, 4.0),
-        matrix=G,
-        moment_vector=np.array([0.42, 0.55, 0.4]),
-        constraint_vector=c,
-        entry_error_bounds=E,
-    )
+    system = planted_system(1e-6, entry_error=1e-15)
+    G, E = system.matrix, system.entry_error_bounds
     res = best_approximation_from_gram(system)
-    assert res.regularization_cutoff is None
     abs_h = np.abs(res.h_star)
     assert np.sum(abs_h) > 1e5
     roundoff = float(abs_h @ (E + 4 * 3 * 2.0**-53 * np.abs(G)) @ abs_h)

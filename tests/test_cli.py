@@ -630,7 +630,8 @@ bstar = json.dumps(call(["approx", "--dilations", "1,1.4142135623730951"])["bsta
 call(["moment", "--input", "-"], bstar)
 for p in ("2", "1.5"):
     call(["norm", "--input", "-", "--max-segments", "100000", "--p", p], bstar)
-print(" ".join(m for m in ("numpy.polynomial", "numpy.fft", "numpy.ma") if m in sys.modules))
+print(" ".join(m for m in ("numpy.polynomial", "numpy.fft", "numpy.ma", "scipy", "mpmath")
+               if m in sys.modules))
 """
 
 
@@ -638,7 +639,8 @@ def test_workload_calls_leave_numpy_submodules_unloaded():
     # the scan's brackets avoid np.unique (it imports numpy.ma), Psi's Taylor
     # coefficients come from a DFT product rather than numpy.fft, and flat
     # p < 2 norms take no Gauss nodes from numpy.polynomial: each import
-    # would add to every process's resident memory
+    # would add to every process's resident memory; scipy and mpmath are
+    # test-only oracles and must not load on these paths at all
     code, out, err = fresh_python("-c", _WORKLOAD_SHAPES)
     assert code == 0, err
     assert out.split() == []
