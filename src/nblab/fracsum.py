@@ -114,15 +114,17 @@ class DilatedFracSum:
         if np.any(arr <= 1.0):
             raise DomainError("dilated sums are defined on (1, inf)")
         out = np.zeros_like(arr)
-        self._add_into(arr, out)
+        self._add_into(arr, out, np.empty((2,) + arr.shape))
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
-    def _add_into(self, t: np.ndarray, out: np.ndarray) -> None:
-        """out += sum_k h_k {t / l_k} in place, term by term; the domain
-        check is the caller's."""
+    def _add_into(self, t: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out += sum_k h_k {t / l_k} in place, term by term, in the two
+        rows of scratch, each of t's shape; the domain check is the caller's."""
+        x, whole = scratch[0, ...], scratch[1, ...]
         for h, l in self.terms:
-            x = t / l
-            x -= np.floor(x)
+            np.divide(t, l, out=x)
+            np.floor(x, out=whole)
+            x -= whole
             x *= h
             out += x
 

@@ -300,7 +300,8 @@ def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
     sum h_k / l_k between lattice points: in closed form on [1, l_min],
     then window by window over the lattice, exactly on flat pieces and by
     16-point Gauss-Legendre on sloped ones.  A window's midpoints and
-    values live in two rows allocated once per call."""
+    values, and phi's terms as they are summed, live in four rows allocated
+    once per call, so that no window leaves a term-sized array to free."""
     dils = phi.dilations
     slope = float(np.sum(phi.coeffs / dils))
     # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
@@ -314,16 +315,16 @@ def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
         # sloped piece, where |phi|^p has its kink; dt = 2 d y dy
         y = 0.5 * (nodes + 1.0)
         y_sq, y_weights = y * y, weights * y
-    rows = np.empty((2, _WINDOW + 2 * dils.size + 2))  # a window's segments, ends included
+    rows = np.empty((4, _WINDOW + 2 * dils.size + 2))  # a window's segments, ends included
     for t1, u in _lattice_windows(dils, start, T):
         n = t1.size
         if rows.shape[1] < n:
-            rows = np.empty((2, n))
+            rows = np.empty((4, n))
         mid, v = rows[0, :n], rows[1, :n]
         np.multiply(u, 0.5, out=mid)
         np.add(t1, mid, out=mid)
         v.fill(0.0)
-        phi._add_into(mid, v)
+        phi._add_into(mid, v, rows[2:, :n])
         if flat:
             # |v|^p u / (t1 (t1 + u)), the integral of |v|^p dt/t^2
             np.abs(v, out=v)

@@ -141,16 +141,31 @@ A sign counts only where the value's magnitude exceeds its claim, which is
 positive, so no counted sign is 0: a point whose sign does not count is
 dropped, so that its two neighbours bracket across it.  The scan is one
 pass of such calls: one for the grid's whole rows, the last row's points
-past ``t_max`` dropped, then one per refinement level of each group of
-brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
-time).  Each level cuts every bracket into at most 32 equal parts by one
-such row, keeps every sign change, and stops once the parts are at most
-``tol`` wide (2 ``tol`` for a bracket across a dropped point); each final
-bracket's midpoint is reported, within ``tol`` of a zero between two
-counted signs.  A bracket at least 2 ``tol`` wide none of whose inner signs
-counts is refused (exit 2), and so is a grid of more than 2^20 points,
-before any row is evaluated.  The count is that of the sign changes seen,
-not a certified count of zeros.
+past ``t_max`` dropped, then, for each group of brackets (neighbours of
+opposite sign, grouped by width, up to 1024 at a time), up to three rounds
+of probes and the rows of the brackets the probes leave.
+
+A bracket's zero is located on nested cuts: each level cuts it into at
+most 32 equal parts, keeps every part whose ends' counted signs differ,
+and stops once the parts are at most ``tol`` wide (2 ``tol`` for a bracket
+across a dropped point); each final part's midpoint is reported, within
+``tol`` of a zero between two counted signs.  A probe round reads, one
+point a row, the two ends of the finest part of those cuts that holds a
+guess (regula falsi on the bracket's ends, then the secant through the
+last two probes), and a bracket is done once the part's two counted signs
+differ and all the counted signs it knows show one sign change: where the
+cuts' rows see one sign change they reach that part, and report its
+midpoint as the same float.  A probe sign
+that does not count, a second sign change, a guess off the bracket or
+three rounds without a zero hand the bracket to the cuts' whole rows, from
+the deepest part of the cuts that holds what the probes left of it; no
+point is read twice.  A bracket at least 2 ``tol`` wide none of whose inner
+signs counts is refused (exit 2), and so is a grid of more than 2^20
+points, before any row is evaluated.  The count is that of the sign
+changes seen, not a certified count of zeros: a zero pair inside one grid
+cell goes unseen, and so does a zero pair between two neighbouring probes
+of one sign in a bracket with a third zero, which the cuts' whole rows
+would see wherever one of their points fell between the pair.
 """
 
 from __future__ import annotations
@@ -197,7 +212,7 @@ _MAX_GRID = 2**20
 _Z_FROM = 200.0
 
 #: most points per call of a row kernel, and 32 times the most brackets
-#: refined together, so that a scan's arrays stay within a few MiB
+#: probed and refined together, so that a scan's arrays stay within a few MiB
 _Z_CHUNK = 2**15
 
 #: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
@@ -578,32 +593,201 @@ def _brackets(t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float
     return groups
 
 
+def _levels(width: float, stop: float, tol: float) -> list[tuple[int, float]]:
+    """The parts m and their width h at each level of the nested cuts of a
+    bracket this wide that stops at ``stop``: m = min(_ROW, floor(width/tol)
+    + 1), h = width/m, then each part's own levels, which stop at tol."""
+    levels = []
+    while width > stop:
+        m = min(_ROW, math.floor(width / tol) + 1)
+        width /= m
+        levels.append((m, width))
+        stop = tol
+    return levels
+
+
+def _cells(a: np.ndarray, b: np.ndarray, levels: list[tuple[int, float]],
+           x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ends of the cell that holds x, a <= x < b, at each level of the
+    nested cuts of the brackets [a, b].  Point j of a level's cuts of a cell
+    [lo, hi] is lo for j = 0 and (lo + h) + h (j - 1) after, the floats that
+    level's row holds, and its last cell ends at hi."""
+    lo, hi, cells = a, b, []
+    for m, h in levels:
+        def ends(k: np.ndarray, lo: np.ndarray = lo, hi: np.ndarray = hi, start=lo + h):
+            return (np.where(k > 0, start + h * (k - 1), lo),
+                    np.where(k < m - 1, start + h * k, hi))
+
+        k = np.minimum(np.floor((x - lo) / h), m - 1)
+        left, right = ends(k)
+        off = (right <= x).astype(float) - (left > x)
+        if off.any():  # the rounded quotient is at most one cell off
+            left, right = ends(k + off)
+        lo, hi = left, right
+        cells.append((lo, hi))
+    return cells
+
+
+def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """Where the line through (x0, f0) and (x1, f1) crosses 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x0 - f0 * (x1 - x0) / (f1 - f0)
+
+
+def _read_rows(a: np.ndarray, h: float, m: int,
+               seen: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_scan_rows`` at the points a_r + j h, j < m, except that a point in
+    ``seen`` is not read again but takes its value and count from there; the
+    others are then read one point a row."""
+    t = np.add.outer(a, h * np.arange(m))
+    old = np.array([x in seen for x in t.ravel().tolist()], dtype=bool).reshape(t.shape)
+    if not old.any():
+        return _scan_rows(a, h, m)
+    f, ok = np.empty(t.shape), np.empty(t.shape, dtype=bool)
+    f[old], ok[old] = zip(*(seen[x] for x in t[old].tolist()))
+    _, f[~old], ok[~old] = (v.ravel() for v in _scan_rows(t[~old], h, 1))
+    return t, f, ok
+
+
+def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float,
+           tol: float) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray, np.ndarray]], dict]:
+    """Up to three rounds of probes on the finest of the nested cuts
+    (``_refined_zeros``) of each bracket [a, a + width].
+
+    A round reads, one point a row, the two ends of the finest cell that
+    holds a guess, those not known before: regula falsi on the bracket's
+    ends first, then the secant through the last round's two ends.  Counted
+    signs narrow [lo, hi], the known counted signs nearest the zero, and a
+    bracket is done once its cell's two signs count and differ and none
+    shows a second sign change; its ordinate is the cell's left end plus
+    h/2, the float the cuts report.  A sign that does not count, a second
+    sign change, a guess off [lo, hi) (or not a number) or three rounds
+    without a zero leave the bracket to the cuts' rows, from the deepest
+    node of the cuts that holds [lo, hi] if that node's ends count with the
+    signs of a's and b's (read unless known), else from the bracket itself.
+
+    Returns the ordinates found; those nodes, as (left ends, values there,
+    values at the right ends) at each level from the bracket's own down;
+    and each point the brackets left to the rows know, with its value and
+    whether its sign counts."""
+    levels = _levels(width, stop, tol)
+    h = levels[-1][1]
+    b = a + width
+    lo, flo, hi, fhi = a.copy(), fa.copy(), b.copy(), fb.copy()  # the counted signs nearest a zero
+    side = np.sign(fa)
+    live = np.ones(a.size, dtype=bool)
+    solved, clashed = np.zeros(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
+    reads, found = [], []
+    x = _secant(a, fa, b, fb)  # regula falsi
+    for _ in range(3):
+        i = np.flatnonzero(live)
+        on = (lo[i] <= x[i]) & (x[i] < hi[i])  # False also for nan
+        live[i[~on]], i = False, i[on]
+        if not i.size:
+            break
+        lo_i, hi_i = lo[i], hi[i]
+        p, q = _cells(a[i], b[i], levels, x[i])[-1]
+        new_p, new_q = p != lo_i, q != hi_i  # lo and hi are known
+        points = np.concatenate([p[new_p], q[new_q]])
+        _, f, ok = (v.ravel() for v in _scan_rows(points, h, 1))
+        reads.append((np.concatenate([i[new_p], i[new_q]]), points, f, ok))
+        n = int(new_p.sum())
+        fp, fq, okp, okq = flo[i], fhi[i], np.ones(i.size, dtype=bool), np.ones(i.size, dtype=bool)
+        fp[new_p], okp[new_p], fq[new_q], okq[new_q] = f[:n], ok[:n], f[n:], ok[n:]
+        # lo moves to the last counted sign of a's, hi to the first of b's,
+        # unless b's at p and a's at q show more sign changes; p and q
+        # counting with a's and b's sign bracket the zero
+        west_p, west_q = np.sign(fp) == side[i], np.sign(fq) == side[i]
+        a_p, a_q, b_p, b_q = okp & west_p, okq & west_q, okp & ~west_p, okq & ~west_q
+        clash = b_p & a_q
+        clashed[i[clash]] = True
+        a_q, b_p = a_q & ~clash, b_p & ~clash
+        lo[i] = np.where(a_q, q, np.where(a_p, p, lo_i))
+        flo[i] = np.where(a_q, fq, np.where(a_p, fp, flo[i]))
+        hi[i] = np.where(b_p, p, np.where(b_q, q, hi_i))
+        fhi[i] = np.where(b_p, fp, np.where(b_q, fq, fhi[i]))
+        done = a_p & b_q
+        found += (p[done] + 0.5 * h).tolist()
+        solved[i[done]] = True
+        live[i] = okp & okq & ~clash & ~done
+        x[i] = _secant(p, fp, q, fq)
+    j = np.flatnonzero(~solved)  # the brackets the safeguard takes
+    if not j.size:
+        return found, [], {}
+    seen = {}
+    for rows, t, f, ok in reads:
+        keep = ~solved[rows]
+        seen.update(zip(t[keep].tolist(), zip(f[keep].tolist(), ok[keep].tolist())))
+    seen.update(zip(a[j].tolist(), ((v, True) for v in fa[j].tolist())))
+    seen.update(zip(b[j].tolist(), ((v, True) for v in fb[j].tolist())))
+    # each goes on from the deepest node of the cuts that holds [lo, hi], if
+    # its ends count with the signs of the bracket's, else from the bracket
+    cells = _cells(a[j], b[j], levels, lo[j])
+    depth = np.cumprod([hi[j] <= right for _, right in cells], axis=0).sum(axis=0)
+    depth[clashed[j]] = 0
+    ends = []
+    for end, whole in ((0, a[j]), (1, b[j])):
+        node = np.array([whole] + [cell[end] for cell in cells])
+        ends.append(node[depth, np.arange(j.size)])
+    unread = [t for t in ends[0].tolist() + ends[1].tolist() if t not in seen]
+    if unread:
+        _, f, ok = (v.ravel() for v in _scan_rows(np.array(unread), h, 1))
+        seen.update(zip(unread, zip(f.tolist(), ok.tolist())))
+    (fl, okl), (fr, okr) = (np.array([seen[t] for t in end.tolist()]).T for end in ends)
+    good = okl.astype(bool) & okr.astype(bool) & (np.sign(fl) == side[j]) & (np.sign(fr) != side[j])
+    depth[~good] = 0
+    fl[~good], fr[~good], ends[0][~good] = fa[j][~good], fb[j][~good], a[j][~good]
+    return found, [(ends[0][depth == d], fl[depth == d], fr[depth == d])
+                   for d in range(depth.max() + 1)], seen
+
+
 def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
     """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
-    width at which to stop (``_brackets``), one group at a time.  Each level
-    cuts every bracket of a group into the fewest equal parts narrower than
-    ``tol``, at most _ROW, evaluates one row per bracket and applies the
-    grid's rule; once h is at most the stop width the midpoints are reported
-    (then h > tol/2 for brackets with no dropped point).  A bracket at least
-    2 tol wide none of whose inner signs counts is refused: refining it
-    again would not narrow it."""
+    width at which to stop (``_brackets``), one group at a time.
+
+    The nested cuts: each level cuts every bracket of a group into the
+    fewest equal parts narrower than ``tol``, at most _ROW, reads one row per
+    bracket and applies the grid's rule; once h is at most the stop width
+    the midpoints are reported (then h > tol/2 for brackets with no dropped
+    point).  A group is probed first (``_probe``), two points a bracket a
+    round on the finest of those cuts.  The brackets the probes leave go on
+    by the cuts' rows from the node the probes name, a point read once
+    taking its value from then on; each node joins the cuts at its level,
+    after the parts of other widths the level above made, as the cuts from
+    the bracket itself would reach it.  A bracket at least 2 tol wide none
+    of whose inner signs counts is refused: refining it again would not
+    narrow it."""
     zeros: list[float] = []
-    while groups:
-        a, fa, fb, h, stop = groups.pop()
+    stack: list[tuple[_Group, list | None]] = [(group, None) for group in groups]
+    seen: dict = {}
+    while stack:
+        (a, fa, fb, h, stop), later = stack.pop()
         if h <= stop:
             zeros += (a + 0.5 * h).tolist()
             continue
-        m = min(_ROW, math.floor(h / tol) + 1)
-        h /= m
-        t, f, ok = _scan_rows(a + h, h, m - 1)
+        if later is None:
+            found, later, seen = _probe(a, fa, fb, h, stop, tol)
+            zeros += found
+            if not later:
+                continue
+            a, fa, fb = later.pop(0)
+        m, h = _levels(h, stop, tol)[0]
+        t, f, ok = _read_rows(a + h, h, m - 1, seen)
         lost = ~ok.any(axis=1)
         if m > 2 and lost.any():
             start = float(a[lost][0])
             raise PrecisionUnreachable(f"no sign inside [{start!r}, {start + m * h!r}] counts: "
                                        f"no value there exceeds its error claim")
         ends = np.ones((a.size, 1), dtype=bool)
-        groups += _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
-                            np.column_stack([ends, ok, ends]), h, tol)
+        parts = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
+                          np.column_stack([ends, ok, ends]), h, tol)
+        if later:  # the parts one cell wide join the nodes the probes left at the next level
+            ones = [part for part in parts if part[3] == h] + [(*later[0], h, tol)]
+            parts = [part for part in parts if part[3] != h]
+            a, fa, fb = (np.concatenate([part[k] for part in ones]) for k in range(3))
+            order = np.argsort(a, kind="stable")
+            stack.append(((a[order], fa[order], fb[order], h, tol), later[1:]))
+        stack += [(part, []) for part in parts]
     return zeros
 
 
@@ -618,9 +802,11 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     point whose sign does not count is dropped, so that its neighbours
     bracket across it.  Neighbours of opposite sign form a bracket, and the
     brackets of one width (up to 1024 at a time) are refined together down
-    to width ``tol`` and reported by their midpoints (``_refined_zeros``):
-    Z is continuous, so each ordinate lies within ``tol`` of a zero between
-    two counted signs.  A scan of more than 2^20 grid points
+    to width ``tol`` on nested cuts of up to 32 parts a level, which up to
+    three rounds of two probes a bracket search first, and reported by the
+    midpoints of their final parts (``_refined_zeros``): Z is continuous,
+    so each ordinate lies within ``tol`` of a zero between two counted
+    signs.  A scan of more than 2^20 grid points
     (t_max above about 52,429) is refused before any row is evaluated.
     """
     if not 0.0 < t_max < math.inf:

@@ -1,5 +1,6 @@
 import cmath
 import importlib
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -380,8 +381,9 @@ def test_find_critical_zeros_validation():
 
 def scalar_scan_oracle(t_max: float, tol: float, grid_step: float) -> list[float]:
     """Independent route for the zero scan: one scalar ``xi`` call per grid
-    point and per sub-grid point, with the same points, brackets and
-    sub-grid refinement as ``find_critical_zeros``.  xi(1/2 + it) has the
+    point and per point of every full sub-row of the nested cuts, the route
+    whose final parts the scan's probes, which read a few points of the
+    finest cuts, must reproduce float for float.  xi(1/2 + it) has the
     sign of -Z(t), so the sign changes are the same; an exact 0.0 is
     reported as it stands (no sign the scan counts is 0)."""
     row = 32
@@ -516,13 +518,13 @@ def test_scan_term_count_covers_each_point(monkeypatch):
     # uses one (N, M): N is at least what xi picks at each of its points,
     # and M at least what xi would need there with that N, so no point's
     # remainder is above xi's.  (xi's own M can exceed the call's where its
-    # own N is smaller.)  The one grid call comes first, then 4 levels of
-    # refinement (0.05 / 32 / 32 / 32 / 2 < 1e-6) when there is a bracket.
-    # The grid call evaluates whole rows, so its last row may reach past
-    # t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z by the
-    # Riemann-Siegel formula: at 600 the grid call and each level call W's
-    # rows only on the cells at or below 200
-    for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 5, 68), (200.0, 5, 72), (600.0, 5, 72)):
+    # own N is smaller.)  The one grid call comes first, then three rounds
+    # of probes when there is a bracket (the third for the few brackets the
+    # first two leave).  The grid call evaluates whole rows, so its last row
+    # may reach past t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z
+    # by the Riemann-Siegel formula: at 600 the grid call and each round call
+    # W's rows only on the points at or below 200
+    for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 4, 68), (200.0, 4, 72), (600.0, 4, 72)):
         calls, counts, _ = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
         monkeypatch.undo()
@@ -534,6 +536,159 @@ def test_scan_term_count_covers_each_point(monkeypatch):
     for z in (0.05, 14.1, 187.1, 600.0):
         n, m = own_counts(z)
         assert xi(complex(0.5, z)).terms_used == n - 1 + m
+
+
+def spy_on_reads(monkeypatch):
+    """A list that collects the points of each ``_scan_rows`` call, as its rows."""
+    reads, scan_rows = [], zeta_module._scan_rows
+
+    def spy(a, h, m):
+        reads.append(np.add.outer(a, h * np.arange(m)))
+        return scan_rows(a, h, m)
+
+    monkeypatch.setattr(zeta_module, "_scan_rows", spy)
+    return reads
+
+
+def missing_guess(tol):
+    """A guess 3 tol off the secant's, to the right and the left in turn,
+    so that the probes close in on a zero from both sides without a cell
+    across it, and leave a narrow bracket to the nested cuts' rows."""
+    secant, side = zeta_module._secant, itertools.cycle((3.0, -3.0))
+    return lambda x0, f0, x1, f1: secant(x0, f0, x1, f1) + next(side) * tol
+
+
+@pytest.mark.parametrize("t_max", [300.0, 2000.0])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
+def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
+    # with no guess on any bracket, every bracket is refined by the nested
+    # cuts' whole rows from the grid's bracket on; with guesses that miss,
+    # from the node the probes leave, which reads fewer points: either way
+    # the ordinates are the probes' own
+    expected, read = find_critical_zeros(t_max, tol), {}
+    for guess in ("nan", "miss"):
+        reads = spy_on_reads(monkeypatch)
+        if guess == "nan":
+            monkeypatch.setattr(zeta_module, "_secant",
+                                lambda x0, f0, x1, f1: np.full_like(x0, np.nan))
+        else:
+            monkeypatch.setattr(zeta_module, "_secant", missing_guess(tol))
+        assert find_critical_zeros(t_max, tol) == expected, guess
+        monkeypatch.undo()
+        read[guess] = sum(t.size for t in reads[1:])
+    # at least a row a bracket, more than three rounds of probes read; the
+    # nodes lie below the bracket where it has more than two levels of cuts
+    assert 31 * len(expected) <= read["miss"]
+    assert read["miss"] < read["nan"] or len(zeta_module._levels(0.05, tol, tol)) <= 2
+
+
+def test_cells_are_the_nested_cuts_own():
+    # every finest cell of a grid bracket's nested cuts at 1e-6, built here
+    # with the cuts' row expressions, holds its left end and the float
+    # below its right end, and _cells returns its two floats
+    tol, a = 1e-6, 0.05 * 4000
+    levels = zeta_module._levels(0.05, tol, tol)
+
+    def cells(lo, hi, levels):
+        if not levels:
+            return [(lo, hi)]
+        (m, h), rest = levels[0], levels[1:]
+        points = [lo] + [(lo + h) + h * j for j in range(m - 1)] + [hi]
+        return [c for pair in zip(points[:-1], points[1:]) for c in cells(*pair, rest)]
+
+    left, right = np.array(cells(a, a + 0.05, levels)).T
+    assert left.size == 32 * 32 * 32 * 2
+    for x in (left, np.nextafter(right, 0.0)):
+        ends = np.full(x.size, a), np.full(x.size, a + 0.05)
+        p, q = zeta_module._cells(*ends, levels, x)[-1]
+        assert np.array_equal(p, left) and np.array_equal(q, right)
+
+
+def test_a_probe_on_the_middle_zero_of_three_keeps_all_three(monkeypatch):
+    # a first probe cell across zero 5 of [28.5, 38] reads b's sign left of
+    # a's, a second sign change: the bracket goes on from itself, whose rows
+    # see all three zeros
+    tol = 1e-6
+    fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
+    expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
+    monkeypatch.setattr(zeta_module, "_secant", lambda x0, f0, x1, f1: np.full_like(x0, expected[1]))
+    reads = spy_on_reads(monkeypatch)
+    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
+    assert reads[0].size == 2 and reads[1].size == 31
+    assert len(zeros) == 3
+    for found, true in zip(sorted(zeros), expected):
+        assert abs(found - true) <= tol / 2
+
+
+def test_a_node_whose_end_does_not_count_is_not_taken(monkeypatch):
+    # the probes leave [lo, hi] across the first point r of the second cuts
+    # in a first-level cell [c, c + h1], with the zero between lo and r.  c
+    # holds no counted sign, so that cell's rows alone would see no sign
+    # change: the bracket goes on from itself, whose first row brackets
+    # across c
+    tol, z0 = 1e-6, FIRST_ORDINATES[0]
+    levels = zeta_module._levels(0.05, tol, tol)
+    h1, h2 = levels[0][1], levels[1][1]
+    a = z0 - 22.0 * h1 - 0.2 * h2
+    c = (a + h1) + h1 * 21.0
+    assert c < z0 < c + h2
+    guesses = iter([c + 0.05 * h2, c + 1.5 * h2, math.nan])
+    monkeypatch.setattr(zeta_module, "_secant", lambda x0, f0, x1, f1: np.full_like(x0, next(guesses)))
+    kernel = zeta_module._em_z_rows
+
+    def blinded(a, h, m):
+        t, z, claim = kernel(a, h, m)
+        return t, z, np.where(t == c, np.inf, claim)
+
+    monkeypatch.setattr(zeta_module, "_em_z_rows", blinded)
+    fa, fb = (np.array([float(mpmath.siegelz(t))]) for t in (a, a + 0.05))
+    zeros = _refined_zeros([(np.array([a]), fa, fb, 0.05, tol)], tol)
+    assert len(zeros) == 1 and abs(zeros[0] - z0) <= tol
+
+
+def test_probes_read_at_most_eight_points_an_ordinate(monkeypatch):
+    # the nested cuts read 31 + 31 + 31 + 1 = 94 points a bracket at 1e-6
+    reads = spy_on_reads(monkeypatch)
+    zeros = find_critical_zeros(500.0, 1e-6)
+    grid, refinement = reads[0].size, sum(t.size for t in reads[1:])
+    assert (grid, len(zeros)) == (10016, 269)
+    assert refinement <= 8 * len(zeros)
+
+
+@pytest.mark.parametrize("t_max, tol", [(300.0, 1e-8), (199.9, 1e-9)])
+def test_no_point_is_read_twice(monkeypatch, t_max, tol):
+    # the safeguard's rows take the points the probes read from them: a point
+    # read twice, with another row or call, could count in one read and not
+    # in the other.  Both scans hand brackets to the rows (reads of more than
+    # point a row after the grid's)
+    reads = spy_on_reads(monkeypatch)
+    find_critical_zeros(t_max, tol)
+    points = np.concatenate([t.ravel() for t in reads])
+    assert np.unique(points).size == points.size
+    assert any(t.shape[1] > 2 for t in reads[1:])
+
+
+def test_a_probe_sign_that_does_not_count_keeps_the_ordinate(monkeypatch):
+    # blinding one first-round probe above t = 200 hands its bracket to the
+    # rows, which bracket across it; it lies away from the zero, so the
+    # ordinate stays, and the point is read once
+    tol = 1e-6
+    expected = find_critical_zeros(300.0, tol)
+    reads = spy_on_reads(monkeypatch)
+    find_critical_zeros(300.0, tol)
+    monkeypatch.undo()
+    blind = float(reads[1][reads[1] > 250.0][0])
+    kernel = zeta_module._z_rows
+
+    def blinded(a, h, m):
+        t, z, claim = kernel(a, h, m)
+        return t, z, np.where(t == blind, np.inf, claim)
+
+    monkeypatch.setattr(zeta_module, "_z_rows", blinded)
+    reads = spy_on_reads(monkeypatch)
+    assert find_critical_zeros(300.0, tol) == expected
+    assert sum(int((t == blind).sum()) for t in reads) == 1
+    assert len(reads) > 4  # the safeguard's rows read more than three rounds
 
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
@@ -781,9 +936,10 @@ def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
 
 def test_tol_finer_than_the_certified_signs_is_refused():
     # next to the zero at t ~ 204.19 no Z sign counts over about 7.9e-9
-    # (claim / |Z'|), so brackets cannot be certified down to 1e-9 there
+    # (claim / |Z'|), so brackets cannot be certified down to 1e-9 there;
+    # the refusal names the first such bracket the nested cuts reach
     assert len(find_critical_zeros(300.0, 1e-8)) == 138
-    with pytest.raises(PrecisionUnreachable, match="no sign inside"):
+    with pytest.raises(PrecisionUnreachable, match=r"no sign inside \[204\.1896717975537"):
         find_critical_zeros(300.0, 1e-9)
 
 
