@@ -155,17 +155,17 @@ guess (regula falsi on the bracket's ends, then the secant through the
 last two probes), and a bracket is done once the part's two counted signs
 differ and all the counted signs it knows show one sign change: where the
 cuts' rows see one sign change they reach that part, and report its
-midpoint as the same float.  A probe sign
-that does not count, a second sign change, a guess off the bracket or
-three rounds without a zero hand the bracket to the cuts' whole rows, from
-the deepest part of the cuts that holds what the probes left of it; no
-point is read twice.  A bracket at least 2 ``tol`` wide none of whose inner
-signs counts is refused (exit 2), and so is a grid of more than 2^20
-points, before any row is evaluated.  The count is that of the sign
-changes seen, not a certified count of zeros: a zero pair inside one grid
-cell goes unseen, and so does a zero pair between two neighbouring probes
-of one sign in a bracket with a third zero, which the cuts' whole rows
-would see wherever one of their points fell between the pair.
+midpoint as the same float.  A probe sign that does not count, a second
+sign change, a guess off the bracket or three rounds without a zero hand
+the bracket to the cuts' whole rows from the bracket itself, which take
+the points the probes read from them, so that no point is read twice.  A
+bracket at least 2 ``tol`` wide none of whose inner signs counts is
+refused (exit 2), and so is a grid of more than 2^20 points, before any
+row is evaluated.  The count is that of the sign changes seen, not a
+certified count of zeros: a zero pair inside one grid cell goes unseen,
+and so does a zero pair between two neighbouring probes of one sign in a
+bracket with a third zero, which the cuts' whole rows would see wherever
+one of their points fell between the pair.
 """
 
 from __future__ import annotations
@@ -607,25 +607,23 @@ def _levels(width: float, stop: float, tol: float) -> list[tuple[int, float]]:
 
 
 def _cells(a: np.ndarray, b: np.ndarray, levels: list[tuple[int, float]],
-           x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ends of the cell that holds x, a <= x < b, at each level of the
-    nested cuts of the brackets [a, b].  Point j of a level's cuts of a cell
-    [lo, hi] is lo for j = 0 and (lo + h) + h (j - 1) after, the floats that
-    level's row holds, and its last cell ends at hi."""
-    lo, hi, cells = a, b, []
+           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ends of the finest cell of the nested cuts of the brackets [a, b]
+    that holds x, a <= x < b.  Point j of a level's cuts of a cell [lo, hi]
+    is lo for j = 0 and (lo + h) + h (j - 1) after, the floats that level's
+    row holds, and its last cell ends at hi."""
+    lo, hi = a, b
     for m, h in levels:
         def ends(k: np.ndarray, lo: np.ndarray = lo, hi: np.ndarray = hi, start=lo + h):
             return (np.where(k > 0, start + h * (k - 1), lo),
                     np.where(k < m - 1, start + h * k, hi))
 
         k = np.minimum(np.floor((x - lo) / h), m - 1)
-        left, right = ends(k)
-        off = (right <= x).astype(float) - (left > x)
+        lo, hi = ends(k)
+        off = (hi <= x).astype(float) - (lo > x)
         if off.any():  # the rounded quotient is at most one cell off
-            left, right = ends(k + off)
-        lo, hi = left, right
-        cells.append((lo, hi))
-    return cells
+            lo, hi = ends(k + off)
+    return lo, hi
 
 
 def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -650,7 +648,7 @@ def _read_rows(a: np.ndarray, h: float, m: int,
 
 
 def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float,
-           tol: float) -> tuple[list[float], list[tuple[np.ndarray, np.ndarray, np.ndarray]], dict]:
+           tol: float) -> tuple[list[float], _Group | None, dict]:
     """Up to three rounds of probes on the finest of the nested cuts
     (``_refined_zeros``) of each bracket [a, a + width].
 
@@ -662,21 +660,17 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
     shows a second sign change; its ordinate is the cell's left end plus
     h/2, the float the cuts report.  A sign that does not count, a second
     sign change, a guess off [lo, hi) (or not a number) or three rounds
-    without a zero leave the bracket to the cuts' rows, from the deepest
-    node of the cuts that holds [lo, hi] if that node's ends count with the
-    signs of a's and b's (read unless known), else from the bracket itself.
+    without a zero leave the bracket to the cuts' rows from itself.
 
-    Returns the ordinates found; those nodes, as (left ends, values there,
-    values at the right ends) at each level from the bracket's own down;
-    and each point the brackets left to the rows know, with its value and
-    whether its sign counts."""
+    Returns the ordinates found; the brackets left, as one group (None if
+    none is left); and each point read, with its value and whether its sign
+    counts (none if no bracket is left)."""
     levels = _levels(width, stop, tol)
     h = levels[-1][1]
     b = a + width
     lo, flo, hi, fhi = a.copy(), fa.copy(), b.copy(), fb.copy()  # the counted signs nearest a zero
     side = np.sign(fa)
-    live = np.ones(a.size, dtype=bool)
-    solved, clashed = np.zeros(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
+    live, solved = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
     reads, found = [], []
     x = _secant(a, fa, b, fb)  # regula falsi
     for _ in range(3):
@@ -686,22 +680,19 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
         if not i.size:
             break
         lo_i, hi_i = lo[i], hi[i]
-        p, q = _cells(a[i], b[i], levels, x[i])[-1]
+        p, q = _cells(a[i], b[i], levels, x[i])
         new_p, new_q = p != lo_i, q != hi_i  # lo and hi are known
         points = np.concatenate([p[new_p], q[new_q]])
         _, f, ok = (v.ravel() for v in _scan_rows(points, h, 1))
-        reads.append((np.concatenate([i[new_p], i[new_q]]), points, f, ok))
+        reads.append((points, f, ok))
         n = int(new_p.sum())
         fp, fq, okp, okq = flo[i], fhi[i], np.ones(i.size, dtype=bool), np.ones(i.size, dtype=bool)
         fp[new_p], okp[new_p], fq[new_q], okq[new_q] = f[:n], ok[:n], f[n:], ok[n:]
-        # lo moves to the last counted sign of a's, hi to the first of b's,
-        # unless b's at p and a's at q show more sign changes; p and q
-        # counting with a's and b's sign bracket the zero
+        # lo moves to the last counted sign of a's, hi to the first of b's;
+        # p and q counting with a's and b's sign bracket the zero, with b's
+        # and a's they show a second sign change
         west_p, west_q = np.sign(fp) == side[i], np.sign(fq) == side[i]
         a_p, a_q, b_p, b_q = okp & west_p, okq & west_q, okp & ~west_p, okq & ~west_q
-        clash = b_p & a_q
-        clashed[i[clash]] = True
-        a_q, b_p = a_q & ~clash, b_p & ~clash
         lo[i] = np.where(a_q, q, np.where(a_p, p, lo_i))
         flo[i] = np.where(a_q, fq, np.where(a_p, fp, flo[i]))
         hi[i] = np.where(b_p, p, np.where(b_q, q, hi_i))
@@ -709,36 +700,15 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
         done = a_p & b_q
         found += (p[done] + 0.5 * h).tolist()
         solved[i[done]] = True
-        live[i] = okp & okq & ~clash & ~done
+        live[i] = okp & okq & ~(b_p & a_q) & ~done
         x[i] = _secant(p, fp, q, fq)
-    j = np.flatnonzero(~solved)  # the brackets the safeguard takes
+    j = np.flatnonzero(~solved)
     if not j.size:
-        return found, [], {}
+        return found, None, {}
     seen = {}
-    for rows, t, f, ok in reads:
-        keep = ~solved[rows]
-        seen.update(zip(t[keep].tolist(), zip(f[keep].tolist(), ok[keep].tolist())))
-    seen.update(zip(a[j].tolist(), ((v, True) for v in fa[j].tolist())))
-    seen.update(zip(b[j].tolist(), ((v, True) for v in fb[j].tolist())))
-    # each goes on from the deepest node of the cuts that holds [lo, hi], if
-    # its ends count with the signs of the bracket's, else from the bracket
-    cells = _cells(a[j], b[j], levels, lo[j])
-    depth = np.cumprod([hi[j] <= right for _, right in cells], axis=0).sum(axis=0)
-    depth[clashed[j]] = 0
-    ends = []
-    for end, whole in ((0, a[j]), (1, b[j])):
-        node = np.array([whole] + [cell[end] for cell in cells])
-        ends.append(node[depth, np.arange(j.size)])
-    unread = [t for t in ends[0].tolist() + ends[1].tolist() if t not in seen]
-    if unread:
-        _, f, ok = (v.ravel() for v in _scan_rows(np.array(unread), h, 1))
-        seen.update(zip(unread, zip(f.tolist(), ok.tolist())))
-    (fl, okl), (fr, okr) = (np.array([seen[t] for t in end.tolist()]).T for end in ends)
-    good = okl.astype(bool) & okr.astype(bool) & (np.sign(fl) == side[j]) & (np.sign(fr) != side[j])
-    depth[~good] = 0
-    fl[~good], fr[~good], ends[0][~good] = fa[j][~good], fb[j][~good], a[j][~good]
-    return found, [(ends[0][depth == d], fl[depth == d], fr[depth == d])
-                   for d in range(depth.max() + 1)], seen
+    for t, f, ok in reads:
+        seen.update(zip(t.tolist(), zip(f.tolist(), ok.tolist())))
+    return found, (a[j], fa[j], fb[j], width, stop), seen
 
 
 def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
@@ -751,26 +721,25 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
     the midpoints are reported (then h > tol/2 for brackets with no dropped
     point).  A group is probed first (``_probe``), two points a bracket a
     round on the finest of those cuts.  The brackets the probes leave go on
-    by the cuts' rows from the node the probes name, a point read once
-    taking its value from then on; each node joins the cuts at its level,
-    after the parts of other widths the level above made, as the cuts from
-    the bracket itself would reach it.  A bracket at least 2 tol wide none
-    of whose inner signs counts is refused: refining it again would not
-    narrow it."""
+    by the cuts' rows from themselves, a point the probes read taking its
+    value from them; the stack is depth-first, so a group's cuts are done
+    before the next group is probed.  A bracket at least 2 tol wide none of
+    whose inner signs counts is refused: refining it again would not narrow
+    it."""
     zeros: list[float] = []
-    stack: list[tuple[_Group, list | None]] = [(group, None) for group in groups]
+    stack = [(group, True) for group in groups]  # a group and whether to probe it first
     seen: dict = {}
     while stack:
-        (a, fa, fb, h, stop), later = stack.pop()
+        (a, fa, fb, h, stop), probe = stack.pop()
         if h <= stop:
             zeros += (a + 0.5 * h).tolist()
             continue
-        if later is None:
-            found, later, seen = _probe(a, fa, fb, h, stop, tol)
+        if probe:
+            found, left, seen = _probe(a, fa, fb, h, stop, tol)
             zeros += found
-            if not later:
-                continue
-            a, fa, fb = later.pop(0)
+            if left is not None:
+                stack.append((left, False))
+            continue
         m, h = _levels(h, stop, tol)[0]
         t, f, ok = _read_rows(a + h, h, m - 1, seen)
         lost = ~ok.any(axis=1)
@@ -781,13 +750,7 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
         ends = np.ones((a.size, 1), dtype=bool)
         parts = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
                           np.column_stack([ends, ok, ends]), h, tol)
-        if later:  # the parts one cell wide join the nodes the probes left at the next level
-            ones = [part for part in parts if part[3] == h] + [(*later[0], h, tol)]
-            parts = [part for part in parts if part[3] != h]
-            a, fa, fb = (np.concatenate([part[k] for part in ones]) for k in range(3))
-            order = np.argsort(a, kind="stable")
-            stack.append(((a[order], fa[order], fb[order], h, tol), later[1:]))
-        stack += [(part, []) for part in parts]
+        stack += [(part, False) for part in parts]
     return zeros
 
 
@@ -804,10 +767,11 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     brackets of one width (up to 1024 at a time) are refined together down
     to width ``tol`` on nested cuts of up to 32 parts a level, which up to
     three rounds of two probes a bracket search first, and reported by the
-    midpoints of their final parts (``_refined_zeros``): Z is continuous,
-    so each ordinate lies within ``tol`` of a zero between two counted
-    signs.  A scan of more than 2^20 grid points
-    (t_max above about 52,429) is refused before any row is evaluated.
+    midpoints of their final parts (``_refined_zeros``); a bracket the
+    probes leave is cut from itself.  Z is continuous, so each ordinate
+    lies within ``tol`` of a zero between two counted signs.  A scan of more
+    than 2^20 grid points (t_max above about 52,429) is refused before any
+    row is evaluated.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
