@@ -8,7 +8,9 @@ constrained span of b_k(t) = {t / l_k} is
 with G, g, c from the Gram system (the weight has total mass 1, so
 |1|^2 = 1).  The constraint is eliminated through an orthonormal basis Z of
 the hyperplane c-perp (a fixed Householder reflector, so the solve order is
-deterministic and results are reproducible bit for bit).  The reduced Gram
+deterministic and results are reproducible bit for bit at one BLAS thread
+count; the BLAS products, ``eigvalsh`` and the solve may round differently
+under another, within ``certified_error``).  The reduced Gram
 R = Z^T G Z must be positive definite: its eigenvalues give
 ``gram_condition`` = lambda_max / lambda_min, one LU solve of R y = Z^T g
 gives h = Z y, and an R with lambda_min <= 0 or a non-finite eigenvalue

@@ -141,9 +141,9 @@ A sign counts only where the value's magnitude exceeds its claim, which is
 positive, so no counted sign is 0: a point whose sign does not count is
 dropped, so that its two neighbours bracket across it.  The scan is one
 pass of such calls: one for the grid's whole rows, the last row's points
-past ``t_max`` dropped, then, for each group of brackets (neighbours of
-opposite sign, grouped by width, up to 1024 at a time), up to three rounds
-of probes and the rows of the brackets the probes leave.
+past ``t_max`` dropped, then up to three rounds of probes for each group
+of brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
+time), then the rows of the brackets the probes leave.
 
 A bracket's zero is located on nested cuts: each level cuts it into at
 most 32 equal parts, keeps every part whose ends' counted signs differ,
@@ -157,8 +157,10 @@ differ and all the counted signs it knows show one sign change: where the
 cuts' rows see one sign change they reach that part, and report its
 midpoint as the same float.  A probe sign that does not count, a second
 sign change, a guess off the bracket or three rounds without a zero hand
-the bracket to the cuts' whole rows from the bracket itself, which take
-the points the probes read from them, so that no point is read twice.  A
+the bracket to the cuts' whole rows from the bracket itself.  Those rows
+may read again up to the 6 points the probes read there, in a call whose
+claim may differ: each read counts by its own claim, so a point may count
+in one read and not in another, but two counted reads have one sign.  A
 bracket at least 2 ``tol`` wide none of whose inner signs counts is
 refused (exit 2), and so is a grid of more than 2^20 points, before any
 row is evaluated.  The count is that of the sign changes seen, not a
@@ -272,9 +274,12 @@ def _rs_tables() -> tuple[np.ndarray, float, float]:
 
 
 def _log_r0(s: complex) -> float:
-    """ln(|s - 1| |B_2|/2! |s| |s+1| / (sigma+1)), W's R_0 times N^{sigma+1}."""
+    """ln(|s - 1| |B_2|/2! |s| |s+1| / (sigma+1)), W's R_0 times N^{sigma+1};
+    |B_2|/2! |s| / (sigma+1), 0 in floats at a subnormal s, is raised to the
+    least subnormal, which only over-states R_0."""
     log_r = math.log(abs(s - 1.0)) if s != 1.0 else -math.inf
-    return log_r + math.log(_EM_COEF[1] * abs(s) / (s.real + 1.0)) + math.log(abs(s + 1.0))
+    head = max(_EM_COEF[1] * abs(s) / (s.real + 1.0), 5e-324)
+    return log_r + math.log(head) + math.log(abs(s + 1.0))
 
 
 def _em_terms(s: complex, target: float) -> int:
@@ -632,23 +637,8 @@ def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> n
         return x0 - f0 * (x1 - x0) / (f1 - f0)
 
 
-def _read_rows(a: np.ndarray, h: float, m: int,
-               seen: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_scan_rows`` at the points a_r + j h, j < m, except that a point in
-    ``seen`` is not read again but takes its value and count from there; the
-    others are then read one point a row."""
-    t = np.add.outer(a, h * np.arange(m))
-    old = np.array([x in seen for x in t.ravel().tolist()], dtype=bool).reshape(t.shape)
-    if not old.any():
-        return _scan_rows(a, h, m)
-    f, ok = np.empty(t.shape), np.empty(t.shape, dtype=bool)
-    f[old], ok[old] = zip(*(seen[x] for x in t[old].tolist()))
-    _, f[~old], ok[~old] = (v.ravel() for v in _scan_rows(t[~old], h, 1))
-    return t, f, ok
-
-
 def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float,
-           tol: float) -> tuple[list[float], _Group | None, dict]:
+           tol: float) -> tuple[list[float], list[_Group]]:
     """Up to three rounds of probes on the finest of the nested cuts
     (``_refined_zeros``) of each bracket [a, a + width].
 
@@ -660,18 +650,19 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
     shows a second sign change; its ordinate is the cell's left end plus
     h/2, the float the cuts report.  A sign that does not count, a second
     sign change, a guess off [lo, hi) (or not a number) or three rounds
-    without a zero leave the bracket to the cuts' rows from itself.
+    without a zero leave the bracket to the cuts' rows from itself, which
+    may read the points the probes read again, each read counting by its
+    own claim.
 
-    Returns the ordinates found; the brackets left, as one group (None if
-    none is left); and each point read, with its value and whether its sign
-    counts (none if no bracket is left)."""
+    Returns the ordinates found and the brackets left, as a list of at most
+    one group."""
     levels = _levels(width, stop, tol)
     h = levels[-1][1]
     b = a + width
     lo, flo, hi, fhi = a.copy(), fa.copy(), b.copy(), fb.copy()  # the counted signs nearest a zero
     side = np.sign(fa)
     live, solved = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
-    reads, found = [], []
+    found = []
     x = _secant(a, fa, b, fb)  # regula falsi
     for _ in range(3):
         i = np.flatnonzero(live)
@@ -682,9 +673,7 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
         lo_i, hi_i = lo[i], hi[i]
         p, q = _cells(a[i], b[i], levels, x[i])
         new_p, new_q = p != lo_i, q != hi_i  # lo and hi are known
-        points = np.concatenate([p[new_p], q[new_q]])
-        _, f, ok = (v.ravel() for v in _scan_rows(points, h, 1))
-        reads.append((points, f, ok))
+        _, f, ok = (v.ravel() for v in _scan_rows(np.concatenate([p[new_p], q[new_q]]), h, 1))
         n = int(new_p.sum())
         fp, fq, okp, okq = flo[i], fhi[i], np.ones(i.size, dtype=bool), np.ones(i.size, dtype=bool)
         fp[new_p], okp[new_p], fq[new_q], okq[new_q] = f[:n], ok[:n], f[n:], ok[n:]
@@ -703,54 +692,45 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
         live[i] = okp & okq & ~(b_p & a_q) & ~done
         x[i] = _secant(p, fp, q, fq)
     j = np.flatnonzero(~solved)
-    if not j.size:
-        return found, None, {}
-    seen = {}
-    for t, f, ok in reads:
-        seen.update(zip(t.tolist(), zip(f.tolist(), ok.tolist())))
-    return found, (a[j], fa[j], fb[j], width, stop), seen
+    return found, [(a[j], fa[j], fb[j], width, stop)] if j.size else []
 
 
 def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
     """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
-    width at which to stop (``_brackets``), one group at a time.
+    width at which to stop (``_brackets``).
 
     The nested cuts: each level cuts every bracket of a group into the
     fewest equal parts narrower than ``tol``, at most _ROW, reads one row per
     bracket and applies the grid's rule; once h is at most the stop width
     the midpoints are reported (then h > tol/2 for brackets with no dropped
-    point).  A group is probed first (``_probe``), two points a bracket a
-    round on the finest of those cuts.  The brackets the probes leave go on
-    by the cuts' rows from themselves, a point the probes read taking its
-    value from them; the stack is depth-first, so a group's cuts are done
-    before the next group is probed.  A bracket at least 2 tol wide none of
-    whose inner signs counts is refused: refining it again would not narrow
-    it."""
+    point).  Every group is probed first (``_probe``), two points a bracket
+    a round on the finest of those cuts, and the brackets the probes leave
+    go on by the cuts' rows from themselves, depth-first, the last group's
+    first.  A point of those rows may have been read by a probe; each read
+    counts by its own claim, and two counted reads of one point have one
+    sign.  A bracket at least 2 tol wide none of whose inner signs counts is
+    refused: refining it again would not narrow it."""
     zeros: list[float] = []
-    stack = [(group, True) for group in groups]  # a group and whether to probe it first
-    seen: dict = {}
+    stack: list[_Group] = []
+    for group in groups:
+        found, left = _probe(*group, tol) if group[3] > group[4] else ([], [group])
+        zeros += found
+        stack += left
     while stack:
-        (a, fa, fb, h, stop), probe = stack.pop()
+        a, fa, fb, h, stop = stack.pop()
         if h <= stop:
             zeros += (a + 0.5 * h).tolist()
             continue
-        if probe:
-            found, left, seen = _probe(a, fa, fb, h, stop, tol)
-            zeros += found
-            if left is not None:
-                stack.append((left, False))
-            continue
         m, h = _levels(h, stop, tol)[0]
-        t, f, ok = _read_rows(a + h, h, m - 1, seen)
+        t, f, ok = _scan_rows(a + h, h, m - 1)
         lost = ~ok.any(axis=1)
         if m > 2 and lost.any():
             start = float(a[lost][0])
             raise PrecisionUnreachable(f"no sign inside [{start!r}, {start + m * h!r}] counts: "
                                        f"no value there exceeds its error claim")
         ends = np.ones((a.size, 1), dtype=bool)
-        parts = _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
-                          np.column_stack([ends, ok, ends]), h, tol)
-        stack += [(part, False) for part in parts]
+        stack += _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
+                           np.column_stack([ends, ok, ends]), h, tol)
     return zeros
 
 

@@ -60,6 +60,25 @@ def test_fe_check_at_and_beside_zero_and_one(re):
         assert result["residual"] == 0.0
 
 
+@pytest.mark.parametrize("argv", [["zeta", "--re", "5e-324"], ["zeta", "--re", "1e-323"],
+                                  ["xi", "--re", "5e-324"], ["fe-check", "--re", "5e-324"]],
+                         ids=" ".join)
+def test_subnormal_s_is_within_its_claim(argv):
+    # at a subnormal s the factor |B_2|/2! |s| / (sigma + 1) of W's R_0
+    # underflowed to 0, and its logarithm raised ValueError out of run
+    result = invoke_json(argv)["result"]
+    if argv[0] == "fe-check":
+        assert result["residual"] <= result["abs_error_bound"]
+        return
+    with mpmath.workdps(40):
+        s = mpmath.mpf(float(argv[2]))
+        exact = mpmath.zeta(s)
+        if argv[0] == "xi":
+            exact *= s * (s - 1) / 2 * mpmath.pi ** (-s / 2) * mpmath.gamma(s / 2)
+        err = float(abs(mpmath.mpc(result["re"], result["im"]) - exact))
+    assert err <= result["abs_error_estimate"], err
+
+
 def test_zeros_refuses_a_tol_finer_than_the_xi_claims():
     # below t = 200 a sign of xi counts only where |Re xi| exceeds its claim:
     # next to the zero at 82.91 no sign inside a bracket 8.7e-12 wide counts
