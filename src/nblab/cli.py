@@ -78,7 +78,9 @@ _SWEEP_KEYS = ("distance", "theta_log_sum", "gap", "gram_condition", "certified_
 def _sweep_family(args: argparse.Namespace, n_max: int) -> tuple[list[float], str]:
     """The ascending dilation list ``--family`` names, long enough for N up
     to n_max, and its label: 1..n_max, ratio^0..ratio^(n_max - 1), or the
-    whole ``--dilations`` list."""
+    whole ``--dilations`` list; refused before it is built where n_max is
+    above the Gram build's budget."""
+    _gram._check_size(n_max)
     if args.family == "integers":
         return [float(k) for k in range(1, n_max + 1)], "integers"
     if args.family == "geometric":

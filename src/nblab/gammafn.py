@@ -127,6 +127,8 @@ def _require_finite(s: complex) -> complex:
     s = complex(s)
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite argument {s!r}")
+    if math.hypot(s.real, s.imag) == math.inf:  # where abs(s) raises OverflowError
+        raise PrecisionUnreachable(f"|s| at s = {s!r} overflows double precision")
     return s
 
 
@@ -156,9 +158,12 @@ def loggamma_right(z: complex) -> tuple[complex, float]:
 
 
 def _cexp(w: complex) -> complex:
-    """cmath.exp, raising PrecisionUnreachable where the value overflows."""
+    """cmath.exp, raising PrecisionUnreachable where the value overflows or
+    where w, a log part, has itself overflowed (nan, or an infinite phase)."""
     if w.real > _LOG_MAX:
         raise PrecisionUnreachable(f"exp({w!r}) overflows double precision")
+    if math.isnan(w.real) or not math.isfinite(w.imag):
+        raise PrecisionUnreachable(f"the log part {w!r} overflows double precision")
     return cmath.exp(w)
 
 

@@ -108,6 +108,13 @@ __all__ = ["GramSystem", "gram_system", "pair_product_integral"]
 #: largest denominator h/k at which the closed form is evaluated
 DENOMINATOR_CAP = 2**20
 
+#: most dilations of one Gram build, refused before its first pass so that no
+#: build exhausts memory.  Peak RSS of ``sweep --family integers --n N`` at one
+#: BLAS thread (Python 3.11, numpy 2.4, 2-core x86-64): 36 MB at N = 200,
+#: 87 MB at 800, 262 MB at 1600, 556 MB at 2400 and 970 MB at 3200, about
+#: 36 MB + 91 N^2 bytes, so about 2.3 GB at this cap (extrapolated)
+MAX_DILATIONS = 5000
+
 #: certified roundoff of a closed-form entry, per unit of summed magnitude
 _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
 
@@ -211,6 +218,13 @@ def _reduced_ratio(a: float, b: float, target_entry_error: float) -> tuple[int, 
                                f"{DENOMINATOR_CAP} for {target_entry_error:g}")
 
 
+def _check_size(n: int) -> None:
+    """Refuse a Gram build of n dilations, more than ``MAX_DILATIONS``."""
+    if n > MAX_DILATIONS:
+        raise PrecisionUnreachable(f"a Gram build of {n} dilations holds more than the "
+                                   f"{MAX_DILATIONS} one build may hold")
+
+
 def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric matrices of I(l_i, l_j) and its certified bound over
     the upper triangle of ``dils``, row by row, in three passes (module
@@ -311,11 +325,13 @@ def gram_system(dilations, target_entry_error: float) -> GramSystem:
     The upper triangle is evaluated row by row in one pass of each kind
     (module docstring), not by one ``pair_product_integral`` call per
     entry, with the same values and bounds; DuplicateDilation is raised
-    when two dilations coincide within relative 1e-12.
+    when two dilations coincide within relative 1e-12, and
+    PrecisionUnreachable for more than ``MAX_DILATIONS``.
     """
     dils = [_checked_dilation(l) for l in dilations]
     if not dils:
         raise DomainError("at least one dilation is required")
+    _check_size(len(dils))
     for x, y in zip(dils, dils[1:]):
         if y < x:
             raise DomainError("dilations must be ascending")

@@ -149,25 +149,25 @@ A bracket's zero is located on nested cuts: each level cuts it into at
 most 32 equal parts, keeps every part whose ends' counted signs differ,
 and stops once the parts are at most ``tol`` wide (2 ``tol`` for a bracket
 across a dropped point); each final part's midpoint is reported, within
-``tol`` of a zero between two counted signs.  A probe round reads, one
-point a row, the two ends of the finest part of those cuts that holds a
-guess (regula falsi on the bracket's ends, then the secant through the
-last two probes), and a bracket is done once the part's two counted signs
-differ and all the counted signs it knows show one sign change: where the
-cuts' rows see one sign change they reach that part, and report its
-midpoint as the same float.  A probe sign that does not count, a second
-sign change, a guess off the bracket or three rounds without a zero hand
-the bracket to the cuts' whole rows from the bracket itself.  Those rows
-may read again up to the 6 points the probes read there, in a call whose
-claim may differ: each read counts by its own claim, so a point may count
-in one read and not in another, but two counted reads have one sign.  A
-bracket at least 2 ``tol`` wide none of whose inner signs counts is
-refused (exit 2), and so is a grid of more than 2^20 points, before any
-row is evaluated.  The count is that of the sign changes seen, not a
-certified count of zeros: a zero pair inside one grid cell goes unseen,
-and so does a zero pair between two neighbouring probes of one sign in a
-bracket with a third zero, which the cuts' whole rows would see wherever
-one of their points fell between the pair.
+``tol`` of a zero between two counted signs.  A probe round reads the
+finest part of those cuts that holds a guess (regula falsi on the
+bracket's ends, then the secant through the last two probes) as one
+two-point row, from its left end p to p + h, and a bracket is done once
+the part's two counted signs differ and all the counted signs it knows
+show one sign change: where the cuts' rows see one sign change they reach
+that part, and report its midpoint as the same float.  A probe sign that
+does not count, a second sign change, a guess off the bracket or three
+rounds without a zero hand the bracket to the cuts' whole rows from the
+bracket itself.  Those rows may read again up to the 6 points the probes
+read there, in a call whose claim may differ: each read counts by its own
+claim, so a point may count in one read and not in another, but two
+counted reads have one sign.  A bracket at least 2 ``tol`` wide none of
+whose inner signs counts is refused (exit 2), and so is a grid of more
+than 2^20 points, before any row is evaluated.  The count is that of the
+sign changes seen, not a certified count of zeros: a zero pair inside one
+grid cell goes unseen, and so does a zero pair between two neighbouring
+probes of one sign in a bracket with a third zero, which the cuts' whole
+rows would see wherever one of their points fell between the pair.
 """
 
 from __future__ import annotations
@@ -188,6 +188,7 @@ __all__ = ["zeta", "xi", "functional_equation_residual", "find_critical_zeros"]
 
 _LN2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 #: most terms of W's head sum, so that its arrays stay within 16 MiB; past
 #: |s| ~ 3.3e6 no M then brings R_M near a small target, and a call whose
@@ -333,6 +334,8 @@ def _weighted_pole_product(
                                        f"{remainder / target:.3g} times the target with the "
                                        f"most terms, {n}")
     log_n, ln_n = math.log(n), np.log(np.arange(1.0, n))
+    if abs(top.imag) > _HUGE / log_n:
+        raise PrecisionUnreachable(f"the phases t ln n at s = {top!r} overflow double precision")
     amp = np.exp(-sigma * ln_n)
     # c eps, with eps first, so that no product of two huge |s| overflows
     c = _EPS * (1.5 * sigma + (1.5 if offsets is None else 2.0) * abs(top.imag))
@@ -366,7 +369,7 @@ def _zeta_reflect(s: complex, target: float) -> tuple[complex, float, int]:
     claim, the product of the three factors' error discs (module docstring)."""
     w = 0.5 * math.pi * s
     # |sin w| <= cosh(Im w) bounds it and its error; past e^709 neither is representable
-    if abs(w.imag) > _LOG_MAX:
+    if not (abs(w.imag) <= _LOG_MAX and math.isfinite(w.real)):
         raise PrecisionUnreachable(f"reflection factor at s = {s!r} overflows double precision")
     log_gamma, log_err = loggamma_right(1.0 - s)
     log_2, log_pi = s * _LN2, (s - 1.0) * _LOG_PI
@@ -436,6 +439,8 @@ def xi(s: complex) -> ComplexEvalReport:
     prefactor = _cexp(log_part)
     if abs(prefactor) < _TINY:
         raise PrecisionUnreachable(f"xi at {s!r} underflows double precision")
+    if not log_err < 700.0:  # log_err e^log_err, in the claim, overflows from about 703
+        raise PrecisionUnreachable(f"xi at {s!r} or its error claim overflows double precision")
     w_val, w_err, n = _weighted_pole_product(s)
     value = prefactor * w_val
     # |xi| times the relative errors of e^{log_part} and of W, plus 8 eps tiny
@@ -642,24 +647,24 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
     """Up to three rounds of probes on the finest of the nested cuts
     (``_refined_zeros``) of each bracket [a, a + width].
 
-    A round reads, one point a row, the two ends of the finest cell that
-    holds a guess, those not known before: regula falsi on the bracket's
-    ends first, then the secant through the last round's two ends.  Counted
-    signs narrow [lo, hi], the known counted signs nearest the zero, and a
-    bracket is done once its cell's two signs count and differ and none
-    shows a second sign change; its ordinate is the cell's left end plus
-    h/2, the float the cuts report.  A sign that does not count, a second
+    A round reads the finest cell that holds a guess as one two-point row,
+    its left end p and p + h, in one call for the whole group: the guess is
+    regula falsi on the bracket's ends first, then the secant through the
+    last round's two ends.  Counted signs narrow [lo, hi], the known counted
+    signs nearest the zero, and a bracket is done once its cell's two signs
+    count and differ and none shows a second sign change; its ordinate is p
+    + h/2, the float the cuts report.  A sign that does not count, a second
     sign change, a guess off [lo, hi) (or not a number) or three rounds
     without a zero leave the bracket to the cuts' rows from itself, which
-    may read the points the probes read again, each read counting by its
-    own claim.
+    may read the points the probes read again, each read counting by its own
+    claim.
 
     Returns the ordinates found and the brackets left, as a list of at most
     one group."""
     levels = _levels(width, stop, tol)
     h = levels[-1][1]
     b = a + width
-    lo, flo, hi, fhi = a.copy(), fa.copy(), b.copy(), fb.copy()  # the counted signs nearest a zero
+    lo, hi = a.copy(), b.copy()  # the counted signs nearest a zero
     side = np.sign(fa)
     live, solved = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
     found = []
@@ -670,22 +675,15 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
         live[i[~on]], i = False, i[on]
         if not i.size:
             break
-        lo_i, hi_i = lo[i], hi[i]
-        p, q = _cells(a[i], b[i], levels, x[i])
-        new_p, new_q = p != lo_i, q != hi_i  # lo and hi are known
-        _, f, ok = (v.ravel() for v in _scan_rows(np.concatenate([p[new_p], q[new_q]]), h, 1))
-        n = int(new_p.sum())
-        fp, fq, okp, okq = flo[i], fhi[i], np.ones(i.size, dtype=bool), np.ones(i.size, dtype=bool)
-        fp[new_p], okp[new_p], fq[new_q], okq[new_q] = f[:n], ok[:n], f[n:], ok[n:]
+        t, f, ok = _scan_rows(_cells(a[i], b[i], levels, x[i])[0], h, 2)
+        (p, q), (fp, fq), (okp, okq) = t.T, f.T, ok.T
         # lo moves to the last counted sign of a's, hi to the first of b's;
         # p and q counting with a's and b's sign bracket the zero, with b's
         # and a's they show a second sign change
         west_p, west_q = np.sign(fp) == side[i], np.sign(fq) == side[i]
         a_p, a_q, b_p, b_q = okp & west_p, okq & west_q, okp & ~west_p, okq & ~west_q
-        lo[i] = np.where(a_q, q, np.where(a_p, p, lo_i))
-        flo[i] = np.where(a_q, fq, np.where(a_p, fp, flo[i]))
-        hi[i] = np.where(b_p, p, np.where(b_q, q, hi_i))
-        fhi[i] = np.where(b_p, fp, np.where(b_q, fq, fhi[i]))
+        lo[i] = np.where(a_q, q, np.where(a_p, p, lo[i]))
+        hi[i] = np.where(b_p, p, np.where(b_q, q, hi[i]))
         done = a_p & b_q
         found += (p[done] + 0.5 * h).tolist()
         solved[i[done]] = True

@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -315,6 +316,19 @@ def test_sweep_builds_the_gram_system_once(monkeypatch):
         ["zeta", "--re", "0.5", "--im", "1e7", "--target", "1e-3"],
         # left of the critical line xi is taken at 1 - s, and underflows there too
         ["xi", "--re", "-1", "--im", "950"],
+        # the phase of ln Gamma(s/2 + 1) overflows
+        ["xi", "--re", "0.5", "--im", "1e306"],
+        ["xi", "--re", "0", "--im", "1e308"],
+        # the phases t ln n of W's head overflow
+        ["xi", "--re", "700", "--im", "1e308"],
+        ["zeta", "--re", "700", "--im", "1e308", "--target", "1"],
+        # e^c for ln Gamma's claim c overflows
+        ["xi", "--re", "1e200", "--im", "1e200"],
+        # pi s / 2 overflows
+        ["zeta", "--re", "-1.7e308", "--target", "1"],
+        ["fe-check", "--re", "1.7e308"],
+        # |s| overflows
+        ["xi", "--re", "1.7e308", "--im", "1e308"],
     ],
 )
 def test_reflection_overflow_is_precision_failure(argv):
@@ -410,6 +424,27 @@ def test_gram_precision_failure_names_the_dilations():
     assert code == EXIT_PRECISION
     assert "1.0000001" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--family", "integers", "--n", "100000000000"],
+        ["sweep", "--family", "geometric", "--ratio", "1.0000000000000002", "--n", "100000000000"],
+        ["sweep", "--family", "integers", "--n", "20000"],
+    ],
+)
+def test_a_sweep_above_the_gram_budget_is_refused_before_its_family(argv):
+    # refused before the family or its Gram system is built, so the peak stays small
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_PRECISION and out == ""
+    assert "more than the 5000 one build may hold" in err
+    assert peak < 1e6
 
 
 def test_sweep_unknown_family_is_usage_error():

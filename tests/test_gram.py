@@ -477,3 +477,17 @@ def test_build_holds_one_cot_vector_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+def test_gram_system_refuses_a_build_above_its_budget(monkeypatch):
+    # a sweep to N = 5000 stays within the budget
+    assert gram_module.MAX_DILATIONS >= 5000
+    monkeypatch.setattr(gram_module, "MAX_DILATIONS", 3)
+    gram_system([1.0, 2.0, 3.0], 1e-9)
+
+    def no_pass(*args):
+        raise AssertionError("a refused build evaluated entries")
+
+    monkeypatch.setattr(gram_module, "_gram_entries", no_pass)
+    with pytest.raises(PrecisionUnreachable, match="4 dilations holds more than the 3"):
+        gram_system([1.0, 2.0, 3.0, 4.0], 1e-9)

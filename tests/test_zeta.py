@@ -646,12 +646,14 @@ def test_a_zero_beside_a_point_that_does_not_count_is_found(monkeypatch):
 
 
 def test_probes_read_at_most_eight_points_an_ordinate(monkeypatch):
-    # the nested cuts read 31 + 31 + 31 + 1 = 94 points a bracket at 1e-6
+    # the nested cuts read 31 + 31 + 31 + 1 = 94 points a bracket at 1e-6;
+    # a probe round reads its cell's two ends as one row
     reads = spy_on_reads(monkeypatch)
     zeros = find_critical_zeros(500.0, 1e-6)
     grid, refinement = reads[0].size, sum(t.size for t in reads[1:])
     assert (grid, len(zeros)) == (10016, 269)
     assert refinement <= 8 * len(zeros)
+    assert sum(t.shape[0] for t in reads[1:]) <= 3 * len(zeros)
 
 
 @pytest.mark.parametrize("t_max, tol", [(300.0, 1e-8), (199.9, 1e-9), (2000.0, 1e-6)])
