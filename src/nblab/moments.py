@@ -37,11 +37,41 @@ merge; ``_abs_power_head`` evaluates phi at the midpoints into buffers it
 reuses from window to window.  Only the p < 2 norms walk it: the p = 2
 norm is the Gram quadratic form h^T G h, and Gram entries come from a
 closed form.
+
+The mean-value tail.  Past T the integral of a p < 2 norm lies in [0, R/T],
+R = reach^p.  For two dilations l_1 < l_2 with h_1 h_2 != 0 it also lies
+within E(T) of mu/T, mu the mean of |phi|^p = |h_1 x + h_2 y|^p over
+(x, y) = ({t/l_1}, {t/l_2}) in [0, 1)^2: mu = [Phi(h_1+h_2) - Phi(h_1) -
+Phi(h_2)]/(h_1 h_2), Phi(u) = |u|^{p+2}/((p+1)(p+2)).  By parts the tail
+is mu/T + 2 int_T^inf A(t)/t^3 dt, A(t) = int_T^t (|phi|^p - mu).  The cell
+[T + j l_1, T + (j+1) l_1] contributes l_1 g({T/l_2 + j alpha}), alpha =
+l_1/l_2 the exact rational of the two doubles, where g(x) = int_0^1
+|h_1 {T/l_1 + s} + h_2 {x + s alpha}|^p ds has mean mu and circle
+variation V <= p |h_2| reach^{p-1} + R/alpha: the slope of |phi|^p in y,
+and the one wrap of {x + s alpha}, which moves by 1/alpha in s per unit of
+x and jumps |phi|^p by at most R.  Denjoy-Koksma (Herman 1979) bounds the
+error of q consecutive cells by V at each convergent denominator q_i of
+alpha = [0; a_1, a_2, ...], up to the last, Q; Ostrowski's expansion
+(Kuipers-Niederreiter, ch. 2) cuts N cells into at most a_{i+1} blocks of
+each q_i < Q and floor(N/Q) of Q.  So |A(t)| <= l_1 (V S(t/l_1) + R), R for
+the last part cell, S(x) = sum_{q_i <= x} a_{i+1} + floor(x/Q); against
+2/t^3 (x/Q for the floor) this gives E(T) = l_1 V sum_i a_{i+1}/max(T,
+q_i l_1)^2 + (2V/Q + l_1 R/T + dmu)/T.  dmu = 16 eps (Phi(h_1+h_2) +
+Phi(h_1) + Phi(h_2))/|h_1 h_2|, eps = 2^-52, bounds the rounding of mu: to
+first order each Phi carries at most 6 eps of itself (2 from the rounded
+h_1 + h_2 to the power p + 2, 1 from pow, 3 from six roundings), the two
+subtractions, h_1 h_2 and the division 2 eps; the 8 eps is doubled for
+second-order terms.  E's own rounding, like R/T's, and underflow (all
+|h_k| below 1e-88) are left to the bound's 1e-12 (1 + value).  As V >=
+R/alpha, 2V/(Q T) >= 2R/(P T) for alpha = P/Q: for P <= 3 no T <= T_B
+meets the walk's goal 2 E(T) <= R/T_B (``weighted_norm_report``), and
+such sums keep [0, R/T_B].
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +79,7 @@ import numpy as np
 from . import gram as _gram
 from .errors import DomainError, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, DilatedFracSum, _checked_dilation
-from .gammafn import euler_gamma, moment_constant
+from .gammafn import _EPS, euler_gamma, moment_constant
 
 __all__ = [
     "euler_gamma",
@@ -247,17 +277,20 @@ def weighted_norm_report(
 ) -> NormReport:
     """{ int_1^inf |phi|^p dt/t^2 }^{1/p} for p in (1, 2].
 
-    ``max_segments`` sets the truncation T = max(100, max_segments / sum 1/l_k).
-    For p = 2 the integral is q = h^T G h with G = ``gram_system(dilations,
-    1/T)``, whose entry bounds E are at most max(1/(2T), 1e-13) plus roundoff;
-    q and its error e come from ``GramSystem.quadratic_form``.  For p < 2, q
-    is ``_abs_power_head`` up to T, and the tail past T is at most
-    max(sum h_k^+, sum h_k^-)^p / T, since {x} lies in [0, 1) and so
-    sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  So the
-    integral lies in [q - down, q + up], (down, up) = (e, e) or (0, tail); the
-    value is the midpoint of [(q - down)^{1/p}, (q + up)^{1/p}] and half its
-    width enters the error bound.  PrecisionUnreachable is raised where
-    that bound is not finite.
+    ``max_segments`` sets the budget T_B = max(100, max_segments / sum 1/l_k)
+    that fixes the bound.  For p = 2 the integral is q = h^T G h with G =
+    ``gram_system(dilations, 1/T_B)``, whose entry bounds E are at most
+    max(1/(2T_B), 1e-13) plus roundoff; q and its error e come from
+    ``GramSystem.quadratic_form``.  For p < 2, q is ``_abs_power_head`` up to
+    T, and the tail past T lies in [0, R/T], R = max(sum h_k^+, sum h_k^-)^p,
+    as sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  Two dilations narrow
+    it to the mean-value tail (module docstring) and walk to the least
+    integer T <= T_B with 2 E(T) <= R/T_B, by bisection on the falling E;
+    other sums and short periods walk to T_B.  ``truncation`` is the walked
+    T.  So the integral lies in [q - down, q + up], (down, up) = (e, e) or
+    minus the tail's ends; the value is the midpoint of [(q - down)^{1/p},
+    (q + up)^{1/p}] and half its width enters the error bound.
+    PrecisionUnreachable is raised where that bound is not finite.
     """
     p = float(p)
     if not 1.0 < p <= 2.0:
@@ -282,8 +315,16 @@ def weighted_norm_report(
             # the sum of its positive coefficients
             reach = max(float(np.sum(coeffs[coeffs > 0.0])), -float(np.sum(coeffs[coeffs < 0.0])))
             try:
+                R = reach**p
+                down, up = 0.0, R / T
+                if coeffs.size == 2 and coeffs[0] * coeffs[1] != 0.0:
+                    mu, tail_error = _mean_tail(coeffs, dils, p, reach, R)
+                    walks = range(100, math.floor(T) + 1)
+                    i = bisect_left(walks, True, key=lambda t: 2.0 * tail_error(t) <= up)
+                    if i < len(walks):
+                        T, e = float(walks[i]), tail_error(walks[i])
+                        down, up = -max(0.0, mu / T - e), min(R / T, mu / T + e)
                 head = _abs_power_head(phi, p, T)
-                down, up = 0.0, reach**p / T
             except OverflowError as exc:  # a float power past the largest double
                 raise PrecisionUnreachable(overflow) from exc
     lo = max(head - down, 0.0) ** (1.0 / p)
@@ -293,6 +334,24 @@ def weighted_norm_report(
     if not math.isfinite(err):  # nor then is the value
         raise PrecisionUnreachable(overflow)
     return NormReport(value=value, abs_error_bound=err, truncation=T)
+
+
+def _mean_tail(coeffs, dils, p: float, reach: float, R: float):
+    """mu and E(T) of the mean-value tail (module docstring) of two
+    dilations; E is inf past double range and nan where mu overflows."""
+    (h1, h2), (l1, l2) = coeffs.tolist(), dils.tolist()
+    phis = [u * u * abs(u) ** p / ((p + 1.0) * (p + 2.0)) for u in (h1 + h2, h1, h2)]
+    mu = (phis[0] - phis[1] - phis[2]) / (h1 * h2)
+    mu_error = 16.0 * _EPS * sum(phis) / abs(h1 * h2)
+    alpha = _gram.Fraction(l1) / _gram.Fraction(l2)
+    ks = [0, 1] + [k for _, k in _gram._convergents(alpha)]  # q_{-1}, q_0, ..., Q
+    if ks[-1] > 2**1000:
+        return mu, lambda T: math.inf
+    a = np.array([(k2 - k0) // k1 for k0, k1, k2 in zip(ks, ks[1:], ks[2:])], dtype=float)
+    q = np.array(ks[1:-1], dtype=float) * l1
+    V = p * abs(h2) * reach ** (p - 1.0) + R / float(alpha)
+    return mu, lambda T: (l1 * V * float(a @ np.maximum(T, q) ** -2.0)
+                          + (2.0 * V / ks[-1] + l1 * R / T + mu_error) / T)
 
 
 def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:

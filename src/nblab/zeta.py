@@ -319,14 +319,19 @@ def _weighted_pole_product(
     or at the points s + i d, d in ``offsets``, for an array s of row starts
     of one real part.  Returns the values, their claims (a complex and a
     float, or arrays of shape s.shape + offsets.shape), inf where the
-    remainder overflows, and N - 1 + M, all picked at the largest |Im s|.
+    remainder overflows, and N - 1 + M.  N and M are picked at the call's
+    largest |Im s|; a row's rounding claim takes c and |s - 1| at the row's
+    own largest |Im s|.
     """
     if offsets is None:
         points, top = s, s
+        row_top, scale = abs(s.imag), abs(s - 1.0)
     else:
         points = np.add.outer(s, 1j * offsets)
-        top = complex(s.real.flat[0], np.abs(points.imag).max())
-    sigma, scale, n = top.real, abs(top - 1.0), _em_terms(top, target)
+        row_top = np.abs(points.imag).max(axis=-1, keepdims=True)
+        top = complex(s.real.flat[0], row_top.max())
+        scale = np.abs(top.real - 1.0 + 1j * row_top)
+    sigma, n = top.real, _em_terms(top, target)
     if n == _MAX_TERMS:  # the least remainder may miss the target: refuse before summing
         remainder = _em_order(top, n, 0.5 * target)[1]
         if remainder > target:
@@ -338,10 +343,11 @@ def _weighted_pole_product(
         raise PrecisionUnreachable(f"the phases t ln n at s = {top!r} overflow double precision")
     amp = np.exp(-sigma * ln_n)
     # c eps, with eps first, so that no product of two huge |s| overflows
-    c = _EPS * (1.5 * sigma + (1.5 if offsets is None else 2.0) * abs(top.imag))
+    c = _EPS * (1.5 * sigma + (1.5 if offsets is None else 2.0) * row_top)
     fp = (scale * (c * float(amp @ ln_n) + _EPS * (0.5 * n + 8.0) * float(amp.sum()))
           + n ** (1.0 - sigma) * (c * log_n + 8.0 * _EPS))
-    m, remainder, tail = _em_order(top, n, 0.5 * (target - fp if fp < target else target))
+    fp_top = np.max(fp)
+    m, remainder, tail = _em_order(top, n, 0.5 * (target - fp_top if fp_top < target else target))
     fp += scale * n ** -sigma * tail * (c * log_n + _EPS * (6.0 * m + 12.0))
     phases = np.exp(-1j * np.multiply.outer(s.imag, ln_n))
     if offsets is None:

@@ -81,11 +81,11 @@ def test_subnormal_s_is_within_its_claim(argv):
 
 
 def test_zeros_refuses_a_tol_finer_than_the_xi_claims():
-    # below t = 200 a sign of xi counts only where |Re xi| exceeds its claim:
-    # next to the zero at 82.91 no sign inside a bracket 8.7e-12 wide counts
+    # below t = 200 a sign of Z counts only where |Z| exceeds its claim:
+    # next to the zero at 184.87 no sign inside a bracket 8.7e-12 wide counts
     code, out, err = invoke(["zeros", "--t-max", "199.9", "--tol", "3e-12"])
     assert code == EXIT_PRECISION
-    assert "no sign inside [82.91" in err
+    assert "no sign inside [184.87" in err
     assert out == ""
 
 

@@ -40,11 +40,18 @@ CASES = [["zeros", "--t-max", t, "--tol", tol]
     ["zeros", "--t-max", "52428.85"],
 ]
 
-#: what the cases that read ``--input -`` find on stdin: approx's bstar on
-#: (1, sqrt 2), a sum that violates its constraint, and broken JSON
+#: what the cases that read ``--input -`` find on stdin: approx's bstars on
+#: (1, sqrt 2) and (1, phi), a commensurate pair, a sum of three dilations, a
+#: sum that violates its constraint, and broken JSON
 STDIN = {
     "bstar": '{"constrained": true, "terms": [{"h": -0.7225088103263034, "l": 1.0}, '
              '{"h": 1.0217817584975089, "l": 1.4142135623730951}]}',
+    "bstar-phi": '{"constrained": true, "terms": [{"h": -0.7946566998338764, "l": 1.0}, '
+                 '{"h": 1.285781549719035, "l": 1.618033988749895}]}',
+    "commensurate": '{"constrained": true, "terms": [{"h": -1, "l": 1}, {"h": 2, "l": 2}]}',
+    "three": '{"constrained": true, "terms": [{"h": 1, "l": 1}, '
+             '{"h": -0.7071067811865476, "l": 1.4142135623730951}, '
+             '{"h": -1.5707963267948966, "l": 3.141592653589793}]}',
     "violated": '{"constrained": true, "terms": [{"h": 1.0, "l": 1.0}, {"h": 1.0, "l": 2.0}]}',
     "broken": "{",
 }
@@ -68,6 +75,13 @@ _README = [
 CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
              for argv in _README for fmt in ([], ["--format", "csv"])] + [
     (["zeros", "--t-max", "30", "--tol", "1e-6", "--format", "csv"], None),
+    # p < 2 norms: the mean-value tail of two dilations, and the crude tail
+    # of a short period and of three dilations
+    (["norm", "--input", "-", "--p", "1.2"], "bstar"),
+    (["norm", "--input", "-", "--p", "1.5", "--max-segments", "4000000"], "bstar"),
+    (["norm", "--input", "-", "--p", "1.5"], "bstar-phi"),
+    (["norm", "--input", "-", "--p", "1.5"], "commensurate"),
+    (["norm", "--input", "-", "--p", "1.5"], "three"),
     # exit 1: domain errors
     (["zeta", "--re", "1", "--target", "1e-12"], None),
     (["zeros", "--t-max", "30", "--tol", "inf"], None),

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from conftest import random_constrained_sum
 from test_gram import _segment_integrals, lattice_walk_oracle, lattice_windows_oracle
@@ -25,7 +26,14 @@ from nblab import (
     weighted_norm_report,
 )
 from nblab.approx import best_approximation
-from nblab.moments import _WINDOW, _abs_power_head, _lattice_windows, _sloped_abs_power
+from nblab.gram import _convergents
+from nblab.moments import (
+    _WINDOW,
+    _abs_power_head,
+    _lattice_windows,
+    _mean_tail,
+    _sloped_abs_power,
+)
 
 EULER_GAMMA_REF = 0.5772156649015329  # reference digits of the constant
 
@@ -58,6 +66,30 @@ def tail_bound(phi: DilatedFracSum, p: float, T: float) -> float:
     its positive coefficients."""
     h = phi.coeffs
     return max(float(np.sum(h[h > 0.0])), -float(np.sum(h[h < 0.0]))) ** p / T
+
+
+def budget(phi: DilatedFracSum, max_segments: int) -> float:
+    """The budget T_B = max(100, max_segments / sum 1/l_k) of a norm."""
+    return max(100.0, max_segments / float(np.sum(1.0 / phi.dilations)))
+
+
+def crude_report(head: float, phi: DilatedFracSum, p: float, T: float) -> tuple[float, float]:
+    """(value, bound) of a p < 2 norm from its head to T and the crude tail
+    [0, R/T], by the arithmetic of ``weighted_norm_report`` before the
+    mean-value tail: the midpoint and half-width of [head^{1/p},
+    (head + R/T)^{1/p}], plus 1e-12 (1 + value)."""
+    lo = head ** (1.0 / p)
+    hi = (head + tail_bound(phi, p, T)) ** (1.0 / p)
+    value = 0.5 * (lo + hi)
+    return value, 0.5 * (hi - lo) + 1e-12 * (1.0 + value)
+
+
+def assert_meets_crude_interval(rep, head: float, phi: DilatedFracSum, p: float, T: float):
+    """value +- bound meets the certified [head^{1/p}, (head + R/T)^{1/p}] of
+    an independent head to T."""
+    lo, hi = head ** (1.0 / p), (head + tail_bound(phi, p, T)) ** (1.0 / p)
+    assert rep.value - rep.abs_error_bound <= hi
+    assert lo <= rep.value + rep.abs_error_bound
 
 
 def scipy_frac_moment(l: float, T: float = 2000.0) -> tuple[float, float]:
@@ -355,24 +387,42 @@ def sloped_abs_power_reference(phi: DilatedFracSum, p: float, T: float) -> float
     ],
 )
 def test_sloped_norm_against_reference(terms, p, max_segments):
-    # the bound covers the truncated tail only, so the quadrature of the head
-    # must stay far below it
+    # the bound covers the tail only, so the quadrature of the head must stay
+    # far below it around the midpoint of the report's tail interval; and the
+    # report meets the reference's crude interval at the budget, with a bound
+    # at most the crude tail's there (the report before the mean-value tail)
     phi = DilatedFracSum(terms=terms)
     rep = weighted_norm_report(phi, p, max_segments=max_segments)
-    T = rep.truncation
+    T, T_B = rep.truncation, budget(phi, max_segments)
     head = sloped_abs_power_reference(phi, p, T)
-    reference = (head + 0.5 * tail_bound(phi, p, T)) ** (1.0 / p)
+    lo, hi = tail_interval(phi, p, T, T_B)
+    reference = (head + 0.5 * (lo + hi)) ** (1.0 / p)
     assert abs(rep.value - reference) <= 1e-2 * rep.abs_error_bound
+    head_B = head if T == T_B else sloped_abs_power_reference(phi, p, T_B)
+    assert_meets_crude_interval(rep, head_B, phi, p, T_B)
+    assert rep.abs_error_bound <= crude_report(_abs_power_head(phi, p, T_B), phi, p, T_B)[1]
+
+
+def tail_interval(phi: DilatedFracSum, p: float, T: float, T_B: float) -> tuple[float, float]:
+    """The tail interval the report used at its truncation T: the crude
+    [0, R/T] where it walked to the budget T_B, else the mean-value one."""
+    R = tail_bound(phi, p, 1.0)
+    if T == T_B:
+        return 0.0, R / T
+    mu, error = _mean_tail(phi.coeffs, phi.dilations, p, tail_bound(phi, 1.0, 1.0), R)
+    return max(0.0, mu / T - error(T)), min(R / T, mu / T + error(T))
 
 
 def test_norm_interval_holds_the_sloped_reference():
     # the norm lies in [ref^{1/p}, (ref + tail)^{1/p}], and value +- bound must
     # hold all of it; x^{1/p} is concave, so the p-th root of the midpoint of
     # [ref, ref + tail] lies 3e-11 above that interval's midpoint here, well
-    # beyond the 1e-12 (1 + value) slack of the bound
+    # beyond the 1e-12 (1 + value) slack of the bound.  The ratio 2/3 has a
+    # short period, so the sum keeps the crude tail and walks to its budget
     phi = DilatedFracSum(terms=((1.0, 3.0), (-1.0, 2.0)))
     p = 1.5
     rep = weighted_norm_report(phi, p, max_segments=200_000)
+    assert rep.truncation == budget(phi, 200_000)
     ref = sloped_abs_power_reference(phi, p, rep.truncation)
     tail = tail_bound(phi, p, rep.truncation)
     assert rep.value - rep.abs_error_bound <= ref ** (1.0 / p)
@@ -495,28 +545,45 @@ def approx_bstar(l: float) -> DilatedFracSum:
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
+@lru_cache(maxsize=None)
+def far_walk(phi: DilatedFracSum, p: float, T: float) -> float:
+    """``norm_p_walk_oracle`` to T, once per sum, p and T."""
+    return norm_p_walk_oracle(phi, p, T)
+
+
+#: the sloped sum of the frozen-walk check; its frozen walk integrates 16
+#: nodes a side per segment, so it is held to T = 4e5, not 1e7 (about a minute)
+SLOPED = DilatedFracSum(terms=((1.0, 1.0), (0.5, math.sqrt(2.0))))
+
+
 @pytest.mark.parametrize("p", [1.5, 1.2])
 @pytest.mark.parametrize(
-    "make_phi, max_segments",
+    "make_phi, max_segments, t_ref",
     [
-        (lambda: approx_bstar(math.sqrt(2.0)), 200_000),
-        (lambda: approx_bstar(math.sqrt(2.0)), 4_000_000),
-        (lambda: approx_bstar(GOLDEN), 200_000),
-        (lambda: approx_bstar(GOLDEN), 4_000_000),
-        (lambda: DilatedFracSum(terms=((1.0, 1.0), (0.5, math.sqrt(2.0)))), 200_000),
+        (lambda: approx_bstar(math.sqrt(2.0)), 200_000, 1e7),
+        (lambda: approx_bstar(math.sqrt(2.0)), 4_000_000, 1e7),
+        (lambda: approx_bstar(GOLDEN), 200_000, 1e7),
+        (lambda: approx_bstar(GOLDEN), 4_000_000, 1e7),
+        (lambda: SLOPED, 200_000, 4e5),
     ],
     ids=["sqrt2-200k", "sqrt2-4M", "golden-200k", "golden-4M", "sloped-200k"],
 )
-def test_norm_p_against_frozen_walk(make_phi, max_segments, p):
-    # the production head matches the frozen walk to rounding, and the
-    # reported interval holds [head, head + tail]^{1/p}
+def test_norm_p_against_frozen_walk(make_phi, max_segments, t_ref, p):
+    # the production head matches the frozen walk to rounding; the report
+    # meets the frozen walk's certified interval at t_ref, its value lies
+    # within the crude report's bound of that report, and its bound is at
+    # most the crude report's (the crude report: the head to the budget and
+    # the tail [0, R/T_B], as before the mean-value tail)
     phi = make_phi()
     rep = weighted_norm_report(phi, p, max_segments=max_segments)
     head = norm_p_walk_oracle(phi, p, rep.truncation)
     assert _abs_power_head(phi, p, rep.truncation) == pytest.approx(head, rel=1e-14, abs=0.0)
-    tail = tail_bound(phi, p, rep.truncation)
-    assert rep.value - rep.abs_error_bound <= head ** (1.0 / p)
-    assert (head + tail) ** (1.0 / p) <= rep.value + rep.abs_error_bound
+    assert_meets_crude_interval(rep, far_walk(phi, p, t_ref), phi, p, t_ref)
+    T_B = budget(phi, max_segments)
+    assert rep.truncation < T_B
+    crude, crude_bound = crude_report(_abs_power_head(phi, p, T_B), phi, p, T_B)
+    assert abs(rep.value - crude) <= crude_bound
+    assert rep.abs_error_bound <= crude_bound
 
 
 @pytest.mark.parametrize(
@@ -543,19 +610,122 @@ def test_lattice_windows_match_frozen_walk(monkeypatch, dilations, t_lo, t_hi):
 
 def test_norm_walk_memory_does_not_grow_with_segments():
     # the walk holds a few arrays of one window whatever T is: the traced
-    # peak is the same at 1M and 4M segments (to the bytes of Python objects)
-    phi = approx_bstar(math.sqrt(2.0))
+    # peak is the same at 1M and 4M segments (to the bytes of Python objects);
+    # three dilations keep the crude tail, so they walk the whole budget
+    phi = DilatedFracSum(terms=((1.0, 1.0), (-0.5 * math.sqrt(2.0), math.sqrt(2.0)),
+                                (-0.5 * math.pi, math.pi)), constrained=True)
     weighted_norm_report(phi, 1.5, max_segments=1000)  # one-time allocations
     peaks = []
     for n in (1_000_000, 4_000_000):
         tracemalloc.start()
         try:
-            weighted_norm_report(phi, 1.5, max_segments=n)
+            rep = weighted_norm_report(phi, 1.5, max_segments=n)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert rep.truncation == budget(phi, n)
     assert abs(peaks[1] - peaks[0]) < _WINDOW  # an eighth of one window array
     assert max(peaks) <= 12 * _WINDOW * 8  # about 6 window arrays today
+
+
+def test_two_dilation_norm_walks_a_small_share_of_its_budget(monkeypatch):
+    # the benchmark's norm --p 1.5 --max-segments 4000000 on the sqrt(2)
+    # bstar walks about 32,000 lattice segments, not 4M
+    segments = []
+
+    def counted(*args):
+        for t1, u in _lattice_windows(*args):
+            segments.append(t1.size)
+            yield t1, u
+
+    monkeypatch.setattr("nblab.moments._lattice_windows", counted)
+    weighted_norm_report(approx_bstar(math.sqrt(2.0)), 1.5, max_segments=4_000_000)
+    assert 0 < sum(segments) <= 40_000
+
+
+@pytest.mark.parametrize("terms", [((-1.0, 1.0), (2.0, 2.0)), ((1.0, 3.0), (-1.0, 2.0))],
+                         ids=["1:-1,2:2", "3:1,2:-1"])
+def test_short_periods_keep_the_crude_tail(terms):
+    # alpha = 1/2 or 2/3: 2 E(T) >= 4 V/(Q T) > R/T_B at every T <= T_B, so
+    # the norm walks to its budget and reports the crude tail, bit for bit
+    phi = DilatedFracSum(terms=terms)
+    for p in (1.5, 1.2):
+        rep = weighted_norm_report(phi, p, max_segments=100_000)
+        T = budget(phi, 100_000)
+        assert rep.truncation == T
+        assert (rep.value, rep.abs_error_bound) == crude_report(_abs_power_head(phi, p, T), phi, p, T)
+
+
+def test_a_ratio_whose_denominator_passes_double_range_keeps_the_crude_tail():
+    # l_1/l_2 = (2^52 + 1)/(2^52 1e300) has a denominator near 4.5e315, past
+    # the largest double: E cannot be formed, so the norm walks its budget
+    phi = DilatedFracSum(terms=((1.0, 1.0000000000000002), (1.0, 1e300)))
+    rep = weighted_norm_report(phi, 1.5, max_segments=1000)
+    T = budget(phi, 1000)
+    assert rep.truncation == T
+    assert (rep.value, rep.abs_error_bound) == crude_report(_abs_power_head(phi, 1.5, T), phi, 1.5, T)
+
+
+def mean_abs_power_oracle(h1: float, h2: float, p: float) -> float:
+    """int_{[0,1]^2} |h1 x + h2 y|^p dx dy by scipy ``dblquad``, split along
+    the line h1 x + h2 y = 0 so that each part is smooth."""
+    def f(y, x):
+        return abs(h1 * x + h2 * y) ** p
+
+    def cut(x):
+        return min(1.0, max(0.0, -h1 * x / h2))
+
+    below = dblquad(f, 0.0, 1.0, 0.0, cut, epsabs=0.0, epsrel=1e-13)[0]
+    return below + dblquad(f, 0.0, 1.0, cut, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
+@pytest.mark.parametrize(
+    "make_phi",
+    [lambda: approx_bstar(math.sqrt(2.0)), lambda: approx_bstar(GOLDEN),
+     lambda: DilatedFracSum(terms=((0.6, 1.0), (1.3, math.e)))],
+    ids=["sqrt2", "golden", "same-sign"],
+)
+def test_mean_of_the_two_dilation_tail_against_dblquad(make_phi, p):
+    phi = make_phi()
+    (h1, h2), dils = phi.coeffs, phi.dilations
+    reach = tail_bound(phi, 1.0, 1.0)
+    mu, _ = _mean_tail(phi.coeffs, dils, p, reach, reach**p)
+    assert mu == pytest.approx(mean_abs_power_oracle(h1, h2, p), rel=1e-12, abs=0.0)
+
+
+def test_denjoy_koksma_bounds_each_convergent_block():
+    # for the first 6 convergent denominators q of alpha = 1/sqrt(2), q
+    # consecutive cells of length 1 from any T hold q mu within V, where the
+    # cell j is g({T/l_2 + j alpha}) = int_0^1 |h1 {T + s} + h2 {T/l_2 + (j + s) alpha}|^p ds
+    phi = approx_bstar(math.sqrt(2.0))
+    (h1, h2), (l1, l2) = phi.coeffs, phi.dilations
+    p = 1.5
+    alpha = l1 / l2
+    reach = tail_bound(phi, 1.0, 1.0)
+    R = reach**p
+    V = p * abs(h2) * reach ** (p - 1.0) + R / alpha
+    mu = mean_abs_power_oracle(h1, h2, p)
+
+    def g(c, x):
+        # the integrand jumps where c + s or x + s alpha passes an integer
+        cuts = [s for s in (1.0 - c, (1.0 - x) / alpha) if 0.0 < s < 1.0]
+        f = lambda s: abs(h1 * ((c + s) % 1.0) + h2 * ((x + s * alpha) % 1.0)) ** p
+        return quad(f, 0.0, 1.0, points=cuts or None, epsabs=1e-13, limit=200)[0]
+
+    qs = [k for _, k in _convergents(Fraction(l1) / Fraction(l2))][:6]
+    assert qs == [1, 3, 7, 17, 41, 99]
+    for T in (100.3, 1234.5, 77777.7):
+        c, x = (T / l1) % 1.0, (T / l2) % 1.0
+        for q in qs:
+            block = sum(g(c, (x + j * alpha) % 1.0) for j in range(q))
+            assert abs(block - q * mu) <= V
+        # the cells are those of phi: the last block is its integral over
+        # [T, T + q], phi being flat between lattice points
+        pts = np.unique(np.concatenate([[T, T + q], *(np.arange(math.ceil(T / l), (T + q) / l) * l
+                                                      for l in (l1, l2))]))
+        flat = np.sum(np.abs(phi(0.5 * (pts[:-1] + pts[1:]))) ** p * np.diff(pts))
+        assert block == pytest.approx(flat, rel=1e-9, abs=0.0)
 
 
 def sloped_abs_power_oracle(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
