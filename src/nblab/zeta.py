@@ -149,18 +149,24 @@ A bracket's zero is located on nested cuts: each level cuts it into at
 most 32 equal parts, keeps every part whose ends' counted signs differ,
 and stops once the parts are at most ``tol`` wide (2 ``tol`` for a bracket
 across a dropped point); each final part's midpoint is reported, within
-``tol`` of a zero between two counted signs.  A probe round reads the
-finest part of those cuts that holds a guess (regula falsi on the
-bracket's ends, then the secant through the last two probes) as one
-two-point row, from its left end p to p + h, and a bracket is done once
-the part's two counted signs differ and all the counted signs it knows
-show one sign change: where the cuts' rows see one sign change they reach
-that part, and report its midpoint as the same float.  A probe sign that
-does not count, a second sign change, a guess off the bracket or three
-rounds without a zero hand the bracket to the cuts' whole rows from the
-bracket itself.  Those rows may read again up to the 6 points the probes
-read there, in a call whose claim may differ: each read counts by its own
-claim, so a point may count in one read and not in another, but two
+``tol`` of a zero between two counted signs.  A probe round reads the finest
+part of those cuts that holds a guess as one two-point row, from its left
+end p to p + h.  Round 1's guess is the root of the polynomial through the
+grid's 6 values nearest the bracket, 3 a side (shifted inward at the grid's
+ends), by Newton steps from regula falsi on the bracket's ends: a guess
+needs no claim, so a value whose sign does not count serves as a node, and a
+root that is not finite or lies off the bracket gives way to regula falsi.
+At tol 1e-6 it lands in its zero's finest part on every bracket of the scan
+to 500, so each of those zeros costs one round, the part's two ends.  Rounds
+2 and 3 take the secant through the last two probes.  A bracket is done once
+the part's two counted signs differ and all the counted signs it knows show
+one sign change: where the cuts' rows see one sign change they reach that
+part, and report its midpoint as the same float, whatever the guesses.  A
+probe sign that does not count, a second sign change, a guess off the
+bracket or three rounds without a zero hand the bracket to the cuts' whole
+rows from the bracket itself.  Those rows may read again up to the 6 points
+the probes read there, in a call whose claim may differ: each read counts by
+its own claim, so a point may count in one read and not in another, but two
 counted reads have one sign.  A bracket at least 2 ``tol`` wide none of
 whose inner signs counts is refused (exit 2), and so is a grid of more
 than 2^20 points, before any row is evaluated.  The count is that of the
@@ -648,22 +654,49 @@ def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> n
         return x0 - f0 * (x1 - x0) / (f1 - f0)
 
 
-def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float,
-           tol: float) -> tuple[list[float], list[_Group]]:
+def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
+                 grid: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Probe round 1's guess in each bracket [a, b] with end values fa, fb
+    (module docstring): the root of the polynomial through the 6 values of
+    the grid (t, f) nearest the bracket, by Newton steps from regula falsi;
+    regula falsi where there is no grid, or where that root is not finite or
+    falls off [a, b)."""
+    x = _secant(a, fa, b, fb)
+    if grid is None:
+        return x
+    t, f = grid
+    first = np.clip(np.searchsorted(t, 0.5 * (a + b)) - 3, 0, t.size - 6)
+    nodes = first[:, None] + np.arange(6)
+    u, c = t[nodes], f[nodes]
+    for k in range(1, 6):  # Newton's divided differences, in place
+        c[:, k:] = (c[:, k:] - c[:, k - 1 : -1]) / (u[:, k:] - u[:, :-k])
+    y = x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(3):
+            p, dp = c[:, 5], 0.0
+            for k in range(4, -1, -1):  # Horner, with the derivative beside
+                dp = dp * (y - u[:, k]) + p
+                p = p * (y - u[:, k]) + c[:, k]
+            y = y - p / dp
+    return np.where((a <= y) & (y < b), y, x)
+
+
+def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float, tol: float,
+           grid: tuple[np.ndarray, np.ndarray] | None) -> tuple[list[float], list[_Group]]:
     """Up to three rounds of probes on the finest of the nested cuts
     (``_refined_zeros``) of each bracket [a, a + width].
 
     A round reads the finest cell that holds a guess as one two-point row,
     its left end p and p + h, in one call for the whole group: the guess is
-    regula falsi on the bracket's ends first, then the secant through the
-    last round's two ends.  Counted signs narrow [lo, hi], the known counted
-    signs nearest the zero, and a bracket is done once its cell's two signs
-    count and differ and none shows a second sign change; its ordinate is p
-    + h/2, the float the cuts report.  A sign that does not count, a second
-    sign change, a guess off [lo, hi) (or not a number) or three rounds
-    without a zero leave the bracket to the cuts' rows from itself, which
-    may read the points the probes read again, each read counting by its own
-    claim.
+    ``_first_guess``'s from the grid (t, f) ``grid`` first, regula falsi
+    where there is none, then the secant through the last round's two ends.
+    Counted signs narrow [lo, hi], the known counted signs nearest the zero,
+    and a bracket is done once its cell's two signs count and differ and
+    none shows a second sign change; its ordinate is p + h/2, the float the
+    cuts report.  A sign that does not count, a second sign change, a guess
+    off [lo, hi) (or not a number) or three rounds without a zero leave the
+    bracket to the cuts' rows from itself, which may read the points the
+    probes read again, each read counting by its own claim.
 
     Returns the ordinates found and the brackets left, as a list of at most
     one group."""
@@ -674,7 +707,7 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
     side = np.sign(fa)
     live, solved = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
     found = []
-    x = _secant(a, fa, b, fb)  # regula falsi
+    x = _first_guess(a, fa, b, fb, grid)
     for _ in range(3):
         i = np.flatnonzero(live)
         on = (lo[i] <= x[i]) & (x[i] < hi[i])  # False also for nan
@@ -699,7 +732,8 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
     return found, [(a[j], fa[j], fb[j], width, stop)] if j.size else []
 
 
-def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
+def _refined_zeros(groups: list[_Group], tol: float,
+                   grid: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
     """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
     width at which to stop (``_brackets``).
 
@@ -708,7 +742,8 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
     bracket and applies the grid's rule; once h is at most the stop width
     the midpoints are reported (then h > tol/2 for brackets with no dropped
     point).  Every group is probed first (``_probe``), two points a bracket
-    a round on the finest of those cuts, and the brackets the probes leave
+    a round on the finest of those cuts, round 1's guess from the grid's
+    values (t, f) ``grid`` where given, and the brackets the probes leave
     go on by the cuts' rows from themselves, depth-first, the last group's
     first.  A point of those rows may have been read by a probe; each read
     counts by its own claim, and two counted reads of one point have one
@@ -717,7 +752,7 @@ def _refined_zeros(groups: list[_Group], tol: float) -> list[float]:
     zeros: list[float] = []
     stack: list[_Group] = []
     for group in groups:
-        found, left = _probe(*group, tol) if group[3] > group[4] else ([], [group])
+        found, left = _probe(*group, tol, grid) if group[3] > group[4] else ([], [group])
         zeros += found
         stack += left
     while stack:
@@ -750,12 +785,13 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     bracket across it.  Neighbours of opposite sign form a bracket, and the
     brackets of one width (up to 1024 at a time) are refined together down
     to width ``tol`` on nested cuts of up to 32 parts a level, which up to
-    three rounds of two probes a bracket search first, and reported by the
-    midpoints of their final parts (``_refined_zeros``); a bracket the
-    probes leave is cut from itself.  Z is continuous, so each ordinate
-    lies within ``tol`` of a zero between two counted signs.  A scan of more
-    than 2^20 grid points (t_max above about 52,429) is refused before any
-    row is evaluated.
+    three rounds of two probes a bracket search first (round 1 at the root
+    of the polynomial through the 6 grid values nearest the bracket, then by
+    the secant), and reported by the midpoints of their final parts
+    (``_refined_zeros``); a bracket the probes leave is cut from itself.  Z
+    is continuous, so each ordinate lies within ``tol`` of a zero between
+    two counted signs.  A scan of more than 2^20 grid points (t_max above
+    about 52,429) is refused before any row is evaluated.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
@@ -770,4 +806,4 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
                                    f"more than the {_MAX_GRID} a scan may hold")
     t, f, ok = (x.ravel() for x in _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW))
     ok[last:] = False  # the last row's points past t_max
-    return sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol))
+    return sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol, (t[:last], f[:last])))

@@ -537,13 +537,14 @@ def test_scan_term_count_covers_each_point(monkeypatch):
     # uses one (N, M): N is at least what xi picks at each of its points,
     # and M at least what xi would need there with that N, so no point's
     # remainder is above xi's.  (xi's own M can exceed the call's where its
-    # own N is smaller.)  The one grid call comes first, then three rounds
-    # of probes when there is a bracket (the third for the few brackets the
-    # first two leave).  The grid call evaluates whole rows, so its last row
-    # may reach past t_max (to 9.6 for 9.0).  Past t = 200 the scan reads Z
-    # by the Riemann-Siegel formula: at 600 the grid call and each round call
-    # W's rows only on the points at or below 200
-    for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 4, 68), (200.0, 4, 72), (600.0, 4, 72)):
+    # own N is smaller.)  The one grid call comes first, then one round of
+    # probes when there is a bracket: round 1's guess, from the grid's own
+    # values, puts each probe on its zero's finest cell.  The grid call
+    # evaluates whole rows, so its last row may reach past t_max (to 9.6 for
+    # 9.0).  Past t = 200 the scan reads Z by the Riemann-Siegel formula: at
+    # 600 the grid call and the round call W's rows only on the points at or
+    # below 200
+    for t_max, n_calls, n_max in ((9.0, 1, 12), (187.1, 2, 68), (200.0, 2, 72), (600.0, 2, 72)):
         calls, counts, _ = spy_on_scan(monkeypatch)
         find_critical_zeros(t_max, 1e-6)
         monkeypatch.undo()
@@ -569,12 +570,16 @@ def spy_on_reads(monkeypatch):
     return reads
 
 
-def missing_guess(tol):
-    """A guess 3 tol off the secant's, to the right and the left in turn,
-    so that the probes close in on a zero from both sides without a cell
-    across it, and leave a narrow bracket to the nested cuts' rows."""
-    secant, side = zeta_module._secant, itertools.cycle((3.0, -3.0))
-    return lambda x0, f0, x1, f1: secant(x0, f0, x1, f1) + next(side) * tol
+def missing_guesses(tol):
+    """Replacements of ``_first_guess`` and ``_secant`` whose guesses lie 3
+    tol off their own, to the right and the left in turn, so that the probes
+    close in on a zero from both sides without a cell across it, and leave a
+    narrow bracket to the nested cuts' rows.  The first guess starts from the
+    secant's, so round 1 takes two turns and still alternates with round 2."""
+    first, secant = zeta_module._first_guess, zeta_module._secant
+    side = itertools.cycle((3.0, -3.0))
+    return (lambda a, fa, b, fb, grid: first(a, fa, b, fb, grid) + next(side) * tol,
+            lambda x0, f0, x1, f1: secant(x0, f0, x1, f1) + next(side) * tol)
 
 
 @pytest.mark.parametrize("t_max", [300.0, 2000.0])
@@ -586,11 +591,11 @@ def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
     expected, read = find_critical_zeros(t_max, tol), {}
     for guess in ("nan", "miss"):
         reads = spy_on_reads(monkeypatch)
-        if guess == "nan":
-            monkeypatch.setattr(zeta_module, "_secant",
-                                lambda x0, f0, x1, f1: np.full_like(x0, np.nan))
-        else:
-            monkeypatch.setattr(zeta_module, "_secant", missing_guess(tol))
+        first, secant = missing_guesses(tol) if guess == "miss" else (
+            lambda a, fa, b, fb, grid: np.full_like(a, np.nan),
+            lambda x0, f0, x1, f1: np.full_like(x0, np.nan))
+        monkeypatch.setattr(zeta_module, "_first_guess", first)
+        monkeypatch.setattr(zeta_module, "_secant", secant)
         assert find_critical_zeros(t_max, tol) == expected, guess
         monkeypatch.undo()
         read[guess] = sum(t.size for t in reads[1:])
@@ -598,6 +603,50 @@ def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
     # probes read at most 6 points a bracket besides the rows
     assert 31 * len(expected) <= read["miss"]
     assert read["miss"] <= read["nan"] + 6 * len(expected)
+
+
+@pytest.mark.parametrize("t_max", [14.15, 30.0, 199.9, 201.3, 500.0, 2000.0])
+@pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
+def test_the_first_guess_moves_no_ordinate(monkeypatch, t_max, tol):
+    # round 1's guess from the grid's values, regula falsi, no guess and a
+    # guess off the bracket give the same ordinates or the same refusal: an
+    # ordinate is the midpoint of the finest cell across its zero, whichever
+    # probe or row reads it.  14.15 and 201.3 lie just past a zero, so their
+    # last bracket's stencil is shifted inward at the grid's end: at 14.15
+    # that bracket is also the first, around the zero at 14.13, and its
+    # stencil runs from 13.90 to 14.15
+    guesses = {
+        "grid": zeta_module._first_guess,
+        "regula falsi": lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb),
+        "nan": lambda a, fa, b, fb, grid: np.full_like(a, np.nan),
+        "off": lambda a, fa, b, fb, grid: 2.0 * b - a,
+    }
+    outcomes = {}
+    for name, guess in guesses.items():
+        monkeypatch.setattr(zeta_module, "_first_guess", guess)
+        try:
+            outcomes[name] = find_critical_zeros(t_max, tol)
+        except PrecisionUnreachable as refusal:
+            outcomes[name] = str(refusal)
+    assert all(outcome == outcomes["grid"] for outcome in outcomes.values()), outcomes
+
+
+def test_first_guess_is_the_root_of_the_grid_stencil():
+    # on a grid of 12 points the 6-node polynomial through a quadratic is
+    # the quadratic itself, so the guess is its root to rounding wherever
+    # the bracket lies: in the first and last cells the stencil is the
+    # grid's first and last 6 points, so a value that is not a number just
+    # past them moves no guess.  Inside the middle cell's stencil it makes
+    # the root not finite, and the guess falls back to regula falsi
+    t = 0.05 * np.arange(1, 13)
+    for root, blind, falls_back in ((0.07, 6, False), (0.33, 3, True), (0.575, 5, False)):
+        f = (t - root) * (t + 1.0)
+        i = int(np.searchsorted(t, root)) - 1
+        ends = t[i : i + 1], f[i : i + 1], t[i + 1 : i + 2], f[i + 1 : i + 2]
+        assert zeta_module._first_guess(*ends, (t, f)) == pytest.approx(root, abs=1e-14)
+        f[blind] = np.nan
+        expected = zeta_module._secant(*ends) if falls_back else pytest.approx(root, abs=1e-14)
+        assert zeta_module._first_guess(*ends, (t, f)) == expected
 
 
 def test_cells_are_the_nested_cuts_own():
@@ -666,13 +715,17 @@ def test_a_zero_beside_a_point_that_does_not_count_is_found(monkeypatch):
 
 def test_probes_read_at_most_eight_points_an_ordinate(monkeypatch):
     # the nested cuts read 31 + 31 + 31 + 1 = 94 points a bracket at 1e-6;
-    # a probe round reads its cell's two ends as one row
+    # a probe round reads its cell's two ends as one row, and round 1's
+    # guess from the grid's values puts every probe of the scan to 500 on
+    # its zero's finest cell: one call of one two-point row an ordinate, the
+    # floor.  To 2000 a few brackets take a second round or the cuts' rows
     reads = spy_on_reads(monkeypatch)
     zeros = find_critical_zeros(500.0, 1e-6)
-    grid, refinement = reads[0].size, sum(t.size for t in reads[1:])
-    assert (grid, len(zeros)) == (10016, 269)
-    assert refinement <= 8 * len(zeros)
-    assert sum(t.shape[0] for t in reads[1:]) <= 3 * len(zeros)
+    assert (reads[0].size, len(zeros)) == (10016, 269)
+    assert len(reads) == 2 and reads[1].shape == (269, 2)
+    reads.clear()
+    zeros = find_critical_zeros(2000.0, 1e-6)
+    assert sum(t.size for t in reads[1:]) <= 2.1 * len(zeros)
 
 
 @pytest.mark.parametrize("t_max, tol", [(300.0, 1e-8), (199.9, 1e-9), (2000.0, 1e-6)])
@@ -697,16 +750,19 @@ def test_a_point_read_again_keeps_its_counted_sign(monkeypatch, t_max, tol):
 
 
 def test_a_probe_sign_that_does_not_count_keeps_the_ordinate(monkeypatch):
-    # blinding one first-round probe above t = 200 hands its bracket to the
-    # rows, which bracket across it; it lies away from the zero, so the
+    # with round 1's guess forced to regula falsi, which lands off the zero's
+    # cell, blinding one first-round probe above t = 200 hands its bracket to
+    # the rows, which bracket across it; it lies away from the zero, so the
     # ordinate stays
     tol = 1e-6
     expected = find_critical_zeros(300.0, tol)
+    monkeypatch.setattr(zeta_module, "_first_guess",
+                        lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb))
     reads = spy_on_reads(monkeypatch)
-    find_critical_zeros(300.0, tol)
-    monkeypatch.undo()
+    assert find_critical_zeros(300.0, tol) == expected
     blind = float(reads[1][reads[1] > 250.0][0])
-    kernel = zeta_module._z_rows
+    assert min(abs(blind - t) for t in expected) > tol
+    kernel, calls = zeta_module._z_rows, len(reads)
 
     def blinded(a, h, m):
         t, z, claim = kernel(a, h, m)
@@ -715,7 +771,7 @@ def test_a_probe_sign_that_does_not_count_keeps_the_ordinate(monkeypatch):
     monkeypatch.setattr(zeta_module, "_z_rows", blinded)
     reads = spy_on_reads(monkeypatch)
     assert find_critical_zeros(300.0, tol) == expected
-    assert len(reads) > 4  # the safeguard's rows read more than three rounds
+    assert len(reads) > calls  # the safeguard's rows read past the probe rounds
 
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
