@@ -13,13 +13,12 @@ from .errors import (
     DomainError,
     DuplicateDilation,
     NblabError,
-    PoleAtNonPositiveInteger,
     PoleAtOne,
     PrecisionUnreachable,
     SingularSystem,
 )
 from .fracsum import DilatedFracSum, StepProfile, step_profile
-from .gammafn import ComplexEvalReport, gamma
+from .gammafn import ComplexEvalReport
 from .gram import GramSystem, gram_system, pair_product_integral
 from .moments import (
     ConstantsReport,
@@ -48,7 +47,6 @@ __all__ = [
     "MomentReport",
     "NblabError",
     "NormReport",
-    "PoleAtNonPositiveInteger",
     "PoleAtOne",
     "PrecisionUnreachable",
     "SingularSystem",
@@ -61,7 +59,6 @@ __all__ = [
     "euler_gamma",
     "find_critical_zeros",
     "functional_equation_residual",
-    "gamma",
     "gram_system",
     "moment_constant",
     "moment_report",

@@ -13,10 +13,6 @@ class PoleAtOne(DomainError):
     """Zeta evaluation requested at (or within tolerance of) the pole s = 1."""
 
 
-class PoleAtNonPositiveInteger(DomainError):
-    """Gamma evaluation requested at (or within tolerance of) a pole 0, -1, -2, ..."""
-
-
 class ConstraintViolated(DomainError):
     """A coefficient combination flagged as constrained fails its linear constraint."""
 

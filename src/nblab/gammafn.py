@@ -1,4 +1,4 @@
-"""Gamma function on the complex plane via Stirling's series, and Euler's
+"""ln Gamma on the right half-plane via Stirling's series, and Euler's
 constant.
 
 ``_BERNOULLI[k]`` is the exact B_2k, k <= 40, by the recurrence
@@ -20,14 +20,6 @@ Comp. 25, 1971) and sec^2(ph(w)/2) = 2|w|/(|w| + Re w) <= 2.  A point with
 of at most two rounded factors (3 eps), m shift factors (2 eps each), and
 their sum (2 eps of the moduli): the claim is R_K + 6 eps ((|w| + 1)
 (|ln w| + 1) + |ln prod| + 2m), which covers rounding w = z + m too.
-
-Gamma = exp(ln Gamma) is within |Gamma| (d e^d + 4 eps (1 + |ln Gamma|)) for
-a logarithm within d.  For Re s < 1/2, Gamma(s) Gamma(1-s) = pi / sin(pi s),
-with sin(pi s) at the exact remainder of s modulo the nearest integer and in
-log form for large |Im s|, so neither the poles nor large heights cost
-accuracy or overflow.  With w = pi (s - k) (|dw| <= 1.7 eps |w|) folded onto
-Re w in [0, pi/2], |w cot w| <= 1.32 |w| + 2.43, so sin w is within a
-relative eps (3|w| + 8).
 """
 
 from __future__ import annotations
@@ -37,12 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+from .errors import DomainError, PrecisionUnreachable
 
-from .errors import DomainError, PoleAtNonPositiveInteger, PrecisionUnreachable
-
-__all__ = ["ComplexEvalReport", "euler_gamma", "gamma", "loggamma_right", "moment_constant",
-           "POLE_TOL"]
+__all__ = ["ComplexEvalReport", "euler_gamma", "loggamma_right", "moment_constant", "POLE_TOL"]
 
 
 def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
@@ -165,44 +154,3 @@ def _cexp(w: complex) -> complex:
     if math.isnan(w.real) or not math.isfinite(w.imag):
         raise PrecisionUnreachable(f"the log part {w!r} overflows double precision")
     return cmath.exp(w)
-
-
-def _log_sin(w: complex) -> complex:
-    """ln sin w up to a multiple of 2 pi i.  For |Im w| >= 20 sin w itself
-    may overflow, so ln sin w = -iw + ln((e^{2iw} - 1) / (2i)) is used above
-    the real axis, where |e^{2iw}| < 1, and its conjugate below."""
-    if abs(w.imag) < 20.0:
-        return cmath.log(cmath.sin(w))
-    if w.imag < 0.0:
-        return _log_sin(w.conjugate()).conjugate()
-    return -1j * w + cmath.log((cmath.exp(2j * w) - 1.0) / 2j)
-
-
-def gamma(s: complex) -> ComplexEvalReport:
-    """Gamma(s) anywhere away from the poles at 0, -1, -2, ...
-
-    Raises PoleAtNonPositiveInteger within ``POLE_TOL`` of a pole and
-    PrecisionUnreachable if the value over/underflows double precision.
-    """
-    s = _require_finite(s)
-    if s.real <= 0.5 and abs(s - round(s.real)) <= POLE_TOL:
-        raise PoleAtNonPositiveInteger(f"gamma pole at or near s = {s!r}")
-    if s.real >= 0.5:
-        (log_value, log_err), sign = loggamma_right(s), 1
-    else:
-        # reflection; sin(pi s) = (-1)^k sin(pi r) with r = s - k exact
-        # (Sterbenz), so pi r keeps full relative accuracy next to a pole,
-        # and sin(-w) = -sin(w) folds Re w onto [0, pi/2], where sin w > 0
-        # for real s, so a real s keeps a real value
-        k = round(s.real)
-        w, sign = math.pi * (s - k), (-1) ** k
-        if w.real < 0.0:
-            w, sign = -w, -sign
-        log_sin, (log_right, log_err) = _log_sin(w), loggamma_right(1.0 - s)
-        log_value = _LOG_PI - log_sin - log_right
-        log_err += _EPS * (3.0 * abs(w) + 8.0 + 2.0 * (abs(log_sin) + abs(log_right)))
-    value = sign * _cexp(log_value)
-    if not np.isfinite(value) or abs(value) < np.finfo(float).tiny:  # Gamma has no zeros
-        raise PrecisionUnreachable(f"gamma({s!r}) not representable in double precision")
-    rel = log_err * math.exp(log_err) + 4.0 * _EPS * (1.0 + abs(log_value))
-    return ComplexEvalReport(value, abs(value) * rel, len(_STIRLING_COEF))

@@ -168,12 +168,14 @@ rows from the bracket itself.  Those rows may read again up to the 6 points
 the probes read there, in a call whose claim may differ: each read counts by
 its own claim, so a point may count in one read and not in another, but two
 counted reads have one sign.  A bracket at least 2 ``tol`` wide none of
-whose inner signs counts is refused (exit 2), and so is a grid of more
-than 2^20 points, before any row is evaluated.  The count is that of the
-sign changes seen, not a certified count of zeros: a zero pair inside one
-grid cell goes unseen, and so does a zero pair between two neighbouring
-probes of one sign in a bracket with a third zero, which the cuts' whole
-rows would see wherever one of their points fell between the pair.
+whose inner signs counts is refused (exit 2): the cuts take the lowest
+brackets first, drop those above it, and name the lowest such bracket once
+those below it are done.  So is a grid of more than 2^20 points, before
+any row is evaluated.  The count is that of the sign changes seen, not a
+certified count of zeros: a zero pair inside one grid cell goes unseen,
+and so does a zero pair between two neighbouring probes of one sign in a
+bracket with a third zero, which the cuts' whole rows would see wherever
+one of their points fell between the pair.
 """
 
 from __future__ import annotations
@@ -188,9 +190,12 @@ import numpy as np
 from .errors import DomainError, PoleAtOne, PrecisionUnreachable
 from .gammafn import _BERNOULLI, _EPS, _LOG_MAX, _LOG_PI, POLE_TOL, ComplexEvalReport, _cexp
 from .gammafn import _require_finite, loggamma_right
-from .gammafn import gamma  # noqa: F401 -- not called here; bench/tracing.py wraps this name
 
 __all__ = ["zeta", "xi", "functional_equation_residual", "find_critical_zeros"]
+
+#: a hook that nothing calls: bench/tracing.py wraps this name, and it goes with
+#: the tracer (ROADMAP item 1)
+gamma = loggamma_right
 
 _LN2 = math.log(2.0)
 _TINY = float(np.finfo(float).tiny)
@@ -655,15 +660,12 @@ def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> n
 
 
 def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
-                 grid: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+                 grid: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Probe round 1's guess in each bracket [a, b] with end values fa, fb
     (module docstring): the root of the polynomial through the 6 values of
     the grid (t, f) nearest the bracket, by Newton steps from regula falsi;
-    regula falsi where there is no grid, or where that root is not finite or
-    falls off [a, b)."""
+    regula falsi where that root is not finite or falls off [a, b)."""
     x = _secant(a, fa, b, fb)
-    if grid is None:
-        return x
     t, f = grid
     first = np.clip(np.searchsorted(t, 0.5 * (a + b)) - 3, 0, t.size - 6)
     nodes = first[:, None] + np.arange(6)
@@ -682,14 +684,14 @@ def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
 
 
 def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float, tol: float,
-           grid: tuple[np.ndarray, np.ndarray] | None) -> tuple[list[float], list[_Group]]:
+           grid: tuple[np.ndarray, np.ndarray]) -> tuple[list[float], list[_Group]]:
     """Up to three rounds of probes on the finest of the nested cuts
     (``_refined_zeros``) of each bracket [a, a + width].
 
     A round reads the finest cell that holds a guess as one two-point row,
     its left end p and p + h, in one call for the whole group: the guess is
-    ``_first_guess``'s from the grid (t, f) ``grid`` first, regula falsi
-    where there is none, then the secant through the last round's two ends.
+    ``_first_guess``'s from the grid (t, f) ``grid`` first, then the secant
+    through the last round's two ends.
     Counted signs narrow [lo, hi], the known counted signs nearest the zero,
     and a bracket is done once its cell's two signs count and differ and
     none shows a second sign change; its ordinate is p + h/2, the float the
@@ -733,7 +735,7 @@ def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: fl
 
 
 def _refined_zeros(groups: list[_Group], tol: float,
-                   grid: tuple[np.ndarray, np.ndarray] | None = None) -> list[float]:
+                   grid: tuple[np.ndarray, np.ndarray]) -> list[float]:
     """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
     width at which to stop (``_brackets``).
 
@@ -743,20 +745,25 @@ def _refined_zeros(groups: list[_Group], tol: float,
     the midpoints are reported (then h > tol/2 for brackets with no dropped
     point).  Every group is probed first (``_probe``), two points a bracket
     a round on the finest of those cuts, round 1's guess from the grid's
-    values (t, f) ``grid`` where given, and the brackets the probes leave
-    go on by the cuts' rows from themselves, depth-first, the last group's
-    first.  A point of those rows may have been read by a probe; each read
-    counts by its own claim, and two counted reads of one point have one
-    sign.  A bracket at least 2 tol wide none of whose inner signs counts is
-    refused: refining it again would not narrow it."""
+    values (t, f) ``grid``, and the brackets the probes leave go on by the
+    cuts' rows from themselves, depth-first, the group with the lowest
+    bracket first.  A point of those rows may have been read by a probe;
+    each read counts by its own claim, and two counted reads of one point
+    have one sign.  A bracket at least 2 tol wide none of whose inner signs
+    counts cannot be narrowed by refining it again: every bracket above the
+    lowest such bracket is dropped, and once the brackets below it are done
+    it is refused."""
     zeros: list[float] = []
     stack: list[_Group] = []
+    refused = math.inf, math.inf  # the lowest bracket refused, as its two ends
     for group in groups:
         found, left = _probe(*group, tol, grid) if group[3] > group[4] else ([], [group])
         zeros += found
         stack += left
     while stack:
-        a, fa, fb, h, stop = stack.pop()
+        a, fa, fb, h, stop = stack.pop(min(range(len(stack)), key=lambda i: stack[i][0][0]))
+        below = a < refused[0]
+        a, fa, fb = a[below], fa[below], fb[below]
         if h <= stop:
             zeros += (a + 0.5 * h).tolist()
             continue
@@ -765,11 +772,13 @@ def _refined_zeros(groups: list[_Group], tol: float,
         lost = ~ok.any(axis=1)
         if m > 2 and lost.any():
             start = float(a[lost][0])
-            raise PrecisionUnreachable(f"no sign inside [{start!r}, {start + m * h!r}] counts: "
-                                       f"no value there exceeds its error claim")
+            refused = start, start + m * h
         ends = np.ones((a.size, 1), dtype=bool)
         stack += _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
                            np.column_stack([ends, ok, ends]), h, tol)
+    if refused[0] < math.inf:
+        raise PrecisionUnreachable(f"no sign inside [{refused[0]!r}, {refused[1]!r}] counts: "
+                                   f"no value there exceeds its error claim")
     return zeros
 
 

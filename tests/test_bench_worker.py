@@ -37,3 +37,6 @@ def test_traced_bench_worker_starts_and_stops(tmp_path):
     assert layers["approx.solve.calls"] == 1
     # the scan's span: the CLI must reach it as ``cli.find_critical_zeros``
     assert layers["zeta.find_critical_zeros.self_s"] > 0
+    # ``zeta.gamma`` is a hook for the tracer that nothing calls, so it
+    # feeds no metric
+    assert layers["gammafn.gamma.calls"] == 0

@@ -30,14 +30,18 @@ from nblab.cli import run
 PATH = pathlib.Path(__file__).with_name("golden") / "zeros.json"
 CLI_PATH = PATH.with_name("cli.json")
 
-#: heights x tolerances, then README's other ``zeros`` argv; README's
-#: ``--t-max 52428`` (3.3 s) is left out to keep the corpus within its budget
+#: heights x tolerances, README's other ``zeros`` argv, then the refusal at
+#: 1e-9 just past its zero at 201.26 and from far above it, and README's scan
+#: near the grid budget
 CASES = [["zeros", "--t-max", t, "--tol", tol]
          for t in ("30", "100", "199.9", "200", "300", "400", "500", "900", "2000")
          for tol in ("1e-3", "1e-6", "1e-8", "1e-9")] + [
     ["zeros", "--t-max", "60"],
     ["zeros", "--t-max", "199.9", "--tol", "3e-12"],
     ["zeros", "--t-max", "52428.85"],
+    ["zeros", "--t-max", "201.3", "--tol", "1e-9"],
+    ["zeros", "--t-max", "10000", "--tol", "1e-9"],
+    ["zeros", "--t-max", "52428"],
 ]
 
 #: what the cases that read ``--input -`` find on stdin: approx's bstars on

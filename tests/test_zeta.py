@@ -338,12 +338,22 @@ def test_find_critical_zeros_coarse_tol_keeps_every_zero():
     assert abs(zeros[0] - FIRST_ORDINATES[0]) < 1e-3
 
 
-def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell():
+def refined_by_regula_falsi(monkeypatch, groups, tol):
+    """``_refined_zeros`` on groups of brackets that are not a grid's: round
+    1's guess is forced to regula falsi on each bracket's ends, so that no
+    grid is read."""
+    monkeypatch.setattr(zeta_module, "_first_guess",
+                        lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb))
+    return _refined_zeros(groups, tol, None)
+
+
+def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell(monkeypatch):
     # the cell [28.5, 38] holds three zeros (zeros 4, 5 and 6), so its ends
     # differ in sign; refining it on sub-grids of Z keeps all of them
     tol = 1e-6
     fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
-    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
+    zeros = refined_by_regula_falsi(
+        monkeypatch, [(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
     assert len(zeros) == len(expected)
     for found, true in zip(sorted(zeros), expected):
@@ -680,7 +690,8 @@ def test_a_probe_on_the_middle_zero_of_three_keeps_all_three(monkeypatch):
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
     monkeypatch.setattr(zeta_module, "_secant", lambda x0, f0, x1, f1: np.full_like(x0, expected[1]))
     reads = spy_on_reads(monkeypatch)
-    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
+    zeros = refined_by_regula_falsi(
+        monkeypatch, [(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
     assert reads[0].size == 2 and reads[1].size == 31
     assert len(zeros) == 3
     for found, true in zip(sorted(zeros), expected):
@@ -709,7 +720,7 @@ def test_a_zero_beside_a_point_that_does_not_count_is_found(monkeypatch):
 
     monkeypatch.setattr(zeta_module, "_em_z_rows", blinded)
     fa, fb = (np.array([float(mpmath.siegelz(t))]) for t in (a, a + 0.05))
-    zeros = _refined_zeros([(np.array([a]), fa, fb, 0.05, tol)], tol)
+    zeros = refined_by_regula_falsi(monkeypatch, [(np.array([a]), fa, fb, 0.05, tol)], tol)
     assert len(zeros) == 1 and abs(zeros[0] - z0) <= tol
 
 
@@ -1018,12 +1029,15 @@ def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
 
 
 def test_tol_finer_than_the_certified_signs_is_refused():
-    # next to the zero at t ~ 204.19 no Z sign counts over about 7.9e-9
-    # (claim / |Z'|), so brackets cannot be certified down to 1e-9 there;
-    # the refusal names the first such bracket the nested cuts reach
+    # next to the zeros above t = 200 no Z sign counts over a few 1e-9
+    # (claim / |Z'|; about 7.9e-9 at 204.19), so brackets cannot be
+    # certified down to 1e-9 there; the refusal names the lowest such
+    # bracket, at the zero at 201.26, whatever the scan's height
     assert len(find_critical_zeros(300.0, 1e-8)) == 138
-    with pytest.raises(PrecisionUnreachable, match=r"no sign inside \[204\.1896717975537"):
-        find_critical_zeros(300.0, 1e-9)
+    for t_max in (201.3, 204.3, 300.0, 2000.0):
+        with pytest.raises(PrecisionUnreachable,
+                           match=r"no sign inside \[201\.2647519394755, 201\.26475194543596\]"):
+            find_critical_zeros(t_max, 1e-9)
 
 
 def test_xi_signs_count_only_above_their_claim(monkeypatch):
