@@ -141,41 +141,45 @@ A sign counts only where the value's magnitude exceeds its claim, which is
 positive, so no counted sign is 0: a point whose sign does not count is
 dropped, so that its two neighbours bracket across it.  The scan is one
 pass of such calls: one for the grid's whole rows, the last row's points
-past ``t_max`` dropped, then up to three rounds of probes for each group
-of brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
-time), then the rows of the brackets the probes leave.
+past ``t_max`` dropped, then rounds of two-point rows for each group of
+brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
+time), the groups lowest first.
 
-A bracket's zero is located on nested cuts: each level cuts it into at
-most 32 equal parts, keeps every part whose ends' counted signs differ,
-and stops once the parts are at most ``tol`` wide (2 ``tol`` for a bracket
-across a dropped point); each final part's midpoint is reported, within
-``tol`` of a zero between two counted signs.  A probe round reads the finest
-part of those cuts that holds a guess as one two-point row, from its left
-end p to p + h.  Round 1's guess is the root of the polynomial through the
-grid's 6 values nearest the bracket, 3 a side (shifted inward at the grid's
-ends), by Newton steps from regula falsi on the bracket's ends: a guess
-needs no claim, so a value whose sign does not count serves as a node, and a
-root that is not finite or lies off the bracket gives way to regula falsi.
-At tol 1e-6 it lands in its zero's finest part on every bracket of the scan
-to 500, so each of those zeros costs one round, the part's two ends.  Rounds
-2 and 3 take the secant through the last two probes.  A bracket is done once
-the part's two counted signs differ and all the counted signs it knows show
-one sign change: where the cuts' rows see one sign change they reach that
-part, and report its midpoint as the same float, whatever the guesses.  A
-probe sign that does not count, a second sign change, a guess off the
-bracket or three rounds without a zero hand the bracket to the cuts' whole
-rows from the bracket itself.  Those rows may read again up to the 6 points
-the probes read there, in a call whose claim may differ: each read counts by
-its own claim, so a point may count in one read and not in another, but two
-counted reads have one sign.  A bracket at least 2 ``tol`` wide none of
-whose inner signs counts is refused (exit 2): the cuts take the lowest
-brackets first, drop those above it, and name the lowest such bracket once
-those below it are done.  So is a grid of more than 2^20 points, before
-any row is evaluated.  The count is that of the sign changes seen, not a
-certified count of zeros: a zero pair inside one grid cell goes unseen,
-and so does a zero pair between two neighbouring probes of one sign in a
-bracket with a third zero, which the cuts' whole rows would see wherever
-one of their points fell between the pair.
+A bracket [a, a + w] is refined on its lattice a + k h, h = w / n,
+n = ceil(w / stop), the stop being ``tol`` (2 ``tol`` for a bracket across
+a dropped point).  Between its counted ends lo and hi, lattice points of
+opposite sign, each round reads one cell [k, k + 1] as one two-point row,
+in one call for the group.  Round 1's cell holds the root of the
+polynomial through the grid's 6 values nearest the bracket, 3 a side
+(shifted inward at the grid's ends), by Newton steps from regula falsi on
+the bracket's ends: a guess needs no claim, so a value whose sign does not
+count serves as a node, and a root that is not finite or lies off the
+bracket gives way to regula falsi.  At tol 1e-6 it lands in its zero's
+cell on every bracket of the scan to 500, so each of those zeros costs one
+round, the cell's two ends.  Later rounds take the secant's root on
+[lo, hi]; where it is not a number, lies off [lo, hi), or [lo, hi] has not
+halved in two rounds, they take [lo, hi]'s middle cell.  Every sign change
+among the counted signs of lo, the cell's ends and hi becomes a bracket of
+its own.  Points read between lo and hi whose signs do not count form one
+run, and while there is one the next round reads the next unread cell
+outward from it, on the right first, then on the left.  A bracket is done
+once every lattice point between lo and hi is read and none counts, and
+then lo and hi are the counted lattice points nearest its zero, one on
+each side: one cell apart, or at most 2 ``tol``, and its ordinate is their
+midpoint, within ``tol`` of a zero between two counted signs.  Where the
+counted lattice signs of a bracket change once, its ordinate depends only
+on the lattice and on which signs count, not on the guesses.
+A bracket more than 2 ``tol`` wide none of whose inner signs counts is
+refused (exit 2): the brackets above it are dropped, and once those below
+it are done the lowest such bracket is named.  So is a grid of more than
+2^20 points, before any row is evaluated.  A point may be read again, as
+an end of its bracket in a later round's cell, in a call whose claim may
+differ: each read counts by its own claim, and two counted reads have one
+sign.  The count is that of the sign changes seen, not a certified count
+of zeros: a zero pair inside one grid cell goes unseen, and so does a zero
+pair between two counted reads of one sign in a bracket with a third zero.
+A count below the least N(t) = theta(t)/pi + 1 + S(t) that Trudgian's bound
+on |S(t)| allows has certainly missed zeros, and is refused.
 """
 
 from __future__ import annotations
@@ -209,8 +213,7 @@ _MAX_TERMS = 2**20
 #: B_2k/(2k)!, k = 0..40
 _EM_COEF = [float(b / math.factorial(2 * k)) for k, b in enumerate(_BERNOULLI)]
 
-#: points per row of the scan's angle-addition layout, and most parts per
-#: refinement of a bracket
+#: points per row of the scan's angle-addition layout on the grid
 _ROW = 32
 
 #: grid step of the sign-change scan before refinement (smallest gap between
@@ -225,8 +228,8 @@ _MAX_GRID = 2**20
 #: above this height, from which Gabcke's bound holds, and from W on the others
 _Z_FROM = 200.0
 
-#: most points per call of a row kernel, and 32 times the most brackets
-#: probed and refined together, so that a scan's arrays stay within a few MiB
+#: most points per call of a row kernel, and 32 times the most brackets of a
+#: group refined together, so that a scan's arrays stay within a few MiB
 _Z_CHUNK = 2**15
 
 #: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
@@ -239,6 +242,10 @@ _THETA_COEF = [float((1 - Fraction(2, 4**k)) * abs(_BERNOULLI[k]) / (4 * k * (2 
 #: theta's truncation is within _THETA_TAIL t^-7 from t = _THETA_FROM (module
 #: docstring); below it theta's claim, and so every Z claim, is inf
 _THETA_FROM, _THETA_TAIL = 10.0, 1.34
+
+#: Trudgian's bound |S(t)| <= 0.112 ln t + 0.278 ln ln t + 2.510, t >= e, on
+#: S(t) = N(t) - theta(t)/pi - 1 (J. Number Theory 134, 2014)
+_S_BOUND = 0.112, 0.278, 2.510
 
 #: the largest (t/2 pi)^{-1/2} of a point the scan reads Z at
 _W_MAX = math.sqrt(2.0 * math.pi / _Z_FROM)
@@ -620,39 +627,6 @@ def _brackets(t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float
     return groups
 
 
-def _levels(width: float, stop: float, tol: float) -> list[tuple[int, float]]:
-    """The parts m and their width h at each level of the nested cuts of a
-    bracket this wide that stops at ``stop``: m = min(_ROW, floor(width/tol)
-    + 1), h = width/m, then each part's own levels, which stop at tol."""
-    levels = []
-    while width > stop:
-        m = min(_ROW, math.floor(width / tol) + 1)
-        width /= m
-        levels.append((m, width))
-        stop = tol
-    return levels
-
-
-def _cells(a: np.ndarray, b: np.ndarray, levels: list[tuple[int, float]],
-           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ends of the finest cell of the nested cuts of the brackets [a, b]
-    that holds x, a <= x < b.  Point j of a level's cuts of a cell [lo, hi]
-    is lo for j = 0 and (lo + h) + h (j - 1) after, the floats that level's
-    row holds, and its last cell ends at hi."""
-    lo, hi = a, b
-    for m, h in levels:
-        def ends(k: np.ndarray, lo: np.ndarray = lo, hi: np.ndarray = hi, start=lo + h):
-            return (np.where(k > 0, start + h * (k - 1), lo),
-                    np.where(k < m - 1, start + h * k, hi))
-
-        k = np.minimum(np.floor((x - lo) / h), m - 1)
-        lo, hi = ends(k)
-        off = (hi <= x).astype(float) - (lo > x)
-        if off.any():  # the rounded quotient is at most one cell off
-            lo, hi = ends(k + off)
-    return lo, hi
-
-
 def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """Where the line through (x0, f0) and (x1, f1) crosses 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -661,7 +635,7 @@ def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> n
 
 def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
                  grid: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Probe round 1's guess in each bracket [a, b] with end values fa, fb
+    """Round 1's guess in each bracket [a, b] with end values fa, fb
     (module docstring): the root of the polynomial through the 6 values of
     the grid (t, f) nearest the bracket, by Newton steps from regula falsi;
     regula falsi where that root is not finite or falls off [a, b)."""
@@ -683,99 +657,63 @@ def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
     return np.where((a <= y) & (y < b), y, x)
 
 
-def _probe(a: np.ndarray, fa: np.ndarray, fb: np.ndarray, width: float, stop: float, tol: float,
-           grid: tuple[np.ndarray, np.ndarray]) -> tuple[list[float], list[_Group]]:
-    """Up to three rounds of probes on the finest of the nested cuts
-    (``_refined_zeros``) of each bracket [a, a + width].
-
-    A round reads the finest cell that holds a guess as one two-point row,
-    its left end p and p + h, in one call for the whole group: the guess is
-    ``_first_guess``'s from the grid (t, f) ``grid`` first, then the secant
-    through the last round's two ends.
-    Counted signs narrow [lo, hi], the known counted signs nearest the zero,
-    and a bracket is done once its cell's two signs count and differ and
-    none shows a second sign change; its ordinate is p + h/2, the float the
-    cuts report.  A sign that does not count, a second sign change, a guess
-    off [lo, hi) (or not a number) or three rounds without a zero leave the
-    bracket to the cuts' rows from itself, which may read the points the
-    probes read again, each read counting by its own claim.
-
-    Returns the ordinates found and the brackets left, as a list of at most
-    one group."""
-    levels = _levels(width, stop, tol)
-    h = levels[-1][1]
-    b = a + width
-    lo, hi = a.copy(), b.copy()  # the counted signs nearest a zero
-    side = np.sign(fa)
-    live, solved = np.ones(a.size, dtype=bool), np.zeros(a.size, dtype=bool)
-    found = []
-    x = _first_guess(a, fa, b, fb, grid)
-    for _ in range(3):
-        i = np.flatnonzero(live)
-        on = (lo[i] <= x[i]) & (x[i] < hi[i])  # False also for nan
-        live[i[~on]], i = False, i[on]
-        if not i.size:
-            break
-        t, f, ok = _scan_rows(_cells(a[i], b[i], levels, x[i])[0], h, 2)
-        (p, q), (fp, fq), (okp, okq) = t.T, f.T, ok.T
-        # lo moves to the last counted sign of a's, hi to the first of b's;
-        # p and q counting with a's and b's sign bracket the zero, with b's
-        # and a's they show a second sign change
-        west_p, west_q = np.sign(fp) == side[i], np.sign(fq) == side[i]
-        a_p, a_q, b_p, b_q = okp & west_p, okq & west_q, okp & ~west_p, okq & ~west_q
-        lo[i] = np.where(a_q, q, np.where(a_p, p, lo[i]))
-        hi[i] = np.where(b_p, p, np.where(b_q, q, hi[i]))
-        done = a_p & b_q
-        found += (p[done] + 0.5 * h).tolist()
-        solved[i[done]] = True
-        live[i] = okp & okq & ~(b_p & a_q) & ~done
-        x[i] = _secant(p, fp, q, fq)
-    j = np.flatnonzero(~solved)
-    return found, [(a[j], fa[j], fb[j], width, stop)] if j.size else []
-
-
 def _refined_zeros(groups: list[_Group], tol: float,
                    grid: tuple[np.ndarray, np.ndarray]) -> list[float]:
-    """Zeros in groups of brackets [a, a + h] with end values fa, fb and a
-    width at which to stop (``_brackets``).
-
-    The nested cuts: each level cuts every bracket of a group into the
-    fewest equal parts narrower than ``tol``, at most _ROW, reads one row per
-    bracket and applies the grid's rule; once h is at most the stop width
-    the midpoints are reported (then h > tol/2 for brackets with no dropped
-    point).  Every group is probed first (``_probe``), two points a bracket
-    a round on the finest of those cuts, round 1's guess from the grid's
-    values (t, f) ``grid``, and the brackets the probes leave go on by the
-    cuts' rows from themselves, depth-first, the group with the lowest
-    bracket first.  A point of those rows may have been read by a probe;
-    each read counts by its own claim, and two counted reads of one point
-    have one sign.  A bracket at least 2 tol wide none of whose inner signs
-    counts cannot be narrowed by refining it again: every bracket above the
-    lowest such bracket is dropped, and once the brackets below it are done
-    it is refused."""
+    """Zeros in groups of brackets [a, a + width] with end values fa, fb and
+    a width ``stop`` at which to stop (``_brackets``), the groups lowest
+    first, each bracket refined on its lattice a + k h, h = width /
+    ceil(width / stop), by rounds of one two-point row a bracket (module
+    docstring), round 1 at ``_first_guess``'s guess from the grid's values
+    (t, f) ``grid``.  A bracket more than 2 tol wide none of whose inner
+    lattice points counts is refused: the brackets above it are dropped, and
+    once those below it are done the lowest such bracket is named.
+    """
     zeros: list[float] = []
-    stack: list[_Group] = []
     refused = math.inf, math.inf  # the lowest bracket refused, as its two ends
-    for group in groups:
-        found, left = _probe(*group, tol, grid) if group[3] > group[4] else ([], [group])
-        zeros += found
-        stack += left
-    while stack:
-        a, fa, fb, h, stop = stack.pop(min(range(len(stack)), key=lambda i: stack[i][0][0]))
-        below = a < refused[0]
-        a, fa, fb = a[below], fa[below], fb[below]
-        if h <= stop:
-            zeros += (a + 0.5 * h).tolist()
-            continue
-        m, h = _levels(h, stop, tol)[0]
-        t, f, ok = _scan_rows(a + h, h, m - 1)
-        lost = ~ok.any(axis=1)
-        if m > 2 and lost.any():
-            start = float(a[lost][0])
-            refused = start, start + m * h
-        ends = np.ones((a.size, 1), dtype=bool)
-        stack += _brackets(np.column_stack([a, t, a + m * h]), np.column_stack([fa, f, fb]),
-                           np.column_stack([ends, ok, ends]), h, tol)
+    for a, fa, fb, width, stop in sorted(groups, key=lambda group: group[0][0]):
+        n = math.ceil(width / stop)
+        h = width / n
+        # per bracket: lattice origin, counted ends lo and hi (lattice indices)
+        # and Z there, the run of uncounted reads between them (empty as
+        # [inf, -inf]), hi - lo one and two rounds ago, and the next guess
+        zero, inf = np.zeros(a.size), np.full(a.size, np.inf)
+        s = np.array([a, zero, zero + n, fa, fb, inf, -inf, inf, inf,
+                      _first_guess(a, fa, a + width, fb, grid)])
+        while True:
+            org, lo, hi, flo, fhi, run0, run1, last, before, x = s
+            closed = (hi - lo == 1.0) | ((run0 == lo + 1.0) & (run1 == hi - 1.0))
+            done = closed & ((hi - lo == 1.0) | ((hi - lo) * h <= 2.0 * tol))
+            zeros += (org + 0.5 * (lo + hi) * h)[done].tolist()
+            wide = np.flatnonzero(closed & ~done)
+            if wide.size:
+                i = wide[np.argmin(org[wide] + lo[wide] * h)]
+                refused = min(refused, (float(org[i] + lo[i] * h), float(org[i] + hi[i] * h)))
+            s = s[:, ~closed & (org + lo * h < refused[0])]
+            if not s.shape[1]:
+                break
+            org, lo, hi, flo, fhi, run0, run1, last, before, x = s
+            # the cell that holds the guess, [lo, hi]'s middle cell where the
+            # guess fails, and the next unread cell out from a run, right first
+            k = np.floor((x - org) / h)
+            k = np.where((lo <= k) & (k < hi) & (hi - lo <= 0.5 * before), k,
+                         np.floor(0.5 * (lo + hi)))
+            k = np.where(run0 <= run1, np.where(run1 + 1.0 < hi, run1 + 1.0, run0 - 2.0), k)
+            _, f, ok = _scan_rows(org + k * h, h, 2)
+            # the counted signs of lo, k, k + 1 and hi, each row's own
+            pos, val = np.column_stack([lo, k, k + 1.0, hi]), np.column_stack([flo, f, fhi])
+            inner = (lo[:, None] < pos[:, 1:3]) & (pos[:, 1:3] < hi[:, None])
+            ends = np.ones((k.size, 1), dtype=bool)
+            left, right = _sign_changes(val, np.column_stack([ends, ok & inner, ends]))
+            p, l, r = left // 4, pos.flat[left], pos.flat[right]
+            # each new bracket's run: the old run and the cell's uncounted points inside it
+            blind = ~ok & inner
+            first = np.column_stack([run0, np.where(blind, pos[:, 1:3], np.inf)])[p]
+            end = np.column_stack([run1, np.where(blind, pos[:, 1:3], -np.inf)])[p]
+            inside = (first > l[:, None]) & (end < r[:, None])
+            org, fl, fr = org[p], val.flat[left], val.flat[right]
+            s = np.array([org, l, r, fl, fr, np.where(inside, first, np.inf).min(axis=1),
+                          np.where(inside, end, -np.inf).max(axis=1), (hi - lo)[p], last[p],
+                          _secant(org + l * h, fl, org + r * h, fr)])
     if refused[0] < math.inf:
         raise PrecisionUnreachable(f"no sign inside [{refused[0]!r}, {refused[1]!r}] counts: "
                                    f"no value there exceeds its error claim")
@@ -792,22 +730,22 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     counts only when the value's magnitude exceeds its certified claim; a
     point whose sign does not count is dropped, so that its neighbours
     bracket across it.  Neighbours of opposite sign form a bracket, and the
-    brackets of one width (up to 1024 at a time) are refined together down
-    to width ``tol`` on nested cuts of up to 32 parts a level, which up to
-    three rounds of two probes a bracket search first (round 1 at the root
-    of the polynomial through the 6 grid values nearest the bracket, then by
-    the secant), and reported by the midpoints of their final parts
-    (``_refined_zeros``); a bracket the probes leave is cut from itself.  Z
-    is continuous, so each ordinate lies within ``tol`` of a zero between
-    two counted signs.  A scan of more than 2^20 grid points (t_max above
-    about 52,429) is refused before any row is evaluated.
+    brackets of one width (up to 1024 at a time) are refined together on a
+    lattice of cells at most ``tol`` wide, one cell a bracket a round, from
+    a guess (``_refined_zeros``); each ordinate is the midpoint of the
+    counted lattice points nearest its zero, one on each side.  Z is
+    continuous, so each ordinate lies within ``tol`` of a zero between two
+    counted signs.  A count below the least N(t_max) that theta and
+    Trudgian's bound on S(t) allow is refused, and so is a scan of more than
+    2^20 grid points (t_max above about 52,429), before any row is
+    evaluated.
     """
     if not 0.0 < t_max < math.inf:
         raise DomainError("t_max must be positive and finite")
     if not tol > 0.0:
         raise DomainError("tol must be positive")
     if tol < 64.0 * _EPS * max(1.0, t_max):
-        raise PrecisionUnreachable(f"sub-grids cannot resolve brackets of width {tol:g}")
+        raise PrecisionUnreachable(f"a lattice cannot resolve cells of width {tol:g}")
     h = _GRID_STEP
     last = int(math.floor((t_max - h) / h + 1e-9)) + 1  # the grid is t_j = j h, j = 1..last
     if last > _MAX_GRID:
@@ -815,4 +753,16 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
                                    f"more than the {_MAX_GRID} a scan may hold")
     t, f, ok = (x.ravel() for x in _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW))
     ok[last:] = False  # the last row's points past t_max
-    return sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol, (t[:last], f[:last])))
+    zeros = sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol, (t[:last], f[:last])))
+    theta, claim = (float(x[0]) for x in _theta(np.array([t_max])))
+    if claim < math.inf:  # N(t) = theta(t)/pi + 1 + S(t) off the ordinates
+        log_t = math.log(t_max)
+        c0, c1, c2 = _S_BOUND
+        least = math.ceil((theta - claim) / math.pi + 1.0
+                          - (c0 * log_t + c1 * math.log(log_t) + c2))
+        if len(zeros) < least:
+            raise PrecisionUnreachable(
+                f"the scan to t = {t_max:.10g} found {len(zeros)} sign changes, at least "
+                f"{least - len(zeros)} short: theta and Trudgian's bound on S(t) put N(t) "
+                f">= {least}")
+    return zeros

@@ -82,10 +82,11 @@ def test_subnormal_s_is_within_its_claim(argv):
 
 def test_zeros_refuses_a_tol_finer_than_the_xi_claims():
     # below t = 200 a sign of Z counts only where |Z| exceeds its claim:
-    # next to the zero at 184.87 no sign inside a bracket 8.7e-12 wide counts
+    # next to the zero at 169.09 no lattice point inside an interval 9.0e-12
+    # wide counts
     code, out, err = invoke(["zeros", "--t-max", "199.9", "--tol", "3e-12"])
     assert code == EXIT_PRECISION
-    assert "no sign inside [184.87" in err
+    assert "no sign inside [169.09" in err
     assert out == ""
 
 

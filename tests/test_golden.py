@@ -32,7 +32,7 @@ CLI_PATH = PATH.with_name("cli.json")
 
 #: heights x tolerances, README's other ``zeros`` argv, then the refusal at
 #: 1e-9 just past its zero at 201.26 and from far above it, and README's scan
-#: near the grid budget
+#: near the grid budget, refused as short of Trudgian's bound on the count
 CASES = [["zeros", "--t-max", t, "--tol", tol]
          for t in ("30", "100", "199.9", "200", "300", "400", "500", "900", "2000")
          for tol in ("1e-3", "1e-6", "1e-8", "1e-9")] + [

@@ -338,28 +338,6 @@ def test_find_critical_zeros_coarse_tol_keeps_every_zero():
     assert abs(zeros[0] - FIRST_ORDINATES[0]) < 1e-3
 
 
-def refined_by_regula_falsi(monkeypatch, groups, tol):
-    """``_refined_zeros`` on groups of brackets that are not a grid's: round
-    1's guess is forced to regula falsi on each bracket's ends, so that no
-    grid is read."""
-    monkeypatch.setattr(zeta_module, "_first_guess",
-                        lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb))
-    return _refined_zeros(groups, tol, None)
-
-
-def test_find_critical_zeros_keeps_every_sign_change_of_a_coarse_cell(monkeypatch):
-    # the cell [28.5, 38] holds three zeros (zeros 4, 5 and 6), so its ends
-    # differ in sign; refining it on sub-grids of Z keeps all of them
-    tol = 1e-6
-    fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
-    zeros = refined_by_regula_falsi(
-        monkeypatch, [(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
-    expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
-    assert len(zeros) == len(expected)
-    for found, true in zip(sorted(zeros), expected):
-        assert abs(found - true) <= tol / 2
-
-
 def test_find_critical_zeros_empty_below_first():
     # no grid point, part of one row, one whole row, and one point of a second row
     for t_max in (0.01, 1.0, 1.6, 1.65):
@@ -391,11 +369,12 @@ def test_find_critical_zeros_validation():
 
 def scalar_scan_oracle(t_max: float, tol: float, grid_step: float) -> list[float]:
     """Independent route for the zero scan: one scalar ``xi`` call per grid
-    point and per point of every full sub-row of the nested cuts, the route
-    whose final parts the scan's probes, which read a few points of the
-    finest cuts, must reproduce float for float.  xi(1/2 + it) has the
-    sign of -Z(t), so the sign changes are the same; an exact 0.0 is
-    reported as it stands (no sign the scan counts is 0)."""
+    point, then each grid bracket [a, a + grid_step] bisected on its lattice
+    a + k h, h = grid_step / ceil(grid_step / tol), by one scalar ``xi``
+    call per point, down to the cell whose ends differ, whose midpoint is
+    reported as the scan reports it.  xi(1/2 + it) has the sign of -Z(t),
+    so the sign changes are the same; an exact 0.0 on the grid is reported
+    as it stands (no sign the scan counts is 0)."""
     row = 32
 
     def f(t: float) -> float:
@@ -405,24 +384,18 @@ def scalar_scan_oracle(t_max: float, tol: float, grid_step: float) -> list[float
         # signs, not the product, which underflows to 0 past t ~ 470
         return np.sign(a) * np.sign(b) < 0.0
 
-    def scan(ts, fs, h):
-        """Exact zeros among the points ts and brackets [ts[c], ts[c] + h]
-        between neighbouring values fs[c], fs[c + 1], refined."""
-        zeros = []
-        for c in range(len(fs) - 1):
-            if fs[c] == 0.0:
-                zeros.append(ts[c])
-            elif opposite(fs[c], fs[c + 1]):
-                zeros.extend(refine(ts[c], fs[c], fs[c + 1], h))
-        return zeros
-
-    def refine(a, fa, fb, h):
-        if h <= tol:
-            return [a + 0.5 * h]
-        m = min(row, math.floor(h / tol) + 1)
-        h /= m
-        ts = [a] + [(a + h) + h * j for j in range(m - 1)]
-        return scan(ts, [fa] + [f(t) for t in ts[1:]] + [fb], h)
+    def bisect(a: float, fa: float) -> float:
+        n = math.ceil(grid_step / tol)
+        h = grid_step / n
+        lo, hi = 0, n
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fm = f(a + mid * h)
+            if opposite(fa, fm):
+                hi = mid
+            else:
+                lo, fa = mid, fm
+        return a + (lo + 0.5) * h
 
     # the grid points j = 1..last in rows of 32, as the row start a_r plus
     # i grid_step: t = grid_step (j - i) + grid_step i with i = (j - 1) % 32
@@ -431,7 +404,14 @@ def scalar_scan_oracle(t_max: float, tol: float, grid_step: float) -> list[float
     for j in range(1, last + 1):
         i = (j - 1) % row
         grid.append(grid_step * (j - i) + grid_step * i)
-    return sorted(scan(grid, [f(t) for t in grid], grid_step))
+    values = [f(t) for t in grid]
+    zeros = []
+    for c in range(len(grid) - 1):
+        if values[c] == 0.0:
+            zeros.append(grid[c])
+        elif opposite(values[c], values[c + 1]):
+            zeros.append(bisect(grid[c], values[c]))
+    return sorted(zeros)
 
 
 @pytest.mark.parametrize(
@@ -451,6 +431,26 @@ def test_find_critical_zeros_count_at_500():
     for t in zeros:
         if t > 450.0:
             assert mpmath.siegelz(t - tol) * mpmath.siegelz(t + tol) < 0
+
+
+def test_a_count_below_trudgians_bound_is_refused(monkeypatch):
+    # N(T) = theta(T)/pi + 1 + S(T) off the ordinates, and Trudgian (J.
+    # Number Theory 134, 2014) bounds |S(T)| by 0.112 ln T + 0.278 ln ln T +
+    # 2.510 from T = e, so a scan that counts fewer zeros than the least N(T)
+    # this allows has missed some, and is refused with the shortfall.  At
+    # T = 2000 the least is 1514, three below the 1517 zeros: dropping three
+    # ordinates passes, dropping four is refused
+    t_max, log_t = 2000.0, math.log(2000.0)
+    zeros = find_critical_zeros(t_max, 1e-6)
+    least = math.ceil(float(mpmath.siegeltheta(t_max)) / math.pi + 1.0
+                      - (0.112 * log_t + 0.278 * math.log(log_t) + 2.510))
+    assert (least, len(zeros)) == (1514, 1517)
+    refined = zeta_module._refined_zeros
+    monkeypatch.setattr(zeta_module, "_refined_zeros", lambda *args: refined(*args)[3:])
+    assert find_critical_zeros(t_max, 1e-6) == zeros[3:]
+    monkeypatch.setattr(zeta_module, "_refined_zeros", lambda *args: refined(*args)[4:])
+    with pytest.raises(PrecisionUnreachable, match="found 1513 sign changes, at least 1 short"):
+        find_critical_zeros(t_max, 1e-6)
 
 
 def test_array_kernel_matches_scalar_xi():
@@ -543,13 +543,13 @@ def own_counts(t: float, n: int | None = None) -> tuple[int, int]:
 
 
 def test_scan_term_count_covers_each_point(monkeypatch):
-    # each kernel call of the scan (the grid, or a refinement level)
+    # each kernel call of the scan (the grid, or a refinement round)
     # uses one (N, M): N is at least what xi picks at each of its points,
     # and M at least what xi would need there with that N, so no point's
     # remainder is above xi's.  (xi's own M can exceed the call's where its
     # own N is smaller.)  The one grid call comes first, then one round of
-    # probes when there is a bracket: round 1's guess, from the grid's own
-    # values, puts each probe on its zero's finest cell.  The grid call
+    # reads when there is a bracket: round 1's guess, from the grid's own
+    # values, lies in its zero's lattice cell.  The grid call
     # evaluates whole rows, so its last row may reach past t_max (to 9.6 for
     # 9.0).  Past t = 200 the scan reads Z by the Riemann-Siegel formula: at
     # 600 the grid call and the round call W's rows only on the points at or
@@ -582,10 +582,10 @@ def spy_on_reads(monkeypatch):
 
 def missing_guesses(tol):
     """Replacements of ``_first_guess`` and ``_secant`` whose guesses lie 3
-    tol off their own, to the right and the left in turn, so that the probes
-    close in on a zero from both sides without a cell across it, and leave a
-    narrow bracket to the nested cuts' rows.  The first guess starts from the
-    secant's, so round 1 takes two turns and still alternates with round 2."""
+    tol off their own, to the right and the left in turn, so that the reads
+    close in on a zero from both sides without a cell across it.  The first
+    guess starts from the secant's, so round 1 takes two turns and still
+    alternates with round 2."""
     first, secant = zeta_module._first_guess, zeta_module._secant
     side = itertools.cycle((3.0, -3.0))
     return (lambda a, fa, b, fb, grid: first(a, fa, b, fb, grid) + next(side) * tol,
@@ -595,9 +595,11 @@ def missing_guesses(tol):
 @pytest.mark.parametrize("t_max", [300.0, 2000.0])
 @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
 def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
-    # with no guess on any bracket, or with guesses that miss, every bracket
-    # is refined by the nested cuts' whole rows from the grid's bracket on:
-    # either way the ordinates are the probes' own
+    # with no guess on any bracket every round reads [lo, hi]'s middle cell,
+    # a bisection of the lattice; with guesses that miss, the safeguard
+    # bisects wherever [lo, hi] has not halved in two rounds.  Either way the
+    # ordinates are those of the guessed reads: an ordinate is the midpoint
+    # of its zero's lattice cell, whichever reads find it
     expected, read = find_critical_zeros(t_max, tol), {}
     for guess in ("nan", "miss"):
         reads = spy_on_reads(monkeypatch)
@@ -609,10 +611,10 @@ def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
         assert find_critical_zeros(t_max, tol) == expected, guess
         monkeypatch.undo()
         read[guess] = sum(t.size for t in reads[1:])
-    # at least a row a bracket, more than three rounds of probes read; the
-    # probes read at most 6 points a bracket besides the rows
-    assert 31 * len(expected) <= read["miss"]
-    assert read["miss"] <= read["nan"] + 6 * len(expected)
+    # bisection reads a cell a round for at most ceil(log2 n) rounds on a
+    # lattice of n cells; the missing guesses read no more than it
+    rounds = math.ceil(math.log2(math.ceil(0.05 / tol)))
+    assert read["miss"] <= read["nan"] <= 2 * rounds * len(expected)
 
 
 @pytest.mark.parametrize("t_max", [14.15, 30.0, 199.9, 201.3, 500.0, 2000.0])
@@ -620,11 +622,11 @@ def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
 def test_the_first_guess_moves_no_ordinate(monkeypatch, t_max, tol):
     # round 1's guess from the grid's values, regula falsi, no guess and a
     # guess off the bracket give the same ordinates or the same refusal: an
-    # ordinate is the midpoint of the finest cell across its zero, whichever
-    # probe or row reads it.  14.15 and 201.3 lie just past a zero, so their
-    # last bracket's stencil is shifted inward at the grid's end: at 14.15
-    # that bracket is also the first, around the zero at 14.13, and its
-    # stencil runs from 13.90 to 14.15
+    # ordinate is the midpoint of the counted lattice points nearest its
+    # zero, whichever reads find them.  14.15 and 201.3 lie just past a
+    # zero, so their last bracket's stencil is shifted inward at the grid's
+    # end: at 14.15 that bracket is also the first, around the zero at
+    # 14.13, and its stencil runs from 13.90 to 14.15
     guesses = {
         "grid": zeta_module._first_guess,
         "regula falsi": lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb),
@@ -659,77 +661,56 @@ def test_first_guess_is_the_root_of_the_grid_stencil():
         assert zeta_module._first_guess(*ends, (t, f)) == expected
 
 
-def test_cells_are_the_nested_cuts_own():
-    # every finest cell of a grid bracket's nested cuts at 1e-6, built here
-    # with the cuts' row expressions, holds its left end and the float
-    # below its right end, and _cells returns its two floats
-    tol, a = 1e-6, 0.05 * 4000
-    levels = zeta_module._levels(0.05, tol, tol)
-
-    def cells(lo, hi, levels):
-        if not levels:
-            return [(lo, hi)]
-        (m, h), rest = levels[0], levels[1:]
-        points = [lo] + [(lo + h) + h * j for j in range(m - 1)] + [hi]
-        return [c for pair in zip(points[:-1], points[1:]) for c in cells(*pair, rest)]
-
-    left, right = np.array(cells(a, a + 0.05, levels)).T
-    assert left.size == 32 * 32 * 32 * 2
-    for x in (left, np.nextafter(right, 0.0)):
-        ends = np.full(x.size, a), np.full(x.size, a + 0.05)
-        p, q = zeta_module._cells(*ends, levels, x)
-        assert np.array_equal(p, left) and np.array_equal(q, right)
-
-
 def test_a_probe_on_the_middle_zero_of_three_keeps_all_three(monkeypatch):
-    # a first probe cell across zero 5 of [28.5, 38] reads b's sign left of
-    # a's, a second sign change: the bracket goes on from itself, whose rows
-    # see all three zeros
+    # the cell [28.5, 38] holds three zeros (zeros 4, 5 and 6), so its ends
+    # differ in sign.  A first read across zero 5 shows three sign changes
+    # among [28.5, the cell's two points, 38], and each becomes a bracket
+    # of its own: the next round reads one cell in each of the two that are
+    # left, and all three zeros are found
     tol = 1e-6
     fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
-    monkeypatch.setattr(zeta_module, "_secant", lambda x0, f0, x1, f1: np.full_like(x0, expected[1]))
+    monkeypatch.setattr(zeta_module, "_first_guess",
+                        lambda a, fa, b, fb, grid: np.full_like(a, expected[1]))
     reads = spy_on_reads(monkeypatch)
-    zeros = refined_by_regula_falsi(
-        monkeypatch, [(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)], tol)
-    assert reads[0].size == 2 and reads[1].size == 31
+    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)],
+                           tol, None)
+    assert reads[0].shape == (1, 2) and reads[1].shape == (2, 2)
+    assert reads[0][0, 0] < expected[1] < reads[0][0, 1]
     assert len(zeros) == 3
     for found, true in zip(sorted(zeros), expected):
         assert abs(found - true) <= tol / 2
 
 
 def test_a_zero_beside_a_point_that_does_not_count_is_found(monkeypatch):
-    # the probes close in on the zero from both sides without a cell across
-    # it and leave [lo, hi] inside the first-level cell [c, c + h1], the zero
-    # 0.2 h2 above c, whose sign does not count.  The bracket goes on from
-    # itself: its first row brackets across c, 2 h1 wide, and that bracket's
-    # cuts find the zero
+    # blinding the lattice point c at the left end of the first zero's cell,
+    # which round 1 reads: c + h counts with the right end's sign, so the
+    # next round reads the cell left of c, whose point c - h counts with the
+    # left end's sign.  The zero lies between two counted signs 2 h apart,
+    # within 2 tol, and its ordinate is their midpoint c
     tol, z0 = 1e-6, FIRST_ORDINATES[0]
-    levels = zeta_module._levels(0.05, tol, tol)
-    h1, h2 = levels[0][1], levels[1][1]
-    a = z0 - 22.0 * h1 - 0.2 * h2
-    c = (a + h1) + h1 * 21.0
-    assert c < z0 < c + h2
-    guesses = iter([c + 0.05 * h2, c + 1.5 * h2, math.nan])
-    monkeypatch.setattr(zeta_module, "_secant", lambda x0, f0, x1, f1: np.full_like(x0, next(guesses)))
+    expected = find_critical_zeros(15.0, tol)
+    h = 0.05 / math.ceil(0.05 / tol)
+    c = expected[0] - 0.5 * h
+    assert c < z0 < c + h
     kernel = zeta_module._em_z_rows
 
     def blinded(a, h, m):
         t, z, claim = kernel(a, h, m)
-        return t, z, np.where(t == c, np.inf, claim)
+        return t, z, np.where(np.abs(t - c) < 0.25 * h, np.inf, claim)
 
     monkeypatch.setattr(zeta_module, "_em_z_rows", blinded)
-    fa, fb = (np.array([float(mpmath.siegelz(t))]) for t in (a, a + 0.05))
-    zeros = refined_by_regula_falsi(monkeypatch, [(np.array([a]), fa, fb, 0.05, tol)], tol)
-    assert len(zeros) == 1 and abs(zeros[0] - z0) <= tol
+    reads = spy_on_reads(monkeypatch)
+    zeros = find_critical_zeros(15.0, tol)
+    assert [t.size for t in reads[1:]] == [2, 2]
+    assert zeros == [pytest.approx(c, abs=1e-12)] and abs(zeros[0] - z0) <= tol
 
 
 def test_probes_read_at_most_eight_points_an_ordinate(monkeypatch):
-    # the nested cuts read 31 + 31 + 31 + 1 = 94 points a bracket at 1e-6;
-    # a probe round reads its cell's two ends as one row, and round 1's
-    # guess from the grid's values puts every probe of the scan to 500 on
-    # its zero's finest cell: one call of one two-point row an ordinate, the
-    # floor.  To 2000 a few brackets take a second round or the cuts' rows
+    # a round reads one lattice cell's two ends a bracket as one row, and
+    # round 1's guess from the grid's values lies in its zero's cell on
+    # every bracket of the scan to 500: one call of one two-point row an
+    # ordinate, the floor.  To 2000 a few brackets take a second round
     reads = spy_on_reads(monkeypatch)
     zeros = find_critical_zeros(500.0, 1e-6)
     assert (reads[0].size, len(zeros)) == (10016, 269)
@@ -739,12 +720,35 @@ def test_probes_read_at_most_eight_points_an_ordinate(monkeypatch):
     assert sum(t.size for t in reads[1:]) <= 2.1 * len(zeros)
 
 
+@pytest.mark.parametrize("t_max, tol, budget", [(300.0, 1e-8, 1757), (10000.0, 1e-8, 45325)])
+def test_refinement_reads_within_budget(monkeypatch, t_max, tol, budget):
+    # the points of every refinement call, after the grid's: at 1e-8 a
+    # bracket whose first read misses its zero's cell goes on from the
+    # counted ends [lo, hi] that read left, so these scans read half of what
+    # nested cuts from the whole bracket read (3,515 and 90,651 points)
+    reads = spy_on_reads(monkeypatch)
+    find_critical_zeros(t_max, tol)
+    assert sum(t.size for t in reads[1:]) <= budget
+
+
+def test_a_refusal_reads_within_budget(monkeypatch):
+    # the groups are refined lowest first, and the group that holds the
+    # bracket refused at 201.26 is the first: the brackets above it are
+    # dropped once it is refused, so the scan reads a tenth of the 83,577
+    # points of a scan that refined every group before it refused
+    reads = spy_on_reads(monkeypatch)
+    with pytest.raises(PrecisionUnreachable, match=r"no sign inside \[201\.26"):
+        find_critical_zeros(10000.0, 1e-9)
+    assert sum(t.size for t in reads[1:]) <= 8357
+
+
 @pytest.mark.parametrize("t_max, tol", [(300.0, 1e-8), (199.9, 1e-9), (2000.0, 1e-6)])
 def test_a_point_read_again_keeps_its_counted_sign(monkeypatch, t_max, tol):
-    # the cuts' rows may read again a point a probe read, in another call
-    # whose claim may differ (below t = 200 through the call's N): each read
-    # counts by its own claim, so the reads of one point that count have one
-    # sign.  All three scans read points again
+    # a round's cell may hold an end of its bracket that an earlier round
+    # read, and reads it again in another call, whose claim may differ
+    # (below t = 200 through the call's N): each read counts by its own
+    # claim, so the reads of one point that count have one sign.  All three
+    # scans read points again
     signs, scan_rows = {}, zeta_module._scan_rows
 
     def spy(a, h, m):
@@ -762,27 +766,29 @@ def test_a_point_read_again_keeps_its_counted_sign(monkeypatch, t_max, tol):
 
 def test_a_probe_sign_that_does_not_count_keeps_the_ordinate(monkeypatch):
     # with round 1's guess forced to regula falsi, which lands off the zero's
-    # cell, blinding one first-round probe above t = 200 hands its bracket to
-    # the rows, which bracket across it; it lies away from the zero, so the
-    # ordinate stays
+    # cell, blinding both points of one first-round cell above t = 200 leaves
+    # them inside their bracket: the next reads walk outward from them, cell
+    # by cell, until a sign counts, and the ordinates stay
     tol = 1e-6
     expected = find_critical_zeros(300.0, tol)
     monkeypatch.setattr(zeta_module, "_first_guess",
                         lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb))
     reads = spy_on_reads(monkeypatch)
     assert find_critical_zeros(300.0, tol) == expected
-    blind = float(reads[1][reads[1] > 250.0][0])
-    assert min(abs(blind - t) for t in expected) > tol
-    kernel, calls = zeta_module._z_rows, len(reads)
+    cell = reads[1][reads[1][:, 0] > 250.0][0]
+    assert min(abs(x - t) for x in cell for t in expected) > tol
+    kernel, h = zeta_module._z_rows, cell[1] - cell[0]
 
     def blinded(a, h, m):
         t, z, claim = kernel(a, h, m)
-        return t, z, np.where(t == blind, np.inf, claim)
+        near = np.abs(t[..., None] - cell).min(axis=-1) < 1e-12
+        return t, z, np.where(near, np.inf, claim)
 
     monkeypatch.setattr(zeta_module, "_z_rows", blinded)
     reads = spy_on_reads(monkeypatch)
     assert find_critical_zeros(300.0, tol) == expected
-    assert len(reads) > calls  # the safeguard's rows read past the probe rounds
+    # the walk's first read is the cell right of the blinded one
+    assert any(np.abs(rows[:, 0] - (cell[1] + h)).min() < 1e-12 for rows in reads[2:])
 
 
 @pytest.mark.parametrize("t_max, tol", [(5e7, 0.5), (1e12, 100.0)])
@@ -1014,9 +1020,10 @@ def test_uncertified_signs_are_bracketed_across(monkeypatch):
 
 
 def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
-    # around the zero at t ~ 236.52 no Z sign within 0.01 counts: the
-    # certified ends of its bracket close in on that interval, and refining
-    # it again could not narrow it, so the scan refuses
+    # around the zero at t ~ 236.52 no Z sign within 0.01 counts: the reads
+    # walk outward from the first uncounted one, a cell a round, to the
+    # counted lattice points nearest the zero, 0.02 apart, and the scan
+    # refuses, naming them
     kernel = zeta_module._z_rows
 
     def blind(a, h, m):
@@ -1024,19 +1031,21 @@ def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
         return t, z, np.where(np.abs(t - 236.5242296658) < 0.01, np.inf, claim)
 
     monkeypatch.setattr(zeta_module, "_z_rows", blind)
-    with pytest.raises(PrecisionUnreachable, match="no sign inside"):
+    with pytest.raises(PrecisionUnreachable,
+                       match=r"no sign inside \[236\.5142\d*, 236\.5342\d*\]"):
         find_critical_zeros(300.0, 1e-6)
 
 
 def test_tol_finer_than_the_certified_signs_is_refused():
     # next to the zeros above t = 200 no Z sign counts over a few 1e-9
-    # (claim / |Z'|; about 7.9e-9 at 204.19), so brackets cannot be
+    # (claim / |Z'|; about 5.6e-9 at 214.55), so brackets cannot be
     # certified down to 1e-9 there; the refusal names the lowest such
-    # bracket, at the zero at 201.26, whatever the scan's height
+    # bracket, the lattice points that count nearest the zero at 201.26,
+    # whatever the scan's height
     assert len(find_critical_zeros(300.0, 1e-8)) == 138
     for t_max in (201.3, 204.3, 300.0, 2000.0):
         with pytest.raises(PrecisionUnreachable,
-                           match=r"no sign inside \[201\.2647519394755, 201\.26475194543596\]"):
+                           match=r"no sign inside \[201\.26475194, 201\.264751946\]"):
             find_critical_zeros(t_max, 1e-9)
 
 
