@@ -17,7 +17,7 @@ from .errors import (
     PrecisionUnreachable,
     SingularSystem,
 )
-from .fracsum import DilatedFracSum, StepProfile, step_profile
+from .fracsum import DilatedFracSum
 from .gammafn import ComplexEvalReport
 from .gram import GramSystem, gram_system, pair_product_integral
 from .moments import (
@@ -50,7 +50,6 @@ __all__ = [
     "PoleAtOne",
     "PrecisionUnreachable",
     "SingularSystem",
-    "StepProfile",
     "best_approximation",
     "best_approximation_from_gram",
     "constants_report",
@@ -65,7 +64,6 @@ __all__ = [
     "necessary_condition_gap",
     "pair_product_integral",
     "partial_moment_constant",
-    "step_profile",
     "sweep",
     "weighted_norm_report",
     "xi",

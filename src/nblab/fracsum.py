@@ -16,13 +16,13 @@ so that single basis elements {t/l} remain representable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstraintViolated, DomainError
 
-__all__ = ["DilatedFracSum", "StepProfile", "step_profile"]
+__all__ = ["DilatedFracSum"]
 
 #: relative tolerance for treating two dilations or breakpoints as coincident
 COINCIDENCE_RTOL = 1e-12
@@ -148,62 +148,3 @@ class DilatedFracSum:
             if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in term):
                 raise DomainError(f"term (h, l) = {term!r} must be JSON numbers")
         return cls(terms=terms, constrained=constrained)
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """Piecewise-constant description of a constrained sum on (1, T].
-
-    ``values[i]`` is the right-continuous value on the interval from
-    ``breakpoints[i-1]`` (or 1 for i = 0) to ``breakpoints[i]`` exclusive,
-    with a final interval reaching T.  ``jumps`` pairs each breakpoint with
-    its jump, the negated sum of the coefficients h_k over all lattice
-    representations m * l_k of that point.
-    """
-
-    breakpoints: tuple[float, ...]
-    values: tuple[float, ...]
-    jumps: tuple[tuple[float, float], ...] = field(default=())
-
-
-def step_profile(phi: DilatedFracSum, T: float) -> StepProfile:
-    """Breakpoints {m l_k} in (1, T], interval values, and merged jumps.
-
-    Only constrained sums are step functions (the slope of every term
-    between lattice points is h_k / l_k, and those cancel exactly when the
-    constraint holds), so unconstrained input is rejected.
-    """
-    if not phi.constrained:
-        raise ConstraintViolated("step profiles exist only for constrained sums")
-    if not T > 1.0:
-        raise DomainError("T must exceed 1")
-    events: list[tuple[float, float]] = []
-    for h, l in phi.terms:
-        m = 1
-        while True:
-            point = m * l
-            if point > T * (1.0 + COINCIDENCE_RTOL):
-                break
-            if point > 1.0 + COINCIDENCE_RTOL:
-                events.append((point, h))
-            m += 1
-    events.sort(key=lambda ev: ev[0])
-    breakpoints: list[float] = []
-    jumps: list[tuple[float, float]] = []
-    for point, h in events:
-        if breakpoints and point - breakpoints[-1] <= COINCIDENCE_RTOL * point:
-            jumps[-1] = (breakpoints[-1], jumps[-1][1] - h)
-        else:
-            breakpoints.append(point)
-            jumps.append((point, -h))
-    # interval values are sampled at midpoints: a lattice point m*l stored as
-    # a float may round to either side of the true jump, while midpoints are
-    # unambiguous and the function is constant across each interval anyway
-    edges = [1.0] + breakpoints + [T]
-    probes = [0.5 * (a + b) if b > a else min(a * (1.0 + 1e-12), T)
-              for a, b in zip(edges[:-1], edges[1:])]
-    return StepProfile(
-        breakpoints=tuple(breakpoints),
-        values=tuple(phi(np.array(probes)).tolist()),
-        jumps=tuple(jumps),
-    )

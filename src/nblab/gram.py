@@ -54,13 +54,20 @@ S = (|first term| + (k - h)/(2hk)(1 + |ln(h/k)|) + pi/(2hk)(M + M'))/c
 to spare covering the second-order terms and the rounding of M.
 
 {m h/k} depends on h only mod k.  So entries, one pair or a whole
-``gram_system`` build, take three passes: every pair is reduced to h/k
-(below); for each k, one half-length cot vector gives M and V at every
-residue h mod k the pairs need, in blocks of up to 2^16 summands, and is
-dropped; every pair then takes Vasyunin's formula.  Each summand and each
-addition of the tree is the same whatever else a block holds, so an entry
-has the same value and bound in every build that holds its pair, and
-nothing is kept from one build to the next.
+``gram_system`` build, take three array passes.  First, every pair is
+reduced to h/k (below): by ``np.gcd`` of the dilations' int64 numerators
+over their common power-of-two denominator, and by ``_reduced_ratio``
+where that k exceeds the cap or a numerator does not fit.  Second, each
+distinct key (q, r) of V(r/q) the pairs need, (k, h mod k) and
+(h, k mod h), gets V, M and d M once, in a table sorted by key: one
+half-length cot row for each q gives M, and (2 (r m mod q) - q)/q, with
+r m mod q formed exactly in floats, times that row gives V's summands,
+at most 2^16 of them in flight.  Third, every pair takes Vasyunin's
+formula elementwise from its two keys' rows, in blocks of rows, with
+ln(h/k) by ``math.log`` per key.  Each summand, each addition of the tree
+and each operation of the formula is the same whatever else a block or a
+build holds, so an entry has the same value and bound in every build that
+holds its pair, and nothing is kept from one build to the next.
 
 Every entry is this closed form at (a, b) = (lo, hi), lo <= hi, c = lo/h.
 With x = lo/hi exactly, h/k = x when its denominator is at most
@@ -92,8 +99,6 @@ a tolerance tol needs k of about (ln(1/tol)/(lo tol))^(1/2).
 from __future__ import annotations
 
 import math
-from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,9 +115,9 @@ DENOMINATOR_CAP = 2**20
 
 #: most dilations of one Gram build, refused before its first pass so that no
 #: build exhausts memory.  Peak RSS of ``sweep --family integers --n N`` at one
-#: BLAS thread (Python 3.11, numpy 2.4, 2-core x86-64): 36 MB at N = 200,
-#: 87 MB at 800, 262 MB at 1600, 556 MB at 2400 and 970 MB at 3200, about
-#: 36 MB + 91 N^2 bytes, so about 2.3 GB at this cap (extrapolated)
+#: BLAS thread (Python 3.11, numpy 2.4, 2-core x86-64): 38 MB at N = 200,
+#: 74 MB at 800, 188 MB at 1600, 343 MB at 2400 and 579 MB at 3200, about
+#: 36 MB + 53 N^2 bytes, so about 1.4 GB at this cap (extrapolated)
 MAX_DILATIONS = 5000
 
 #: certified roundoff of a closed-form entry, per unit of summed magnitude
@@ -120,16 +125,16 @@ _CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 def _halving_sum(x: np.ndarray) -> np.ndarray:
-    """Row sums of the 2-D array ``x``, which is overwritten: each step adds
-    the last half of the n columns left onto the first, so every term meets
-    at most ``_sum_depth`` roundings, in an order no library decides."""
-    n = x.shape[1]
+    """Column sums of the 2-D array ``x``, which is overwritten: each step
+    adds the last half of the n rows left onto the first, so every term
+    meets at most ``_sum_depth`` roundings, in an order no library decides."""
+    n = x.shape[0]
     while n > 1:
         half = n // 2
-        first = x[:, :half]
-        np.add(first, x[:, n - half:n], out=first)
+        first = x[:half]
+        np.add(first, x[n - half:n], out=first)
         n -= half
-    return x[:, 0]
+    return x[0]
 
 
 def _sum_depth(k: int) -> int:
@@ -137,41 +142,62 @@ def _sum_depth(k: int) -> int:
     return max((k + 1) // 2 - 2, 0).bit_length()
 
 
-def _cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
-    """V(h/k) and its magnitude M = (k - 1)/2 + sum_{0<m<k/2} cot(pi m/k),
-    the same for every h, for each h in ``residues`` (coprime to k), from
-    one half-length cot vector, dropped on return."""
-    m = np.arange(1, (k + 1) // 2)
-    if not m.size:  # k <= 2: V(0/1) = V(1/2) = 0
-        return {h: (0.0, (k - 1) / 2) for h in residues}
-    cot = 1.0 / np.tan(np.pi * m / k)
-    magnitude = float(cot.sum()) + (k - 1) / 2
-    hs = list(residues)
-    rows = max(1, (1 << 16) // m.size)  # at most 2^16 summands in flight
-    sums = {}
-    for i in range(0, len(hs), rows):
-        block = hs[i:i + rows]
-        r = np.array(block)[:, None] * m % k
-        v = _halving_sum((2 * r - k) / k * cot)
-        sums.update((h, (value, magnitude)) for h, value in zip(block, v.tolist()))
-    return sums
-
-
-def _closed_form_entry(a: float, b: float, h: int, k: int, sums) -> tuple[float, float]:
-    """(value, roundoff bound) of I(c h, c k), c = min(a, b)/h, by Vasyunin's
-    formula, with V and M from ``sums[k][h mod k]`` and ``sums[h][k mod h]``."""
-    v_hk, m_hk = sums[k][h % k]
-    v_kh, m_kh = sums[h][k % h]
-    first = 0.5 * _LN_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
-    log_coef = (k - h) / (2.0 * h * k)
-    log_ratio = math.log(h / k)
-    cot_coef = math.pi / (2.0 * h * k)
-    j = first + log_coef * log_ratio - cot_coef * (v_hk + v_kh)
-    c = min(a, b) / h
-    inv_ab = 1.0 / (a * b)
-    magnitude = (first + log_coef * (1.0 - log_ratio) + cot_coef * (m_hk + m_kh)) / c + inv_ab
-    summation = 2.0**-53 * cot_coef * (_sum_depth(k) * m_hk + _sum_depth(h) * m_kh) / c
-    return j / c - inv_ab, _CLOSED_FORM_ROUNDOFF * magnitude + summation
+def _cot_sums(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V(r/q), its magnitude M = (q - 1)/2 + sum_{0<m<q/2} cot(pi m/q), the
+    same for every r, and d M, d = ``_sum_depth(q)``, for each key (q, r) of
+    the float arrays, q ascending and r coprime to q.  A q whose n =
+    ceil(q/2) - 1 summands reach 2^8 takes one cot row for all its keys, in
+    blocks of rows of at most 2^16 summands.  Consecutive narrower q's go
+    together while their keys, padded to the widest n, fit in 2^16
+    summands, each key with its own cot row: alone, their numpy calls would
+    cost more than their sums, and the padding adds fewer than 2^8 a key."""
+    v, magnitude, depth_magnitude = np.zeros(q.size), (q - 1) / 2, np.zeros(q.size)
+    cuts = [0, *((q[1:] != q[:-1]).nonzero()[0] + 1).tolist()]
+    # (first key, end key, n) of each q with n = ceil(q/2) - 1 > 0 summands;
+    # q <= 2 leaves V(0/1) = V(1/2) = 0
+    groups = [(a, b, (int(x) + 1) // 2 - 1)
+              for a, b, x in zip(cuts, cuts[1:] + [q.size], q.take(cuts).tolist()) if x > 2]
+    g = 0
+    while g < len(groups):
+        h = g + 1
+        while (h < len(groups) and groups[h][2] ** 2 <= 1 << 16
+               and (groups[h][1] - groups[g][0]) * groups[h][2] <= 1 << 16):
+            h += 1
+        first, end, width = groups[g][0], groups[h - 1][1], groups[h - 1][2]
+        runs = []  # (first key, end key, n) of the keys of each n: q = 2n + 1 and 2n + 2
+        for a, b, n in groups[g:h]:
+            if runs and runs[-1][2] == n:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b, n])
+        alone, g = h == g + 1, h  # a q alone: one cot row serves its keys
+        m = np.arange(1.0, width + 1)
+        cot = 1.0 / np.tan(np.pi * m / q[first:first + 1 if alone else end, None])
+        for a, b, n in runs:
+            own = cot[:1] if alone else cot[a - first:b - first]
+            magnitude[a:b] += np.add.reduce(own[:, :n], axis=1)
+            depth_magnitude[a:b] = _sum_depth(int(q[a])) * magnitude[a:b]
+        # a column of summands for each key, a block's keys side by side
+        step = max(1, (1 << 16) // width)  # more than one block only for a q alone
+        for i in range(first, end, step):
+            j = min(i + step, end)
+            qi = float(q[first]) if alone else q[i:j]
+            # 2 (r m mod q) - q = 2 r m - (2 floor(r m/q) + 1) q, exact: 2 r m
+            # < 2^40, and r m/q lies at least 1/q from an integer (gcd(r, q)
+            # = 1), far beyond the rounding of 2 r m 1/(2q), so its floor is r m/q's
+            x = np.multiply.outer(m, 2.0 * r[i:j])
+            y = x * (0.5 / qi)
+            np.floor(y, out=y)
+            y *= 2.0 * qi
+            y += qi
+            x -= y
+            x /= qi  # (2 (r m mod q) - q)/q cot(pi m/q)
+            x *= cot.T
+            for a, b, n in runs:  # each key's own n summands
+                a, b = max(a, i), min(b, j)
+                if a < b:
+                    v[a:b] = _halving_sum(x[:n, a - i:b - i])
+    return v, magnitude, depth_magnitude
 
 
 def _convergents(x: Fraction):
@@ -208,12 +234,18 @@ def _reduced_ratio(a: float, b: float, target_entry_error: float) -> tuple[int, 
     if den // g <= DENOMINATOR_CAP:
         return num // g, den // g, 0.0
     goal = max(0.5 * target_entry_error, 1e-13)
-    for h, k in _convergents(Fraction(num, den)):
+    convergents = _convergents(Fraction(num, den))
+    h, k = next(convergents)
+    for h_next, k_next in convergents:  # the last, x itself, has k above the cap
         if k > DENOMINATOR_CAP:
             break
-        continuity = _continuity_bound(lo, hi, h, k)
-        if continuity <= goal:
-            return h, k, continuity
+        # the bound exceeds delta > 1/(lo k (k + k_next)) (Khinchin, Continued
+        # Fractions, Thm 13): only convergents within twice the goal are tried
+        if lo * k * (k + k_next) * goal >= 0.5:
+            continuity = _continuity_bound(lo, hi, h, k)
+            if continuity <= goal:
+                return h, k, continuity
+        h, k = h_next, k_next
     raise PrecisionUnreachable(f"entry ({a!r}, {b!r}) needs a denominator above "
                                f"{DENOMINATOR_CAP} for {target_entry_error:g}")
 
@@ -225,33 +257,89 @@ def _check_size(n: int) -> None:
                                    f"{MAX_DILATIONS} one build may hold")
 
 
+def _lattice(dils: list[float]):
+    """The dilations' numerators over their common power-of-two denominator,
+    as int64, or None when one does not fit."""
+    ratios = [d.as_integer_ratio() for d in dils]
+    bits = max(den for _, den in ratios).bit_length()
+    nums = [num << (bits - den.bit_length()) for num, den in ratios]
+    return None if max(nums) >> 63 else np.array(nums, dtype=np.int64)
+
+
+def _key_table(keys: np.ndarray) -> np.ndarray:
+    """For each key (q, r) = q 2^20 + r of the sorted ``keys``, the rows -V,
+    M, d M, 1/q, q, and ln(h/k), 1 - ln(h/k) of a key (k, h mod k), h = k = 1
+    at (1, 0): the rows of a pair's two keys give Vasyunin's formula.  The
+    logarithm is ``math.log``'s, which ``np.log`` does not match to the bit."""
+    q, r = (keys // DENOMINATOR_CAP).astype(float), (keys % DENOMINATOR_CAP).astype(float)
+    v, magnitude, depth_magnitude = _cot_sums(q, r)
+    log_ratio = np.array(list(map(math.log, (np.maximum(r, 1.0) / q).tolist())))
+    return np.array((-v, magnitude, depth_magnitude, 1.0 / q, q, log_ratio, 1.0 - log_ratio))
+
+
 def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric matrices of I(l_i, l_j) and its certified bound over
-    the upper triangle of ``dils``, row by row, in three passes (module
-    docstring): h/k per pair, the cot sums per k, the formula per pair."""
+    """The symmetric matrices of I(l_i, l_j) and its certified bound for the
+    ascending ``dils``, in three array passes (module docstring): h/k per
+    pair, V and M per key (q, r), Vasyunin's formula per pair.  The pairs go
+    in blocks of rows [i, i + step) against columns [i, n): the upper
+    triangle, and the lower half of each diagonal square, whose entries take
+    the same operations as their mirrors."""
     if not target_entry_error > 0.0:
         raise DomainError("target_entry_error must be positive")
     n = len(dils)
-    hs, ks, continuities = array("q"), array("q"), array("d")
-    residues = defaultdict(set)  # k -> the residues h mod k that the pairs need
-    for i, a in enumerate(dils):
-        for b in dils[i:]:
-            h, k, continuity = _reduced_ratio(a, b, target_entry_error)
-            hs.append(h)
-            ks.append(k)
-            continuities.append(continuity)
-            residues[k].add(h % k)
-            residues[h].add(k % h)
-    sums = {k: _cot_sums(k, needed) for k, needed in residues.items()}
-    matrix = np.zeros((n, n))
-    bounds = np.zeros((n, n))
-    p = 0
-    for i, a in enumerate(dils):
-        for j in range(i, n):
-            value, roundoff = _closed_form_entry(a, dils[j], hs[p], ks[p], sums)
-            matrix[i, j] = matrix[j, i] = value
-            bounds[i, j] = bounds[j, i] = roundoff + continuities[p]
-            p += 1
+    step = max(1, (1 << 14) // n)  # rows per block: at most 2^14 pairs in flight
+    lattice = _lattice(dils)
+    blocks, continuities = [], []  # continuities: (i, j, bound) of the pairs held to a convergent
+    for i in range(0, n, step):
+        if lattice is None:  # every pair goes to _reduced_ratio
+            h = np.empty((min(step, n - i), n - i), dtype=np.int64)
+            k = np.full_like(h, DENOMINATOR_CAP + 1)
+        else:
+            h = np.minimum.outer(lattice[i:i + step], lattice[i:])
+            k = np.maximum.outer(lattice[i:i + step], lattice[i:])
+            g = np.gcd(h, k)
+            h //= g
+            k //= g
+        for a, b in zip(*(x.tolist() for x in (k > DENOMINATOR_CAP).nonzero())):
+            if a <= b:  # the mirror in the diagonal square takes the same h/k
+                ratio = _reduced_ratio(dils[i + a], dils[i + b], target_entry_error)
+                h[a, b], k[a, b], continuity = ratio
+                if b < h.shape[0]:
+                    h[b, a], k[b, a] = h[a, b], k[a, b]
+                if continuity:
+                    continuities.append((i + a, i + b, continuity))
+        # keys (q, r) = q 2^20 + r, 2^20 the cap, of V(r/q): (k, h mod k) and (h, k mod h)
+        blocks.append((k * DENOMINATOR_CAP + h % k, h * DENOMINATOR_CAP + k % h))
+    keys = np.concatenate([key.ravel() for block in blocks for key in block])
+    keys.sort()
+    keys = keys.compress(np.concatenate(([True], keys[1:] != keys[:-1])))
+    table = _key_table(keys)
+    matrix, bounds = np.empty((n, n)), np.empty((n, n))
+    dil = np.array(dils)
+    for i, (hk, kh) in zip(range(0, n, step), blocks):
+        by_k = table.take(keys.searchsorted(hk), axis=1)
+        by_h = table[:5].take(keys.searchsorted(kh), axis=1)
+        sums = by_k[:4] + by_h[:4]  # -V(h/k) - V(k/h), M + M', d M + d' M', 1/h + 1/k
+        k, h = by_k[4], by_h[4]
+        hk2 = 2.0 * h * k
+        log_coef = (k - h) / hk2
+        cot_coef = math.pi / hk2
+        # J and the magnitude of its terms, then both over c = lo/h
+        terms = log_coef * by_k[5:]
+        terms += 0.5 * _LN_2PI_MINUS_GAMMA * sums[3]
+        terms += cot_coef * sums[:2]
+        rows, cols = dil[i:i + step], dil[i:]
+        c = np.minimum.outer(rows, cols) / h
+        terms /= c
+        inv_ab = 1.0 / np.multiply.outer(rows, cols)
+        np.subtract(terms[0], inv_ab, out=matrix[i:i + step, i:])
+        np.add(_CLOSED_FORM_ROUNDOFF * (terms[1] + inv_ab), 2.0**-53 * cot_coef * sums[2] / c,
+               out=bounds[i:i + step, i:])
+        if i + step < n:  # the rows below take the block's mirror
+            matrix[i + step:, i:i + step] = matrix[i:i + step, i + step:].T
+            bounds[i + step:, i:i + step] = bounds[i:i + step, i + step:].T
+    for i, j, continuity in continuities:
+        bounds[i, j] = bounds[j, i] = bounds[i, j] + continuity
     return matrix, bounds
 
 
@@ -264,7 +352,7 @@ def pair_product_integral(a: float, b: float, target_entry_error: float) -> tupl
     denominator above ``DENOMINATOR_CAP``; the rest carry roundoff only.
     """
     a, b = _checked_dilation(a), _checked_dilation(b)
-    matrix, bounds = _gram_entries([a, b], target_entry_error)
+    matrix, bounds = _gram_entries(sorted((a, b)), target_entry_error)
     return float(matrix[0, 1]), float(bounds[0, 1])
 
 
@@ -322,11 +410,11 @@ class GramSystem:
 def gram_system(dilations, target_entry_error: float) -> GramSystem:
     """Assemble the Gram data for an ascending list of distinct dilations.
 
-    The upper triangle is evaluated row by row in one pass of each kind
-    (module docstring), not by one ``pair_product_integral`` call per
-    entry, with the same values and bounds; DuplicateDilation is raised
-    when two dilations coincide within relative 1e-12, and
-    PrecisionUnreachable for more than ``MAX_DILATIONS``.
+    Every entry comes from the three array passes of the module docstring,
+    not from one ``pair_product_integral`` call per entry, with the same
+    values and bounds; DuplicateDilation is raised when two dilations
+    coincide within relative 1e-12, and PrecisionUnreachable for more than
+    ``MAX_DILATIONS``.
     """
     dils = [_checked_dilation(l) for l in dilations]
     if not dils:

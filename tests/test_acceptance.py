@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_constrained_sum
+from conftest import random_constrained_sum, step_profile
 from nblab import (
     DilatedFracSum,
     best_approximation_from_gram,
@@ -24,7 +24,6 @@ from nblab import (
     moment_report,
     necessary_condition_gap,
     partial_moment_constant,
-    step_profile,
     sweep,
     weighted_norm_report,
     xi,

@@ -678,7 +678,9 @@ for t_max in ("20", "300"):
     call(["zeros", "--t-max", t_max])
 call(["gram", "--dilations", "1,2,3"])
 call(["gram", "--dilations", "1,1.4142135623730951", "--target", "1e-4"])
+call(["gram", "--dilations", "2.718281828459045,3.141592653589793", "--target", "2.5e-8"])
 call(["sweep", "--family", "integers", "--n", "2,5"])
+call(["sweep", "--family", "integers", "--n", "2,5,10,20"])
 call(["sweep", "--family", "explicit", "--dilations", "1,1.5,2", "--n", "2,3"])
 call(["approx", "--dilations", "1,2,3"])
 bstar = json.dumps(call(["approx", "--dilations", "1,1.4142135623730951"])["bstar"])
@@ -691,7 +693,8 @@ print(" ".join(m for m in ("numpy.polynomial", "numpy.fft", "numpy.ma", "scipy",
 
 
 def test_workload_calls_leave_numpy_submodules_unloaded():
-    # the scan's brackets avoid np.unique (it imports numpy.ma), Psi's Taylor
+    # the scan's brackets and the Gram build's cot-sum keys avoid np.unique
+    # (it imports numpy.ma), Psi's Taylor
     # coefficients come from a DFT product rather than numpy.fft, and flat
     # p < 2 norms take no Gauss nodes from numpy.polynomial: each import
     # would add to every process's resident memory; scipy and mpmath are

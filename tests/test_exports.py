@@ -26,3 +26,9 @@ def test_package_exports_match_imports():
     }
     assert len(set(nblab.__all__)) == len(nblab.__all__)
     assert set(nblab.__all__) == imported
+
+
+def test_test_only_oracles_are_not_exported():
+    # step profiles serve only as the norms' oracle, in tests/conftest.py
+    assert not {"step_profile", "StepProfile"} & set(dir(nblab))
+    assert not {"step_profile", "StepProfile"} & set(dir(importlib.import_module("nblab.fracsum")))

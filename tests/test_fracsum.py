@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import random_constrained_sum
-from nblab import ConstraintViolated, DilatedFracSum, DomainError, step_profile
+from conftest import random_constrained_sum, step_profile
+from nblab import ConstraintViolated, DilatedFracSum, DomainError
 
 PHI_EXAMPLE = DilatedFracSum(terms=((-1.0, 1.0), (2.0, 2.0)), constrained=True)
 

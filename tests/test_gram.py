@@ -1,11 +1,15 @@
 import importlib
 import math
+import random
 import tracemalloc
+from collections import defaultdict
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import fixed_quad
 
 from nblab import (
@@ -16,11 +20,13 @@ from nblab import (
     moment_constant,
     pair_product_integral,
 )
+from nblab.gammafn import _LN_2PI_MINUS_GAMMA
 from nblab.gram import (
-    _closed_form_entry,
     _continuity_bound,
     _convergents,
     _cot_sums,
+    _lattice,
+    _reduced_ratio,
     _sum_depth,
 )
 
@@ -203,6 +209,90 @@ def fsum_cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
     return sums
 
 
+def dict_cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
+    """The per-k route, kept as an oracle: V(h/k) and M for each h in
+    ``residues`` from one half-length cot vector, with r = (m h) mod k taken
+    in int64 rather than as the production kernel's float remainder, the
+    same summands and the same halving tree."""
+    m = np.arange(1, (k + 1) // 2)
+    if not m.size:  # k <= 2: V(0/1) = V(1/2) = 0
+        return {h: (0.0, (k - 1) / 2) for h in residues}
+    cot = 1.0 / np.tan(np.pi * m / k)
+    magnitude = float(cot.sum()) + (k - 1) / 2
+    r = np.array(list(residues))[:, None] * m % k
+    x = (2 * r - k) / k * cot
+    n = m.size
+    while n > 1:  # the halving tree, row by row
+        half = n // 2
+        x[:, :half] += x[:, n - half:n]
+        n -= half
+    return {h: (value, magnitude) for h, value in zip(residues, x[:, 0].tolist())}
+
+
+def closed_form_entry(a: float, b: float, h: int, k: int, sums) -> tuple[float, float]:
+    """(value, roundoff bound) of I(c h, c k), c = min(a, b)/h, by Vasyunin's
+    formula one pair at a time, with V and M from ``sums[k][h mod k]`` and
+    ``sums[h][k mod h]``: the operations of the ``nblab.gram`` docstring in
+    Python floats."""
+    v_hk, m_hk = sums[k][h % k]
+    v_kh, m_kh = sums[h][k % h]
+    first = 0.5 * _LN_2PI_MINUS_GAMMA * (1.0 / h + 1.0 / k)
+    log_coef = (k - h) / (2.0 * h * k)
+    log_ratio = math.log(h / k)
+    cot_coef = math.pi / (2.0 * h * k)
+    j = first + log_coef * log_ratio - cot_coef * (v_hk + v_kh)
+    c = min(a, b) / h
+    inv_ab = 1.0 / (a * b)
+    magnitude = (first + log_coef * (1.0 - log_ratio) + cot_coef * (m_hk + m_kh)) / c + inv_ab
+    summation = 2.0**-53 * cot_coef * (_sum_depth(k) * m_hk + _sum_depth(h) * m_kh) / c
+    return j / c - inv_ab, 16.0 * np.finfo(float).eps * magnitude + summation
+
+
+def per_pair_gram_entries(dils, target_entry_error: float) -> tuple[np.ndarray, np.ndarray]:
+    """The per-pair route to a build's matrices, the oracle of the array
+    passes: each pair of the upper triangle reduced by ``_reduced_ratio``,
+    the residues each k needs gathered in sets, ``dict_cot_sums`` per k and
+    ``closed_form_entry`` per pair."""
+    n = len(dils)
+    ratios = {(i, j): _reduced_ratio(dils[i], dils[j], target_entry_error)
+              for i in range(n) for j in range(i, n)}
+    residues = defaultdict(set)
+    for h, k, _ in ratios.values():
+        residues[k].add(h % k)
+        residues[h].add(k % h)
+    sums = {k: dict_cot_sums(k, sorted(needed)) for k, needed in residues.items()}
+    matrix, bounds = np.zeros((n, n)), np.zeros((n, n))
+    for (i, j), (h, k, continuity) in ratios.items():
+        value, roundoff = closed_form_entry(dils[i], dils[j], h, k, sums)
+        matrix[i, j] = matrix[j, i] = value
+        bounds[i, j] = bounds[j, i] = roundoff + continuity
+    return matrix, bounds
+
+
+def scan_reduced_ratio(a: float, b: float, target_entry_error: float):
+    """``_reduced_ratio`` by trying every convergent in turn, the oracle of
+    its skip of convergents whose bound is certainly above the goal."""
+    lo, hi = min(a, b), max(a, b)
+    x = Fraction(lo) / Fraction(hi)
+    if x.denominator <= gram_module.DENOMINATOR_CAP:
+        return x.numerator, x.denominator, 0.0
+    goal = max(0.5 * target_entry_error, 1e-13)
+    for h, k in _convergents(x):
+        if k > gram_module.DENOMINATOR_CAP:
+            break
+        continuity = _continuity_bound(lo, hi, h, k)
+        if continuity <= goal:
+            return h, k, continuity
+    return None
+
+
+def kernel_cot_sums(k: int, residues) -> dict[int, tuple[float, float]]:
+    """V and M of the production kernel for one k, keyed like the oracles."""
+    rs = sorted(residues)
+    v, magnitude, _ = _cot_sums(np.full(len(rs), float(k)), np.array(rs, dtype=float))
+    return {h: (a, b) for h, a, b in zip(rs, v.tolist(), magnitude.tolist())}
+
+
 def v_bound(k: int, magnitude: float) -> float:
     """V(h/k)'s certified roundoff, (8 + d) u M to first order (``nblab.gram``
     docstring), plus u M for the second-order terms."""
@@ -221,7 +311,7 @@ def rational_continuity_bound(lo: float, hi: float, h: int, k: int) -> float:
 
 def assert_cot_sums_match_oracle(k: int, residues) -> None:
     """New V and M against ``fsum_cot_sums`` within both routes' bounds."""
-    new, old = _cot_sums(k, residues), fsum_cot_sums(k, residues)
+    new, old = kernel_cot_sums(k, residues), fsum_cot_sums(k, residues)
     assert sorted(new) == sorted(residues)
     for h in residues:
         (v, magnitude), (v_old, m_old) = new[h], old[h]
@@ -232,8 +322,8 @@ def assert_cot_sums_match_oracle(k: int, residues) -> None:
 
 def test_cot_sums_against_full_length_oracle_at_every_residue():
     # k = 1 and 2 have no summand left: V(0/1) = V(1/2) = 0
-    assert _cot_sums(1, [0]) == {0: (0.0, 0.0)}
-    assert _cot_sums(2, [1]) == {1: (0.0, 0.5)}
+    assert kernel_cot_sums(1, [0]) == {0: (0.0, 0.0)}
+    assert kernel_cot_sums(2, [1]) == {1: (0.0, 0.5)}
     for k in range(1, 201):
         assert_cot_sums_match_oracle(k, [h for h in range(k) if math.gcd(h, k) == 1])
 
@@ -249,7 +339,7 @@ def test_cot_sums_against_full_length_oracle_at_workload_ratios(h, k):
 def test_cot_sum_within_its_bound_of_mpmath(h, k):
     # the definition's full sum over 0 < m < k at 30 digits, not the
     # half-length pairing that the code sums
-    v, magnitude = _cot_sums(k, [h])[h]
+    v, magnitude = kernel_cot_sums(k, [h])[h]
     with mpmath.workdps(30):
         exact = mpmath.fsum(mpmath.mpf(m * h % k) / k * mpmath.cot(mpmath.pi * m / k)
                             for m in range(1, k))
@@ -327,8 +417,8 @@ def test_continuity_bound_at_coarser_convergents(pair):
     coarse = [(h, k) for h, k in _convergents(Fraction(lo) / Fraction(hi)) if h * hi != k * lo]
     assert len(coarse) >= 2
     for h, k in coarse:
-        sums = {k: _cot_sums(k, [h % k]), h: _cot_sums(h, [k % h])}
-        value, roundoff = _closed_form_entry(lo, hi, h, k, sums)
+        sums = {k: dict_cot_sums(k, [h % k]), h: dict_cot_sums(h, [k % h])}
+        value, roundoff = closed_form_entry(lo, hi, h, k, sums)
         assert abs(mpmath.mpf(value) - exact) <= roundoff + _continuity_bound(lo, hi, h, k)
 
 
@@ -360,6 +450,19 @@ def test_incommensurate_pair():
 def test_incommensurate_tight_tolerance_unreachable():
     with pytest.raises(PrecisionUnreachable):
         pair_product_integral(1.0, math.sqrt(2.0), 1e-12)
+
+
+def per_pair_entry(a: float, b: float, target: float) -> tuple[float, float]:
+    """One pair by the per-pair route, in the order given."""
+    matrix, bounds = per_pair_gram_entries([a, b], target)
+    return float(matrix[0, 1]), float(bounds[0, 1])
+
+
+@pytest.mark.parametrize("pair", [(2.0, 1.0), (math.sqrt(2.0), 1.0), (3.3, 1.1), (1.0, 1.0)])
+def test_pair_order_does_not_matter(pair):
+    a, b = pair
+    assert pair_product_integral(a, b, 1e-7) == pair_product_integral(b, a, 1e-7)
+    assert pair_product_integral(a, b, 1e-7) == per_pair_entry(a, b, 1e-7)
 
 
 def test_pair_validation():
@@ -454,16 +557,97 @@ def test_each_cot_sum_is_computed_once_per_build(monkeypatch):
     computed = []
     cot_sums = gram_module._cot_sums
 
-    def recording(k, residues):
-        sums = cot_sums(k, residues)
-        computed[-1].extend((h, k) for h in sums)
-        return sums
+    def recording(q, r):
+        computed.append(sorted(zip(r.astype(int).tolist(), q.astype(int).tolist())))
+        return cot_sums(q, r)
 
     monkeypatch.setattr(gram_module, "_cot_sums", recording)
-    for _ in range(2):  # nothing is kept from one build to the next
-        computed.append([])
+    for _ in range(2):  # one kernel call per build, each key once, nothing kept
         gram_system([float(k) for k in range(1, n + 1)], 1e-9)
-    assert [sorted(c) for c in computed] == [sorted(keys), sorted(keys)]
+    assert computed == [sorted(keys), sorted(keys)]
+
+
+#: sets of the per-pair oracle: the standalone-pair sets, integers 1..200,
+#: and a set whose numerators over 2^52 overflow int64, so every pair takes
+#: ``_reduced_ratio``, exact ratios included
+ORACLE_SETS = [
+    ([float(k) for k in range(1, 61)], 1e-9),
+    ([1.5**k for k in range(8)], 1e-9),
+    ([1.0 + 0.5 * k for k in range(19)], 1e-9),
+    ([1.0, math.sqrt(2.0), 1.5, 2.0, math.e, 3.0, math.pi], 1e-7),
+    ([1.0, (1.0 + math.sqrt(5.0)) / 2.0, math.e, math.pi], 2.5e-8),
+    ([float(k) for k in range(1, 201)], 1e-9),
+    ([1.0, 1.1, 2.0, 3.3, 2.0**12], 1e-7),
+]
+
+
+@pytest.mark.parametrize("dilations, target", ORACLE_SETS,
+                         ids=["integers", "geometric-1.5", "halves", "mixed-convergents",
+                              "large-k-convergents", "integers-200", "int64-overflow"])
+def test_build_equals_the_per_pair_oracle(dilations, target):
+    system = gram_system(dilations, target)
+    matrix, bounds = per_pair_gram_entries(dilations, target)
+    assert np.array_equal(system.matrix, matrix)
+    assert np.array_equal(system.entry_error_bounds, bounds)
+
+
+def test_int64_overflow_set_leaves_the_lattice():
+    assert _lattice([1.0, 1.1, 2.0, 3.3, 2.0**12]) is None
+    assert _lattice([1.0, 1.5, 2.0**30]).tolist() == [2, 3, 2**31]
+
+
+#: dilations the hypothesis draw takes subsets of
+DRAW_POOL = sorted({k / 2 for k in range(2, 13)} | {k / 3 for k in range(3, 13)}
+                   | {1.5**k for k in range(9)} | {math.sqrt(2.0) * k for k in range(1, 7)})
+
+
+@given(st.lists(st.sampled_from(DRAW_POOL), min_size=1, max_size=8, unique=True))
+def test_drawn_build_equals_the_per_pair_oracle(dilations):
+    dilations = sorted(dilations)
+    system = gram_system(dilations, 1e-6)
+    matrix, bounds = per_pair_gram_entries(dilations, 1e-6)
+    assert np.array_equal(system.matrix, matrix)
+    assert np.array_equal(system.entry_error_bounds, bounds)
+
+
+def test_cot_sums_equal_the_int64_route_bit_for_bit():
+    # the float remainder against the int64 one, for every q to 200 in one
+    # call (consecutive q's summed together) and for q = 1021, whose 1020
+    # residues take eight blocks of rows
+    q, r = zip(*[(k, h) for k in range(1, 201) for h in range(k) if math.gcd(h, k) == 1])
+    v, magnitude, depth_magnitude = _cot_sums(np.array(q, dtype=float), np.array(r, dtype=float))
+    oracle = {k: dict_cot_sums(k, [h for h in range(k) if math.gcd(h, k) == 1])
+              for k in range(1, 201)}
+    assert v.tolist() == [oracle[k][h][0] for k, h in zip(q, r)]
+    assert magnitude.tolist() == [oracle[k][h][1] for k, h in zip(q, r)]
+    assert depth_magnitude.tolist() == [_sum_depth(k) * oracle[k][h][1] for k, h in zip(q, r)]
+    assert kernel_cot_sums(1021, range(1, 1021)) == dict_cot_sums(1021, range(1, 1021))
+
+
+def test_reduced_ratio_equals_the_convergent_scan():
+    rng = random.Random(5)
+    dilations = [1.0, math.sqrt(2.0), (1.0 + math.sqrt(5.0)) / 2.0, math.e, math.pi, 3.000000003,
+                 1.1, 3.3, 37.0, 8191.0] + [rng.uniform(1.0, 100.0) for _ in range(12)]
+    for a in dilations:
+        for b in dilations:
+            for target in (10.0, 1e-3, 1e-5, 1.2e-7, 2.5e-8, 1e-9, 1e-12):
+                try:
+                    ratio = _reduced_ratio(a, b, target)
+                except PrecisionUnreachable:
+                    ratio = None
+                assert ratio == scan_reduced_ratio(a, b, target)
+
+
+def test_build_of_400_integers_holds_the_per_pair_peak():
+    # the per-pair passes peaked at 13.4 MB traced on this build, the array
+    # passes at 11.9 MB (Python 3.11, numpy 2.4)
+    tracemalloc.start()
+    try:
+        gram_system([float(k) for k in range(1, 401)], 1e-9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13.4e6
 
 
 def test_build_holds_one_cot_vector_at_a_time():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
-from conftest import random_constrained_sum
+from conftest import random_constrained_sum, step_profile
 from test_gram import _segment_integrals, lattice_walk_oracle, lattice_windows_oracle
 from nblab import (
     ConstraintViolated,
@@ -22,7 +22,6 @@ from nblab import (
     moment_constant,
     moment_report,
     partial_moment_constant,
-    step_profile,
     weighted_norm_report,
 )
 from nblab.approx import best_approximation
