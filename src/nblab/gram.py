@@ -62,9 +62,11 @@ distinct key (q, r) of V(r/q) the pairs need, (k, h mod k) and
 (h, k mod h), gets V, M and d M once, in a table sorted by key: one
 half-length cot row for each q gives M, and (2 (r m mod q) - q)/q, with
 r m mod q formed exactly in floats, times that row gives V's summands,
-at most 2^16 of them in flight.  Third, every pair takes Vasyunin's
-formula elementwise from its two keys' rows, in blocks of rows, with
-ln(h/k) by ``math.log`` per key.  Each summand, each addition of the tree
+at most 2^16 of them in flight.  The sort that finds the distinct keys
+also gives each pair its two rows of the table, and ln(h/k) is taken by
+``math.log`` once for each key some pair reads as (k, h mod k).  Third,
+every pair takes Vasyunin's formula elementwise from its two keys' rows,
+in blocks of rows.  Each summand, each addition of the tree
 and each operation of the formula is the same whatever else a block or a
 build holds, so an entry has the same value and bound in every build that
 holds its pair, and nothing is kept from one build to the next.
@@ -266,14 +268,18 @@ def _lattice(dils: list[float]):
     return None if max(nums) >> 63 else np.array(nums, dtype=np.int64)
 
 
-def _key_table(keys: np.ndarray) -> np.ndarray:
+def _key_table(keys: np.ndarray, logged: np.ndarray) -> np.ndarray:
     """For each key (q, r) = q 2^20 + r of the sorted ``keys``, the rows -V,
     M, d M, 1/q, q, and ln(h/k), 1 - ln(h/k) of a key (k, h mod k), h = k = 1
     at (1, 0): the rows of a pair's two keys give Vasyunin's formula.  The
-    logarithm is ``math.log``'s, which ``np.log`` does not match to the bit."""
+    logarithm is ``math.log``'s, which ``np.log`` does not match to the bit,
+    and is taken only where ``logged`` is set; the other keys read 0."""
     q, r = (keys // DENOMINATOR_CAP).astype(float), (keys % DENOMINATOR_CAP).astype(float)
     v, magnitude, depth_magnitude = _cot_sums(q, r)
-    log_ratio = np.array(list(map(math.log, (np.maximum(r, 1.0) / q).tolist())))
+    log_ratio = np.zeros(keys.size)
+    ratios = (np.maximum(r[logged], 1.0) / q[logged]).tolist()
+    log_ratio[logged] = np.fromiter(map(math.log, ratios), float, len(ratios))
+    del ratios  # one Python float per logged key, freed before the table's rows are stacked
     return np.array((-v, magnitude, depth_magnitude, 1.0 / q, q, log_ratio, 1.0 - log_ratio))
 
 
@@ -283,16 +289,21 @@ def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndar
     pair, V and M per key (q, r), Vasyunin's formula per pair.  The pairs go
     in blocks of rows [i, i + step) against columns [i, n): the upper
     triangle, and the lower half of each diagonal square, whose entries take
-    the same operations as their mirrors."""
+    the same operations as their mirrors.  Each block's keys (k, h mod k),
+    then (h, k mod h), fill one array, whose sort gives the distinct keys
+    and each pair's two rows of the key table."""
     if not target_entry_error > 0.0:
         raise DomainError("target_entry_error must be positive")
     n = len(dils)
     step = max(1, (1 << 14) // n)  # rows per block: at most 2^14 pairs in flight
     lattice = _lattice(dils)
-    blocks, continuities = [], []  # continuities: (i, j, bound) of the pairs held to a convergent
-    for i in range(0, n, step):
+    shapes = [(min(step, n - i), n - i) for i in range(0, n, step)]
+    keys = np.empty(2 * sum(a * b for a, b in shapes), dtype=np.int64)
+    continuities = []  # (i, j, bound) of the pairs held to a convergent
+    at = 0
+    for i, shape in zip(range(0, n, step), shapes):
         if lattice is None:  # every pair goes to _reduced_ratio
-            h = np.empty((min(step, n - i), n - i), dtype=np.int64)
+            h = np.empty(shape, dtype=np.int64)
             k = np.full_like(h, DENOMINATOR_CAP + 1)
         else:
             h = np.minimum.outer(lattice[i:i + step], lattice[i:])
@@ -309,16 +320,34 @@ def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndar
                 if continuity:
                     continuities.append((i + a, i + b, continuity))
         # keys (q, r) = q 2^20 + r, 2^20 the cap, of V(r/q): (k, h mod k) and (h, k mod h)
-        blocks.append((k * DENOMINATOR_CAP + h % k, h * DENOMINATOR_CAP + k % h))
-    keys = np.concatenate([key.ravel() for block in blocks for key in block])
+        for key in (k * DENOMINATOR_CAP + h % k, h * DENOMINATOR_CAP + k % h):
+            keys[at:at + h.size] = key.ravel()
+            at += h.size
+    # a stable sort by the one key: quicksort's argsort would map 256 KB more
+    # of numpy's sort code into every process that builds a Gram system
+    order = np.lexsort((keys,))
     keys.sort()
-    keys = keys.compress(np.concatenate(([True], keys[1:] != keys[:-1])))
-    table = _key_table(keys)
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    distinct = keys.compress(first)
+    np.cumsum(first, out=keys)  # the sorted keys' rows in the table, plus one
+    row_of = np.empty_like(order)  # each key's row, in the order pass 1 wrote them
+    row_of[order] = keys
+    row_of -= 1
+    del order, keys, first
+    logged = np.zeros(distinct.size, dtype=bool)
+    at = 0
+    for shape in shapes:
+        logged[row_of[at:at + shape[0] * shape[1]]] = True
+        at += 2 * shape[0] * shape[1]
+    table = _key_table(distinct, logged)
     matrix, bounds = np.empty((n, n)), np.empty((n, n))
     dil = np.array(dils)
-    for i, (hk, kh) in zip(range(0, n, step), blocks):
-        by_k = table.take(keys.searchsorted(hk), axis=1)
-        by_h = table[:5].take(keys.searchsorted(kh), axis=1)
+    at = 0
+    for i, shape in zip(range(0, n, step), shapes):
+        size = shape[0] * shape[1]
+        by_k = table.take(row_of[at:at + size].reshape(shape), axis=1)
+        by_h = table[:5].take(row_of[at + size:at + 2 * size].reshape(shape), axis=1)
+        at += 2 * size
         sums = by_k[:4] + by_h[:4]  # -V(h/k) - V(k/h), M + M', d M + d' M', 1/h + 1/k
         k, h = by_k[4], by_h[4]
         hk2 = 2.0 * h * k

@@ -38,34 +38,59 @@ reuses from window to window.  Only the p < 2 norms walk it: the p = 2
 norm is the Gram quadratic form h^T G h, and Gram entries come from a
 closed form.
 
-The mean-value tail.  Past T the integral of a p < 2 norm lies in [0, R/T],
-R = reach^p.  For two dilations l_1 < l_2 with h_1 h_2 != 0 it also lies
-within E(T) of mu/T, mu the mean of |phi|^p = |h_1 x + h_2 y|^p over
-(x, y) = ({t/l_1}, {t/l_2}) in [0, 1)^2: mu = [Phi(h_1+h_2) - Phi(h_1) -
-Phi(h_2)]/(h_1 h_2), Phi(u) = |u|^{p+2}/((p+1)(p+2)).  By parts the tail
-is mu/T + 2 int_T^inf A(t)/t^3 dt, A(t) = int_T^t (|phi|^p - mu).  The cell
-[T + j l_1, T + (j+1) l_1] contributes l_1 g({T/l_2 + j alpha}), alpha =
-l_1/l_2 the exact rational of the two doubles, where g(x) = int_0^1
-|h_1 {T/l_1 + s} + h_2 {x + s alpha}|^p ds has mean mu and circle
-variation V <= p |h_2| reach^{p-1} + R/alpha: the slope of |phi|^p in y,
-and the one wrap of {x + s alpha}, which moves by 1/alpha in s per unit of
-x and jumps |phi|^p by at most R.  Denjoy-Koksma (Herman 1979) bounds the
-error of q consecutive cells by V at each convergent denominator q_i of
-alpha = [0; a_1, a_2, ...], up to the last, Q; Ostrowski's expansion
-(Kuipers-Niederreiter, ch. 2) cuts N cells into at most a_{i+1} blocks of
-each q_i < Q and floor(N/Q) of Q.  So |A(t)| <= l_1 (V S(t/l_1) + R), R for
-the last part cell, S(x) = sum_{q_i <= x} a_{i+1} + floor(x/Q); against
-2/t^3 (x/Q for the floor) this gives E(T) = l_1 V sum_i a_{i+1}/max(T,
-q_i l_1)^2 + (2V/Q + l_1 R/T + dmu)/T.  dmu = 16 eps (Phi(h_1+h_2) +
-Phi(h_1) + Phi(h_2))/|h_1 h_2|, eps = 2^-52, bounds the rounding of mu: to
-first order each Phi carries at most 6 eps of itself (2 from the rounded
-h_1 + h_2 to the power p + 2, 1 from pow, 3 from six roundings), the two
-subtractions, h_1 h_2 and the division 2 eps; the 8 eps is doubled for
-second-order terms.  E's own rounding, like R/T's, and underflow (all
-|h_k| below 1e-88) are left to the bound's 1e-12 (1 + value).  As V >=
-R/alpha, 2V/(Q T) >= 2R/(P T) for alpha = P/Q: for P <= 3 no T <= T_B
-meets the walk's goal 2 E(T) <= R/T_B (``weighted_norm_report``), and
-such sums keep [0, R/T_B].
+The tails.  Past T the integral of a p < 2 norm lies in [0, R/T], R =
+reach^p, the crude tail.  Two models narrow it to within E(T) of mu/T, mu
+a mean of f = |phi|^p; ``weighted_norm_report`` then walks only to the
+least integer T <= T_B with 2 E(T) <= R/T_B, the crude width at the budget.
+
+The periodic tail.  The {t/l_k} share the least common period L, the lcm of
+the numerators of the dilations' exact rationals over the gcd of their
+denominators, so f is L-periodic with 0 <= f <= R.  Let mu_L = (1/L)
+int_L^{2L} f.  By parts the tail is mu_L/T + 2 int_T^inf A(t)/t^3 dt, A(t)
+= int_T^t (f - mu_L), which is L-periodic and vanishes at T.  On a period,
+s = t - T in [0, L], A(s) lies below (R - mu_L) s and mu_L (L - s) and
+above -mu_L s and -(R - mu_L)(L - s), so |A| <= L mu_L (R - mu_L)/R <= L
+R/4, and the tail lies within L R/(4 T^2) of mu_L/T.  For a flat sum (slope
+s_phi = sum h_k/l_k below 1e-14 max(1, sum |h_k|)) mu_L comes from one walk
+of [L, 2L], each piece at its midpoint value, and within dmu = 5 r P R + p
+(reach + dv)^{p-1} dv, r = ``COINCIDENCE_RTOL``.  P = 2 L sum 1/l_k + 4
+bounds the walk's points, the L sum 1/l_k lattice points and two ends a
+window: a merged point misplaces at most 2 r 2L of [L, 2L], where f is off
+by at most R, which moves mu_L by at most 4 r R, and each point's rounding
+(u 2L), each piece's power, product and summation and the division by L
+take less than r R more a point.  dv = 2u sum_k |h_k| (L/l_k + n + 1) +
+|s_phi| l_min bounds the midpoint values: t/l_k at t <= 2L is within u
+2L/l_k, its floor exact, the product and the n sums add (n + 2) u |h_k|,
+and the slope moves phi by at most |s_phi| across a piece, which is at most
+l_min wide.  So E(T) = L R/(4 T^2) + dmu/T, and the walk stops near T = (L
+T_B/2)^{1/2}.
+
+The mean-value tail.  For two dilations l_1 < l_2 with h_1 h_2 != 0, mu is
+the mean of |h_1 x + h_2 y|^p over (x, y) = ({t/l_1}, {t/l_2}) in [0, 1)^2:
+mu = [Phi(h_1+h_2) - Phi(h_1) - Phi(h_2)]/(h_1 h_2), Phi(u) =
+|u|^{p+2}/((p+1)(p+2)).  By parts, as above, the tail is mu/T + 2
+int_T^inf A(t)/t^3 dt, A(t) = int_T^t (|phi|^p - mu).  The cell [T + j l_1,
+T + (j+1) l_1] contributes l_1 g({T/l_2 + j alpha}), alpha = l_1/l_2 the
+exact rational of the two doubles, where g(x) = int_0^1 G_s(x + s alpha) ds,
+G_s(y) = |h_1 {T/l_1 + s} + h_2 {y}|^p.  Each G_s is 1-periodic in y, with
+circle variation at most p |h_2| reach^{p-1}, its slope in y, plus R, its
+one jump a period; so g has mean mu and circle variation V <= p |h_2|
+reach^{p-1} + R.  Denjoy-Koksma (Herman 1979) bounds the error of q
+consecutive cells by V at each convergent denominator q_i of alpha = [0;
+a_1, a_2, ...], up to the last, Q; Ostrowski's expansion (Kuipers-
+Niederreiter, ch. 2) cuts N cells into at most a_{i+1} blocks of each q_i <
+Q and floor(N/Q) of Q.  So |A(t)| <= l_1 (V S(t/l_1) + R), R for the last
+part cell, S(x) = sum_{q_i <= x} a_{i+1} + floor(x/Q); against 2/t^3 (x/Q
+for the floor) this gives E(T) = l_1 V sum_i a_{i+1}/max(T, q_i l_1)^2 +
+(2V/Q + l_1 R/T + dmu)/T.  dmu = 16 eps (Phi(h_1+h_2) + Phi(h_1) +
+Phi(h_2))/|h_1 h_2|, eps = 2^-52, bounds the rounding of mu: to first order
+each Phi carries at most 6 eps of itself (2 from the rounded h_1 + h_2 to
+the power p + 2, 1 from pow, 3 from six roundings), the two subtractions,
+h_1 h_2 and the division 2 eps; the 8 eps is doubled for second-order
+terms.
+
+The rounding of E itself, like that of R/T, and underflow (all |h_k| below
+1e-88) are left to the bound's 1e-12 (1 + value).
 """
 
 from __future__ import annotations
@@ -73,6 +98,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -283,13 +309,14 @@ def weighted_norm_report(
     max(1/(2T_B), 1e-13) plus roundoff; q and its error e come from
     ``GramSystem.quadratic_form``.  For p < 2, q is ``_abs_power_head`` up to
     T, and the tail past T lies in [0, R/T], R = max(sum h_k^+, sum h_k^-)^p,
-    as sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  Two dilations narrow
-    it to the mean-value tail (module docstring) and walk to the least
-    integer T <= T_B with 2 E(T) <= R/T_B, by bisection on the falling E;
-    other sums and short periods walk to T_B.  ``truncation`` is the walked
-    T.  So the integral lies in [q - down, q + up], (down, up) = (e, e) or
-    minus the tail's ends; the value is the midpoint of [(q - down)^{1/p},
-    (q + up)^{1/p}] and half its width enters the error bound.
+    as sum_{h_k < 0} h_k <= phi <= sum_{h_k > 0} h_k.  ``_tail`` narrows it
+    where it can (module docstring): a flat sum whose period walk and head
+    walk are shorter than the walk to T_B takes the periodic tail, else two
+    dilations the mean-value tail, and the walk ends at the least integer T
+    <= T_B with 2 E(T) <= R/T_B; other sums walk to T_B.  ``truncation`` is
+    the walked T.  So the integral lies in [q - down, q + up], (down, up) =
+    (e, e) or minus the tail's ends; the value is the midpoint of [(q -
+    down)^{1/p}, (q + up)^{1/p}] and half its width enters the error bound.
     PrecisionUnreachable is raised where that bound is not finite.
     """
     p = float(p)
@@ -317,13 +344,10 @@ def weighted_norm_report(
             try:
                 R = reach**p
                 down, up = 0.0, R / T
-                if coeffs.size == 2 and coeffs[0] * coeffs[1] != 0.0:
-                    mu, tail_error = _mean_tail(coeffs, dils, p, reach, R)
-                    walks = range(100, math.floor(T) + 1)
-                    i = bisect_left(walks, True, key=lambda t: 2.0 * tail_error(t) <= up)
-                    if i < len(walks):
-                        T, e = float(walks[i]), tail_error(walks[i])
-                        down, up = -max(0.0, mu / T - e), min(R / T, mu / T + e)
+                tail = _tail(phi, p, reach, R, T, density)
+                if tail is not None:
+                    T, mu, e = tail
+                    down, up = -max(0.0, mu / T - e), min(R / T, mu / T + e)
                 head = _abs_power_head(phi, p, T)
             except OverflowError as exc:  # a float power past the largest double
                 raise PrecisionUnreachable(overflow) from exc
@@ -336,6 +360,67 @@ def weighted_norm_report(
     return NormReport(value=value, abs_error_bound=err, truncation=T)
 
 
+def _tail(phi: DilatedFracSum, p: float, reach: float, R: float, T_B: float, density: float):
+    """(T, mu, E(T)) of the tail model the sum takes (module docstring), T the
+    least integer in [100, T_B] with 2 E(T) <= R/T_B, one bisection on the
+    falling E for every model; None for the crude tail [0, R/T_B].  The
+    periodic tail is taken where its period walk and its head walk, L and T
+    long, are shorter than the walk to T_B; else two dilations with h_1 h_2
+    != 0 try the mean-value tail."""
+    walks = range(100, math.floor(T_B) + 1)
+
+    def walk_end(error):
+        i = bisect_left(walks, True, key=lambda t: 2.0 * error(t) <= R / T_B)
+        return None if i == len(walks) else float(walks[i])
+
+    coeffs, dils = phi.coeffs, phi.dilations
+    slope, flat = _slope(phi)
+    if flat and (L := _period(dils, T_B)) is not None:
+        dv = _EPS * float(np.abs(coeffs) @ (L / dils + dils.size + 1.0)) + abs(slope) * float(dils[0])
+        mu_error = 5.0 * COINCIDENCE_RTOL * (2.0 * L * density + 4.0) * R
+        mu_error += p * (reach + dv) ** (p - 1.0) * dv
+
+        def error(t):
+            return (0.25 * L * R / t + mu_error) / t
+
+        T = walk_end(error)
+        if T is not None and L + T < T_B:
+            return T, _period_mean(phi, p, L), error(T)
+    if coeffs.size == 2 and coeffs[0] * coeffs[1] != 0.0:
+        mu, error = _mean_tail(coeffs, dils, p, reach, R)
+        T = walk_end(error)
+        if T is not None:
+            return T, mu, error(T)
+    return None
+
+
+def _period(dils, T_B: float) -> float | None:
+    """The least common period L of the {t/l_k}, the lcm of the numerators
+    of the dilations' exact rationals over the gcd of their denominators,
+    where it lies below T_B; else None.  L over a prefix of the dilations
+    only grows with the prefix, so the loop stops at the first that reaches
+    T_B, and the lcm of thousands of 53-bit numerators is never formed."""
+    num, den = 1, 0
+    for l in dils.tolist():
+        n, d = l.as_integer_ratio()
+        num, den = math.lcm(num, n), math.gcd(den, d)
+        if Fraction(num, den) >= T_B:  # exact, however long L is
+            return None
+    return num / den
+
+
+def _period_mean(phi: DilatedFracSum, p: float, L: float) -> float:
+    """mu_L = (1/L) int_L^{2L} |phi|^p dt of a flat sum of period L, by one
+    walk of the lattice, each piece exactly at its midpoint value."""
+    total = 0.0
+    for _, u, _, v in _midpoint_windows(phi, L, 2.0 * L):
+        np.abs(v, out=v)
+        np.power(v, p, out=v)
+        np.multiply(v, u, out=v)
+        total += float(np.sum(v))
+    return total / L
+
+
 def _mean_tail(coeffs, dils, p: float, reach: float, R: float):
     """mu and E(T) of the mean-value tail (module docstring) of two
     dilations; E is inf past double range and nan where mu overflows."""
@@ -343,39 +428,32 @@ def _mean_tail(coeffs, dils, p: float, reach: float, R: float):
     phis = [u * u * abs(u) ** p / ((p + 1.0) * (p + 2.0)) for u in (h1 + h2, h1, h2)]
     mu = (phis[0] - phis[1] - phis[2]) / (h1 * h2)
     mu_error = 16.0 * _EPS * sum(phis) / abs(h1 * h2)
-    alpha = _gram.Fraction(l1) / _gram.Fraction(l2)
-    ks = [0, 1] + [k for _, k in _gram._convergents(alpha)]  # q_{-1}, q_0, ..., Q
+    ks = [0, 1] + [k for _, k in _gram._convergents(Fraction(l1) / Fraction(l2))]  # q_{-1}, q_0, ..., Q
     if ks[-1] > 2**1000:
         return mu, lambda T: math.inf
     a = np.array([(k2 - k0) // k1 for k0, k1, k2 in zip(ks, ks[1:], ks[2:])], dtype=float)
     q = np.array(ks[1:-1], dtype=float) * l1
-    V = p * abs(h2) * reach ** (p - 1.0) + R / float(alpha)
+    V = p * abs(h2) * reach ** (p - 1.0) + R
     return mu, lambda T: (l1 * V * float(a @ np.maximum(T, q) ** -2.0)
                           + (2.0 * V / ks[-1] + l1 * R / T + mu_error) / T)
 
 
-def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
-    """int_1^T |phi|^p dt/t^2, phi piecewise linear with the single slope
-    sum h_k / l_k between lattice points: in closed form on [1, l_min],
-    then window by window over the lattice, exactly on flat pieces and by
-    16-point Gauss-Legendre on sloped ones.  A window's midpoints and
-    values, and phi's terms as they are summed, live in four rows allocated
-    once per call, so that no window leaves a term-sized array to free."""
+def _slope(phi: DilatedFracSum) -> tuple[float, bool]:
+    """phi's slope sum h_k/l_k between lattice points, and whether it counts
+    as flat: at most 1e-14 max(1, sum |h_k|)."""
+    slope = float(np.sum(phi.coeffs / phi.dilations))
+    return slope, abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
+
+
+def _midpoint_windows(phi: DilatedFracSum, t_lo: float, t_hi: float):
+    """Yield (t1, u, mid, v) for each window of ``_lattice_windows`` on [t_lo,
+    t_hi]: its segments, their midpoints and phi there.  mid and v, and phi's
+    terms as they are summed, live in four rows allocated once per call, so
+    that no window leaves a term-sized array to free; the caller may
+    overwrite mid and v."""
     dils = phi.dilations
-    slope = float(np.sum(phi.coeffs / dils))
-    # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
-    # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
-    start = min(float(dils.min()), T)
-    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
-    flat = abs(slope) <= 1e-14 * max(1.0, phi.abs_coeff_sum)
-    if not flat:  # flat sums need no nodes, nor the numpy.polynomial import
-        nodes, weights = np.polynomial.legendre.leggauss(16)
-        # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of a
-        # sloped piece, where |phi|^p has its kink; dt = 2 d y dy
-        y = 0.5 * (nodes + 1.0)
-        y_sq, y_weights = y * y, weights * y
     rows = np.empty((4, _WINDOW + 2 * dils.size + 2))  # a window's segments, ends included
-    for t1, u in _lattice_windows(dils, start, T):
+    for t1, u in _lattice_windows(dils, t_lo, t_hi):
         n = t1.size
         if rows.shape[1] < n:
             rows = np.empty((4, n))
@@ -384,6 +462,26 @@ def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
         np.add(t1, mid, out=mid)
         v.fill(0.0)
         phi._add_into(mid, v, rows[2:, :n])
+        yield t1, u, mid, v
+
+
+def _abs_power_head(phi: DilatedFracSum, p: float, T: float) -> float:
+    """int_1^T |phi|^p dt/t^2, phi piecewise linear with the single slope
+    sum h_k / l_k between lattice points: in closed form on [1, l_min],
+    then window by window over the lattice (``_midpoint_windows``), exactly
+    on flat pieces and by 16-point Gauss-Legendre on sloped ones."""
+    slope, flat = _slope(phi)
+    # on [1, l_min] each {t/l_k} is t/l_k, so phi(t) = slope t and
+    # int |slope t|^p dt/t^2 = |slope|^p (l_min^{p-1} - 1)/(p - 1)
+    start = min(float(phi.dilations.min()), T)
+    head = abs(slope) ** p * math.expm1((p - 1.0) * math.log(start)) / (p - 1.0)
+    if not flat:  # flat sums need no nodes, nor the numpy.polynomial import
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        # on [0, 1], t = z -+ d y^2 clusters the nodes at the zero z of a
+        # sloped piece, where |phi|^p has its kink; dt = 2 d y dy
+        y = 0.5 * (nodes + 1.0)
+        y_sq, y_weights = y * y, weights * y
+    for t1, u, mid, v in _midpoint_windows(phi, start, T):
         if flat:
             # |v|^p u / (t1 (t1 + u)), the integral of |v|^p dt/t^2
             np.abs(v, out=v)

@@ -687,6 +687,11 @@ bstar = json.dumps(call(["approx", "--dilations", "1,1.4142135623730951"])["bsta
 call(["moment", "--input", "-"], bstar)
 for p in ("2", "1.5"):
     call(["norm", "--input", "-", "--max-segments", "100000", "--p", p], bstar)
+# the periodic tail: the benchmark worker's warm-up payload and the bstar on 1..6
+call(["norm", "--input", "-", "--p", "1.5"],
+     '{"terms": [{"h": 1, "l": 1}, {"h": -2, "l": 2}], "constrained": true}')
+call(["norm", "--input", "-", "--p", "1.5"],
+     json.dumps(call(["approx", "--dilations", "1,2,3,4,5,6"])["bstar"]))
 print(" ".join(m for m in ("numpy.polynomial", "numpy.fft", "numpy.ma", "scipy", "mpmath")
                if m in sys.modules))
 """
@@ -696,7 +701,8 @@ def test_workload_calls_leave_numpy_submodules_unloaded():
     # the scan's brackets and the Gram build's cot-sum keys avoid np.unique
     # (it imports numpy.ma), Psi's Taylor
     # coefficients come from a DFT product rather than numpy.fft, and flat
-    # p < 2 norms take no Gauss nodes from numpy.polynomial: each import
+    # p < 2 norms, their period walks included, take no Gauss nodes from
+    # numpy.polynomial: each import
     # would add to every process's resident memory; scipy and mpmath are
     # test-only oracles and must not load on these paths at all
     code, out, err = fresh_python("-c", _WORKLOAD_SHAPES)

@@ -45,13 +45,17 @@ CASES = [["zeros", "--t-max", t, "--tol", tol]
 ]
 
 #: what the cases that read ``--input -`` find on stdin: approx's bstars on
-#: (1, sqrt 2) and (1, phi), a commensurate pair, a sum of three dilations, a
-#: sum that violates its constraint, and broken JSON
+#: (1, sqrt 2), (1, phi) and 1..6, a commensurate pair, a sum of three
+#: dilations, a sum that violates its constraint, and broken JSON
 STDIN = {
     "bstar": '{"constrained": true, "terms": [{"h": -0.7225088103263034, "l": 1.0}, '
              '{"h": 1.0217817584975089, "l": 1.4142135623730951}]}',
     "bstar-phi": '{"constrained": true, "terms": [{"h": -0.7946566998338764, "l": 1.0}, '
                  '{"h": 1.285781549719035, "l": 1.618033988749895}]}',
+    "bstar-1..6": '{"constrained": true, "terms": [{"h": -0.9509608678777679, "l": 1.0}, '
+                  '{"h": 0.8673091314841749, "l": 2.0}, {"h": 0.8845324164696445, "l": 3.0}, '
+                  '{"h": 0.30413793733136973, "l": 4.0}, {"h": 0.7811261082315091, "l": 5.0}, '
+                  '{"h": -0.05878525600007249, "l": 6.0}]}',
     "commensurate": '{"constrained": true, "terms": [{"h": -1, "l": 1}, {"h": 2, "l": 2}]}',
     "three": '{"constrained": true, "terms": [{"h": 1, "l": 1}, '
              '{"h": -0.7071067811865476, "l": 1.4142135623730951}, '
@@ -79,12 +83,14 @@ _README = [
 CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
              for argv in _README for fmt in ([], ["--format", "csv"])] + [
     (["zeros", "--t-max", "30", "--tol", "1e-6", "--format", "csv"], None),
-    # p < 2 norms: the mean-value tail of two dilations, and the crude tail
-    # of a short period and of three dilations
+    # p < 2 norms: the mean-value tail of two dilations, the periodic tail
+    # of a short period and of the bstar on 1..6, and the crude tail of
+    # three incommensurate dilations
     (["norm", "--input", "-", "--p", "1.2"], "bstar"),
     (["norm", "--input", "-", "--p", "1.5", "--max-segments", "4000000"], "bstar"),
     (["norm", "--input", "-", "--p", "1.5"], "bstar-phi"),
     (["norm", "--input", "-", "--p", "1.5"], "commensurate"),
+    (["norm", "--input", "-", "--p", "1.5"], "bstar-1..6"),
     (["norm", "--input", "-", "--p", "1.5"], "three"),
     # exit 1: domain errors
     (["zeta", "--re", "1", "--target", "1e-12"], None),

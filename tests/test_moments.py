@@ -3,8 +3,11 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from conftest import random_constrained_sum, step_profile
@@ -31,6 +34,8 @@ from nblab.moments import (
     _abs_power_head,
     _lattice_windows,
     _mean_tail,
+    _period_mean,
+    _slope,
     _sloped_abs_power,
 )
 
@@ -416,8 +421,9 @@ def test_norm_interval_holds_the_sloped_reference():
     # the norm lies in [ref^{1/p}, (ref + tail)^{1/p}], and value +- bound must
     # hold all of it; x^{1/p} is concave, so the p-th root of the midpoint of
     # [ref, ref + tail] lies 3e-11 above that interval's midpoint here, well
-    # beyond the 1e-12 (1 + value) slack of the bound.  The ratio 2/3 has a
-    # short period, so the sum keeps the crude tail and walks to its budget
+    # beyond the 1e-12 (1 + value) slack of the bound.  The sum is sloped,
+    # so it takes no periodic tail, and the ratio 2/3 keeps the mean-value
+    # tail from its goal: it keeps the crude tail and walks to its budget
     phi = DilatedFracSum(terms=((1.0, 3.0), (-1.0, 2.0)))
     p = 1.5
     rep = weighted_norm_report(phi, p, max_segments=200_000)
@@ -537,7 +543,13 @@ def norm_p_walk_oracle(phi: DilatedFracSum, p: float, T: float) -> float:
 @lru_cache(maxsize=None)
 def approx_bstar(l: float) -> DilatedFracSum:
     """The minimiser b* of ``approx --dilations 1,l`` at its default target."""
-    res = best_approximation([1.0, l], 1e-6)
+    return approx_bstar_of((1.0, l))
+
+
+@lru_cache(maxsize=None)
+def approx_bstar_of(dilations: tuple[float, ...]) -> DilatedFracSum:
+    """The minimiser b* of ``approx`` over the dilations at its default target."""
+    res = best_approximation(list(dilations), 1e-6)
     return DilatedFracSum(terms=tuple(zip(res.h_star, res.dilations)), constrained=True)
 
 
@@ -627,9 +639,8 @@ def test_norm_walk_memory_does_not_grow_with_segments():
     assert max(peaks) <= 12 * _WINDOW * 8  # about 6 window arrays today
 
 
-def test_two_dilation_norm_walks_a_small_share_of_its_budget(monkeypatch):
-    # the benchmark's norm --p 1.5 --max-segments 4000000 on the sqrt(2)
-    # bstar walks about 32,000 lattice segments, not 4M
+def walked(monkeypatch, phi: DilatedFracSum, **kwargs):
+    """The p = 1.5 report on phi and the lattice segments its walks took."""
     segments = []
 
     def counted(*args):
@@ -638,21 +649,131 @@ def test_two_dilation_norm_walks_a_small_share_of_its_budget(monkeypatch):
             yield t1, u
 
     monkeypatch.setattr("nblab.moments._lattice_windows", counted)
-    weighted_norm_report(approx_bstar(math.sqrt(2.0)), 1.5, max_segments=4_000_000)
-    assert 0 < sum(segments) <= 40_000
+    return weighted_norm_report(phi, 1.5, **kwargs), sum(segments)
 
 
-@pytest.mark.parametrize("terms", [((-1.0, 1.0), (2.0, 2.0)), ((1.0, 3.0), (-1.0, 2.0))],
-                         ids=["1:-1,2:2", "3:1,2:-1"])
+def test_two_dilation_norm_walks_a_small_share_of_its_budget(monkeypatch):
+    # the benchmark's norm --p 1.5 --max-segments 4000000 on the sqrt(2)
+    # bstar walks about 29,000 lattice segments, not 4M
+    _, segments = walked(monkeypatch, approx_bstar(math.sqrt(2.0)), max_segments=4_000_000)
+    assert 0 < segments <= 40_000
+
+
+@pytest.mark.parametrize("terms", [((1.0, 3.0), (-1.0, 2.0))], ids=["3:1,2:-1"])
 def test_short_periods_keep_the_crude_tail(terms):
-    # alpha = 1/2 or 2/3: 2 E(T) >= 4 V/(Q T) > R/T_B at every T <= T_B, so
-    # the norm walks to its budget and reports the crude tail, bit for bit
+    # a sloped sum takes no periodic tail, and for alpha = 2/3 2 E(T) >= 4 V/(Q T)
+    # > R/T_B at every T <= T_B, as V >= R: the norm walks to its budget and
+    # reports the crude tail, bit for bit
     phi = DilatedFracSum(terms=terms)
     for p in (1.5, 1.2):
         rep = weighted_norm_report(phi, p, max_segments=100_000)
         T = budget(phi, 100_000)
         assert rep.truncation == T
         assert (rep.value, rep.abs_error_bound) == crude_report(_abs_power_head(phi, p, T), phi, p, T)
+
+
+def mp(x: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def period_pieces(phi: DilatedFracSum, p: float):
+    """L, the least common period of a flat sum, and (a, b, |phi|^p) for
+    each piece [a, b] of [1, 2L] between lattice points, exact in rationals
+    but for the power, at 30 digits; phi is taken at the piece's midpoint."""
+    terms = [(Fraction(h), Fraction(l)) for h, l in phi.terms]
+    L = Fraction(math.lcm(*(l.numerator for _, l in terms)),
+                 math.gcd(*(l.denominator for _, l in terms)))
+    pts = sorted({Fraction(1)} | {m * l for _, l in terms for m in range(1, 2 * L // l + 1)})
+    with mpmath.workdps(30):
+        return L, [(a, b, abs(mp(sum(h * (x / l - math.floor(x / l)) for h, l in terms))) ** p)
+                   for a, b in zip(pts, pts[1:]) for x in [(a + b) / 2]]
+
+
+def periodic_reference(phi: DilatedFracSum, p: float) -> mpmath.mpf:
+    """int_1^inf |phi|^p dt/t^2 of a flat sum, from its exact pieces: the
+    head over the pieces of [1, L], and past L (1/L) sum_i |v_i|^p
+    (psi(b_i/L) - psi(a_i/L)) over the pieces [a_i, b_i] of [L, 2L], which
+    is sum_i |v_i|^p sum_j int_{a_i + jL}^{b_i + jL} dt/t^2.  Apart from its
+    30 digits it differs from the integral only by the sum's rounded slope
+    (below 1e-15 here) across pieces at most l_min wide."""
+    L, pieces = period_pieces(phi, p)
+    with mpmath.workdps(30):
+        head = sum(f * (1 / mp(a) - 1 / mp(b)) for a, b, f in pieces if b <= L)
+        tail = sum(f * (mpmath.digamma(mp(b / L)) - mpmath.digamma(mp(a / L)))
+                   for a, b, f in pieces if b > L)
+        return head + tail / mp(L)
+
+
+def assert_holds_the_periodic_reference(phi: DilatedFracSum, p: float, max_segments: int = 1_000_000):
+    """The report takes the periodic tail, walking short of its budget, and
+    its printed interval holds the exact reference's p-th root."""
+    rep = weighted_norm_report(phi, p, max_segments=max_segments)
+    assert rep.truncation < budget(phi, max_segments)
+    ref = float(periodic_reference(phi, p) ** (1.0 / p))
+    assert abs(rep.value - ref) <= rep.abs_error_bound
+    return rep
+
+
+TO_SIX = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+HALVES = (1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
+
+
+@pytest.mark.parametrize("terms", [((-1.0, 1.0), (2.0, 2.0))], ids=["1:-1,2:2"])
+def test_short_flat_periods_take_the_periodic_tail(terms):
+    # L = 2: the walk ends at the least integer T with T^2 >= L T_B/2, not at
+    # T_B; the rounding term of mu, about 5e-11 R, does not move it
+    phi = DilatedFracSum(terms=terms)
+    for p in (1.5, 1.2):
+        rep = assert_holds_the_periodic_reference(phi, p, max_segments=100_000)
+        assert rep.truncation == math.ceil(math.sqrt(budget(phi, 100_000)))
+
+
+@pytest.mark.parametrize("p", [1.5, 1.2])
+@pytest.mark.parametrize(
+    "make_phi",
+    [lambda: DilatedFracSum(terms=((1.0, 1.0), (-2.0, 2.0)), constrained=True),
+     lambda: approx_bstar_of(TO_SIX), lambda: approx_bstar_of(HALVES)],
+    ids=["1:1,2:-2", "bstar-1..6", "bstar-halves"],
+)
+def test_periodic_tail_holds_the_exact_integral(make_phi, p):
+    phi = make_phi()
+    assert_holds_the_periodic_reference(phi, p)
+    # the period mean itself, far inside its rounding term dmu (about 1e-9 R
+    # for the bstars): a mean off by 1e-3 would still leave the reference
+    # inside the printed interval
+    L, pieces = period_pieces(phi, p)
+    exact = float(sum(f * mp(b - a) for a, b, f in pieces if a >= L) / mp(L))
+    assert abs(_period_mean(phi, p, float(L)) - exact) <= 1e-13 * tail_bound(phi, p, 1.0)
+
+
+@given(dilations=st.sets(st.integers(1, 12), min_size=2, max_size=4),
+       coeffs=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+@settings(max_examples=25)
+def test_periodic_tail_holds_the_exact_integral_of_integer_dilations(dilations, coeffs):
+    # constrained sums on integer dilations whose period, the lcm, fits the budget
+    dils = sorted(float(l) for l in dilations)
+    assume(math.lcm(*dilations) <= 360)
+    h = coeffs[:len(dils) - 1]
+    h.append(-dils[-1] * sum(c / l for c, l in zip(h, dils)))
+    assume(any(h))
+    phi = DilatedFracSum(terms=tuple(zip(h, dils)), constrained=True)
+    assume(_slope(phi)[1])
+    assert_holds_the_periodic_reference(phi, 1.5)
+
+
+@pytest.mark.parametrize(
+    "make_phi, most_t, most_segments",
+    [(lambda: DilatedFracSum(terms=((1.0, 1.0), (-2.0, 2.0)), constrained=True), 820, 1_300),
+     (lambda: approx_bstar_of(TO_SIX), 3_600, 9_000)],
+    ids=["1:1,2:-2", "bstar-1..6"],
+)
+def test_periodic_walks_are_short(monkeypatch, make_phi, most_t, most_segments):
+    # about (L T_B/2)^{1/2} of the head plus one period at the default
+    # budget: for {1: 1, 2: -2} L = 2 and T_B = 666,667, for the bstar on
+    # 1..6 L = 60 and T_B = 408,163
+    rep, segments = walked(monkeypatch, make_phi())
+    assert rep.truncation <= most_t
+    assert 0 < segments <= most_segments
 
 
 def test_a_ratio_whose_denominator_passes_double_range_keeps_the_crude_tail():
@@ -703,7 +824,7 @@ def test_denjoy_koksma_bounds_each_convergent_block():
     alpha = l1 / l2
     reach = tail_bound(phi, 1.0, 1.0)
     R = reach**p
-    V = p * abs(h2) * reach ** (p - 1.0) + R / alpha
+    V = p * abs(h2) * reach ** (p - 1.0) + R
     mu = mean_abs_power_oracle(h1, h2, p)
 
     def g(c, x):
