@@ -106,8 +106,9 @@ most 2 d sum n^{-1/2}.
   meet the zeros +-3/4 of cos 2 pi x, and float power-series division
   loses all digits near x = 1/2), and each C_j is a polynomial in x^2,
   times x for odd j: each point's sum_j w^j C_j is one polynomial in x^2,
-  its coefficients from one matrix product, summed by Horner's rule.  The
-  tables agree with 30-digit mpmath within a quarter
+  its coefficients two degrees at a time from a matrix product (one degree
+  would take another BLAS route, with other roundings), summed by Horner's
+  rule from the top.  The tables agree with 30-digit mpmath within a quarter
   of the table error ``_RS_TABLE_ERR`` that the claim carries.
   Psi(1 - p) = Psi(p), so a sqrt rounded across an integer (N off by one at
   t = 2 pi N^2) stays within the claim.
@@ -143,7 +144,13 @@ dropped, so that its two neighbours bracket across it.  The scan is one
 pass of such calls: one for the grid's whole rows, the last row's points
 past ``t_max`` dropped, then rounds of two-point rows for each group of
 brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
-time), the groups lowest first.
+time), the groups lowest first.  A call holds at most 2^15 points, which
+the Riemann-Siegel kernel reads in blocks of 4096, and the bracket search
+reads the grid in blocks of 2^15 with the last counted point before each,
+so that beside the grid's points, values and counted signs (17 bytes a
+point) a scan holds one block's temporaries, its brackets, and in a round
+of two-point rows each row's N phases: a traced peak of 0.78 MiB for
+t_max = 500, 1.9 MiB for 2000 and 23 MiB for 52,428.
 
 A bracket [a, a + w] is refined on its lattice a + k h, h = w / n,
 n = ceil(w / stop), the stop being ``tol`` (2 ``tol`` for a bracket across
@@ -198,7 +205,7 @@ from .gammafn import _require_finite, loggamma_right
 __all__ = ["zeta", "xi", "functional_equation_residual", "find_critical_zeros"]
 
 #: a hook that nothing calls: bench/tracing.py wraps this name, and it goes with
-#: the tracer (ROADMAP item 1)
+#: the tracer (ROADMAP item 2)
 gamma = loggamma_right
 
 _LN2 = math.log(2.0)
@@ -228,8 +235,11 @@ _MAX_GRID = 2**20
 #: above this height, from which Gabcke's bound holds, and from W on the others
 _Z_FROM = 200.0
 
-#: most points per call of a row kernel, and 32 times the most brackets of a
-#: group refined together, so that a scan's arrays stay within a few MiB
+#: most points per call of a row kernel, 32 times the most brackets of a group
+#: refined together, and the points of a block of the bracket search; the
+#: Riemann-Siegel kernel reads its calls in blocks of 4096 points, so a grid
+#: call of 1024 rows near t = 52,000 peaks at 1.4 MiB (traced) and a round of
+#: 1024 two-point rows there at 2.4 MiB, most of it the N phases of each row
 _Z_CHUNK = 2**15
 
 #: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
@@ -367,12 +377,6 @@ def _weighted_pole_product(
     fp_top = np.max(fp)
     m, remainder, tail = _em_order(top, n, 0.5 * (target - fp_top if fp_top < target else target))
     fp += scale * n ** -sigma * tail * (c * log_n + _EPS * (6.0 * m + 12.0))
-    phases = np.exp(-1j * np.multiply.outer(s.imag, ln_n))
-    if offsets is None:
-        head, n_s = complex(phases @ amp), cmath.exp(-log_n * s)
-    else:
-        head = phases @ (amp * np.exp(-1j * np.multiply.outer(offsets, ln_n))).T
-        n_s = np.exp(-log_n * points)
     # Horner in (s+2k-1)(s+2k)/N^2 = s^2/N^2 + (4k-1) s/N^2 + (2k-1) 2k/N^2, in place on rows
     n2 = float(n) * n
     poly, over, square = 0.0, points / n2, points * points / n2
@@ -383,6 +387,15 @@ def _weighted_pole_product(
         u *= poly
         u += _EM_COEF[k]
         poly = u
+    del over, square  # two arrays the size of the points, freed before the head sums
+    phases = -1j * np.multiply.outer(s.imag, ln_n)
+    np.exp(phases, out=phases)
+    if offsets is None:
+        head, n_s = complex(phases @ amp), cmath.exp(-log_n * s)
+    else:
+        head = phases @ (amp * np.exp(-1j * np.multiply.outer(offsets, ln_n))).T
+        n_s = np.exp(-log_n * points)
+    del phases  # rows times N values, freed before the last products
     value = (points - 1.0) * (head + n_s * (0.5 + points / n * poly)) + n * n_s
     return value, remainder + fp + 8.0 * _EPS * abs(value), n - 1 + m
 
@@ -519,57 +532,78 @@ def _em_z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray,
     return t, z, q_err + (np.abs(q) + q_err) * (0.5 * theta_err * theta_err + 16.0 * _EPS)
 
 
-def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points t = a_r + j h, j < m, all t >= 200, one row per start a_r,
-    Hardy's Z(t) there by the Riemann-Siegel formula, and its claims (module
-    docstring), with the main sums' phases by angle addition."""
-    offsets = h * np.arange(m)
-    t = np.add.outer(a, offsets)
-    u = t / (2.0 * math.pi)
-    root = np.sqrt(u)
-    n_point = np.floor(root)  # N(t)
-    n_row = np.floor(np.sqrt(a / (2.0 * math.pi))).astype(int)  # N at a row's start
-    n = np.arange(1.0, n_point.max() + 1.0)
-    ln_n, amp = np.log(n), n**-0.5
-    phases = np.exp(-1j * np.multiply.outer(a, ln_n))
-    steps = np.exp(-1j * np.multiply.outer(ln_n, offsets))
-    # a row's points past the start's N add the n between, each masked per point
-    rows, extra = np.arange(a.size), []
-    for k in range(1, int((n_point - n_row[:, None]).max()) + 1):
-        col = np.minimum(n_row + k - 1, n.size - 1)
-        term = (phases[rows, col] * amp[col])[:, None] * steps[col]
-        extra.append(np.where(n_point >= (n_row + k)[:, None], term, 0.0))
-    phases *= np.where(n <= n_row[:, None], amp, 0.0)
-    head = phases @ steps
-    for term in extra:
-        head += term
-    theta, theta_err = _theta(t)
-    main = 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
-    # sum_j w^j C_j(x) with w = (t/2 pi)^{-1/2} and C_j(x) = x^(j mod 2) Q_j(x^2):
-    # each point's coefficients sum_j w^j x^(j mod 2) Q_j, then Horner in x^2
+def _rs_correction(root: np.ndarray, n_point: np.ndarray) -> np.ndarray:
+    """The Riemann-Siegel correction (-1)^(N-1) w^{1/2} sum_j w^j C_j(x) at
+    points with sqrt(t/2 pi) = root and N = n_point (module docstring), of
+    the same shape.  w = 1/root and C_j(x) = x^(j mod 2) Q_j(x^2), so each
+    point's coefficients are sum_j w^j x^(j mod 2) Q_j, two degrees a matrix
+    product (one row would take another BLAS route), summed by Horner's rule
+    in x^2 from the top."""
+    table = _rs_tables()[0]
     x = root - n_point - 0.5
     w = 1.0 / root
     w2, wx = w * w, w * x
-    table, table_err, table_slope = _rs_tables()
-    coef = table.T @ np.stack([np.ones_like(w), wx, w2, w2 * wx, w2 * w2]).reshape(5, -1)
-    y = (x * x).ravel()
-    corr = coef[-1]
-    for c in coef[-2::-1]:
-        corr *= y
-        corr += c
-    quarter = np.sqrt(w)
-    z = main + np.where(n_point % 2.0 == 1.0, quarter, -quarter) * corr.reshape(t.shape)
+    basis = np.stack([np.ones_like(w), wx, w2, w2 * wx, w2 * w2]).reshape(5, -1)
+    x *= x
+    corr = np.zeros(x.shape)
+    for k in range(table.shape[1] - 2, -1, -2):
+        for c in (table.T[k : k + 2] @ basis)[::-1]:
+            corr *= x
+            corr += c.reshape(x.shape)
+    w = np.sqrt(w)
+    corr *= np.where(n_point % 2.0 == 1.0, w, -w)
+    return corr
+
+
+def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The points t = a_r + j h, j < m, all t >= 200, one row per start a_r,
+    Hardy's Z(t) there by the Riemann-Siegel formula, and its claims (module
+    docstring), with the main sums' phases by angle addition.  The rows are
+    read in blocks of about 4096 points, so that no per-point temporary holds
+    more than a block."""
+    offsets = h * np.arange(m)
+    t = np.add.outer(a, offsets)
+    z, theta_top = np.empty(t.shape), np.empty(a.size)
+    n = np.arange(1.0, np.floor(np.sqrt(t.max() / (2.0 * math.pi))) + 1.0)  # to the call's top N
+    ln_n, amp = np.log(n), n**-0.5
+    steps = np.exp(-1j * np.multiply.outer(ln_n, offsets))
+    size = max(1, 4096 // m)
+    for r in range(0, a.size, size):
+        rows = slice(r, r + size)
+        root = np.sqrt(t[rows] / (2.0 * math.pi))
+        n_point = np.floor(root)  # N(t)
+        z[rows] = _rs_correction(root, n_point)
+        n_row = np.floor(np.sqrt(a[rows] / (2.0 * math.pi))).astype(int)  # N at a row's start
+        phases = -1j * np.multiply.outer(a[rows], ln_n)
+        np.exp(phases, out=phases)
+        # a row's points past the start's N add the n between, each masked per point
+        rise = range(1, int((n_point - n_row[:, None]).max()) + 1)
+        cols = [np.minimum(n_row + k - 1, n.size - 1) for k in rise]
+        leads = [phases[np.arange(n_row.size), col] * amp[col] for col in cols]
+        phases *= np.where(n <= n_row[:, None], amp, 0.0)
+        head = phases @ steps
+        for k, col, lead in zip(rise, cols, leads):
+            head += np.where(n_point >= (n_row + k)[:, None], lead[:, None] * steps[col], 0.0)
+        theta, theta_err = _theta(t[rows])
+        theta_top[rows] = theta_err.max(axis=1)
+        z[rows] += 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
     # the claim of each row, from its ends: Gabcke's term and quarter fall
     # with t, the rounding terms grow with t and N; theta's is its row's largest
-    lo, hi, n_hi = t[:, 0], t[:, -1], n_point[:, -1]
+    lo, hi = t[:, 0], t[:, -1]
+    root_hi = np.sqrt(hi / (2.0 * math.pi))
+    n_hi = np.floor(root_hi)
     i = n_hi.astype(int) - 1
     a0, a1 = np.cumsum(amp)[i], np.cumsum(amp * ln_n)[i]
+    _, table_err, table_slope = _rs_tables()
+    quarter = (lo / (2.0 * math.pi)) ** -0.25
     claim = (_GABCKE_D4 * lo**-2.75
-             + 2.0 * theta_err.max(axis=1) * a0
+             + 2.0 * theta_top * a0
              + 2.0 * _EPS * (3.0 * hi * a1 + (n_hi + 8.0) * a0)
-             + u[:, 0] ** -0.25 * (table_err + _EPS * (2.0 * root[:, -1] + 1.0) * table_slope))
-    claim = claim[:, None] + 2.0 * _EPS * np.abs(z)
-    return t, z, claim
+             + quarter * (table_err + _EPS * (2.0 * root_hi + 1.0) * table_slope))
+    bound = np.abs(z)
+    bound *= 2.0 * _EPS
+    bound += claim[:, None]
+    return t, z, bound
 
 
 def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -577,17 +611,16 @@ def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray,
     there, from W on the rows that start at or below 200 and by the
     Riemann-Siegel formula on the others; and whether each sign counts: where
     the value's magnitude exceeds its claim."""
-    t = np.add.outer(a, h * np.arange(m))
-    f, ok = np.empty(t.shape), np.empty(t.shape, dtype=bool)
+    t, f, ok = np.empty((a.size, m)), np.empty((a.size, m)), np.empty((a.size, m), dtype=bool)
     step = max(1, _Z_CHUNK // m)
-    # the Riemann-Siegel rows first: they build the scan's largest arrays, and
+    # the Riemann-Siegel rows first: their calls peak higher than W's, and
     # then no claim of W's rows is held beside them
     for rows, kernel in ((np.flatnonzero(a > _Z_FROM), _z_rows),
                          (np.flatnonzero(a <= _Z_FROM), _em_z_rows)):
         for i in range(0, rows.size, step):
             part = rows[i : i + step]
-            _, value, claim = kernel(a[part], h, m)
-            f[part], ok[part] = value, np.abs(value) > claim
+            t[part], f[part], claim = kernel(a[part], h, m)
+            ok[part] = np.abs(f[part]) > claim
     return t, f, ok
 
 
@@ -597,14 +630,18 @@ def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray
     whose sign does not count is dropped and its two neighbours bracket
     across it; a bracket is two neighbours of opposite sign (signs compared,
     so that no product of two small values underflows to 0).  A counted sign
-    is never 0: its value's magnitude exceeds a positive claim."""
-    kept = np.flatnonzero(ok)
-    row = kept // f.shape[-1]
-    same = row[1:] == row[:-1]
-    left, right = kept[:-1][same], kept[1:][same]
-    flat = f.ravel()
-    opposite = np.sign(flat[left]) * np.sign(flat[right]) < 0.0
-    return left[opposite], right[opposite]
+    is never 0: its value's magnitude exceeds a positive claim.  The points
+    are read in blocks of ``_Z_CHUNK``, each with the last counted point
+    before it, so that no index array holds more than a block."""
+    cols, flat, counted = f.shape[-1], f.ravel(), ok.ravel()
+    kept, left, right = np.empty(0, dtype=np.intp), [], []
+    for start in range(0, flat.size, _Z_CHUNK):
+        block = np.flatnonzero(counted[start : start + _Z_CHUNK])
+        kept = np.concatenate([kept[-1:], start + block])
+        i = np.flatnonzero(np.diff(flat[kept] > 0.0) & (np.diff(kept // cols) == 0))
+        left.append(kept[i])
+        right.append(kept[i + 1])
+    return np.concatenate([kept[:0], *left]), np.concatenate([kept[:0], *right])
 
 
 #: brackets of one width: left ends, values there, values at the right ends,

@@ -674,7 +674,7 @@ def call(argv, stdin=""):
     assert run(argv, out, err) == 0, (argv, err.getvalue())
     return json.loads(out.getvalue())["result"]
 
-for t_max in ("20", "300"):
+for t_max in ("20", "300", "500", "2000"):
     call(["zeros", "--t-max", t_max])
 call(["gram", "--dilations", "1,2,3"])
 call(["gram", "--dilations", "1,1.4142135623730951", "--target", "1e-4"])

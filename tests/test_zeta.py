@@ -967,6 +967,156 @@ def test_z_claim_at_200_is_gabckes_term():
     assert 7.9e-9 < claim[0, 0] <= 1e-8
 
 
+def one_matrix_z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hardy's Z and its claims on the rows t = a_r + j h by the
+    Riemann-Siegel formula, as ``_z_rows`` read them before it read them in
+    blocks: every per-point array over the whole call, the correction's
+    coefficients one (22, points) matrix product, the main sums one matrix
+    product plus a list of masked terms for the n past a row's start N."""
+    offsets = h * np.arange(m)
+    t = np.add.outer(a, offsets)
+    u = t / (2.0 * math.pi)
+    root = np.sqrt(u)
+    n_point = np.floor(root)
+    n_row = np.floor(np.sqrt(a / (2.0 * math.pi))).astype(int)
+    n = np.arange(1.0, n_point.max() + 1.0)
+    ln_n, amp = np.log(n), n**-0.5
+    phases = np.exp(-1j * np.multiply.outer(a, ln_n))
+    steps = np.exp(-1j * np.multiply.outer(ln_n, offsets))
+    rows, extra = np.arange(a.size), []
+    for k in range(1, int((n_point - n_row[:, None]).max()) + 1):
+        col = np.minimum(n_row + k - 1, n.size - 1)
+        term = (phases[rows, col] * amp[col])[:, None] * steps[col]
+        extra.append(np.where(n_point >= (n_row + k)[:, None], term, 0.0))
+    phases *= np.where(n <= n_row[:, None], amp, 0.0)
+    head = phases @ steps
+    for term in extra:
+        head += term
+    theta, theta_err = zeta_module._theta(t)
+    main = 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
+    x = root - n_point - 0.5
+    w = 1.0 / root
+    w2, wx = w * w, w * x
+    table, table_err, table_slope = zeta_module._rs_tables()
+    coef = table.T @ np.stack([np.ones_like(w), wx, w2, w2 * wx, w2 * w2]).reshape(5, -1)
+    y = (x * x).ravel()
+    corr = coef[-1]
+    for c in coef[-2::-1]:
+        corr *= y
+        corr += c
+    quarter = np.sqrt(w)
+    z = main + np.where(n_point % 2.0 == 1.0, quarter, -quarter) * corr.reshape(t.shape)
+    lo, hi, n_hi = t[:, 0], t[:, -1], n_point[:, -1]
+    i = n_hi.astype(int) - 1
+    a0, a1 = np.cumsum(amp)[i], np.cumsum(amp * ln_n)[i]
+    eps = zeta_module._EPS
+    claim = (zeta_module._GABCKE_D4 * lo**-2.75
+             + 2.0 * theta_err.max(axis=1) * a0
+             + 2.0 * eps * (3.0 * hi * a1 + (n_hi + 8.0) * a0)
+             + u[:, 0] ** -0.25 * (table_err + eps * (2.0 * root[:, -1] + 1.0) * table_slope))
+    return t, z, claim[:, None] + 2.0 * eps * np.abs(z)
+
+
+def test_blocked_z_rows_equal_the_one_matrix_route():
+    # _z_rows reads its rows in blocks of about 4096 points and its
+    # correction two degrees a matrix product; every point and value and
+    # claim equals the one-matrix route's bit for bit: on the grid's rows from
+    # 200 to 2000 as the scans to 500 and 2000 call them (188 rows; 1024 and
+    # then 101), on rows across t = 2 pi N^2 for N = 6..17, where N steps
+    # inside a row, and on two-point rows as the refinement reads them, across
+    # those heights and one ulp either side
+    h = 0.05
+    grid = h * np.arange(1, 2000 / h + 1, 32)
+    grid = grid[grid > 200.0]
+    edges = 2.0 * math.pi * np.arange(6, 18) ** 2
+    cells = np.concatenate([edges - 5e-7, np.nextafter(edges, 0.0), edges,
+                            np.nextafter(edges, np.inf),
+                            np.random.default_rng(45).uniform(200.0, 2000.0, 976)])
+    calls = [(grid[:188], h, 32), (grid[:1024], h, 32), (grid[1024:], h, 32),
+             (edges - 0.8, h, 32), (np.sort(cells), 1e-6, 2)]
+    assert [a.size for a, _, _ in calls] == [188, 1024, 101, 12, 1024]
+    for a, step, m in calls:
+        for new, old in zip(zeta_module._z_rows(a, step, m), one_matrix_z_rows(a, step, m)):
+            assert np.array_equal(new, old), (a.size, m)
+
+
+@pytest.mark.parametrize("t_max, limit", [(500.0, 1.2), (2000.0, 4.0)])
+def test_a_scan_holds_its_points_in_blocks(t_max, limit):
+    # the traced peak of a scan, in MiB: 2.19 and 11.6 while the
+    # Riemann-Siegel kernel held a (22, points) coefficient matrix and every
+    # per-point temporary over its whole call, and the bracket search several
+    # grid-length index arrays; about 0.78 and 1.9 with both in blocks
+    find_critical_zeros(t_max, 1e-6)  # builds the Riemann-Siegel tables, once a process
+    tracemalloc.start()
+    try:
+        find_critical_zeros(t_max, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * 2**20
+
+
+def plain_sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets' flat end indices as ``_sign_changes`` found them before
+    it read its points in blocks: every index array over the whole grid."""
+    kept = np.flatnonzero(ok)
+    row = kept // f.shape[-1]
+    same = row[1:] == row[:-1]
+    left, right = kept[:-1][same], kept[1:][same]
+    flat = f.ravel()
+    opposite = np.sign(flat[left]) * np.sign(flat[right]) < 0.0
+    return left[opposite], right[opposite]
+
+
+def sign_runs(rng: np.random.Generator, size: int, flip: float, drop: float):
+    """Values with random signs in runs, a sign flipping at each point with
+    probability ``flip``, and counted signs, each dropped with probability
+    ``drop``."""
+    signs = np.where(np.cumsum(rng.random(size) < flip) % 2 == 1, -1.0, 1.0)
+    return signs * rng.uniform(0.1, 1.0, size), rng.random(size) >= drop
+
+
+def test_sign_changes_carry_across_blocks():
+    # the bracket search reads a grid in blocks of _Z_CHUNK points, each
+    # with the last counted point before it: on three blocks and a part, with
+    # a dropped run across the first block edge and a sign change across the
+    # second, it finds the brackets that one pass over the whole grid finds;
+    # laid out as rows of 4 (the refinement's) or 32 points, no bracket
+    # joins two rows
+    chunk = zeta_module._Z_CHUNK
+    f, ok = sign_runs(np.random.default_rng(46), 3 * chunk + 32, 0.1, 0.05)
+    ok[chunk - 3 : chunk + 4] = False
+    ends = [chunk - 4, chunk + 4, 2 * chunk - 1, 2 * chunk]
+    f[ends], ok[ends] = (1.0, -1.0, 1.0, -1.0), True
+    for shape in ((f.size,), (-1, 4), (-1, 32)):
+        left, right = zeta_module._sign_changes(f.reshape(shape), ok.reshape(shape))
+        plain = plain_sign_changes(f.reshape(shape), ok.reshape(shape))
+        assert np.array_equal(left, plain[0]) and np.array_equal(right, plain[1]), shape
+        assert left.size > 1000
+    pairs = set(zip(*(x.tolist() for x in zeta_module._sign_changes(f, ok))))
+    assert {(chunk - 4, chunk + 4), (2 * chunk - 1, 2 * chunk)} <= pairs
+
+
+def test_brackets_hold_no_grid_length_temporaries():
+    # the bracket search on the largest grid a scan may hold, 2^20 points,
+    # with sign runs about as long as Z's near t = 52,000 on the 0.05 grid
+    # (14 points) and 1% of the signs dropped: its traced peak stays within
+    # twice the grid's values (the search held 56 MiB of grid-length
+    # index and value arrays when it read the grid in one pass)
+    size, h = 2**20, 0.05
+    f, ok = sign_runs(np.random.default_rng(47), size, 1.0 / 14.0, 0.01)
+    t = h * np.arange(1, size + 1)
+    tracemalloc.start()
+    try:
+        groups = zeta_module._brackets(t, f, ok, h, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * f.nbytes
+    signs = f[ok] > 0.0
+    assert sum(group[0].size for group in groups) == np.count_nonzero(signs[1:] != signs[:-1])
+
+
 def test_riemann_siegel_tables_against_mpmath_taylor():
     # C_j from 30-digit derivatives of Psi(p) = cos(2 pi (p^2 - p - 1/16)) /
     # cos(2 pi p) (Gabcke 1979; Edwards 7.4), within a quarter of the table
