@@ -19,15 +19,13 @@ from .errors import (
 )
 from .fracsum import DilatedFracSum
 from .gammafn import ComplexEvalReport
-from .gram import GramSystem, gram_system, pair_product_integral
+from .gram import GramSystem, gram_system
 from .moments import (
     ConstantsReport,
     MomentReport,
     NormReport,
     constants_report,
     dilated_frac_moment,
-    dilated_frac_moment_quad,
-    euler_gamma,
     moment_constant,
     moment_report,
     partial_moment_constant,
@@ -54,15 +52,12 @@ __all__ = [
     "best_approximation_from_gram",
     "constants_report",
     "dilated_frac_moment",
-    "dilated_frac_moment_quad",
-    "euler_gamma",
     "find_critical_zeros",
     "functional_equation_residual",
     "gram_system",
     "moment_constant",
     "moment_report",
     "necessary_condition_gap",
-    "pair_product_integral",
     "partial_moment_constant",
     "sweep",
     "weighted_norm_report",

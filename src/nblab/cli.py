@@ -120,14 +120,13 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=float, default=1e-12)
 
     add("xi", point, help="completed symmetric xi(s)")
-    add("fe-check", point, help="relative residual of the reflection formula")
+    add("fe-check", point, help="relative residual of the reflection formula on 0 < Re s < 1")
 
     p = add("zeros", help="critical-line zero ordinates up to t-max")
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-6)
 
-    p = add("constants", help="gamma, lambda = 1 - gamma, and a trace")
-    p.add_argument("--target", type=float, default=1e-12)
+    add("constants", help="gamma, lambda = 1 - gamma, and a trace")
 
     p = add("lemma1", help="closed-form first moment of {t/l} under dt/t^2")
     p.add_argument("--l", type=float, required=True)
@@ -180,7 +179,7 @@ def _run_subcommand(args: argparse.Namespace) -> dict:
         ts = find_critical_zeros(args.t_max, args.tol)
         return {"ordinates": ts, "count": len(ts)}
     if args.subcommand == "constants":
-        return _moments.constants_report(args.target).to_dict()
+        return _moments.constants_report().to_dict()
     if args.subcommand == "lemma1":
         return {"l": args.l, "moment": _moments.dilated_frac_moment(args.l),
                 "lambda_used": _moments.moment_constant()}

@@ -3,12 +3,12 @@ constant.
 
 ``_BERNOULLI[k]`` is the exact B_2k, k <= 40, by the recurrence
 (2m+1) B_2m = (2m-1)/2 - sum_{0<k<m} C(2m+1, 2k) B_2k: the one source of
-Bernoulli numbers, for Stirling's series and ``euler_gamma`` here and the
-Euler-Maclaurin sums of ``zeta``.  ``moment_constant``, lam = 1 - gamma, is
-the constant of the first moments and the Gram moment vector: 1 minus the
-correctly rounded gamma, held here beside the correctly rounded
-ln(2 pi) - gamma of ``gram``'s closed form.  ``moments`` re-exports
-``euler_gamma`` and ``moment_constant``.
+Bernoulli numbers, for Stirling's series here and the Euler-Maclaurin sums
+of ``zeta``.  ``_EULER_GAMMA`` is the correctly rounded gamma, the one
+gamma of the package (``constants`` prints it); ``moment_constant``,
+lam = 1 - gamma, is the constant of the first moments and the Gram moment
+vector.  Both sit here beside the correctly rounded ln(2 pi) - gamma of
+``gram``'s closed form.  ``moments`` re-exports ``moment_constant``.
 
 On Re z >= 1/2, ln Gamma(w) = (w - 1/2) ln w - w + ln(2 pi)/2 +
 sum_{k<K} B_2k/(2k (2k-1) w^{2k-1}) + R_K(w), K = 10, with |R_K(w)| <=
@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .errors import DomainError, PrecisionUnreachable
 
-__all__ = ["ComplexEvalReport", "euler_gamma", "loggamma_right", "moment_constant", "POLE_TOL"]
+__all__ = ["ComplexEvalReport", "loggamma_right", "moment_constant", "POLE_TOL"]
 
 
 def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
@@ -44,30 +44,6 @@ def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
 
 
 _BERNOULLI = _bernoulli_even(40)
-
-
-def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
-    """Euler-Mascheroni constant with certified error <= target_abs_error.
-
-    gamma = H_n - ln n - 1/(2n) + sum_k B_{2k}/(2k) n^{-2k}, truncated after
-    n^{-8}, with B_{2k} from ``_BERNOULLI``; the remainder is bounded by the
-    first omitted term |B_10|/10 n^{-10}.  ``n`` may be pinned explicitly to
-    cross-validate two independent evaluations.
-    """
-    tail = float(abs(_BERNOULLI[5]) / 10)
-    if not target_abs_error > 0.0:
-        raise DomainError("target_abs_error must be positive")
-    if target_abs_error < 5e-15:
-        raise PrecisionUnreachable("euler_gamma cannot certify below 5e-15 in doubles")
-    if n is None:
-        n = max(16, math.ceil((2.0 * tail / target_abs_error) ** 0.1))
-    elif tail * float(n) ** -10 > 0.5 * target_abs_error:
-        raise PrecisionUnreachable(f"n = {n} too small for target {target_abs_error:g}")
-    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
-    value = harmonic - math.log(n) - 0.5 / n
-    for k in range(1, 5):
-        value += float(_BERNOULLI[k] / (2 * k)) * float(n) ** (-2 * k)
-    return value
 
 
 #: Euler's gamma and ln(2 pi) - gamma, correctly rounded

@@ -110,7 +110,7 @@ from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, _checked_dilation
 from .gammafn import _LN_2PI_MINUS_GAMMA, moment_constant
 
-__all__ = ["GramSystem", "gram_system", "pair_product_integral"]
+__all__ = ["GramSystem", "gram_system"]
 
 #: largest denominator h/k at which the closed form is evaluated
 DENOMINATOR_CAP = 2**20
@@ -372,10 +372,13 @@ def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndar
     return matrix, bounds
 
 
+# a hook: bench/tracing.py wraps this name, and it moves into the tests with
+# the tracer (ROADMAP item 2)
 def pair_product_integral(a: float, b: float, target_entry_error: float) -> tuple[float, float]:
     """(value, certified absolute error) of int_1^inf {t/a}{t/b} dt/t^2:
     the off-diagonal entry of the Gram build of (a, b), bit for bit that of
-    every ``gram_system`` build holding the pair.
+    every ``gram_system`` build holding the pair.  No subcommand calls it,
+    so ``nblab`` does not export it; the tests take it as a one-pair build.
 
     ``target_entry_error`` governs only pairs whose exact ratio has a
     denominator above ``DENOMINATOR_CAP``; the rest carry roundoff only.

@@ -6,8 +6,8 @@ moment of a single dilated fractional part has the closed form
     int_1^inf {t/l} dt/t^2 = (lam + ln l) / l,      lam = 1 - gamma,
 
 where gamma is the Euler-Mascheroni constant; ``dilated_frac_moment``
-implements the closed form and ``dilated_frac_moment_quad`` re-derives it
-from the exact integral of each linear piece: ln(l)/l on (1, l) and
+implements the closed form and ``_moment_quad`` re-derives it from the
+exact integral of each linear piece: ln(l)/l on (1, l) and
 (ln(1 + 1/m) - 1/(m+1))/l on [m l, (m+1) l].  Pieces 1..P-1 telescope to
 lam_P / l with lam_P = ln P - (1/2 + ... + 1/P) (``partial_moment_constant``),
 and the tail past T = P l is corrected with the mean value 1/2 of {t/l}:
@@ -16,17 +16,16 @@ and the tail past T = P l is corrected with the mean value 1/2 of {t/l}:
 
 (the remainder bound follows by parts from |int_0^u ({v} - 1/2) dv| <= 1/8).
 The two routes share no constant: lam_P is a harmonic partial sum, lam is
-1 minus the correctly rounded gamma (checked against the Euler-Maclaurin
-expansion in ``euler_gamma``), so their agreement is a genuine cross-check
-of the closed form.
+1 minus the correctly rounded gamma (which the tests check against the
+Euler-Maclaurin expansion), so their agreement, tested term by term, is a
+genuine cross-check of the closed form.
 
 For a constrained combination the moment collapses to
 sum_k (h_k / l_k) ln l_k, as the lam-part cancels against the constraint.
 The quadrature twin's lam_P / l_k and 1/(2T) terms cancel the same way, so
 ``moment_report``'s two routes are then one sum up to rounding: its
 ``quad_error_bound`` bounds each single-term quadrature and does not check
-sum Theta_k ln l_k.  ``euler_gamma`` and ``moment_constant`` come from
-``gammafn``.
+sum Theta_k ln l_k.  ``moment_constant`` comes from ``gammafn``.
 
 The lattice kernel.  ``_lattice_windows`` walks the union lattice {m l_k}
 of the dilations in windows of about ``_WINDOW`` segments, sized so that a
@@ -105,14 +104,12 @@ import numpy as np
 from . import gram as _gram
 from .errors import DomainError, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, DilatedFracSum, _checked_dilation
-from .gammafn import _EPS, euler_gamma, moment_constant
+from .gammafn import _EPS, _EULER_GAMMA, moment_constant
 
 __all__ = [
-    "euler_gamma",
     "moment_constant",
     "partial_moment_constant",
     "dilated_frac_moment",
-    "dilated_frac_moment_quad",
     "MomentReport",
     "moment_report",
     "theta_log_sum",
@@ -132,7 +129,7 @@ __all__ = [
 #: against 58 MB.
 _WINDOW = 2**15
 
-#: periods P that ``dilated_frac_moment_quad`` integrates exactly, up to T = P l
+#: periods P that ``_moment_quad`` integrates exactly, up to T = P l
 _PERIODS = 100_000
 
 #: truncation orders n of the lambda_n trace in ``constants_report``
@@ -165,12 +162,6 @@ def _moment_quad(l: float, lam_p: float) -> tuple[float, float]:
     T = _PERIODS * l
     value = math.log(l) / l + lam_p / l + 0.5 / T
     return value, l / (4.0 * T * T) + 1e-14
-
-
-def dilated_frac_moment_quad(l: float) -> tuple[float, float]:
-    """Independent quadrature (ln l + lam_P)/l + 1/(2T) of int_1^inf {t/l} dt/t^2,
-    returned as (value, certified_error) with error <= l/(4 T^2) plus roundoff."""
-    return _moment_quad(l, partial_moment_constant(_PERIODS))
 
 
 def theta_log_sum(coeffs: np.ndarray, dilations: np.ndarray) -> float:
@@ -248,10 +239,10 @@ class ConstantsReport:
         }
 
 
-def constants_report(target_abs_error: float = 1e-12) -> ConstantsReport:
-    g = euler_gamma(target_abs_error)
+def constants_report() -> ConstantsReport:
+    """The one gamma and lam of the package, and lam_n at each ``_TRACE_NS``."""
     trace = tuple((n, partial_moment_constant(n)) for n in _TRACE_NS)
-    return ConstantsReport(gamma=g, lam=1.0 - g, lambda_n_trace=trace)
+    return ConstantsReport(gamma=_EULER_GAMMA, lam=moment_constant(), lambda_n_trace=trace)
 
 
 @dataclass(frozen=True)

@@ -36,14 +36,14 @@ times |s - 1|, and the last products 8 eps |W|.
 - zeta on Re s <= 0 is the reflection formula with zeta(1 - s) = -W(1 - s)/s,
   zeta(s) = -a (sin(pi s / 2)/s) W(1 - s), a = 2^s pi^{s-1} Gamma(1-s), so
   that the zero of sin at s = 0 cancels the reflected pole (fe-check's right
-  side on Re s <= 1/2).  The claim bounds the product of the three factors'
-  error discs; W's target is zeta's over |a| (|sin(pi s/2)/s| + its error).
-  With w = pi s / 2 = x + iy, rounding w moves sin w by at most
-  eps |w| cosh y, and ``cmath.sin`` adds at most 2 eps (|sin x| cosh y +
-  |cos x| |sinh y|) <= 2 sqrt(2) eps |w| cosh y (|sin x| <= |x|,
-  |sinh y| <= |y| cosh y, |x| + |y| <= sqrt(2) |w|), so 6 eps |w| cosh y
-  covers both and vanishes with s.  ln a adds 2 eps of its three parts'
-  moduli to ln Gamma's claim.
+  side, set against W's route on 0 < Re s < 1 only).  The claim bounds the
+  product of the three factors' error discs; W's target is zeta's over |a|
+  (|sin(pi s/2)/s| + its error).  With w = pi s / 2 = x + iy, rounding w
+  moves sin w by at most eps |w| cosh y, and ``cmath.sin`` adds at most
+  2 eps (|sin x| cosh y + |cos x| |sinh y|) <= 2 sqrt(2) eps |w| cosh y
+  (|sin x| <= |x|, |sinh y| <= |y| cosh y, |x| + |y| <= sqrt(2) |w|), so
+  6 eps |w| cosh y covers both and vanishes with s.  ln a adds 2 eps of its
+  three parts' moduli to ln Gamma's claim.
 - xi(s) = 1/2 pi^{-s/2} s (s-1) Gamma(s/2) zeta(s) has one formula,
   pi^{-s/2} Gamma(s/2 + 1) W(s), reached on Re s <= 0 through xi(s) = xi(1-s),
   and one claim.  Where that Gamma factor is subnormal (on the critical
@@ -493,10 +493,14 @@ def functional_equation_residual(s: complex) -> tuple[float, float]:
     """Relative residual |zeta(u) - RHS| / (1 + |zeta(u)|) of the reflection
     formula zeta(u) = 2^u pi^{u-1} sin(pi u / 2) Gamma(1-u) zeta(1-u) at u,
     whichever of s and 1 - s has Re u <= 1/2 (so s and 1 - s share it), and
-    the bound on it that the error claims of both sides give.  The right side
-    is ``_zeta_reflect`` at u, zeta's own route on Re u <= 0, so the sides
-    are independent only on Re u > 0, and elsewhere the residual is 0."""
+    the bound on it that the error claims of both sides give.  The left side
+    is W's route at u and the right side ``_zeta_reflect``, two independent
+    routes on 0 < Re s < 1 only: elsewhere Re u <= 0, where zeta itself takes
+    ``_zeta_reflect`` and the residual would be 0 whatever either route
+    computed, so DomainError is raised."""
     s = complex(s)
+    if not 0.0 < s.real < 1.0:
+        raise DomainError(f"fe-check compares two routes only on 0 < Re s < 1; got s = {s!r}")
     u = s if s.real <= 0.5 else 1.0 - s
     lhs, lhs_err, _ = _zeta_core(u)
     rhs, rhs_err, _ = _zeta_reflect(u, 1e-15)

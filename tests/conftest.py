@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from nblab import ConstraintViolated, DilatedFracSum, DomainError
+from nblab import ConstraintViolated, DilatedFracSum, DomainError, partial_moment_constant
 from nblab.fracsum import COINCIDENCE_RTOL
+from nblab.gammafn import _BERNOULLI
+from nblab.moments import _PERIODS, _moment_quad
 
 settings.register_profile(
     "suite",
@@ -115,3 +117,31 @@ def em_dirichlet_zeta(s: complex, n: int = 20000) -> tuple[complex, float]:
     value = partial + n ** (1 - s) / (s - 1) - 0.5 * n ** (-complex(s))
     remainder = 2.0 * abs(s) * n ** (-sigma - 1) / 12.0 + 1e-15
     return value, remainder
+
+
+def euler_gamma(target_abs_error: float, n: int | None = None) -> float:
+    """Euler-Mascheroni constant within target_abs_error: the oracle that
+    certifies the correctly rounded gamma the package holds.
+
+    gamma = H_n - ln n - 1/(2n) + sum_k B_{2k}/(2k) n^{-2k}, truncated after
+    n^{-8}, with B_{2k} from ``_BERNOULLI``; the remainder is bounded by the
+    first omitted term |B_10|/10 n^{-10}.  ``n`` may be pinned explicitly to
+    cross-validate two independent evaluations.
+    """
+    tail = float(abs(_BERNOULLI[5]) / 10)
+    assert 5e-15 <= target_abs_error, "cannot certify below 5e-15 in doubles"
+    if n is None:
+        n = max(16, math.ceil((2.0 * tail / target_abs_error) ** 0.1))
+    assert tail * float(n) ** -10 <= 0.5 * target_abs_error, f"n = {n} too small"
+    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
+    value = harmonic - math.log(n) - 0.5 / n
+    for k in range(1, 5):
+        value += float(_BERNOULLI[k] / (2 * k)) * float(n) ** (-2 * k)
+    return value
+
+
+def dilated_frac_moment_quad(l: float) -> tuple[float, float]:
+    """Independent quadrature (ln l + lam_P)/l + 1/(2T) of int_1^inf {t/l} dt/t^2
+    (``nblab.moments`` docstring), the closed form's oracle, returned as
+    (value, certified_error) with error <= l/(4 T^2) plus roundoff."""
+    return _moment_quad(l, partial_moment_constant(_PERIODS))

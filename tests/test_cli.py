@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from conftest import euler_gamma
 from nblab.cli import EXIT_DOMAIN, EXIT_OK, EXIT_PRECISION, EXIT_USAGE, run
 
 
@@ -43,22 +44,24 @@ def test_xi_and_fe_check():
     assert abs(payload["result"]["im"]) < 1e-12
     payload = invoke_json(["fe-check", "--re", "0.5", "--im", "3"])
     assert payload["result"]["residual"] <= payload["result"]["abs_error_bound"] < 1e-9
-    # taken at u = 1 - s = -2, where sin(pi u / 2) Gamma(1 - u) has no pole
-    payload = invoke_json(["fe-check", "--re", "3"])
-    assert payload["result"]["residual"] <= payload["result"]["abs_error_bound"] < 1e-14
+    # at u = 1 - s = -2 both sides would be zeta's reflection route
+    code, out, err = invoke(["fe-check", "--re", "3"])
+    assert (code, out) == (EXIT_DOMAIN, "") and "0 < Re s < 1" in err
 
 
 @pytest.mark.parametrize("re", ["0", "1", "1.0000000000001", "1e-13", "1e-9"])
 def test_fe_check_at_and_beside_zero_and_one(re):
     # the right side is zeta's own reflection route at u = s or 1 - s, which
     # reads W(1 - u) and so meets no pole at u = 0; where Re u <= 0 both
-    # sides are that one value.  At s = 1e-9 a right side through
-    # zeta(1 - u) lost 2.8e-8 of its value to rounding 1 - u next to the
-    # pole, a residual of 9.4e-9 outside its bound of 8.2e-14
+    # sides would be that one value, so s = 0, 1 and past 1 are refused.
+    # At s = 1e-9 a right side through zeta(1 - u) lost 2.8e-8 of its value
+    # to rounding 1 - u next to the pole, a residual of 9.4e-9 outside its
+    # bound of 8.2e-14
+    if not 0.0 < float(re) < 1.0:
+        assert invoke(["fe-check", "--re", re])[0] == EXIT_DOMAIN
+        return
     result = invoke_json(["fe-check", "--re", re])["result"]
     assert result["residual"] <= result["abs_error_bound"] < 1e-12
-    if float(re) in (0.0, 1.0, 1.0000000000001):
-        assert result["residual"] == 0.0
 
 
 @pytest.mark.parametrize("argv", [["zeta", "--re", "5e-324"], ["zeta", "--re", "1e-323"],
@@ -114,10 +117,17 @@ def test_zeros_coarse_tol_reports_every_zero():
     assert payload["result"]["count"] == 13
 
 
-def test_constants_subcommand():
-    payload = invoke_json(["constants", "--target", "1e-12"])
-    assert abs(payload["result"]["gamma"] - 0.577215664901533) < 1e-12
-    assert abs(payload["result"]["lambda"] - 0.422784335098467) < 1e-12
+def test_constants_subcommand(tmp_path):
+    # one gamma, and the one lambda = 1 - gamma, the lambda_used of lemma1
+    # and moment; constants takes no option
+    result = invoke_json(["constants"])["result"]
+    assert result["gamma"] + result["lambda"] == 1.0
+    assert abs(result["gamma"] - euler_gamma(1e-14)) < 1e-13
+    path = tmp_path / "phi.json"
+    path.write_text('{"terms": [{"h": 1, "l": 1}, {"h": -2, "l": 2}], "constrained": true}')
+    for argv in (["lemma1", "--l", "2"], ["moment", "--input", str(path)]):
+        assert invoke_json(argv)["result"]["lambda_used"] == result["lambda"]
+    assert invoke(["constants", "--target", "1e-12"])[0] == EXIT_USAGE
 
 
 def test_lemma1_subcommand():
@@ -299,14 +309,15 @@ def test_sweep_builds_the_gram_system_once(monkeypatch):
     "argv",
     [
         ["zeta", "--re", "-1", "--im", "500", "--target", "1"],
-        ["fe-check", "--re", "-1", "--im", "500"],
+        # fe-check's right side at u = 1 - s, whose sin(pi u / 2) overflows
+        ["fe-check", "--re", "0.75", "--im", "500"],
         ["zeta", "--re", "-300", "--target", "1"],
         # |xi(450)| = |xi(-449)| is about 8e323, above the largest double
         ["xi", "--re", "450"],
         ["xi", "--re=-449"],
         ["xi", "--re", "3000"],
-        # at u = 1 - s = -1e308 the reflection factor is not representable
-        ["fe-check", "--re", "1e308"],
+        # at s = -1e308 the reflection factor is not representable
+        ["zeta", "--re", "-1e308", "--target", "1"],
         # fe-check takes the reflection factor at u = s: past |Im u| ~ 451
         # its sin(pi u / 2) overflows, although zeta itself returns there
         ["fe-check", "--re", "0.5", "--im", "900"],
@@ -327,7 +338,8 @@ def test_sweep_builds_the_gram_system_once(monkeypatch):
         ["xi", "--re", "1e200", "--im", "1e200"],
         # pi s / 2 overflows
         ["zeta", "--re", "-1.7e308", "--target", "1"],
-        ["fe-check", "--re", "1.7e308"],
+        # here fe-check's left side, W at u = s, refuses first
+        ["fe-check", "--re", "0.5", "--im", "1.7e308"],
         # |s| overflows
         ["xi", "--re", "1.7e308", "--im", "1e308"],
     ],
@@ -522,12 +534,16 @@ def test_key_value_csv():
         (["xi", "--re", "nan"], "non-finite argument"),
         # printed in the config, inf would read Infinity, which is not valid JSON
         (["zeta", "--re", "2", "--target", "inf"], "non-finite argument"),
-        (["constants", "--target", "inf"], "non-finite argument"),
+        (["lemma1", "--l", "inf"], "non-finite argument"),
         (["gram", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
         (["approx", "--dilations", "1,2", "--target", "inf"], "non-finite argument"),
         (["zeros", "--t-max", "30", "--tol", "inf"], "non-finite argument"),
         (["xi", "--re", "-inf"], "non-finite argument"),
         (["zeta", "--re", "-nan"], "non-finite argument"),
+        # off 0 < Re s < 1 both sides of fe-check would be one route
+        (["fe-check", "--re", "-1", "--im", "500"], "0 < Re s < 1"),
+        (["fe-check", "--re", "1e308"], "0 < Re s < 1"),
+        (["fe-check", "--re", "1.7e308"], "0 < Re s < 1"),
     ],
 )
 def test_bad_argument_values_are_domain_errors(tmp_path, monkeypatch, argv, message):

@@ -70,7 +70,7 @@ _README = [
     ["zeta", "--re", "2", "--target", "1e-12"],
     ["xi", "--re", "0.5", "--im", "14.134725"],
     ["fe-check", "--re", "0.5", "--im", "3"],
-    ["constants", "--target", "1e-12"],
+    ["constants"],
     ["lemma1", "--l", "2"],
     ["moment", "--input", "-"],
     ["norm", "--input", "-", "--p", "2"],
@@ -100,6 +100,7 @@ CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
     (["gram", "--dilations", "1,2,2"], None),
     (["moment", "--input", "-"], "violated"),
     (["moment", "--input", "-"], "broken"),
+    (["fe-check", "--re", "3"], None),
     # exit 2: precision failures, the zero scan's with their intervals
     (["zeros", "--t-max", "300", "--tol", "1e-9"], None),
     (["zeros", "--t-max", "1e6"], None),
@@ -121,6 +122,7 @@ CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
     (["zeta"], None),
     (["frob"], None),
     (["zeros", "--t-max", "30", "--format", "xml"], None),
+    (["constants", "--target", "1e-12"], None),
 ]
 
 #: the solves at N >= 100, run at one BLAS thread in one interpreter

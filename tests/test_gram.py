@@ -18,7 +18,6 @@ from nblab import (
     PrecisionUnreachable,
     gram_system,
     moment_constant,
-    pair_product_integral,
 )
 from nblab.gammafn import _LN_2PI_MINUS_GAMMA
 from nblab.gram import (
@@ -28,6 +27,7 @@ from nblab.gram import (
     _lattice,
     _reduced_ratio,
     _sum_depth,
+    pair_product_integral,
 )
 
 gram_module = importlib.import_module("nblab.gram")

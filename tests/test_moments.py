@@ -10,17 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from conftest import random_constrained_sum, step_profile
+from conftest import dilated_frac_moment_quad, euler_gamma, random_constrained_sum, step_profile
 from test_gram import _segment_integrals, lattice_walk_oracle, lattice_windows_oracle
 from nblab import (
     ConstraintViolated,
     DilatedFracSum,
     DomainError,
-    PrecisionUnreachable,
     constants_report,
     dilated_frac_moment,
-    dilated_frac_moment_quad,
-    euler_gamma,
     gram_system,
     moment_constant,
     moment_report,
@@ -118,15 +115,6 @@ def test_euler_gamma_two_independent_truncations():
     a = euler_gamma(1e-12, n=24)
     b = euler_gamma(1e-12, n=48)
     assert abs(a - b) < 2e-13
-
-
-def test_euler_gamma_validation():
-    with pytest.raises(DomainError):
-        euler_gamma(0.0)
-    with pytest.raises(PrecisionUnreachable):
-        euler_gamma(1e-16)
-    with pytest.raises(PrecisionUnreachable):
-        euler_gamma(1e-12, n=4)
 
 
 def test_moment_constant_identity():
@@ -255,8 +243,10 @@ def test_moment_identity_random_sample(rng):
 
 
 def test_constants_report_fields():
-    rep = constants_report(1e-12)
-    assert abs(rep.gamma + rep.lam - 1.0) < 1e-15
+    rep = constants_report()
+    assert rep.gamma + rep.lam == 1.0
+    assert rep.lam == moment_constant()
+    assert abs(rep.gamma - euler_gamma(1e-14)) < 1e-13
     assert all(0.0 < v < 0.5 for _, v in rep.lambda_n_trace)
     payload = rep.to_dict()
     assert payload["lambda"] == rep.lam

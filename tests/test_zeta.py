@@ -99,6 +99,10 @@ def test_near_pole_error_estimate_grows():
 
 @pytest.mark.parametrize("s", [complex(0.5, 3.0), 2.0, -1.5])
 def test_functional_equation_examples(s):
+    if not 0.0 < complex(s).real < 1.0:  # both sides would be zeta's reflection route
+        with pytest.raises(DomainError, match="0 < Re s < 1"):
+            functional_equation_residual(s)
+        return
     residual, bound = functional_equation_residual(s)
     assert residual < 1e-9
     assert residual <= bound <= 1e-9
@@ -106,26 +110,37 @@ def test_functional_equation_examples(s):
 
 @pytest.mark.parametrize("s", [3.0, 5.0, 7.0, 9.0, 11.0, 13.0])
 def test_functional_equation_bound_covers_odd_integers(s):
-    # the formula is taken at u = 1 - s, where sin(pi u / 2) Gamma(1 - u) has
-    # no pole: the bound is derived there, odd integers included
-    residual, bound = functional_equation_residual(s)
-    assert residual <= bound <= 1e-14
+    # fe-check refuses s, where both its sides would be zeta's reflection
+    # route at u = 1 - s; there sin(pi u / 2) Gamma(1 - u) has no pole, so
+    # that route's claim is derived at the trivial zeros u = -2, ..., -12
+    with pytest.raises(DomainError):
+        functional_equation_residual(s)
+    rep = zeta(1.0 - s, 1e-14)
+    assert abs(rep.value) <= rep.abs_error_estimate <= 1e-14
 
 
 @pytest.mark.parametrize("s", [3.0 - 1e-13, 3.0 + 1e-13, 13.0 + 1e-12])
 def test_functional_equation_bound_beside_odd_integers(s):
-    residual, bound = functional_equation_residual(s)
-    assert residual <= bound < 1e-12
+    with pytest.raises(DomainError):
+        functional_equation_residual(s)
+    rep = zeta(1.0 - s, 1e-12)
+    with mpmath.workdps(40):
+        err = float(abs(mpmath.mpc(rep.value) - mpmath.zeta(mpmath.mpf(1.0 - s))))
+    assert err <= rep.abs_error_estimate < 1e-12
 
 
 def test_functional_equation_residual_is_symmetric():
     # both s and 1 - s take the formula at the one of them with Re <= 1/2;
-    # on Re s = 1/2 both keep their own point, so no equality is asked there
+    # on Re s = 1/2 both keep their own point, so no equality is asked
+    # there.  Off the strip both s and 1 - s are refused
     rng = np.random.default_rng(17)
-    points = [complex(rng.uniform(0.5, 15.0), rng.uniform(-50.0, 50.0)) for _ in range(400)]
-    for s in [*points, 3.0, 2.0, complex(0.75, 1e-9), complex(1.25, 0.0)]:
-        s = complex(s)
+    points = [complex(rng.uniform(0.5, 1.0), rng.uniform(-50.0, 50.0)) for _ in range(400)]
+    for s in [*points, complex(0.75, 1e-9)]:
         assert functional_equation_residual(s) == functional_equation_residual(1.0 - s), s
+    for s in (3.0, 2.0, 1.25, complex(1.0, 7.0)):
+        for u in (s, 1.0 - s):
+            with pytest.raises(DomainError):
+                functional_equation_residual(u)
 
 
 def test_functional_equation_strip_sample():
@@ -136,6 +151,10 @@ def test_functional_equation_strip_sample():
         if abs(s - 1) < 0.3 or abs(s) < 0.3:
             continue
         if abs(s.imag) < 0.2 and abs(s.real - round(s.real)) < 0.2:
+            continue
+        if not 0.0 < s.real < 1.0:
+            with pytest.raises(DomainError):
+                functional_equation_residual(s)
             continue
         residual, bound = functional_equation_residual(s)
         assert residual < 1e-8
