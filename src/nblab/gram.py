@@ -108,7 +108,7 @@ import numpy as np
 
 from .errors import DomainError, DuplicateDilation, PrecisionUnreachable
 from .fracsum import COINCIDENCE_RTOL, _checked_dilation
-from .gammafn import _LN_2PI_MINUS_GAMMA, moment_constant
+from .gammafn import _EPS, _LN_2PI_MINUS_GAMMA, moment_constant
 
 __all__ = ["GramSystem", "gram_system"]
 
@@ -118,12 +118,12 @@ DENOMINATOR_CAP = 2**20
 #: most dilations of one Gram build, refused before its first pass so that no
 #: build exhausts memory.  Peak RSS of ``sweep --family integers --n N`` at one
 #: BLAS thread (Python 3.11, numpy 2.4, 2-core x86-64): 38 MB at N = 200,
-#: 74 MB at 800, 188 MB at 1600, 343 MB at 2400 and 579 MB at 3200, about
-#: 36 MB + 53 N^2 bytes, so about 1.4 GB at this cap (extrapolated)
+#: 73 MB at 800, 178 MB at 1600, 324 MB at 2400 and 531 MB at 3200, about
+#: 36 MB + 49 N^2 bytes, so about 1.3 GB at this cap (extrapolated)
 MAX_DILATIONS = 5000
 
 #: certified roundoff of a closed-form entry, per unit of summed magnitude
-_CLOSED_FORM_ROUNDOFF = 16.0 * np.finfo(float).eps
+_CLOSED_FORM_ROUNDOFF = 16.0 * _EPS
 
 
 def _halving_sum(x: np.ndarray) -> np.ndarray:
@@ -362,7 +362,7 @@ def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndar
         terms /= c
         inv_ab = 1.0 / np.multiply.outer(rows, cols)
         np.subtract(terms[0], inv_ab, out=matrix[i:i + step, i:])
-        np.add(_CLOSED_FORM_ROUNDOFF * (terms[1] + inv_ab), 2.0**-53 * cot_coef * sums[2] / c,
+        np.add(_CLOSED_FORM_ROUNDOFF * (terms[1] + inv_ab), 0.5 * _EPS * cot_coef * sums[2] / c,
                out=bounds[i:i + step, i:])
         if i + step < n:  # the rows below take the block's mirror
             matrix[i + step:, i:i + step] = matrix[i:i + step, i + step:].T
@@ -426,7 +426,7 @@ class GramSystem:
         (u = 2^-53; Higham, Accuracy and Stability, ch. 3) the roundoff of
         forming h^T (G h)."""
         abs_h = np.abs(h)
-        bounds = self.entry_error_bounds + 4 * self.size * 2.0**-53 * np.abs(self.matrix)
+        bounds = self.entry_error_bounds + 2 * self.size * _EPS * np.abs(self.matrix)
         return float(h @ (self.matrix @ h)), float(abs_h @ bounds @ abs_h)
 
     def to_dict(self) -> dict:

@@ -139,31 +139,32 @@ with W's head sums by angle addition, e^{-i(a_r + jh) ln n} =
 e^{-i a_r ln n} e^{-i jh ln n}, one matrix product per call, and by the
 Riemann-Siegel formula on the others, each point with its kernel's claim.
 A sign counts only where the value's magnitude exceeds its claim, which is
-positive, so no counted sign is 0: a point whose sign does not count is
-dropped, so that its two neighbours bracket across it.  The scan is one
-pass of such calls: one for the grid's whole rows, the last row's points
-past ``t_max`` dropped, then rounds of two-point rows for each group of
-brackets (neighbours of opposite sign, grouped by width, up to 1024 at a
-time), the groups lowest first.  A call holds at most 2^15 points, which
-the Riemann-Siegel kernel reads in blocks of 4096, and the bracket search
-reads the grid in blocks of 2^15 with the last counted point before each,
-so that beside the grid's points, values and counted signs (17 bytes a
-point) a scan holds one block's temporaries, its brackets, and in a round
-of two-point rows each row's N phases: a traced peak of 0.78 MiB for
-t_max = 500, 1.9 MiB for 2000 and 23 MiB for 52,428.
+positive, so no counted sign is 0, and the scan keeps one value a point:
+Z, or 0 where its sign does not count.  Such a point is dropped, so that
+its two neighbours bracket across it.  The scan is one pass of such calls:
+one for the grid's whole rows, the last row's points past ``t_max``
+dropped, then rounds of two-point rows for each slice of up to 1024
+brackets (neighbours of opposite sign), the slices lowest first.  A call
+holds at most 2^15 points, which the Riemann-Siegel kernel reads in blocks
+of 4096, and the bracket search reads the grid in blocks of 2^15 with the
+last counted point before each, so that beside the grid's values (8 bytes
+a point; the t of flat index i is h (i - i mod 32 + 1) + h (i mod 32), its
+row's float operations) a scan holds one block's temporaries, its
+brackets, and in a round of two-point rows each row's N phases: a traced
+peak of 0.74 MiB for t_max = 500, 1.5 MiB for 2000 and 14 MiB for 52,428.
 
-A bracket [a, a + w] is refined on its lattice a + k h, h = w / n,
-n = ceil(w / stop), the stop being ``tol`` (2 ``tol`` for a bracket across
-a dropped point).  Between its counted ends lo and hi, lattice points of
-opposite sign, each round reads one cell [k, k + 1] as one two-point row,
-in one call for the group.  Round 1's cell holds the root of the
+Every bracket is refined on the scan's one lattice, cells of h / n,
+n = ceil(h / tol), from its left grid point: a bracket across g - 1 dropped
+points spans g n cells.  Between its counted ends lo and hi, lattice points
+of opposite sign, each round reads one cell [k, k + 1] as one two-point
+row, in one call for the slice.  Round 1's cell holds the root of the
 polynomial through the grid's 6 values nearest the bracket, 3 a side
 (shifted inward at the grid's ends), by Newton steps from regula falsi on
-the bracket's ends: a guess needs no claim, so a value whose sign does not
-count serves as a node, and a root that is not finite or lies off the
-bracket gives way to regula falsi.  At tol 1e-6 it lands in its zero's
-cell on every bracket of the scan to 500, so each of those zeros costs one
-round, the cell's two ends.  Later rounds take the secant's root on
+the bracket's ends: a guess needs no claim, so a point whose sign does not
+count serves as a node, with its value 0, and a root that is not finite
+or lies off the bracket gives way to regula falsi.  At tol 1e-6 it lands in
+its zero's cell on every bracket of the scan to 500, so each of those zeros
+costs one round, the cell's two ends.  Later rounds take the secant's root on
 [lo, hi]; where it is not a number, lies off [lo, hi), or [lo, hi] has not
 halved in two rounds, they take [lo, hi]'s middle cell.  Every sign change
 among the counted signs of lo, the cell's ends and hi becomes a bracket of
@@ -235,7 +236,7 @@ _MAX_GRID = 2**20
 #: above this height, from which Gabcke's bound holds, and from W on the others
 _Z_FROM = 200.0
 
-#: most points per call of a row kernel, 32 times the most brackets of a group
+#: most points per call of a row kernel, 32 times the most brackets of a slice
 #: refined together, and the points of a block of the bracket search; the
 #: Riemann-Siegel kernel reads its calls in blocks of 4096 points, so a grid
 #: call of 1024 rows near t = 52,000 peaks at 1.4 MiB (traced) and a round of
@@ -610,12 +611,12 @@ def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np
     return t, z, bound
 
 
-def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The points t = a_r + j h, j < m, one row per start a_r; Hardy's Z(t)
-    there, from W on the rows that start at or below 200 and by the
-    Riemann-Siegel formula on the others; and whether each sign counts: where
-    the value's magnitude exceeds its claim."""
-    t, f, ok = np.empty((a.size, m)), np.empty((a.size, m)), np.empty((a.size, m), dtype=bool)
+def _scan_rows(a: np.ndarray, h: float, m: int) -> np.ndarray:
+    """Hardy's Z(t) at the points t = a_r + j h, j < m, one row per start
+    a_r: from W on the rows that start at or below 200 and by the
+    Riemann-Siegel formula on the others, and 0 where its sign does not
+    count, where the value's magnitude does not exceed its claim."""
+    f = np.empty((a.size, m))
     step = max(1, _Z_CHUNK // m)
     # the Riemann-Siegel rows first: their calls peak higher than W's, and
     # then no claim of W's rows is held beside them
@@ -623,49 +624,37 @@ def _scan_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray,
                          (np.flatnonzero(a <= _Z_FROM), _em_z_rows)):
         for i in range(0, rows.size, step):
             part = rows[i : i + step]
-            t[part], f[part], claim = kernel(a[part], h, m)
-            ok[part] = np.abs(f[part]) > claim
-    return t, f, ok
+            _, z, claim = kernel(a[part], h, m)
+            f[part] = np.where(np.abs(z) > claim, z, 0.0)
+    return f
 
 
-def _sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_t(i: np.ndarray, h: float) -> np.ndarray:
+    """The ordinates of the grid points of flat indices i, rows of ``_ROW``
+    points spaced h from t = h (``find_critical_zeros``), by the float
+    operations of their rows: a_r + j h, a_r = h (i - j + 1), j = i mod 32."""
+    j = i % _ROW
+    return h * (i - j + 1) + h * j
+
+
+def _sign_changes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices into f of its brackets' two ends.  Each row (last axis)
-    is read as the sequence of its points whose sign counts (ok), so a point
-    whose sign does not count is dropped and its two neighbours bracket
-    across it; a bracket is two neighbours of opposite sign (signs compared,
-    so that no product of two small values underflows to 0).  A counted sign
-    is never 0: its value's magnitude exceeds a positive claim.  The points
-    are read in blocks of ``_Z_CHUNK``, each with the last counted point
-    before it, so that no index array holds more than a block."""
-    cols, flat, counted = f.shape[-1], f.ravel(), ok.ravel()
+    is read as the sequence of its nonzero points, the signs that count
+    (``_scan_rows``), so a point whose sign does not count is dropped and its
+    two neighbours bracket across it; a bracket is two neighbours of opposite
+    sign (signs compared, so that no product of two small values underflows
+    to 0).  The points are read in blocks of ``_Z_CHUNK``, each with the
+    last counted point before it, so that no index array holds more than a
+    block."""
+    cols, flat = f.shape[-1], f.ravel()
     kept, left, right = np.empty(0, dtype=np.intp), [], []
     for start in range(0, flat.size, _Z_CHUNK):
-        block = np.flatnonzero(counted[start : start + _Z_CHUNK])
+        block = np.flatnonzero(flat[start : start + _Z_CHUNK])
         kept = np.concatenate([kept[-1:], start + block])
         i = np.flatnonzero(np.diff(flat[kept] > 0.0) & (np.diff(kept // cols) == 0))
         left.append(kept[i])
         right.append(kept[i + 1])
     return np.concatenate([kept[:0], *left]), np.concatenate([kept[:0], *right])
-
-
-#: brackets of one width: left ends, values there, values at the right ends,
-#: the width, and the width at which refining stops
-_Group = tuple[np.ndarray, np.ndarray, np.ndarray, float, float]
-
-
-def _brackets(t: np.ndarray, f: np.ndarray, ok: np.ndarray, h: float, tol: float) -> list[_Group]:
-    """The brackets among rows of points t, spaced h, with values f and
-    counted signs ok (``_sign_changes``), in groups of one width and at most
-    ``_Z_CHUNK`` / 32 brackets.  A bracket with g - 1 dropped points inside
-    is g h wide and stops at 2 tol, the others at tol."""
-    left, right = _sign_changes(f, ok)
-    t, f = t.ravel(), f.ravel()
-    gap, size, groups = right - left, _Z_CHUNK // _ROW, []
-    for g in sorted(set(gap.tolist())):  # np.unique would import numpy.ma, about 1 MB
-        i, j = left[gap == g], right[gap == g]
-        groups += [(t[i[k : k + size]], f[i[k : k + size]], f[j[k : k + size]], g * h,
-                    2.0 * tol if g > 1 else tol) for k in range(0, i.size, size)]
-    return groups
 
 
 def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> np.ndarray:
@@ -674,17 +663,18 @@ def _secant(x0: np.ndarray, f0: np.ndarray, x1: np.ndarray, f1: np.ndarray) -> n
         return x0 - f0 * (x1 - x0) / (f1 - f0)
 
 
-def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
-                 grid: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Round 1's guess in each bracket [a, b] with end values fa, fb
-    (module docstring): the root of the polynomial through the 6 values of
-    the grid (t, f) nearest the bracket, by Newton steps from regula falsi;
-    regula falsi where that root is not finite or falls off [a, b)."""
-    x = _secant(a, fa, b, fb)
-    t, f = grid
-    first = np.clip(np.searchsorted(t, 0.5 * (a + b)) - 3, 0, t.size - 6)
+def _first_guess(left: np.ndarray, right: np.ndarray, f: np.ndarray, h: float) -> np.ndarray:
+    """Round 1's guess in each bracket [a, b] between the grid points of flat
+    indices left and right, of the grid's values f spaced h (module
+    docstring): the root of the polynomial through the 6 grid values nearest
+    the bracket, by Newton steps from regula falsi; regula falsi where that
+    root is not finite or falls off [a, b)."""
+    a = _grid_t(left, h)
+    b = a + (right - left) * h
+    x = _secant(a, f[left], b, f[right])
+    first = np.clip((left + right + 1) // 2 - 3, 0, f.size - 6)
     nodes = first[:, None] + np.arange(6)
-    u, c = t[nodes], f[nodes]
+    u, c = _grid_t(nodes, h), f[nodes]
     for k in range(1, 6):  # Newton's divided differences, in place
         c[:, k:] = (c[:, k:] - c[:, k - 1 : -1]) / (u[:, k:] - u[:, :-k])
     y = x
@@ -698,28 +688,28 @@ def _first_guess(a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray,
     return np.where((a <= y) & (y < b), y, x)
 
 
-def _refined_zeros(groups: list[_Group], tol: float,
-                   grid: tuple[np.ndarray, np.ndarray]) -> list[float]:
-    """Zeros in groups of brackets [a, a + width] with end values fa, fb and
-    a width ``stop`` at which to stop (``_brackets``), the groups lowest
-    first, each bracket refined on its lattice a + k h, h = width /
-    ceil(width / stop), by rounds of one two-point row a bracket (module
-    docstring), round 1 at ``_first_guess``'s guess from the grid's values
-    (t, f) ``grid``.  A bracket more than 2 tol wide none of whose inner
-    lattice points counts is refused: the brackets above it are dropped, and
-    once those below it are done the lowest such bracket is named.
+def _refined_zeros(f: np.ndarray, step: float, tol: float) -> list[float]:
+    """Zeros in the brackets among the grid's values f, spaced ``step``
+    (``_sign_changes``), in slices of at most ``_Z_CHUNK`` / 32 brackets,
+    lowest first, each bracket refined on the scan's one lattice of cells
+    h = step / ceil(step / tol) from its left grid point by rounds of one
+    two-point row a bracket (module docstring), round 1 at ``_first_guess``'s
+    guess.  A bracket more than 2 tol wide none of whose inner lattice points
+    counts is refused: the brackets above it are dropped, and once those
+    below it are done the lowest such bracket is named.
     """
+    n = math.ceil(step / tol)
+    h, size = step / n, _Z_CHUNK // _ROW
+    brackets = np.stack(_sign_changes(f))  # flat grid indices of the left and right ends
     zeros: list[float] = []
     refused = math.inf, math.inf  # the lowest bracket refused, as its two ends
-    for a, fa, fb, width, stop in sorted(groups, key=lambda group: group[0][0]):
-        n = math.ceil(width / stop)
-        h = width / n
+    for i, j in (brackets[:, k : k + size] for k in range(0, brackets.shape[1], size)):
         # per bracket: lattice origin, counted ends lo and hi (lattice indices)
         # and Z there, the run of uncounted reads between them (empty as
         # [inf, -inf]), hi - lo one and two rounds ago, and the next guess
-        zero, inf = np.zeros(a.size), np.full(a.size, np.inf)
-        s = np.array([a, zero, zero + n, fa, fb, inf, -inf, inf, inf,
-                      _first_guess(a, fa, a + width, fb, grid)])
+        zero, inf = np.zeros(i.size), np.full(i.size, np.inf)
+        s = np.array([_grid_t(i, step), zero, (j - i) * n, f[i], f[j], inf, -inf, inf, inf,
+                      _first_guess(i, j, f, step)])
         while True:
             org, lo, hi, flo, fhi, run0, run1, last, before, x = s
             closed = (hi - lo == 1.0) | ((run0 == lo + 1.0) & (run1 == hi - 1.0))
@@ -739,15 +729,15 @@ def _refined_zeros(groups: list[_Group], tol: float,
             k = np.where((lo <= k) & (k < hi) & (hi - lo <= 0.5 * before), k,
                          np.floor(0.5 * (lo + hi)))
             k = np.where(run0 <= run1, np.where(run1 + 1.0 < hi, run1 + 1.0, run0 - 2.0), k)
-            _, f, ok = _scan_rows(org + k * h, h, 2)
+            f_cell = _scan_rows(org + k * h, h, 2)
             # the counted signs of lo, k, k + 1 and hi, each row's own
-            pos, val = np.column_stack([lo, k, k + 1.0, hi]), np.column_stack([flo, f, fhi])
+            pos = np.column_stack([lo, k, k + 1.0, hi])
             inner = (lo[:, None] < pos[:, 1:3]) & (pos[:, 1:3] < hi[:, None])
-            ends = np.ones((k.size, 1), dtype=bool)
-            left, right = _sign_changes(val, np.column_stack([ends, ok & inner, ends]))
+            val = np.column_stack([flo, np.where(inner, f_cell, 0.0), fhi])
+            left, right = _sign_changes(val)
             p, l, r = left // 4, pos.flat[left], pos.flat[right]
             # each new bracket's run: the old run and the cell's uncounted points inside it
-            blind = ~ok & inner
+            blind = (f_cell == 0.0) & inner
             first = np.column_stack([run0, np.where(blind, pos[:, 1:3], np.inf)])[p]
             end = np.column_stack([run1, np.where(blind, pos[:, 1:3], -np.inf)])[p]
             inside = (first > l[:, None]) & (end < r[:, None])
@@ -771,14 +761,14 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     counts only when the value's magnitude exceeds its certified claim; a
     point whose sign does not count is dropped, so that its neighbours
     bracket across it.  Neighbours of opposite sign form a bracket, and the
-    brackets of one width (up to 1024 at a time) are refined together on a
-    lattice of cells at most ``tol`` wide, one cell a bracket a round, from
-    a guess (``_refined_zeros``); each ordinate is the midpoint of the
-    counted lattice points nearest its zero, one on each side.  Z is
-    continuous, so each ordinate lies within ``tol`` of a zero between two
-    counted signs.  A count below the least N(t_max) that theta and
-    Trudgian's bound on S(t) allow is refused, and so is a scan of more than
-    2^20 grid points (t_max above about 52,429), before any row is
+    brackets (up to 1024 at a time, lowest first) are refined together on
+    the scan's one lattice of cells at most ``tol`` wide, one cell a bracket
+    a round, from a guess (``_refined_zeros``); each ordinate is the
+    midpoint of the counted lattice points nearest its zero, one on each
+    side.  Z is continuous, so each ordinate lies within ``tol`` of a zero
+    between two counted signs.  A count below the least N(t_max) that theta
+    and Trudgian's bound on S(t) allow is refused, and so is a scan of more
+    than 2^20 grid points (t_max above about 52,429), before any row is
     evaluated.
     """
     if not 0.0 < t_max < math.inf:
@@ -792,9 +782,8 @@ def find_critical_zeros(t_max: float, tol: float) -> list[float]:
     if last > _MAX_GRID:
         raise PrecisionUnreachable(f"a scan to t = {t_max:.10g} needs {last} grid points, "
                                    f"more than the {_MAX_GRID} a scan may hold")
-    t, f, ok = (x.ravel() for x in _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW))
-    ok[last:] = False  # the last row's points past t_max
-    zeros = sorted(_refined_zeros(_brackets(t, f, ok, h, tol), tol, (t[:last], f[:last])))
+    f = _scan_rows(h * np.arange(1, last + 1, _ROW), h, _ROW).ravel()[:last]  # to t_max
+    zeros = sorted(_refined_zeros(f, h, tol))
     theta, claim = (float(x[0]) for x in _theta(np.array([t_max])))
     if claim < math.inf:  # N(t) = theta(t)/pi + 1 + S(t) off the ordinates
         log_t = math.log(t_max)

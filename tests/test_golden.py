@@ -46,7 +46,8 @@ CASES = [["zeros", "--t-max", t, "--tol", tol]
 
 #: what the cases that read ``--input -`` find on stdin: approx's bstars on
 #: (1, sqrt 2), (1, phi) and 1..6, a commensurate pair, a sum of three
-#: dilations, a sum that violates its constraint, and broken JSON
+#: dilations, an unconstrained sum with a slope, a sum with two terms at one
+#: dilation, a sum that violates its constraint, and broken JSON
 STDIN = {
     "bstar": '{"constrained": true, "terms": [{"h": -0.7225088103263034, "l": 1.0}, '
              '{"h": 1.0217817584975089, "l": 1.4142135623730951}]}',
@@ -60,6 +61,9 @@ STDIN = {
     "three": '{"constrained": true, "terms": [{"h": 1, "l": 1}, '
              '{"h": -0.7071067811865476, "l": 1.4142135623730951}, '
              '{"h": -1.5707963267948966, "l": 3.141592653589793}]}',
+    "sloped": '{"constrained": false, "terms": [{"h": 1, "l": 3}, {"h": -1, "l": 2}]}',
+    "coincident": '{"constrained": true, "terms": [{"h": 1, "l": 1}, {"h": -1, "l": 2}, '
+                  '{"h": -1, "l": 2}]}',
     "violated": '{"constrained": true, "terms": [{"h": 1.0, "l": 1.0}, {"h": 1.0, "l": 2.0}]}',
     "broken": "{",
 }
@@ -92,6 +96,14 @@ CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
     (["norm", "--input", "-", "--p", "1.5"], "commensurate"),
     (["norm", "--input", "-", "--p", "1.5"], "bstar-1..6"),
     (["norm", "--input", "-", "--p", "1.5"], "three"),
+    # paths no case above reaches: a sloped sum's Gauss-Legendre pieces and
+    # crude tail, xi's reflection, the merge of coincident terms, the N = 1
+    # solve, and numerators too large for int64, each pair's ratio reduced
+    (["norm", "--input", "-", "--p", "1.5", "--max-segments", "20000"], "sloped"),
+    (["xi", "--re", "-2", "--im", "5"], None),
+    (["moment", "--input", "-"], "coincident"),
+    (["approx", "--dilations", "1"], None),
+    (["gram", "--dilations", "1,1.1,4096"], None),
     # exit 1: domain errors
     (["zeta", "--re", "1", "--target", "1e-12"], None),
     (["zeros", "--t-max", "30", "--tol", "inf"], None),
@@ -125,12 +137,13 @@ CLI_CASES = [(argv + fmt, "bstar" if "-" in argv else None)
     (["constants", "--target", "1e-12"], None),
 ]
 
-#: the solves at N >= 100, run at one BLAS thread in one interpreter
+#: the solves at N >= 100, run at one BLAS thread in one interpreter; past
+#: N = 128 the Gram build mirrors its blocks
 _TO_128 = ",".join(str(k) for k in range(1, 129))
 ONE_THREAD_CASES = [(argv + fmt, None) for argv in (
     ["approx", "--dilations", _TO_128],
     ["sweep", "--family", "integers", "--n", "100,128"],
-) for fmt in ([], ["--format", "csv"])]
+) for fmt in ([], ["--format", "csv"])] + [(["sweep", "--family", "integers", "--n", "130"], None)]
 
 
 def outcome(argv: list[str], stdin: str | None = None) -> dict:

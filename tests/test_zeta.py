@@ -599,6 +599,16 @@ def spy_on_reads(monkeypatch):
     return reads
 
 
+def on_ends(guess):
+    """A replacement of ``_first_guess`` that reads each bracket's guess as
+    guess(a, fa, b, fb) from its ends a, b and the grid's values there, a and
+    b as ``_first_guess`` computes them from the flat grid indices."""
+    def replacement(left, right, f, h):
+        a = zeta_module._grid_t(left, h)
+        return guess(a, f[left], a + (right - left) * h, f[right])
+    return replacement
+
+
 def missing_guesses(tol):
     """Replacements of ``_first_guess`` and ``_secant`` whose guesses lie 3
     tol off their own, to the right and the left in turn, so that the reads
@@ -607,7 +617,7 @@ def missing_guesses(tol):
     alternates with round 2."""
     first, secant = zeta_module._first_guess, zeta_module._secant
     side = itertools.cycle((3.0, -3.0))
-    return (lambda a, fa, b, fb, grid: first(a, fa, b, fb, grid) + next(side) * tol,
+    return (lambda left, right, f, h: first(left, right, f, h) + next(side) * tol,
             lambda x0, f0, x1, f1: secant(x0, f0, x1, f1) + next(side) * tol)
 
 
@@ -623,7 +633,7 @@ def test_the_safeguard_gives_the_probes_ordinates(monkeypatch, t_max, tol):
     for guess in ("nan", "miss"):
         reads = spy_on_reads(monkeypatch)
         first, secant = missing_guesses(tol) if guess == "miss" else (
-            lambda a, fa, b, fb, grid: np.full_like(a, np.nan),
+            on_ends(lambda a, fa, b, fb: np.full_like(a, np.nan)),
             lambda x0, f0, x1, f1: np.full_like(x0, np.nan))
         monkeypatch.setattr(zeta_module, "_first_guess", first)
         monkeypatch.setattr(zeta_module, "_secant", secant)
@@ -648,9 +658,9 @@ def test_the_first_guess_moves_no_ordinate(monkeypatch, t_max, tol):
     # 14.13, and its stencil runs from 13.90 to 14.15
     guesses = {
         "grid": zeta_module._first_guess,
-        "regula falsi": lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb),
-        "nan": lambda a, fa, b, fb, grid: np.full_like(a, np.nan),
-        "off": lambda a, fa, b, fb, grid: 2.0 * b - a,
+        "regula falsi": on_ends(zeta_module._secant),
+        "nan": on_ends(lambda a, fa, b, fb: np.full_like(a, np.nan)),
+        "off": on_ends(lambda a, fa, b, fb: 2.0 * b - a),
     }
     outcomes = {}
     for name, guess in guesses.items():
@@ -669,20 +679,23 @@ def test_first_guess_is_the_root_of_the_grid_stencil():
     # grid's first and last 6 points, so a value that is not a number just
     # past them moves no guess.  Inside the middle cell's stencil it makes
     # the root not finite, and the guess falls back to regula falsi
-    t = 0.05 * np.arange(1, 13)
+    h = 0.05
+    t = zeta_module._grid_t(np.arange(12), h)
     for root, blind, falls_back in ((0.07, 6, False), (0.33, 3, True), (0.575, 5, False)):
         f = (t - root) * (t + 1.0)
-        i = int(np.searchsorted(t, root)) - 1
-        ends = t[i : i + 1], f[i : i + 1], t[i + 1 : i + 2], f[i + 1 : i + 2]
-        assert zeta_module._first_guess(*ends, (t, f)) == pytest.approx(root, abs=1e-14)
+        i = np.searchsorted(t, [root]) - 1
+        ends = i, i + 1, f, h
+        assert zeta_module._first_guess(*ends) == pytest.approx(root, abs=1e-14)
         f[blind] = np.nan
-        expected = zeta_module._secant(*ends) if falls_back else pytest.approx(root, abs=1e-14)
-        assert zeta_module._first_guess(*ends, (t, f)) == expected
+        expected = (on_ends(zeta_module._secant)(*ends) if falls_back
+                    else pytest.approx(root, abs=1e-14))
+        assert zeta_module._first_guess(*ends) == expected
 
 
 def test_a_probe_on_the_middle_zero_of_three_keeps_all_three(monkeypatch):
-    # the cell [28.5, 38] holds three zeros (zeros 4, 5 and 6), so its ends
-    # differ in sign.  A first read across zero 5 shows three sign changes
+    # the cell [28.5, 38] of a grid spaced 9.5 whose first two points do
+    # not count holds three zeros (zeros 4, 5 and 6), so its ends differ in
+    # sign.  A first read across zero 5 shows three sign changes
     # among [28.5, the cell's two points, 38], and each becomes a bracket
     # of its own: the next round reads one cell in each of the two that are
     # left, and all three zeros are found
@@ -690,10 +703,9 @@ def test_a_probe_on_the_middle_zero_of_three_keeps_all_three(monkeypatch):
     fa, fb = (float(mpmath.siegelz(t)) for t in (28.5, 38.0))
     expected = [float(mpmath.zetazero(k).imag) for k in (4, 5, 6)]
     monkeypatch.setattr(zeta_module, "_first_guess",
-                        lambda a, fa, b, fb, grid: np.full_like(a, expected[1]))
+                        lambda left, right, f, h: np.full(left.shape, expected[1]))
     reads = spy_on_reads(monkeypatch)
-    zeros = _refined_zeros([(np.array([28.5]), np.array([fa]), np.array([fb]), 9.5, tol)],
-                           tol, None)
+    zeros = _refined_zeros(np.array([0.0, 0.0, fa, fb]), 9.5, tol)
     assert reads[0].shape == (1, 2) and reads[1].shape == (2, 2)
     assert reads[0][0, 0] < expected[1] < reads[0][0, 1]
     assert len(zeros) == 3
@@ -771,10 +783,11 @@ def test_a_point_read_again_keeps_its_counted_sign(monkeypatch, t_max, tol):
     signs, scan_rows = {}, zeta_module._scan_rows
 
     def spy(a, h, m):
-        t, f, ok = scan_rows(a, h, m)
-        for x, y, counts in zip(t.ravel().tolist(), f.ravel().tolist(), ok.ravel().tolist()):
-            signs.setdefault(x, []).append(math.copysign(1.0, y) if counts else 0.0)
-        return t, f, ok
+        f = scan_rows(a, h, m)
+        t = np.add.outer(a, h * np.arange(m))
+        for x, y in zip(t.ravel().tolist(), f.ravel().tolist()):
+            signs.setdefault(x, []).append(math.copysign(1.0, y) if y else 0.0)
+        return f
 
     monkeypatch.setattr(zeta_module, "_scan_rows", spy)
     find_critical_zeros(t_max, tol)
@@ -790,8 +803,7 @@ def test_a_probe_sign_that_does_not_count_keeps_the_ordinate(monkeypatch):
     # by cell, until a sign counts, and the ordinates stay
     tol = 1e-6
     expected = find_critical_zeros(300.0, tol)
-    monkeypatch.setattr(zeta_module, "_first_guess",
-                        lambda a, fa, b, fb, grid: zeta_module._secant(a, fa, b, fb))
+    monkeypatch.setattr(zeta_module, "_first_guess", on_ends(zeta_module._secant))
     reads = spy_on_reads(monkeypatch)
     assert find_critical_zeros(300.0, tol) == expected
     cell = reads[1][reads[1][:, 0] > 250.0][0]
@@ -1064,7 +1076,8 @@ def test_a_scan_holds_its_points_in_blocks(t_max, limit):
     # the traced peak of a scan, in MiB: 2.19 and 11.6 while the
     # Riemann-Siegel kernel held a (22, points) coefficient matrix and every
     # per-point temporary over its whole call, and the bracket search several
-    # grid-length index arrays; about 0.78 and 1.9 with both in blocks
+    # grid-length index arrays; about 0.78 and 1.9 with both in blocks, and
+    # 0.74 and 1.5 with one value a grid point and no stored t
     find_critical_zeros(t_max, 1e-6)  # builds the Riemann-Siegel tables, once a process
     tracemalloc.start()
     try:
@@ -1075,10 +1088,10 @@ def test_a_scan_holds_its_points_in_blocks(t_max, limit):
     assert peak <= limit * 2**20
 
 
-def plain_sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def plain_sign_changes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The brackets' flat end indices as ``_sign_changes`` found them before
     it read its points in blocks: every index array over the whole grid."""
-    kept = np.flatnonzero(ok)
+    kept = np.flatnonzero(f)
     row = kept // f.shape[-1]
     same = row[1:] == row[:-1]
     left, right = kept[:-1][same], kept[1:][same]
@@ -1087,12 +1100,13 @@ def plain_sign_changes(f: np.ndarray, ok: np.ndarray) -> tuple[np.ndarray, np.nd
     return left[opposite], right[opposite]
 
 
-def sign_runs(rng: np.random.Generator, size: int, flip: float, drop: float):
+def sign_runs(rng: np.random.Generator, size: int, flip: float, drop: float) -> np.ndarray:
     """Values with random signs in runs, a sign flipping at each point with
-    probability ``flip``, and counted signs, each dropped with probability
+    probability ``flip``, each 0 (its sign dropped) with probability
     ``drop``."""
     signs = np.where(np.cumsum(rng.random(size) < flip) % 2 == 1, -1.0, 1.0)
-    return signs * rng.uniform(0.1, 1.0, size), rng.random(size) >= drop
+    values = signs * rng.uniform(0.1, 1.0, size)
+    return np.where(rng.random(size) >= drop, values, 0.0)
 
 
 def test_sign_changes_carry_across_blocks():
@@ -1103,16 +1117,16 @@ def test_sign_changes_carry_across_blocks():
     # laid out as rows of 4 (the refinement's) or 32 points, no bracket
     # joins two rows
     chunk = zeta_module._Z_CHUNK
-    f, ok = sign_runs(np.random.default_rng(46), 3 * chunk + 32, 0.1, 0.05)
-    ok[chunk - 3 : chunk + 4] = False
+    f = sign_runs(np.random.default_rng(46), 3 * chunk + 32, 0.1, 0.05)
+    f[chunk - 3 : chunk + 4] = 0.0
     ends = [chunk - 4, chunk + 4, 2 * chunk - 1, 2 * chunk]
-    f[ends], ok[ends] = (1.0, -1.0, 1.0, -1.0), True
+    f[ends] = 1.0, -1.0, 1.0, -1.0
     for shape in ((f.size,), (-1, 4), (-1, 32)):
-        left, right = zeta_module._sign_changes(f.reshape(shape), ok.reshape(shape))
-        plain = plain_sign_changes(f.reshape(shape), ok.reshape(shape))
+        left, right = zeta_module._sign_changes(f.reshape(shape))
+        plain = plain_sign_changes(f.reshape(shape))
         assert np.array_equal(left, plain[0]) and np.array_equal(right, plain[1]), shape
         assert left.size > 1000
-    pairs = set(zip(*(x.tolist() for x in zeta_module._sign_changes(f, ok))))
+    pairs = set(zip(*(x.tolist() for x in zeta_module._sign_changes(f))))
     assert {(chunk - 4, chunk + 4), (2 * chunk - 1, 2 * chunk)} <= pairs
 
 
@@ -1122,18 +1136,16 @@ def test_brackets_hold_no_grid_length_temporaries():
     # (14 points) and 1% of the signs dropped: its traced peak stays within
     # twice the grid's values (the search held 56 MiB of grid-length
     # index and value arrays when it read the grid in one pass)
-    size, h = 2**20, 0.05
-    f, ok = sign_runs(np.random.default_rng(47), size, 1.0 / 14.0, 0.01)
-    t = h * np.arange(1, size + 1)
+    f = sign_runs(np.random.default_rng(47), 2**20, 1.0 / 14.0, 0.01)
     tracemalloc.start()
     try:
-        groups = zeta_module._brackets(t, f, ok, h, 1e-6)
+        left, right = zeta_module._sign_changes(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * f.nbytes
-    signs = f[ok] > 0.0
-    assert sum(group[0].size for group in groups) == np.count_nonzero(signs[1:] != signs[:-1])
+    signs = f[f != 0.0] > 0.0
+    assert left.size == right.size == np.count_nonzero(signs[1:] != signs[:-1])
 
 
 def test_riemann_siegel_tables_against_mpmath_taylor():
@@ -1188,6 +1200,54 @@ def test_uncertified_signs_are_bracketed_across(monkeypatch):
     assert max(abs(a - b) for a, b in zip(zeros, expected)) <= tol
 
 
+def test_a_bracket_across_a_dropped_grid_point_keeps_the_scans_lattice(monkeypatch):
+    # blinding the grid point left of the zero at 201.26 makes its bracket
+    # two grid steps wide.  It is refined on the scan's one lattice, cells of
+    # 0.05 / ceil(0.05 / tol) from its left grid point, so its ordinate is
+    # the midpoint of a lattice cell, within tol/2 of the zero (on a lattice
+    # of 2 tol cells of its own, the midpoint of two cells)
+    tol, h = 1e-6, 0.05
+    with mpmath.workdps(30):
+        z0 = float(mpmath.zetazero(80).imag)
+    point = zeta_module._grid_t(np.array([int(z0 // h) - 1]), h)[0]
+    assert point < z0 < point + h
+    kernel = zeta_module._z_rows
+
+    def blind(a, h, m):
+        t, z, claim = kernel(a, h, m)
+        return t, z, np.where(np.abs(t - point) < 1e-9, np.inf, claim)
+
+    monkeypatch.setattr(zeta_module, "_z_rows", blind)
+    zeros = find_critical_zeros(300.0, tol)
+    assert len(zeros) == 138
+    found = zeros[79]
+    cells = (found - (point - h)) / (h / math.ceil(h / tol)) - 0.5
+    assert abs(cells - round(cells)) < 1e-6, cells
+    assert abs(found - z0) <= tol / 2
+
+
+def test_scan_rows_reads_0_where_a_claim_is_not_exceeded(monkeypatch):
+    # _scan_rows keeps one value a point: Z where its magnitude exceeds the
+    # kernel's claim, and exactly 0 where it does not, a claim equal to |Z|
+    # or inf, on a row of each kernel (every sign there counts unblinded)
+    a, h, m = np.array([150.0, 250.0]), 0.05, 32
+    kept, values = np.arange(m) % 3 == 2, {}
+
+    def blinded(kernel):
+        def rows(a, h, m):
+            t, z, claim = kernel(a, h, m)
+            assert np.all(np.abs(z) > claim)
+            values[float(a[0])] = z
+            return t, z, np.where(kept, claim, np.where(np.arange(m) % 3, np.inf, np.abs(z)))
+        return rows
+
+    for name in ("_z_rows", "_em_z_rows"):
+        monkeypatch.setattr(zeta_module, name, blinded(getattr(zeta_module, name)))
+    f = zeta_module._scan_rows(a, h, m)
+    assert np.all(f[:, ~kept] == 0.0)
+    assert np.array_equal(f[:, kept], np.vstack([values[150.0], values[250.0]])[:, kept])
+
+
 def test_bracket_with_no_certified_inner_sign_is_refused(monkeypatch):
     # around the zero at t ~ 236.52 no Z sign within 0.01 counts: the reads
     # walk outward from the first uncounted one, a cell a round, to the
@@ -1239,10 +1299,10 @@ def test_xi_signs_count_only_above_their_claim(monkeypatch):
 
     def spy_scan(a, h, m):
         first = len(uncounted)
-        t, f, ok = scan_rows(a, h, m)
-        counted = set(t[ok].tolist())
+        f = scan_rows(a, h, m)
+        counted = set(np.add.outer(a, h * np.arange(m))[f != 0.0].tolist())
         assert not any(counted & call for call in uncounted[first:])
-        return t, f, ok
+        return f
 
     monkeypatch.setattr(zeta_module, "_em_z_rows", spy_em)
     monkeypatch.setattr(zeta_module, "_scan_rows", spy_scan)
