@@ -2,9 +2,9 @@
 machine-readable output.
 
 Output contract: JSON runs print a single object {"config": ..., "result": ...}
-with sorted keys, so identical argv produce byte-identical bytes at one BLAS
-thread count (``approx`` and ``sweep`` solves may differ in their last digits
-between thread counts, within their certified error).
+with sorted keys, so identical argv produce byte-identical bytes at any BLAS
+thread count, but for the last digits of the ``approx`` and ``sweep`` solves
+from N of about 128, which stay within their certified error.
 CSV runs print one comment line ``# config: <compact json>`` followed by a
 header row and data rows.  Exit codes: 0 success, 1 domain error,
 2 precision failure, 64 usage error.

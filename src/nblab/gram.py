@@ -63,8 +63,8 @@ distinct key (q, r) of V(r/q) the pairs need, (k, h mod k) and
 half-length cot row for each q gives M, and (2 (r m mod q) - q)/q, with
 r m mod q formed exactly in floats, times that row gives V's summands,
 at most 2^16 of them in flight.  The sort that finds the distinct keys
-also gives each pair its two rows of the table, and ln(h/k) is taken by
-``math.log`` once for each key some pair reads as (k, h mod k).  Third,
+also gives each pair its two rows of the table, and ln(r/q) is taken by
+``math.log`` once for each distinct key.  Third,
 every pair takes Vasyunin's formula elementwise from its two keys' rows,
 in blocks of rows.  Each summand, each addition of the tree
 and each operation of the formula is the same whatever else a block or a
@@ -268,18 +268,17 @@ def _lattice(dils: list[float]):
     return None if max(nums) >> 63 else np.array(nums, dtype=np.int64)
 
 
-def _key_table(keys: np.ndarray, logged: np.ndarray) -> np.ndarray:
+def _key_table(keys: np.ndarray) -> np.ndarray:
     """For each key (q, r) = q 2^20 + r of the sorted ``keys``, the rows -V,
-    M, d M, 1/q, q, and ln(h/k), 1 - ln(h/k) of a key (k, h mod k), h = k = 1
-    at (1, 0): the rows of a pair's two keys give Vasyunin's formula.  The
-    logarithm is ``math.log``'s, which ``np.log`` does not match to the bit,
-    and is taken only where ``logged`` is set; the other keys read 0."""
+    M, d M, 1/q, q, and ln(r/q), 1 - ln(r/q), r read as 1 at (1, 0): the rows
+    of a pair's two keys give Vasyunin's formula, which reads the logarithm
+    of its key (k, h mod k) alone.  The logarithm is ``math.log``'s, which
+    ``np.log`` does not match to the bit."""
     q, r = (keys // DENOMINATOR_CAP).astype(float), (keys % DENOMINATOR_CAP).astype(float)
     v, magnitude, depth_magnitude = _cot_sums(q, r)
-    log_ratio = np.zeros(keys.size)
-    ratios = (np.maximum(r[logged], 1.0) / q[logged]).tolist()
-    log_ratio[logged] = np.fromiter(map(math.log, ratios), float, len(ratios))
-    del ratios  # one Python float per logged key, freed before the table's rows are stacked
+    ratios = (np.maximum(r, 1.0) / q).tolist()
+    log_ratio = np.fromiter(map(math.log, ratios), float, len(ratios))
+    del ratios  # one Python float per key, freed before the table's rows are stacked
     return np.array((-v, magnitude, depth_magnitude, 1.0 / q, q, log_ratio, 1.0 - log_ratio))
 
 
@@ -334,12 +333,7 @@ def _gram_entries(dils: list[float], target_entry_error: float) -> tuple[np.ndar
     row_of[order] = keys
     row_of -= 1
     del order, keys, first
-    logged = np.zeros(distinct.size, dtype=bool)
-    at = 0
-    for shape in shapes:
-        logged[row_of[at:at + shape[0] * shape[1]]] = True
-        at += 2 * shape[0] * shape[1]
-    table = _key_table(distinct, logged)
+    table = _key_table(distinct)
     matrix, bounds = np.empty((n, n)), np.empty((n, n))
     dil = np.array(dils)
     at = 0

@@ -509,5 +509,5 @@ def _sloped_abs_power(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
         vals **= p
         np.square(ts, out=ts)
         vals /= ts
-        total += float(np.dot(vals @ y_weights, d))
+        total += float(np.sum((vals @ y_weights) * d))  # the same at any BLAS thread count
     return total

@@ -141,17 +141,19 @@ Riemann-Siegel formula on the others, each point with its kernel's claim.
 A sign counts only where the value's magnitude exceeds its claim, which is
 positive, so no counted sign is 0, and the scan keeps one value a point:
 Z, or 0 where its sign does not count.  Such a point is dropped, so that
-its two neighbours bracket across it.  The scan is one pass of such calls:
-one for the grid's whole rows, the last row's points past ``t_max``
-dropped, then rounds of two-point rows for each slice of up to 1024
-brackets (neighbours of opposite sign), the slices lowest first.  A call
-holds at most 2^15 points, which the Riemann-Siegel kernel reads in blocks
-of 4096, and the bracket search reads the grid in blocks of 2^15 with the
-last counted point before each, so that beside the grid's values (8 bytes
-a point; the t of flat index i is h (i - i mod 32 + 1) + h (i mod 32), its
-row's float operations) a scan holds one block's temporaries, its
-brackets, and in a round of two-point rows each row's N phases: a traced
-peak of 0.74 MiB for t_max = 500, 1.5 MiB for 2000 and 14 MiB for 52,428.
+its two neighbours bracket across it.  The scan reads the grid's whole
+rows, the last row's points past ``t_max`` dropped, then rounds of
+two-point rows for each slice of up to 1024 brackets (neighbours of
+opposite sign), the slices lowest first.  Each kernel call reads one block
+of at most 4096 points, whole rows, and the bracket search reads the grid
+in blocks of 4096 points with the last counted point before each, so that
+beside the grid's values (8 bytes a point; the t of flat index i is
+h (i - i mod 32 + 1) + h (i mod 32), its row's float operations) a scan
+holds one block's temporaries, its brackets, and in a round of two-point
+rows each row's N phases: a traced peak of 0.65 MiB for t_max = 500,
+1.0 MiB for 2000 and 14 MiB for 52,428.  W's rows, at most 125 grid rows
+(4,000 points) or 2,048 points a round, are each one call, so that no
+block picks W's (N, M) anew.
 
 Every bracket is refined on the scan's one lattice, cells of h / n,
 n = ceil(h / tol), from its left grid point: a bracket across g - 1 dropped
@@ -236,12 +238,13 @@ _MAX_GRID = 2**20
 #: above this height, from which Gabcke's bound holds, and from W on the others
 _Z_FROM = 200.0
 
-#: most points per call of a row kernel, 32 times the most brackets of a slice
-#: refined together, and the points of a block of the bracket search; the
-#: Riemann-Siegel kernel reads its calls in blocks of 4096 points, so a grid
-#: call of 1024 rows near t = 52,000 peaks at 1.4 MiB (traced) and a round of
-#: 1024 two-point rows there at 2.4 MiB, most of it the N phases of each row
-_Z_CHUNK = 2**15
+#: most points per call of a row kernel and per block of the bracket search:
+#: a block of 128 grid rows near t = 52,000 peaks at 0.73 MiB (traced)
+_Z_BLOCK = 4096
+
+#: most brackets refined together: a round of their two-point rows is one kernel
+#: call, which peaks at 2.4 MiB near t = 52,000 (traced), mostly the N phases
+_SLICE = 1024
 
 #: Gabcke's d_4: past C_4 the Riemann-Siegel remainder is within d_4 t^{-11/4}
 _GABCKE_D4 = 0.017
@@ -392,7 +395,8 @@ def _weighted_pole_product(
     phases = -1j * np.multiply.outer(s.imag, ln_n)
     np.exp(phases, out=phases)
     if offsets is None:
-        head, n_s = complex(phases @ amp), cmath.exp(-log_n * s)
+        phases *= amp  # summed by numpy, not by a BLAS dot, whose threads would reorder it
+        head, n_s = complex(phases.sum()), cmath.exp(-log_n * s)
     else:
         head = phases @ (amp * np.exp(-1j * np.multiply.outer(offsets, ln_n))).T
         n_s = np.exp(-log_n * points)
@@ -563,46 +567,39 @@ def _rs_correction(root: np.ndarray, n_point: np.ndarray) -> np.ndarray:
 def _z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The points t = a_r + j h, j < m, all t >= 200, one row per start a_r,
     Hardy's Z(t) there by the Riemann-Siegel formula, and its claims (module
-    docstring), with the main sums' phases by angle addition.  The rows are
-    read in blocks of about 4096 points, so that no per-point temporary holds
-    more than a block."""
+    docstring), with the main sums' phases by angle addition.  The call is
+    read whole: its caller bounds the per-point temporaries by the rows it
+    passes (``_scan_rows``)."""
     offsets = h * np.arange(m)
     t = np.add.outer(a, offsets)
-    z, theta_top = np.empty(t.shape), np.empty(a.size)
-    n = np.arange(1.0, np.floor(np.sqrt(t.max() / (2.0 * math.pi))) + 1.0)  # to the call's top N
+    root = np.sqrt(t / (2.0 * math.pi))
+    n_point = np.floor(root)  # N(t)
+    z = _rs_correction(root, n_point)
+    n = np.arange(1.0, n_point.max() + 1.0)  # to the call's top N
     ln_n, amp = np.log(n), n**-0.5
     steps = np.exp(-1j * np.multiply.outer(ln_n, offsets))
-    size = max(1, 4096 // m)
-    for r in range(0, a.size, size):
-        rows = slice(r, r + size)
-        root = np.sqrt(t[rows] / (2.0 * math.pi))
-        n_point = np.floor(root)  # N(t)
-        z[rows] = _rs_correction(root, n_point)
-        n_row = np.floor(np.sqrt(a[rows] / (2.0 * math.pi))).astype(int)  # N at a row's start
-        phases = -1j * np.multiply.outer(a[rows], ln_n)
-        np.exp(phases, out=phases)
-        # a row's points past the start's N add the n between, each masked per point
-        rise = range(1, int((n_point - n_row[:, None]).max()) + 1)
-        cols = [np.minimum(n_row + k - 1, n.size - 1) for k in rise]
-        leads = [phases[np.arange(n_row.size), col] * amp[col] for col in cols]
-        phases *= np.where(n <= n_row[:, None], amp, 0.0)
-        head = phases @ steps
-        for k, col, lead in zip(rise, cols, leads):
-            head += np.where(n_point >= (n_row + k)[:, None], lead[:, None] * steps[col], 0.0)
-        theta, theta_err = _theta(t[rows])
-        theta_top[rows] = theta_err.max(axis=1)
-        z[rows] += 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
+    n_row = np.floor(np.sqrt(a / (2.0 * math.pi))).astype(int)  # N at a row's start
+    phases = -1j * np.multiply.outer(a, ln_n)
+    np.exp(phases, out=phases)
+    # a row's points past the start's N add the n between, each masked per point
+    rise = range(1, int((n_point - n_row[:, None]).max()) + 1)
+    cols = [np.minimum(n_row + k - 1, n.size - 1) for k in rise]
+    leads = [phases[np.arange(n_row.size), col] * amp[col] for col in cols]
+    phases *= np.where(n <= n_row[:, None], amp, 0.0)
+    head = phases @ steps
+    for k, col, lead in zip(rise, cols, leads):
+        head += np.where(n_point >= (n_row + k)[:, None], lead[:, None] * steps[col], 0.0)
+    theta, theta_err = _theta(t)
+    z += 2.0 * (np.cos(theta) * head.real - np.sin(theta) * head.imag)
     # the claim of each row, from its ends: Gabcke's term and quarter fall
     # with t, the rounding terms grow with t and N; theta's is its row's largest
-    lo, hi = t[:, 0], t[:, -1]
-    root_hi = np.sqrt(hi / (2.0 * math.pi))
-    n_hi = np.floor(root_hi)
+    lo, hi, root_hi, n_hi = t[:, 0], t[:, -1], root[:, -1], n_point[:, -1]
     i = n_hi.astype(int) - 1
     a0, a1 = np.cumsum(amp)[i], np.cumsum(amp * ln_n)[i]
     _, table_err, table_slope = _rs_tables()
     quarter = (lo / (2.0 * math.pi)) ** -0.25
     claim = (_GABCKE_D4 * lo**-2.75
-             + 2.0 * theta_top * a0
+             + 2.0 * theta_err.max(axis=1) * a0
              + 2.0 * _EPS * (3.0 * hi * a1 + (n_hi + 8.0) * a0)
              + quarter * (table_err + _EPS * (2.0 * root_hi + 1.0) * table_slope))
     bound = np.abs(z)
@@ -615,9 +612,10 @@ def _scan_rows(a: np.ndarray, h: float, m: int) -> np.ndarray:
     """Hardy's Z(t) at the points t = a_r + j h, j < m, one row per start
     a_r: from W on the rows that start at or below 200 and by the
     Riemann-Siegel formula on the others, and 0 where its sign does not
-    count, where the value's magnitude does not exceed its claim."""
+    count, where the value's magnitude does not exceed its claim.  Each kernel
+    call reads whole rows, at most ``_Z_BLOCK`` points (one row if longer)."""
     f = np.empty((a.size, m))
-    step = max(1, _Z_CHUNK // m)
+    step = max(1, _Z_BLOCK // m)
     # the Riemann-Siegel rows first: their calls peak higher than W's, and
     # then no claim of W's rows is held beside them
     for rows, kernel in ((np.flatnonzero(a > _Z_FROM), _z_rows),
@@ -643,13 +641,13 @@ def _sign_changes(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (``_scan_rows``), so a point whose sign does not count is dropped and its
     two neighbours bracket across it; a bracket is two neighbours of opposite
     sign (signs compared, so that no product of two small values underflows
-    to 0).  The points are read in blocks of ``_Z_CHUNK``, each with the
+    to 0).  The points are read in blocks of ``_Z_BLOCK``, each with the
     last counted point before it, so that no index array holds more than a
     block."""
     cols, flat = f.shape[-1], f.ravel()
     kept, left, right = np.empty(0, dtype=np.intp), [], []
-    for start in range(0, flat.size, _Z_CHUNK):
-        block = np.flatnonzero(flat[start : start + _Z_CHUNK])
+    for start in range(0, flat.size, _Z_BLOCK):
+        block = np.flatnonzero(flat[start : start + _Z_BLOCK])
         kept = np.concatenate([kept[-1:], start + block])
         i = np.flatnonzero(np.diff(flat[kept] > 0.0) & (np.diff(kept // cols) == 0))
         left.append(kept[i])
@@ -690,7 +688,7 @@ def _first_guess(left: np.ndarray, right: np.ndarray, f: np.ndarray, h: float) -
 
 def _refined_zeros(f: np.ndarray, step: float, tol: float) -> list[float]:
     """Zeros in the brackets among the grid's values f, spaced ``step``
-    (``_sign_changes``), in slices of at most ``_Z_CHUNK`` / 32 brackets,
+    (``_sign_changes``), in slices of at most ``_SLICE`` brackets,
     lowest first, each bracket refined on the scan's one lattice of cells
     h = step / ceil(step / tol) from its left grid point by rounds of one
     two-point row a bracket (module docstring), round 1 at ``_first_guess``'s
@@ -699,11 +697,11 @@ def _refined_zeros(f: np.ndarray, step: float, tol: float) -> list[float]:
     below it are done the lowest such bracket is named.
     """
     n = math.ceil(step / tol)
-    h, size = step / n, _Z_CHUNK // _ROW
+    h = step / n
     brackets = np.stack(_sign_changes(f))  # flat grid indices of the left and right ends
     zeros: list[float] = []
     refused = math.inf, math.inf  # the lowest bracket refused, as its two ends
-    for i, j in (brackets[:, k : k + size] for k in range(0, brackets.shape[1], size)):
+    for i, j in (brackets[:, k : k + _SLICE] for k in range(0, brackets.shape[1], _SLICE)):
         # per bracket: lattice origin, counted ends lo and hi (lattice indices)
         # and Z there, the run of uncounted reads between them (empty as
         # [inf, -inf]), hi - lo one and two rounds ago, and the next guess

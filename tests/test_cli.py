@@ -644,13 +644,20 @@ def module_run(argv, **env):
 @pytest.mark.parametrize(
     "argv",
     [["approx", "--dilations", "1,1.4142135623730951"],
-     ["gram", "--dilations", "2.718281828459045,3.141592653589793", "--target", "2.5e-8"]],
-    ids=["approx-sqrt2", "gram-e-pi"],
+     ["gram", "--dilations", "2.718281828459045,3.141592653589793", "--target", "2.5e-8"],
+     ["norm", "--input", "sloped.json", "--p", "1.5", "--max-segments", "20000"],
+     ["zeta", "--re", "0.5", "--im", "100000", "--target", "1e-3"]],
+    ids=["approx-sqrt2", "gram-e-pi", "norm-sloped", "zeta-far-up"],
 )
-def test_incommensurate_output_independent_of_blas_threads(argv):
+def test_incommensurate_output_independent_of_blas_threads(tmp_path, monkeypatch, argv):
     # their cot sums run to about 2e4 terms, past the length at which
     # OpenBLAS splits a dot product across threads; a V summed by BLAS
-    # printed other digits under one and two threads
+    # printed other digits under one and two threads.  So did a sloped
+    # norm's windows of up to 2^15 segments, and zeta's head sum of about
+    # 31,800 terms at Im s = 1e5, each while summed by a BLAS dot
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sloped.json").write_text(
+        '{"constrained": false, "terms": [{"h": 1, "l": 3}, {"h": -1, "l": 2}]}')
     runs = [module_run(argv, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
     assert runs[0][0] == runs[1][0] == EXIT_OK, runs[0][2]
     assert runs[0][1] == runs[1][1]

@@ -850,7 +850,7 @@ def sloped_abs_power_oracle(t1, u, v_mid, slope, p, y_sq, y_weights) -> float:
     for d, sign in ((z - t1, -1.0), (t2 - z, 1.0)):
         ts = z[:, None] + sign * d[:, None] * y_sq
         vals = np.abs(left + slope * (ts - t1c)) ** p / ts**2
-        total += float(np.dot(vals @ y_weights, d))
+        total += float(np.sum((vals @ y_weights) * d))
     return total
 
 

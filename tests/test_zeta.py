@@ -763,10 +763,10 @@ def test_refinement_reads_within_budget(monkeypatch, t_max, tol, budget):
 
 
 def test_a_refusal_reads_within_budget(monkeypatch):
-    # the groups are refined lowest first, and the group that holds the
-    # bracket refused at 201.26 is the first: the brackets above it are
-    # dropped once it is refused, so the scan reads a tenth of the 83,577
-    # points of a scan that refined every group before it refused
+    # the slices of 1024 brackets are refined lowest first, and the slice
+    # that holds the bracket refused at 201.26 is the first: the brackets
+    # above it are dropped once it is refused, so the scan reads a tenth of
+    # the 83,577 points of a scan that refined every slice before it refused
     reads = spy_on_reads(monkeypatch)
     with pytest.raises(PrecisionUnreachable, match=r"no sign inside \[201\.26"):
         find_critical_zeros(10000.0, 1e-9)
@@ -1000,10 +1000,10 @@ def test_z_claim_at_200_is_gabckes_term():
 
 def one_matrix_z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hardy's Z and its claims on the rows t = a_r + j h by the
-    Riemann-Siegel formula, as ``_z_rows`` read them before it read them in
-    blocks: every per-point array over the whole call, the correction's
-    coefficients one (22, points) matrix product, the main sums one matrix
-    product plus a list of masked terms for the n past a row's start N."""
+    Riemann-Siegel formula, all rows in one call: every per-point array over
+    the whole call, the correction's coefficients one (22, points) matrix
+    product, the main sums one matrix product plus a list of masked terms
+    for the n past a row's start N."""
     offsets = h * np.arange(m)
     t = np.add.outer(a, offsets)
     u = t / (2.0 * math.pi)
@@ -1048,14 +1048,16 @@ def one_matrix_z_rows(a: np.ndarray, h: float, m: int) -> tuple[np.ndarray, np.n
     return t, z, claim[:, None] + 2.0 * eps * np.abs(z)
 
 
-def test_blocked_z_rows_equal_the_one_matrix_route():
-    # _z_rows reads its rows in blocks of about 4096 points and its
-    # correction two degrees a matrix product; every point and value and
-    # claim equals the one-matrix route's bit for bit: on the grid's rows from
-    # 200 to 2000 as the scans to 500 and 2000 call them (188 rows; 1024 and
-    # then 101), on rows across t = 2 pi N^2 for N = 6..17, where N steps
-    # inside a row, and on two-point rows as the refinement reads them, across
-    # those heights and one ulp either side
+def test_blocked_z_rows_equal_the_one_matrix_route(monkeypatch):
+    # _scan_rows hands the Riemann-Siegel kernel blocks of at most 4096
+    # points, whole rows, and the kernel takes its correction two degrees a
+    # matrix product; every value equals the one-matrix route's over all the
+    # rows at once, masked by its claims, bit for bit: on the grid's rows from
+    # 200 to 2000 as the scans to 500 and 2000 read them (188 rows, blocks of
+    # 128 and 60; 1125 rows, eight blocks of 128 and one of 101), on rows
+    # across t = 2 pi N^2 for N = 6..17, where N steps inside a row, and on
+    # two-point rows as the refinement reads them, across those heights and
+    # one ulp either side
     h = 0.05
     grid = h * np.arange(1, 2000 / h + 1, 32)
     grid = grid[grid > 200.0]
@@ -1063,12 +1065,21 @@ def test_blocked_z_rows_equal_the_one_matrix_route():
     cells = np.concatenate([edges - 5e-7, np.nextafter(edges, 0.0), edges,
                             np.nextafter(edges, np.inf),
                             np.random.default_rng(45).uniform(200.0, 2000.0, 976)])
-    calls = [(grid[:188], h, 32), (grid[:1024], h, 32), (grid[1024:], h, 32),
-             (edges - 0.8, h, 32), (np.sort(cells), 1e-6, 2)]
-    assert [a.size for a, _, _ in calls] == [188, 1024, 101, 12, 1024]
+    calls = [(grid[:188], h, 32), (grid, h, 32), (edges - 0.8, h, 32), (np.sort(cells), 1e-6, 2)]
+    assert [a.size for a, _, _ in calls] == [188, 1125, 12, 1024]
+    blocks, z_rows = [], zeta_module._z_rows
+
+    def spy(a, h, m):
+        blocks[-1].append(a.size)
+        return z_rows(a, h, m)
+
+    monkeypatch.setattr(zeta_module, "_z_rows", spy)
     for a, step, m in calls:
-        for new, old in zip(zeta_module._z_rows(a, step, m), one_matrix_z_rows(a, step, m)):
-            assert np.array_equal(new, old), (a.size, m)
+        blocks.append([])
+        _, z, claim = one_matrix_z_rows(a, step, m)
+        masked = np.where(np.abs(z) > claim, z, 0.0)
+        assert np.array_equal(zeta_module._scan_rows(a, step, m), masked), (a.size, m)
+    assert blocks == [[128, 60], [128] * 8 + [101], [12], [1024]]
 
 
 @pytest.mark.parametrize("t_max, limit", [(500.0, 1.2), (2000.0, 4.0)])
@@ -1110,14 +1121,14 @@ def sign_runs(rng: np.random.Generator, size: int, flip: float, drop: float) -> 
 
 
 def test_sign_changes_carry_across_blocks():
-    # the bracket search reads a grid in blocks of _Z_CHUNK points, each
-    # with the last counted point before it: on three blocks and a part, with
+    # the bracket search reads a grid in blocks of _Z_BLOCK points, each
+    # with the last counted point before it: on 24 blocks and a part, with
     # a dropped run across the first block edge and a sign change across the
     # second, it finds the brackets that one pass over the whole grid finds;
     # laid out as rows of 4 (the refinement's) or 32 points, no bracket
     # joins two rows
-    chunk = zeta_module._Z_CHUNK
-    f = sign_runs(np.random.default_rng(46), 3 * chunk + 32, 0.1, 0.05)
+    chunk = zeta_module._Z_BLOCK
+    f = sign_runs(np.random.default_rng(46), 24 * chunk + 32, 0.1, 0.05)
     f[chunk - 3 : chunk + 4] = 0.0
     ends = [chunk - 4, chunk + 4, 2 * chunk - 1, 2 * chunk]
     f[ends] = 1.0, -1.0, 1.0, -1.0
